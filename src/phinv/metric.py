@@ -133,31 +133,51 @@ def params_from_state(phi_cap: float, vtheta_zero: float) -> GaussParams:
     ).validate()
 
 
-def ladder_exp(tau: float, dim: int, raising: bool) -> np.ndarray:
-    """exp(tau * K+) or exp(tau * K-) from the closed-form band entries.
+@lru_cache(maxsize=None)
+def _ladder_table(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Band coefficients C and tau exponents K of exp(tau K+), and their
+    transposes for exp(tau K-): C[n+2k, n] = sqrt((n+2k)!/n!) / (2^k k!),
+    K[n+2k, n] = k, the diagonal C = 1 with K = 0, zero elsewhere.
 
-    The (n+2k, n) entry of exp(tau a_dag^2 / 2) is
-    (tau/2)^k / k! * sqrt((n+2k)!/n!), accumulated by a stable product
-    recurrence; the lowering case is its transpose pattern. Entry for entry
-    this equals the truncated Taylor sum of the truncated generator, just
-    without the chain of matrix products.
+    C comes from the product recurrence over k; it depends on dim only.
     """
-    m = np.zeros((dim, dim))
+    c = np.zeros((dim, dim))
+    k_of = np.zeros((dim, dim), dtype=np.intp)
     coef = np.ones(dim)
     n_idx = np.arange(dim, dtype=float)
     for k in range(1, (dim - 1) // 2 + 1):
         width = dim - 2 * k
-        coef = coef[:width] * (tau / (2 * k)) * np.sqrt(
+        coef = coef[:width] / (2 * k) * np.sqrt(
             (n_idx[:width] + 2 * k - 1) * (n_idx[:width] + 2 * k)
         )
         rows = np.arange(width) + 2 * k
         cols = np.arange(width)
-        if raising:
-            m[rows, cols] = coef
-        else:
-            m[cols, rows] = coef
-    np.fill_diagonal(m, 1.0)
-    return m
+        c[rows, cols] = coef
+        k_of[rows, cols] = k
+    np.fill_diagonal(c, 1.0)
+    tables = (c, k_of, np.ascontiguousarray(c.T), np.ascontiguousarray(k_of.T))
+    for a in tables:
+        a.setflags(write=False)
+    return tables
+
+
+def ladder_exp(tau: float, dim: int, raising: bool) -> np.ndarray:
+    """exp(tau * K+) or exp(tau * K-) from the closed-form band entries.
+
+    The (n+2k, n) entry of exp(tau a_dag^2 / 2) is
+    (tau/2)^k / k! * sqrt((n+2k)!/n!) = C[n+2k, n] tau^k; the lowering case
+    is its transpose. C and the exponent map K come from a per-dim table, so
+    a call is one gather of the powers of tau and one product. Entry for
+    entry this equals the truncated Taylor sum of the truncated generator,
+    just without the chain of matrix products.
+    """
+    c, k_of, c_t, k_of_t = _ladder_table(dim)
+    powers = np.full((dim - 1) // 2 + 1, float(tau))
+    powers[0] = 1.0
+    np.cumprod(powers, out=powers)
+    if raising:
+        return c * powers[k_of]
+    return c_t * powers[k_of_t]
 
 
 def _k0_power(base: float, dim: int) -> np.ndarray:

@@ -262,14 +262,6 @@ class MetricTrajectory:
         return float(np.max(np.abs(self.w.imag)))
 
 
-def _rk4_step(f, y: np.ndarray, t: float, h: float) -> np.ndarray:
-    k1 = f(y, t)
-    k2 = f(y + 0.5 * h * k1, t + 0.5 * h)
-    k3 = f(y + 0.5 * h * k2, t + 0.5 * h)
-    k4 = f(y + h * k3, t + h)
-    return y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def integrate_metric(
     initial: MetricState,
     omega: Callable[[float], complex],
@@ -297,6 +289,10 @@ def integrate_metric(
     steps for a local error estimate (abort above local_error_tol). The flow
     stops with a structured guard error if vtheta0 falls to its floor or the
     constraint denominator 2 Phi^2 - vtheta0 reaches or crosses zero.
+
+    The steps run on (Phi, vtheta0) as Python floats, and the drive is
+    sampled once per distinct stage time of a substep (six, not twelve);
+    the arithmetic is that of RK4 on the 2-vector, operation for operation.
     """
     generator = im_beta is not None
     if generator and (alpha is not None or beta is not None):
@@ -311,42 +307,63 @@ def integrate_metric(
     n_dense = steps * stride
     dense_times = np.linspace(0.0, t_max, n_dense + 1)
 
-    def im_beta_of(t: float) -> float:
-        return im_beta(t) if generator else beta(t).imag
+    def drive(t: float) -> tuple[float, float]:
+        """(Im beta, Im omega) at time t."""
+        return (im_beta(t) if generator else beta(t).imag), omega(t).imag
 
-    def rhs(y: np.ndarray, t: float) -> np.ndarray:
-        th0 = y[1]
-        if th0 <= 0:
-            raise GuardError("vtheta-zero-floor", t, f"vtheta0={th0:.3e}")
-        ib = im_beta_of(t)
-        io = omega(t).imag
-        return np.array([2 * th0 * ib, 2 * th0 * (-io + 2 * y[0] * ib)])
+    def rates(p: float, q: float, t: float, d: tuple[float, float]) -> tuple[float, float]:
+        if q <= 0:
+            raise GuardError("vtheta-zero-floor", t, f"vtheta0={q:.3e}")
+        ib, io = d
+        return 2 * q * ib, 2 * q * (-io + 2 * p * ib)
 
+    def rk4(p, q, t, h, d0, d_mid, d_end):
+        """One classic RK4 step on floats, given the drive at t, t + h/2 and
+        t + h, so the caller samples a time shared by several stages once."""
+        t_mid, t_end = t + 0.5 * h, t + h
+        a1, b1 = rates(p, q, t, d0)
+        a2, b2 = rates(p + 0.5 * h * a1, q + 0.5 * h * b1, t_mid, d_mid)
+        a3, b3 = rates(p + 0.5 * h * a2, q + 0.5 * h * b2, t_mid, d_mid)
+        a4, b4 = rates(p + h * a3, q + h * b3, t_end, d_end)
+        return (
+            p + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4),
+            q + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4),
+        )
+
+    p, q = initial.phi_cap, initial.vtheta_zero
     phi = np.empty(n_dense + 1)
     th0 = np.empty(n_dense + 1)
-    phi[0], th0[0] = initial.phi_cap, initial.vtheta_zero
-    y = np.array([initial.phi_cap, initial.vtheta_zero])
+    phi[0], th0[0] = p, q
     denom_prev = initial.constraint_denominator
-    _check_flow_guards(y, 0.0, denom_prev)
+    _check_flow_guards(q, 0.0, denom_prev)
+    h2 = h / 2
     for i in range(n_dense):
-        t = dense_times[i]
-        full = _rk4_step(rhs, y, t, h)
-        half = _rk4_step(rhs, y, t, h / 2)
-        half = _rk4_step(rhs, half, t + h / 2, h / 2)
-        err = float(np.max(np.abs(full - half))) / 15.0
+        t = float(dense_times[i])
+        # The full step and the first half step share t and t + h/2; the
+        # second half step ends at t + h/2 + h/2, which may round apart
+        # from t + h.
+        t_mid = t + 0.5 * h
+        t_end = t + h
+        t_end2 = t_mid + h2
+        d0, d_mid, d_end = drive(t), drive(t_mid), drive(t_end)
+        d_end2 = d_end if t_end2 == t_end else drive(t_end2)
+        full = rk4(p, q, t, h, d0, d_mid, d_end)
+        half = rk4(p, q, t, h2, d0, drive(t + 0.5 * h2), d_mid)
+        half = rk4(*half, t_mid, h2, d_mid, drive(t_mid + 0.5 * h2), d_end2)
+        err = max(abs(full[0] - half[0]), abs(full[1] - half[1])) / 15.0
         if err > local_error_tol:
             raise GuardError("local-error", t, f"estimate {err:.3e} > {local_error_tol:.1e}")
-        y = half
+        p, q = half
         t_next = dense_times[i + 1]
-        denom = y[0] * y[0] + (y[0] * y[0] - y[1])
+        denom = p * p + (p * p - q)
         if denom_prev * denom < 0:
             raise GuardError(
                 "constraint-denominator", t_next,
                 "2 Phi^2 - vtheta0 changed sign between steps",
             )
-        _check_flow_guards(y, t_next, denom)
+        _check_flow_guards(q, t_next, denom)
         denom_prev = denom
-        phi[i + 1], th0[i + 1] = y
+        phi[i + 1], th0[i + 1] = p, q
 
     if generator:
         io = np.array([omega(t).imag for t in dense_times])
@@ -400,9 +417,9 @@ def integrate_metric(
     return traj
 
 
-def _check_flow_guards(y: np.ndarray, t: float, denom: float) -> None:
-    if y[1] <= VTHETA_FLOOR:
-        raise GuardError("vtheta-zero-floor", t, f"vtheta0={y[1]:.3e}")
+def _check_flow_guards(vtheta0: float, t: float, denom: float) -> None:
+    if vtheta0 <= VTHETA_FLOOR:
+        raise GuardError("vtheta-zero-floor", t, f"vtheta0={vtheta0:.3e}")
     if abs(denom) <= DENOM_FLOOR:
         raise GuardError(
             "constraint-denominator", t, f"2 Phi^2 - vtheta0 = {denom:.3e}"

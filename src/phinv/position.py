@@ -130,6 +130,17 @@ def _envelope_edge(shape: GaussianShape, n: int, extent: float) -> float:
     return norm * h_edge * math.exp(-0.5 * shape.exp_coeff * extent * extent)
 
 
+def check_edge_decay(shape: GaussianShape, n_max: int, grid: PositionGrid) -> None:
+    """Raise DomainError when eigenfunction n_max is still above EDGE_DECAY
+    at the grid edge, so quadrature on the grid would miss its tails."""
+    edge = _envelope_edge(shape, n_max, grid.extent)
+    if edge > EDGE_DECAY:
+        raise DomainError(
+            f"grid edge amplitude {edge:.3e} exceeds {EDGE_DECAY:.0e}; "
+            "quadrature domain does not cover the integrand"
+        )
+
+
 def _normalization(shape: GaussianShape, n: int) -> float:
     return (
         1.0 / math.sqrt(math.factorial(n) * 2.0**n * math.sqrt(math.pi))
@@ -171,12 +182,7 @@ def orthonormality_matrix(
     factor, which is how the meter's sensitivity is demonstrated."""
     shape = GaussianShape.from_state(s)
     x = grid.points
-    edge = _envelope_edge(shape, n_max, grid.extent)
-    if edge > EDGE_DECAY:
-        raise DomainError(
-            f"grid edge amplitude {edge:.3e} exceeds {EDGE_DECAY:.0e}; "
-            "quadrature domain does not cover the integrand"
-        )
+    check_edge_decay(shape, n_max, grid)
     funcs = np.stack([np.asarray(eigenfunction(n, x, s)) for n in range(n_max + 1)])
     weight = np.exp(shape.weight_coeff * x * x) if include_weight else np.ones_like(x)
     gram = np.empty((n_max + 1, n_max + 1))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .errors import FormatError, GuardError
+from .errors import DomainError, FormatError, GuardError
 from .fock import basis_state, tail_support
 from .metric import build_eta, build_rho_inverse
 from .model import (
@@ -35,6 +35,7 @@ from .model import (
 from .position import (
     GaussianShape,
     canonical_agreement,
+    check_edge_decay,
     cross_representation_residual,
     orthonormality_matrix,
     PositionGrid,
@@ -132,6 +133,21 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     n_times = traj.n_times
     times = traj.times
 
+    # The position spot checks need normalizable eigenfunctions that decay
+    # inside their grid. Both are known from the trajectory alone, so a
+    # failure stops the run here, with its time, before any meter runs.
+    sample_idx = _sample_indices(n_times)
+    spots = []
+    for i in sample_idx:
+        s_i = traj.state_at(int(i))
+        try:
+            shape = GaussianShape.from_state(s_i)
+            grid = PositionGrid.for_shape(shape, n_max=GRAM_MAX_N)
+            check_edge_decay(shape, GRAM_MAX_N, grid)
+        except DomainError as e:
+            raise DomainError(f"t={times[i]:.6g}: {e}") from e
+        spots.append((int(i), s_i, shape, grid))
+
     states = np.empty((n_times, dim), dtype=complex)
     tails = np.empty(n_times)
     for i in range(n_times):
@@ -178,18 +194,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         image_dev[i] = hermitian_image_check(traj, i, dim)
         constraint_dev[i] = max(constraint_residuals(s_i, c_i).values())
 
-    sample_idx = _sample_indices(n_times)
     rng = np.random.default_rng(cfg.seed)
     gram_dev = []
     canon_dev = []
     cross_dev = []
     positivity_min = math.inf
     width_vals = []
-    for i in sample_idx:
-        s_i = traj.state_at(int(i))
-        shape = GaussianShape.from_state(s_i)
+    for i, s_i, shape, grid in spots:
         width_vals.append(shape.width_coeff)
-        grid = PositionGrid.for_shape(shape, n_max=GRAM_MAX_N)
         gres = orthonormality_matrix(GRAM_MAX_N, s_i, grid)
         gram_dev.append(max(gres.max_off_diagonal, gres.max_diagonal_deviation))
         canon_dev.append(canonical_agreement(s_i, dim))
@@ -197,7 +209,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         for n in range(min(CROSS_REP_MAX_N, dim - 1) + 1):
             worst = max(worst, cross_representation_residual(s_i, n, dim))
         cross_dev.append(worst)
-        eta = build_eta(traj.gauss_at(int(i)), dim)
+        eta = build_eta(traj.gauss_at(i), dim)
         for _ in range(4):
             z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
             val = float(np.real(np.vdot(z, eta @ z)) / np.real(np.vdot(z, z)))

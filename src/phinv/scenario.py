@@ -61,14 +61,23 @@ class Profile:
 
     kind: str
     params: tuple[tuple[str, float], ...]
+    _values: tuple[float, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Read the parameters once, in evaluation order: the metric flow
+        # evaluates every profile several times per RK4 step.
+        p = dict(self.params)
+        names = _PROFILE_PARAMS.get(self.kind, _PROFILE_PARAMS["sinusoid"])
+        object.__setattr__(self, "_values", tuple(p[k] for k in names))
 
     def __call__(self, t: float) -> float:
-        p = dict(self.params)
         if self.kind == "constant":
-            return p["value"]
+            return self._values[0]
         if self.kind == "linear":
-            return p["intercept"] + p["slope"] * t
-        return p["offset"] + p["amplitude"] * math.sin(p["frequency"] * t + p["phase"])
+            intercept, slope = self._values
+            return intercept + slope * t
+        offset, amplitude, frequency, phase = self._values
+        return offset + amplitude * math.sin(frequency * t + phase)
 
     def to_json(self) -> dict[str, float | str]:
         out: dict[str, float | str] = {"kind": self.kind}

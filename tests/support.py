@@ -1,9 +1,11 @@
 """Shared test oracles, written independently of the library code paths.
 
 reference_expm is a plain scaling-and-squaring Taylor exponential;
-dense_inverse is hand-rolled Gaussian elimination with partial pivoting.
-Both exist so the factored/banded production routes are checked against
-algorithms that share none of their structure.
+dense_inverse is hand-rolled Gaussian elimination with partial pivoting;
+ladder_exp_loop builds exp(tau K+-) band by band with tau inside the product
+recurrence, where phinv reads a per-dim coefficient table. They exist so
+the factored/banded production routes are checked against algorithms that
+share none of their structure.
 """
 
 from __future__ import annotations
@@ -29,6 +31,28 @@ def reference_expm(a: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def ladder_exp_loop(tau: float, dim: int, raising: bool) -> np.ndarray:
+    """exp(tau K+) (raising) or exp(tau K-): the (n+2k, n) band entry
+    (tau/2)^k / k! sqrt((n+2k)!/n!) accumulated over k with tau in every
+    factor, written into the matrix one band at a time."""
+    m = np.zeros((dim, dim))
+    coef = np.ones(dim)
+    n_idx = np.arange(dim, dtype=float)
+    for k in range(1, (dim - 1) // 2 + 1):
+        width = dim - 2 * k
+        coef = coef[:width] * (tau / (2 * k)) * np.sqrt(
+            (n_idx[:width] + 2 * k - 1) * (n_idx[:width] + 2 * k)
+        )
+        rows = np.arange(width) + 2 * k
+        cols = np.arange(width)
+        if raising:
+            m[rows, cols] = coef
+        else:
+            m[cols, rows] = coef
+    np.fill_diagonal(m, 1.0)
+    return m
 
 
 def dense_inverse(a: np.ndarray) -> np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from support import reference_expm
+from support import ladder_exp_loop, reference_expm
 
 from phinv import (
     DimensionError,
@@ -145,6 +145,25 @@ def test_ladder_exp_transpose_symmetry():
     up = ladder_exp(0.45, 32, True)
     down = ladder_exp(0.45, 32, False)
     assert np.array_equal(up, down.T)
+
+
+def test_ladder_exp_matches_loop_oracle():
+    """The table-driven ladder_exp against the band-by-band recurrence, entry
+    by entry. Entries below 1e-250 are left out: there tau^k underflows on
+    one route before the other."""
+    worst = 0.0
+    for dim in (16, 64, 128, 192, 256):
+        for tau in (0.0, 0.2, -0.2, 0.3, -0.5, 0.7, 1.2, -1.5):
+            for raising in (True, False):
+                want = ladder_exp_loop(tau, dim, raising)
+                got = ladder_exp(tau, dim, raising)
+                assert got.shape == want.shape
+                assert np.count_nonzero(got) == np.count_nonzero(want)
+                big = np.abs(want) > 1e-250
+                assert np.all(np.abs(got[~big]) <= 1e-240)
+                rel = np.abs(got[big] - want[big]) / np.abs(want[big])
+                worst = max(worst, float(np.max(rel)))
+    assert worst <= 1e-13
 
 
 def test_interior_norm_excludes_top_levels():

@@ -1,10 +1,12 @@
 import hashlib
 import json
+import time
 
 import numpy as np
 import pytest
 
 from phinv import (
+    DomainError,
     FormatError,
     GuardError,
     TruncationWarning,
@@ -12,6 +14,7 @@ from phinv import (
     run_scenario,
     verify_artifacts,
 )
+import phinv.runner
 from phinv._version import __version__
 from phinv.runner import CSV_EOL, _fmt, _parse_csv
 
@@ -242,3 +245,44 @@ def test_guard_aborts_on_tail_support():
     with pytest.warns(TruncationWarning), pytest.raises(GuardError) as info:
         run_scenario(cfg)
     assert info.value.guard == "tail-support"
+
+
+def test_collapsed_falloff_stops_before_the_meters(monkeypatch):
+    """The steep drive's eigenfunction falloff collapses near t=1.19, so no
+    Gram grid covers t=1.05 and later sample times. The run stops right after
+    the metric flow, naming the first such sample time, before any state is
+    assembled or any meter runs. A drive with no normalizable eigenfunction
+    (Phi > 1 makes the width coefficient negative) stops there too."""
+
+    def no_assembly(*args, **kwargs):
+        raise AssertionError("assembly ran before the edge check")
+
+    monkeypatch.setattr(phinv.runner, "assemble_solution", no_assembly)
+    cfg = scenario({
+        "t_max": 1.5,
+        "initial_metric": {"phi_cap": 0.5, "vtheta_zero": 1.0},
+        "profiles": {
+            "re_omega": {"kind": "constant", "value": 1.0},
+            "im_omega": {
+                "kind": "sinusoid",
+                "offset": 0.0, "amplitude": 0.1, "frequency": 1.0, "phase": 0.0,
+            },
+            "im_beta": {"kind": "constant", "value": 0.05},
+        },
+    })
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match=r"^t=1\.05: grid edge amplitude "):
+        run_scenario(cfg)
+    assert time.perf_counter() - start < 30.0
+
+    cfg = scenario({
+        "t_max": 0.5,
+        "initial_metric": {"phi_cap": 1.2, "vtheta_zero": 1.0},
+        "profiles": {
+            "re_omega": {"kind": "constant", "value": 1.0},
+            "im_omega": {"kind": "constant", "value": 0.0},
+            "im_beta": {"kind": "constant", "value": 0.0},
+        },
+    })
+    with pytest.raises(DomainError, match=r"^t=0: width coefficient .* is not positive"):
+        run_scenario(cfg)

@@ -142,6 +142,25 @@ def test_profile_kinds_and_evaluation():
     assert cfg.profiles["im_omega"](math.pi / 2) == pytest.approx(0.1 * math.sin(math.pi / 2))
 
 
+def test_profile_call_reads_each_parameter_by_name():
+    """A profile gives exactly the closed form of its named parameters,
+    whatever order they are listed in."""
+    sin = Profile(
+        kind="sinusoid",
+        params=(
+            ("phase", 0.25), ("frequency", 3.0), ("amplitude", 2.0), ("offset", 0.5)
+        ),
+    )
+    lin = Profile(kind="linear", params=(("slope", -2.0), ("intercept", 0.5)))
+    const = Profile(kind="constant", params=(("value", 0.125),))
+    for t in (0.0, 1e-3, 0.7, 1.9215, 5.0):
+        assert sin(t) == 0.5 + 2.0 * math.sin(3.0 * t + 0.25)
+        assert lin(t) == 0.5 + -2.0 * t
+        assert const(t) == 0.125
+    assert sin == Profile(kind="sinusoid", params=sin.params)
+    assert hash(lin) == hash(Profile(kind="linear", params=lin.params))
+
+
 def test_profile_validation():
     doc = minimal_doc()
     doc["profiles"]["im_omega"] = {"kind": "quadratic", "value": 0.0}

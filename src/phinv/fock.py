@@ -1,9 +1,15 @@
 """Truncated Fock-space operators and the small exact matrix toolkit.
 
-Operators are dense complex numpy arrays over the basis {|0>, ..., |N-1>};
-states are complex N-vectors. Identities involving raising operators are only
-exact away from the truncation edge, so comparisons support an interior block
-that excludes the top few levels.
+Operators live on the basis {|0>, ..., |N-1>}; states are complex N-vectors.
+The ladder and quadrature operators are dense complex numpy arrays. A
+combination of the su(1,1) generators K0, K- and K+ (the Hamiltonian, the
+invariant, 2 K0) is a BandOperator: it is nonzero only on the diagonals at
+offsets 0 and +-2, so it is stored as those three diagonals (a multiple of
+K0 as its main diagonal alone) and multiplies a vector in O(N) and a matrix
+in O(N^2). Its dense form holds the same entries as the sum of the dense
+generators. Identities involving raising operators are only exact away from
+the truncation edge, so comparisons support an interior block that excludes
+the top few levels.
 """
 
 from __future__ import annotations
@@ -75,6 +81,104 @@ def build_operator_set(dim: int) -> OperatorSet:
 def cached_operator_set(dim: int) -> OperatorSet:
     """Shared read-only OperatorSet per dimension; callers must not mutate."""
     return build_operator_set(dim)
+
+
+@lru_cache(maxsize=8)
+def _su11_diagonals(dim: int) -> np.ndarray:
+    """K0's diagonal, K-'s diagonal at +2 and K+'s at -2, read from the
+    cached dense operators into a read-only (3, dim) real stack (the last
+    two slots of rows 1 and 2 are zero)."""
+    ops = cached_operator_set(dim)
+    out = np.zeros((3, dim))
+    out[0] = np.diagonal(ops.k_zero).real
+    out[1, :-2] = np.diagonal(ops.k_minus, 2).real
+    out[2, :-2] = np.diagonal(ops.k_plus, -2).real
+    out.setflags(write=False)
+    return out
+
+
+class BandOperator:
+    """An operator whose nonzero entries lie on the diagonals at offsets 0, +2, -2.
+
+    bands is a (3, dim) array: row 0 is the main diagonal, row 1 holds the
+    entries [n, n+2] and row 2 the entries [n+2, n], each in its first
+    dim - 2 slots; the last two slots of rows 1 and 2 are zero. A diagonal
+    operator may hold row 0 alone, a (1, dim) array. `op @ v`, `op @ M` and
+    `M @ op` skip the exact-zero terms of the dense product. Any other
+    arithmetic with an array goes through the dense matrix, which `.dense()`
+    and `np.asarray(op)` return as a complex array.
+    """
+
+    # Makes ndarray @ op defer to __rmatmul__ instead of converting op.
+    __array_ufunc__ = None
+
+    def __init__(self, bands: np.ndarray):
+        self.bands = bands
+
+    def dense(self) -> np.ndarray:
+        b = self.bands
+        i = np.arange(b.shape[1])
+        out = np.zeros((len(i), len(i)), dtype=complex)
+        out[i, i] = b[0]
+        if len(b) == 3:
+            out[i[:-2], i[2:]] = b[1, :-2]
+            out[i[2:], i[:-2]] = b[2, :-2]
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = self.dense()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    def adjoint(self) -> "BandOperator":
+        b = self.bands.conj()
+        return BandOperator(b[[0, 2, 1]] if len(b) == 3 else b)
+
+    def __matmul__(self, other) -> np.ndarray:
+        other = np.asarray(other)
+        b = self.bands if other.ndim == 1 else self.bands[:, :, None]
+        out = b[0] * other
+        if len(b) == 3:
+            head, tail = out[:-2], out[2:]
+            head += b[1, :-2] * other[2:]
+            tail += b[2, :-2] * other[:-2]
+        return out
+
+    def __rmatmul__(self, other) -> np.ndarray:
+        other = np.asarray(other)
+        b = self.bands
+        out = other * b[0]
+        if len(b) == 3:
+            left, right = out[..., :-2], out[..., 2:]
+            right += other[..., :-2] * b[1, :-2]
+            left += other[..., 2:] * b[2, :-2]
+        return out
+
+    def __add__(self, other) -> np.ndarray:
+        return self.dense() + other
+
+    __radd__ = __add__
+
+    def __sub__(self, other) -> np.ndarray:
+        return self.dense() - other
+
+    def __rsub__(self, other) -> np.ndarray:
+        return other - self.dense()
+
+
+def su11_operator(dim: int, zero: complex, minus: complex, plus: complex) -> BandOperator:
+    """zero K0 + minus K- + plus K+ as a BandOperator.
+
+    Each stored entry is the coefficient times the dense generator's entry,
+    so `.dense()` equals the sum of the scaled dense generators. Real
+    coefficients give real bands.
+    """
+    return BandOperator(np.array([zero, minus, plus])[:, None] * _su11_diagonals(dim))
+
+
+def k0_operator(dim: int, coeff: float) -> BandOperator:
+    """coeff K0 as a diagonal BandOperator, the same entries as coeff times
+    the dense K0."""
+    return BandOperator(coeff * _su11_diagonals(dim)[:1])
 
 
 def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -25,7 +25,7 @@ from .errors import (
     SingularMetricError,
     TruncationWarning,
 )
-from .fock import basis_state, cached_operator_set, tail_support
+from .fock import BandOperator, basis_state, su11_operator, tail_support
 from .metric import GaussParams, build_rho_inverse, params_from_state
 
 VTHETA_FLOOR = 1e-8
@@ -105,10 +105,15 @@ class TransformedCoefficients:
     v: complex
 
 
+def hamiltonian_op(c: HamiltonianCoefficients, dim: int) -> BandOperator:
+    """H = omega (a_dag a + 1/2) + alpha a^2 + beta a_dag^2
+    = 2 omega K0 + 2 alpha K- + 2 beta K+."""
+    return su11_operator(dim, 2 * c.omega, 2 * c.alpha, 2 * c.beta)
+
+
 def hamiltonian_matrix(c: HamiltonianCoefficients, dim: int) -> np.ndarray:
-    """H = omega (a_dag a + 1/2) + alpha a^2 + beta a_dag^2."""
-    ops = cached_operator_set(dim)
-    return 2 * c.omega * ops.k_zero + 2 * c.alpha * ops.k_minus + 2 * c.beta * ops.k_plus
+    """H as a dense complex matrix."""
+    return hamiltonian_op(c, dim).dense()
 
 
 def derive_constrained_coeffs(
@@ -179,12 +184,16 @@ def raw_metric_rates(s: MetricState, c: HamiltonianCoefficients) -> tuple[float,
     return dphi, dth0
 
 
-def invariant_ph(s: MetricState, dim: int) -> np.ndarray:
+def invariant_op(s: MetricState, dim: int) -> BandOperator:
     """I = -(2/vtheta0)[(Phi^2+chi) K0 + chi Phi K- + Phi K+]
-    = 2 delta1 K0 + 2 delta2 K- + 2 delta3 K+."""
-    ops = cached_operator_set(dim)
+    = 2 delta1 K0 + 2 delta2 K- + 2 delta3 K+, with real bands."""
     d = InvariantCoefficients.from_state(s)
-    return 2 * d.delta1 * ops.k_zero + 2 * d.delta2 * ops.k_minus + 2 * d.delta3 * ops.k_plus
+    return su11_operator(dim, 2 * d.delta1, 2 * d.delta2, 2 * d.delta3)
+
+
+def invariant_ph(s: MetricState, dim: int) -> np.ndarray:
+    """I as a dense complex matrix."""
+    return invariant_op(s, dim).dense()
 
 
 def wuv_coefficients(

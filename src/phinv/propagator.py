@@ -5,6 +5,11 @@ plain RK4 integrator for i d/dt psi = H(t) psi, finite-difference residuals
 for the Schrödinger equation, the metric flow relation, and the invariant
 equation, and a conjugation check that the invariant maps to 2 K0.
 
+H(t), the invariant and 2 K0 enter every product as BandOperators (three
+diagonals), so the RK4 oracles cost O(N) per stage and the meters O(N^2) per
+report time outside the dense metric products. The invariant's time
+derivative is taken over its three diagonals, the only entries it has.
+
 All operator time derivatives use a 4th-order central difference combined
 with one Richardson extrapolation (stencils at +-h and +-2h), so meters near
 the grid boundary raise a stencil error instead of degrading silently.
@@ -21,9 +26,14 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 
 from .errors import InstabilityError, StencilError
-from .fock import cached_operator_set, interior_norm, tail_support
+from .fock import BandOperator, interior_norm, k0_operator, tail_support
 from .metric import build_eta, build_rho
-from .model import MetricTrajectory, hamiltonian_matrix, invariant_ph
+from .model import (
+    HamiltonianCoefficients,
+    MetricTrajectory,
+    hamiltonian_op,
+    invariant_op,
+)
 
 INSTABILITY_FACTOR = 1e6
 
@@ -208,23 +218,26 @@ def dyson_residual(traj: MetricTrajectory, t_index: int, dim: int) -> float:
 
     eta_dot = _fd4_richardson(eta_at, t_index, dt)
     eta = eta_at(t_index)
-    h_mat = hamiltonian_matrix(traj.coeffs_at(t_index), dim)
-    residual = eta_dot + 1j * (h_mat.conj().T @ eta - eta @ h_mat)
-    scale = max(1.0, interior_norm(eta @ h_mat))
+    h = hamiltonian_op(traj.coeffs_at(t_index), dim)
+    eta_h = eta @ h
+    residual = eta_dot + 1j * (h.adjoint() @ eta - eta_h)
+    scale = max(1.0, interior_norm(eta_h))
     return interior_norm(residual) / scale
 
 
 def invariant_residual(traj: MetricTrajectory, t_index: int, dim: int) -> float:
     """Residual of d I/dt = i [I, H] over the interior block."""
     _require_stencil(t_index, traj.n_times, 4)
-    dt = traj.dt
 
-    def inv_at(j: int) -> np.ndarray:
-        return invariant_ph(traj.state_at(j), dim)
+    def bands_at(j: int) -> np.ndarray:
+        # Complex, as the dense I: numpy divides a complex array by a real
+        # through its reciprocal, so the stencil then rounds dI/dt entrywise
+        # as it rounds the dense matrix.
+        return invariant_op(traj.state_at(j), dim).bands.astype(complex)
 
-    di = _fd4_richardson(inv_at, t_index, dt)
-    inv = inv_at(t_index)
-    h_mat = hamiltonian_matrix(traj.coeffs_at(t_index), dim)
+    di = BandOperator(_fd4_richardson(bands_at, t_index, traj.dt))
+    inv = invariant_op(traj.state_at(t_index), dim)
+    h_mat = hamiltonian_op(traj.coeffs_at(t_index), dim).dense()
     comm = 1j * (inv @ h_mat - h_mat @ inv)
     scale = max(1.0, interior_norm(comm))
     return interior_norm(di - comm) / scale
@@ -238,50 +251,46 @@ def hermitian_image_check(traj: MetricTrajectory, t_index: int, dim: int) -> flo
     distance from 2 K0 (|rho I - 2 K0 rho|), each normalized by
     max(1, scale).
     """
-    ops = cached_operator_set(dim)
     g = traj.gauss_at(t_index)
-    inv = invariant_ph(traj.state_at(t_index), dim)
+    inv = invariant_op(traj.state_at(t_index), dim)
     eta = build_eta(g, dim)
     rho = build_rho(g, dim)
-    two_k0 = 2 * ops.k_zero
+    two_k0 = k0_operator(dim, 2.0)
 
-    herm = eta @ inv - inv.conj().T @ eta
-    r1 = interior_norm(herm) / max(1.0, interior_norm(eta @ inv))
-    image = rho @ inv - two_k0 @ rho
-    r2 = interior_norm(image) / max(1.0, interior_norm(two_k0 @ rho))
+    eta_inv = eta @ inv
+    herm = eta_inv - inv.adjoint() @ eta
+    r1 = interior_norm(herm) / max(1.0, interior_norm(eta_inv))
+    k0_rho = two_k0 @ rho
+    image = rho @ inv - k0_rho
+    r2 = interior_norm(image) / max(1.0, interior_norm(k0_rho))
     return max(r1, r2)
 
 
-def hamiltonian_source(traj: MetricTrajectory, dim: int) -> Callable[[float], np.ndarray]:
+def hamiltonian_source(traj: MetricTrajectory, dim: int) -> Callable[[float], BandOperator]:
     """H(t) for the propagator, cubic-splined from the dense coefficient grid."""
-    ops = cached_operator_set(dim)
     om = CubicSpline(traj.dense_times, traj.omega)
     al = CubicSpline(traj.dense_times, traj.alpha)
     be = CubicSpline(traj.dense_times, traj.beta)
 
-    def h_of_t(t: float) -> np.ndarray:
-        return (
-            2 * complex(om(t)) * ops.k_zero
-            + 2 * complex(al(t)) * ops.k_minus
-            + 2 * complex(be(t)) * ops.k_plus
-        )
+    def h_of_t(t: float) -> BandOperator:
+        c = HamiltonianCoefficients(complex(om(t)), complex(al(t)), complex(be(t)))
+        return hamiltonian_op(c, dim)
 
     return h_of_t
 
 
 def transformed_generator_source(
     traj: MetricTrajectory, dim: int
-) -> Callable[[float], np.ndarray]:
+) -> Callable[[float], BandOperator]:
     """h(t) = -2 W(t) K0, the generator on the Hermitian side.
 
     The sign is fixed by the harmonic limit: W = -1 there, and the mapped
     states must evolve under the ordinary oscillator +2 K0.
     """
-    ops = cached_operator_set(dim)
     w_re = CubicSpline(traj.dense_times, traj.w.real)
 
-    def h_of_t(t: float) -> np.ndarray:
-        return -2.0 * float(w_re(t)) * ops.k_zero
+    def h_of_t(t: float) -> BandOperator:
+        return k0_operator(dim, -2.0 * float(w_re(t)))
 
     return h_of_t
 

@@ -21,16 +21,15 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DomainError, FormatError, GuardError
-from .fock import basis_state, tail_support
+from .fock import BandOperator, tail_support
 from .metric import build_eta, build_rho_inverse
 from .model import (
-    HamiltonianCoefficients,
     MetricState,
     assemble_solution,
     constraint_residuals,
-    hamiltonian_matrix,
+    hamiltonian_op,
     integrate_metric,
-    invariant_ph,
+    invariant_op,
 )
 from .position import (
     GaussianShape,
@@ -160,9 +159,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 f"top levels (limit {tol['tail_support']:.1e})",
             )
 
-    def h_report(t: float) -> np.ndarray:
+    def h_report(t: float) -> BandOperator:
         idx = int(round(t / cfg.dt))
-        return hamiltonian_matrix(traj.coeffs_at(idx), dim)
+        return hamiltonian_op(traj.coeffs_at(idx), dim)
 
     eta_norms = np.empty(n_times)
     schro = np.full(n_times, math.nan)
@@ -182,13 +181,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         if 4 <= i <= n_times - 5:
             inv_res[i] = invariant_residual(traj, i, dim)
             dys_res[i] = dyson_residual(traj, i, dim)
-        inv_mat = invariant_ph(s_i, dim)
+        inv_op = invariant_op(s_i, dim)
         rho_inv = build_rho_inverse(traj.gauss_at(i), dim)
         worst = 0.0
         for n in ns:
             v = rho_inv[:, n]
             den = float(np.real(np.vdot(v, eta @ v)))
-            num = float(np.real(np.vdot(v, eta @ (inv_mat @ v))))
+            num = float(np.real(np.vdot(v, eta @ (inv_op @ v))))
             worst = max(worst, abs(num / den - (n + 0.5)))
         rayleigh_dev[i] = worst
         image_dev[i] = hermitian_image_check(traj, i, dim)

@@ -3,7 +3,9 @@
 reference_expm is a plain scaling-and-squaring Taylor exponential;
 dense_inverse is hand-rolled Gaussian elimination with partial pivoting;
 ladder_exp_loop builds exp(tau K+-) band by band with tau inside the product
-recurrence, where phinv reads a per-dim coefficient table. They exist so
+recurrence, where phinv reads a per-dim coefficient table; the dense_*
+meters are the residual meters as dense matrix algebra over the full
+generator matrices, where phinv multiplies by three diagonals. They exist so
 the factored/banded production routes are checked against algorithms that
 share none of their structure.
 """
@@ -12,7 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
-from phinv import MetricState
+from phinv import (
+    InvariantCoefficients,
+    MetricState,
+    build_eta,
+    build_rho,
+    cached_operator_set,
+    interior_norm,
+)
 
 
 def reference_expm(a: np.ndarray) -> np.ndarray:
@@ -109,3 +118,62 @@ def random_gauss_inputs(seed: int, count: int) -> list[tuple[float, float]]:
             continue
         out.append((eps, mu))
     return out
+
+
+def dense_hamiltonian(c, dim: int) -> np.ndarray:
+    """2 omega K0 + 2 alpha K- + 2 beta K+ summed over the dense generators."""
+    ops = cached_operator_set(dim)
+    return 2 * c.omega * ops.k_zero + 2 * c.alpha * ops.k_minus + 2 * c.beta * ops.k_plus
+
+
+def dense_invariant(s: MetricState, dim: int) -> np.ndarray:
+    """2 delta1 K0 + 2 delta2 K- + 2 delta3 K+ summed over the dense generators."""
+    ops = cached_operator_set(dim)
+    d = InvariantCoefficients.from_state(s)
+    return 2 * d.delta1 * ops.k_zero + 2 * d.delta2 * ops.k_minus + 2 * d.delta3 * ops.k_plus
+
+
+def _dense_fd4_richardson(value_at, i: int, h: float) -> np.ndarray:
+    v = {j: value_at(j) for j in (i - 4, i - 2, i - 1, i + 1, i + 2, i + 4)}
+    d_h = (-v[i + 2] + 8 * v[i + 1] - 8 * v[i - 1] + v[i - 2]) / (12 * h)
+    d_2h = (-v[i + 4] + 8 * v[i + 2] - 8 * v[i - 2] + v[i - 4]) / (24 * h)
+    return (16 * d_h - d_2h) / 15
+
+
+def dense_dyson_residual(traj, t_index: int, dim: int) -> float:
+    """|d(eta)/dt + i (H_adj eta - eta H)| / max(1, |eta H|) on the interior
+    block, with every product a dense matmul."""
+    eta_dot = _dense_fd4_richardson(
+        lambda j: build_eta(traj.gauss_at(j), dim), t_index, traj.dt
+    )
+    eta = build_eta(traj.gauss_at(t_index), dim)
+    h_mat = dense_hamiltonian(traj.coeffs_at(t_index), dim)
+    residual = eta_dot + 1j * (h_mat.conj().T @ eta - eta @ h_mat)
+    return interior_norm(residual) / max(1.0, interior_norm(eta @ h_mat))
+
+
+def dense_invariant_residual(traj, t_index: int, dim: int) -> float:
+    """|dI/dt - i [I, H]| / max(1, |i [I, H]|) on the interior block, with the
+    time derivative taken over the full dense I."""
+    di = _dense_fd4_richardson(
+        lambda j: dense_invariant(traj.state_at(j), dim), t_index, traj.dt
+    )
+    inv = dense_invariant(traj.state_at(t_index), dim)
+    h_mat = dense_hamiltonian(traj.coeffs_at(t_index), dim)
+    comm = 1j * (inv @ h_mat - h_mat @ inv)
+    return interior_norm(di - comm) / max(1.0, interior_norm(comm))
+
+
+def dense_hermitian_image_check(traj, t_index: int, dim: int) -> float:
+    """max of |eta I - I_adj eta| / max(1, |eta I|) and
+    |rho I - 2 K0 rho| / max(1, |2 K0 rho|), as dense matmuls."""
+    g = traj.gauss_at(t_index)
+    inv = dense_invariant(traj.state_at(t_index), dim)
+    eta = build_eta(g, dim)
+    rho = build_rho(g, dim)
+    two_k0 = 2 * cached_operator_set(dim).k_zero
+    herm = eta @ inv - inv.conj().T @ eta
+    r1 = interior_norm(herm) / max(1.0, interior_norm(eta @ inv))
+    image = rho @ inv - two_k0 @ rho
+    r2 = interior_norm(image) / max(1.0, interior_norm(two_k0 @ rho))
+    return max(r1, r2)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from support import ladder_exp_loop, reference_expm
+from support import dense_hamiltonian, dense_invariant, ladder_exp_loop, reference_expm
 
 from phinv import (
     DimensionError,
@@ -20,7 +20,17 @@ from phinv import (
     interior_norm,
     ladder_exp,
     nilpotent_exp,
+    propagate,
     tail_support,
+)
+from phinv.fock import k0_operator, su11_operator
+from phinv.model import (
+    HamiltonianCoefficients,
+    MetricState,
+    hamiltonian_matrix,
+    hamiltonian_op,
+    invariant_op,
+    invariant_ph,
 )
 
 
@@ -226,3 +236,69 @@ def test_adjoint_involution(ops64):
 
 def test_cached_operator_set_identity():
     assert cached_operator_set(32) is cached_operator_set(32)
+
+
+def _complex_normals(rng, *shape):
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def _relative_gap(got, want) -> float:
+    return float(np.linalg.norm(got - want)) / max(float(np.linalg.norm(want)), 1e-300)
+
+
+@given(st.integers(min_value=4, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_band_operator_products_match_dense(dim, seed):
+    rng = np.random.default_rng(seed)
+    v = _complex_normals(rng, dim)
+    m = _complex_normals(rng, dim, dim)
+    rows = _complex_normals(rng, 3, dim)
+    for op in (su11_operator(dim, *_complex_normals(rng, 3)), k0_operator(dim, rng.normal())):
+        dense = op.dense()
+        assert _relative_gap(op @ v, dense @ v) <= 1e-14
+        assert _relative_gap(op @ m, dense @ m) <= 1e-14
+        assert _relative_gap(m @ op, m @ dense) <= 1e-14
+        assert _relative_gap(rows @ op, rows @ dense) <= 1e-14
+        assert _relative_gap(op.adjoint() @ m, dense.conj().T @ m) <= 1e-14
+        assert np.array_equal(op.adjoint().dense(), dense.conj().T)
+        assert np.array_equal(np.asarray(op), dense)
+        assert np.array_equal(op + m, dense + m) and np.array_equal(m - op, m - dense)
+
+
+@given(st.integers(min_value=4, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_band_operator_dense_form_is_the_dense_sum(dim, seed):
+    rng = np.random.default_rng(seed)
+    c = HamiltonianCoefficients(*(complex(z) for z in _complex_normals(rng, 3)))
+    s = MetricState(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.3, 2.0)))
+    h, inv = hamiltonian_op(c, dim).dense(), invariant_op(s, dim).dense()
+    assert h.dtype == inv.dtype == complex
+    assert np.array_equal(h, dense_hamiltonian(c, dim))
+    assert np.array_equal(h, hamiltonian_matrix(c, dim))
+    assert np.array_equal(inv, dense_invariant(s, dim))
+    assert np.array_equal(inv, invariant_ph(s, dim))
+    k_zero = cached_operator_set(dim).k_zero
+    assert np.array_equal(k0_operator(dim, 2.0).dense(), 2 * k_zero)
+    w = float(rng.normal())
+    assert np.array_equal(k0_operator(dim, -2.0 * w).dense(), -2.0 * w * k_zero)
+
+
+@given(st.integers(min_value=4, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_propagate_band_and_dense_generators_agree(dim, seed):
+    rng = np.random.default_rng(seed)
+    ops = cached_operator_set(dim)
+    z, m, p = _complex_normals(rng, 3) / dim
+
+    def dense_h(t):
+        return 2 * z * (1 + t) * ops.k_zero + 2 * m * np.cos(t) * ops.k_minus + 2 * p * ops.k_plus
+
+    def band_h(t):
+        return su11_operator(dim, 2 * z * (1 + t), 2 * m * np.cos(t), 2 * p)
+
+    psi0 = _complex_normals(rng, dim)
+    psi0 /= np.linalg.norm(psi0)
+    times = np.linspace(0.0, 0.5, 11)
+    want = propagate(dense_h, psi0, times, substeps=4).states
+    got = propagate(band_h, psi0, times, substeps=4).states
+    assert _relative_gap(got, want) <= 1e-13

@@ -1,7 +1,10 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+
+from support import dense_dyson_residual, dense_hermitian_image_check, dense_invariant_residual
 
 from phinv import (
     InstabilityError,
@@ -12,11 +15,13 @@ from phinv import (
     build_eta,
     cached_operator_set,
     convergence_probe,
+    demo_scenarios,
     dyson_residual,
     hermitian_image_check,
     hermitian_side_check,
     integrate_metric,
     invariant_residual,
+    parse_scenario,
     propagate,
     schrodinger_residual,
 )
@@ -189,3 +194,30 @@ def test_transformed_generator_is_scaled_number_operator(gentle_traj, ops64):
     t = float(gentle_traj.times[700])
     w_re = gentle_traj.w_at(700).real
     assert np.linalg.norm(gen(t) + 2.0 * w_re * ops64.k_zero) <= 1e-10
+
+
+@pytest.fixture(scope="module")
+def demo_td_traj():
+    """demo_td's metric flow to t_max = 1.0 (1001 report times)."""
+    doc = demo_scenarios()["demo_td"]
+    cfg = parse_scenario(json.dumps(dict(doc, t_max=1.0)))
+    re_omega, im_omega = cfg.profiles["re_omega"], cfg.profiles["im_omega"]
+    return integrate_metric(
+        MetricState(cfg.phi0, cfg.vtheta0),
+        lambda t: complex(re_omega(t), im_omega(t)),
+        cfg.t_max,
+        cfg.dt,
+        im_beta=cfg.profiles["im_beta"],
+    )
+
+
+@pytest.mark.parametrize("dim", [64, 192])
+def test_band_meters_match_dense_oracles(demo_td_traj, dim):
+    for i in (4, 100, 500, 996):
+        for meter, oracle in (
+            (dyson_residual, dense_dyson_residual),
+            (invariant_residual, dense_invariant_residual),
+            (hermitian_image_check, dense_hermitian_image_check),
+        ):
+            got, want = meter(demo_td_traj, i, dim), oracle(demo_td_traj, i, dim)
+            assert abs(got - want) <= 1e-14, f"{meter.__name__} at {i}: {got:.3e} vs {want:.3e}"

@@ -1,4 +1,4 @@
-"""Truncated Fock-space operators and the small exact matrix toolkit.
+"""Truncated Fock-space operators and their interior-block norms.
 
 Operators live on the basis {|0>, ..., |N-1>}; states are complex N-vectors.
 The ladder and quadrature operators are dense complex numpy arrays. A
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ShapeError, StructureError
+from .errors import DimensionError, DomainError, ShapeError
 
 TAIL_LEVELS = 4
 
@@ -181,87 +181,13 @@ def k0_operator(dim: int, coeff: float) -> BandOperator:
     return BandOperator(coeff * _su11_diagonals(dim)[:1])
 
 
-def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a = ensure_operator(a)
-    b = ensure_operator(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"dim mismatch: {a.shape} vs {b.shape}")
-    return a @ b - b @ a
-
-
 def adjoint(a: np.ndarray) -> np.ndarray:
     return ensure_operator(a).conj().T.copy()
-
-
-def apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    a = ensure_operator(a)
-    v = ensure_state(v)
-    if a.shape[1] != v.shape[0]:
-        raise ShapeError(f"dim mismatch: {a.shape} vs {v.shape}")
-    return a @ v
-
-
-def frobenius_distance(a: np.ndarray, b: np.ndarray, exclude_top: int = 0) -> float:
-    """Frobenius norm of A - B, optionally on the interior block only.
-
-    exclude_top drops that many of the highest basis levels from both rows
-    and columns before taking the norm.
-    """
-    a = ensure_operator(a)
-    b = ensure_operator(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"dim mismatch: {a.shape} vs {b.shape}")
-    if exclude_top < 0 or exclude_top >= a.shape[0]:
-        raise ShapeError(f"exclude_top={exclude_top} out of range for dim {a.shape[0]}")
-    keep = a.shape[0] - exclude_top
-    return float(np.linalg.norm(a[:keep, :keep] - b[:keep, :keep]))
 
 
 def interior_norm(a: np.ndarray, exclude_top: int = 3) -> float:
     keep = a.shape[0] - exclude_top
     return float(np.linalg.norm(a[:keep, :keep]))
-
-
-def nilpotent_exp(a: np.ndarray, bandwidth: int) -> np.ndarray:
-    """Exponential of a strictly one-sided banded (hence nilpotent) matrix.
-
-    The matrix must have every nonzero entry at offset >= bandwidth on a
-    single triangular side; the finite Taylor sum of ceil(dim/bandwidth)
-    terms is then exact up to rounding.
-    """
-    a = ensure_operator(a)
-    if bandwidth < 1:
-        raise StructureError(f"bandwidth must be >= 1, got {bandwidth}")
-    dim = a.shape[0]
-    rows, cols = np.nonzero(a)
-    if rows.size:
-        offsets = rows - cols
-        if np.all(offsets >= bandwidth):
-            pass
-        elif np.all(offsets <= -bandwidth):
-            pass
-        else:
-            raise StructureError(
-                f"matrix is not strictly banded on one side with bandwidth {bandwidth}"
-            )
-    terms = math.ceil(dim / bandwidth)
-    out = np.eye(dim, dtype=complex)
-    power = np.eye(dim, dtype=complex)
-    for k in range(1, terms + 1):
-        power = power @ a / k
-        out += power
-    return out
-
-
-def diagonal_power(base: float, d: np.ndarray) -> np.ndarray:
-    """base ** D for a diagonal D, entrywise on the diagonal."""
-    if base <= 0:
-        raise DomainError(f"base must be positive, got {base}")
-    d = ensure_operator(d)
-    off = d - np.diag(np.diag(d))
-    if np.any(off != 0):
-        raise StructureError("diagonal_power requires a diagonal matrix")
-    return np.diag(np.power(base, np.real(np.diag(d)))).astype(complex)
 
 
 def tail_support(v: np.ndarray, levels: int = TAIL_LEVELS) -> float:

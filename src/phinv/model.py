@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.integrate import cumulative_simpson
 
 from .errors import (
     ConstraintSingularityError,
@@ -217,7 +216,11 @@ class MetricTrajectory:
     """Metric flow integrated on a dense grid, with everything derived.
 
     The report grid is times = dense_times[::stride]; residual meters and the
-    CSV live on the report grid while quadrature uses the dense grid.
+    CSV live on the report grid while quadrature uses the dense grid. The
+    half-step grid (half_*) interleaves the dense grid with the midpoints of
+    its substeps, where the flow's step doubling already has the state; it
+    holds every RK4 stage time of the propagation oracles, which read H(t)
+    and W(t) there by index.
     """
 
     times: np.ndarray
@@ -232,6 +235,11 @@ class MetricTrajectory:
     dphi: np.ndarray
     dvtheta0: np.ndarray
     w: np.ndarray
+    half_times: np.ndarray
+    half_omega: np.ndarray
+    half_alpha: np.ndarray
+    half_beta: np.ndarray
+    half_w: np.ndarray
     mode: str
     quantum_numbers: tuple[int, ...]
     superposition: dict[int, complex]
@@ -266,6 +274,18 @@ class MetricTrajectory:
     def gauss_at(self, t_index: int) -> GaussParams:
         s = self.state_at(t_index)
         return params_from_state(s.phi_cap, s.vtheta_zero)
+
+    def half_step_index(self, t: float) -> int:
+        """Index of t on the half-step grid; ValueError, naming t, for a time
+        that is not on it up to rounding."""
+        spacing = self.dt / (2 * self.stride)
+        j = round(t / spacing)
+        if not (0 <= j < len(self.half_times) and abs(self.half_times[j] - t) <= 1e-6 * spacing):
+            raise ValueError(
+                f"t={t!r} is not on the half-step grid (dense nodes and substep "
+                f"midpoints, spacing {spacing:.6g})"
+            )
+        return j
 
     def max_im_w(self) -> float:
         return float(np.max(np.abs(self.w.imag)))
@@ -343,6 +363,9 @@ def integrate_metric(
     phi = np.empty(n_dense + 1)
     th0 = np.empty(n_dense + 1)
     phi[0], th0[0] = p, q
+    # The state after each substep's first half step, at t + h/2.
+    phi_mid = np.empty(n_dense)
+    th0_mid = np.empty(n_dense)
     denom_prev = initial.constraint_denominator
     _check_flow_guards(q, 0.0, denom_prev)
     h2 = h / 2
@@ -357,8 +380,8 @@ def integrate_metric(
         d0, d_mid, d_end = drive(t), drive(t_mid), drive(t_end)
         d_end2 = d_end if t_end2 == t_end else drive(t_end2)
         full = rk4(p, q, t, h, d0, d_mid, d_end)
-        half = rk4(p, q, t, h2, d0, drive(t + 0.5 * h2), d_mid)
-        half = rk4(*half, t_mid, h2, d_mid, drive(t_mid + 0.5 * h2), d_end2)
+        mid = rk4(p, q, t, h2, d0, drive(t + 0.5 * h2), d_mid)
+        half = rk4(*mid, t_mid, h2, d_mid, drive(t_mid + 0.5 * h2), d_end2)
         err = max(abs(full[0] - half[0]), abs(full[1] - half[1])) / 15.0
         if err > local_error_tol:
             raise GuardError("local-error", t, f"estimate {err:.3e} > {local_error_tol:.1e}")
@@ -373,32 +396,15 @@ def integrate_metric(
         _check_flow_guards(q, t_next, denom)
         denom_prev = denom
         phi[i + 1], th0[i + 1] = p, q
+        phi_mid[i], th0_mid[i] = mid
 
-    if generator:
-        io = np.array([omega(t).imag for t in dense_times])
-        ro = np.array([omega(t).real for t in dense_times])
-        ib = np.array([im_beta(t) for t in dense_times])
-        chi = phi * phi - th0
-        denom = phi * phi + chi
-        rb = phi * ro / denom
-        ra = chi * phi * ro / denom
-        ia = phi * io - chi * ib
-        omega_arr = ro + 1j * io
-        alpha_arr = ra + 1j * ia
-        beta_arr = rb + 1j * ib
-    else:
-        omega_arr = np.array([complex(omega(t)) for t in dense_times])
-        alpha_arr = np.array([complex(alpha(t)) for t in dense_times])
-        beta_arr = np.array([complex(beta(t)) for t in dense_times])
-        chi = phi * phi - th0
-
-    dphi_arr = 2 * th0 * beta_arr.imag
-    dth0_arr = 2 * th0 * (-omega_arr.imag + 2 * phi * beta_arr.imag)
-    w_arr = (
-        omega_arr * (phi * phi + chi)
-        - 2 * phi * (alpha_arr + beta_arr * chi)
-        - 0.5j * (dth0_arr - 2 * phi * dphi_arr)
-    ) / th0
+    omega_arr, alpha_arr, beta_arr, dphi_arr, dth0_arr, w_arr = _coefficients_on(
+        dense_times, phi, th0, omega, im_beta, alpha, beta
+    )
+    mid_times = dense_times[:-1] + 0.5 * h
+    mid_omega, mid_alpha, mid_beta, _, _, mid_w = _coefficients_on(
+        mid_times, phi_mid, th0_mid, omega, im_beta, alpha, beta
+    )
 
     traj = MetricTrajectory(
         times=dense_times[::stride].copy(),
@@ -413,6 +419,11 @@ def integrate_metric(
         dphi=dphi_arr,
         dvtheta0=dth0_arr,
         w=w_arr,
+        half_times=_interleave(dense_times, mid_times),
+        half_omega=_interleave(omega_arr, mid_omega),
+        half_alpha=_interleave(alpha_arr, mid_alpha),
+        half_beta=_interleave(beta_arr, mid_beta),
+        half_w=_interleave(w_arr, mid_w),
         mode="generator" if generator else "check",
         quantum_numbers=tuple(sorted(set(int(n) for n in quantum_numbers))),
         superposition=dict(superposition or {}),
@@ -424,6 +435,48 @@ def integrate_metric(
     for n in traj.quantum_numbers:
         traj.phases[n] = phase(n, traj)
     return traj
+
+
+def _coefficients_on(times, phi, th0, omega, im_beta, alpha, beta):
+    """omega, alpha, beta, dPhi, dvtheta0 and W at the given times, from
+    the flow state (Phi, vtheta0) there.
+
+    Generator mode (im_beta given) fills alpha and Re beta from the
+    constraints; check mode samples the supplied alpha and beta.
+    """
+    om = np.array([omega(t) for t in times], dtype=complex)
+    chi = phi * phi - th0
+    if im_beta is not None:
+        ro, io = om.real, om.imag
+        ib = np.array([im_beta(t) for t in times])
+        denom = phi * phi + chi
+        rb = phi * ro / denom
+        ra = chi * phi * ro / denom
+        ia = phi * io - chi * ib
+        omega_arr = ro + 1j * io
+        alpha_arr = ra + 1j * ia
+        beta_arr = rb + 1j * ib
+    else:
+        omega_arr = om
+        alpha_arr = np.array([alpha(t) for t in times], dtype=complex)
+        beta_arr = np.array([beta(t) for t in times], dtype=complex)
+
+    dphi_arr = 2 * th0 * beta_arr.imag
+    dth0_arr = 2 * th0 * (-omega_arr.imag + 2 * phi * beta_arr.imag)
+    w_arr = (
+        omega_arr * (phi * phi + chi)
+        - 2 * phi * (alpha_arr + beta_arr * chi)
+        - 0.5j * (dth0_arr - 2 * phi * dphi_arr)
+    ) / th0
+    return omega_arr, alpha_arr, beta_arr, dphi_arr, dth0_arr, w_arr
+
+
+def _interleave(nodes: np.ndarray, mids: np.ndarray) -> np.ndarray:
+    """nodes[0], mids[0], nodes[1], ..., mids[-1], nodes[-1]."""
+    out = np.empty(len(nodes) + len(mids), dtype=nodes.dtype)
+    out[::2] = nodes
+    out[1::2] = mids
+    return out
 
 
 def _check_flow_guards(vtheta0: float, t: float, denom: float) -> None:
@@ -441,8 +494,47 @@ def phase(n: int, traj: MetricTrajectory) -> np.ndarray:
     if n in traj.phases:
         return traj.phases[n]
     k_n = (n + 0.5) / 2.0
-    dense = cumulative_simpson(2 * k_n * traj.w.real, x=traj.dense_times, initial=0.0)
+    dense = cumulative_simpson(2 * k_n * traj.w.real, traj.dense_times)
     return dense[:: traj.stride].copy()
+
+
+def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Cumulative integral of y(x) from x[0], starting at 0.0, by Simpson's
+    rule for unequal intervals.
+
+    Each subinterval's integral comes from the parabola through it and its
+    right neighbour (the last one from its left neighbour), and the running
+    sum adds them in order. This is scipy.integrate.cumulative_simpson(y,
+    x=x, initial=0.0) operation for operation, so the results are
+    bit-identical.
+    """
+    y = np.asarray(y, dtype=float)
+    x = np.asarray(x, dtype=float)
+    if y.ndim != 1 or y.shape != x.shape or len(y) < 3:
+        raise ShapeError("cumulative_simpson needs 1-D y and x of one length, at least 3")
+    dx = np.diff(x)
+    forward = _simpson_subintervals(y, dx)
+    backward = _simpson_subintervals(y[::-1], dx[::-1])[::-1]
+    sub = np.empty(len(dx))
+    sub[:-1:2] = forward[::2]
+    sub[1::2] = backward[::2]
+    sub[-1] = backward[-1]
+    # Adding the initial 0.0 turns any -0.0 into 0.0, as scipy does.
+    return np.concatenate(([0.0], np.cumsum(sub) + 0.0))
+
+
+def _simpson_subintervals(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """Integral over [x_i, x_i+1] of the parabola through points i, i+1, i+2."""
+    x21 = dx[:-1]
+    x32 = dx[1:]
+    x31 = x21 + x32
+    x21_x31 = x21 / x31
+    x21_x32 = x21 / x32
+    x21x21_x31x32 = x21_x31 * x21_x32
+    coeff1 = 3 - x21_x31
+    coeff2 = 3 + x21x21_x31x32 + x21_x31
+    coeff3 = -x21x21_x31x32
+    return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
 
 
 def assemble_solution(traj: MetricTrajectory, t_index: int, dim: int) -> np.ndarray:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DomainError, ShapeError
 from .fock import basis_state, cached_operator_set, interior_norm
@@ -130,6 +129,31 @@ def _envelope_edge(shape: GaussianShape, n: int, extent: float) -> float:
     return norm * h_edge * math.exp(-0.5 * shape.exp_coeff * extent * extent)
 
 
+def simpson(y: np.ndarray, x: np.ndarray):
+    """Integral of y(x) by composite Simpson's rule over pairs of intervals,
+    for an odd number of points (x may be unequally spaced).
+
+    This is scipy.integrate.simpson(y, x=x) for odd len(y), operation for
+    operation, so the results are bit-identical; y may be complex.
+    """
+    y = np.asarray(y)
+    x = np.asarray(x, dtype=float)
+    if y.ndim != 1 or y.shape != x.shape or len(y) < 3 or len(y) % 2 == 0:
+        raise ShapeError("simpson needs 1-D y and x of one odd length, at least 3")
+    h = np.diff(x)
+    h0 = h[0::2]
+    h1 = h[1::2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (
+        y[0:-2:2] * (2.0 - 1.0 / h0divh1)
+        + y[1:-1:2] * (hsum * (hsum / hprod))
+        + y[2::2] * (2.0 - h0divh1)
+    )
+    return np.sum(tmp)
+
+
 def check_edge_decay(shape: GaussianShape, n_max: int, grid: PositionGrid) -> None:
     """Raise DomainError when eigenfunction n_max is still above EDGE_DECAY
     at the grid edge, so quadrature on the grid would miss its tails."""
@@ -189,7 +213,7 @@ def orthonormality_matrix(
     for m in range(n_max + 1):
         for n in range(m, n_max + 1):
             integrand = np.real(np.conj(funcs[m]) * weight * funcs[n])
-            val = float(simpson(integrand, x=x))
+            val = float(simpson(integrand, x))
             gram[m, n] = gram[n, m] = val
     off = gram - np.diag(np.diag(gram))
     return GramResult(
@@ -256,11 +280,11 @@ def cross_representation_residual(
     closed = np.asarray(eigenfunction(n, grid.points, s))
 
     def l2(v: np.ndarray) -> float:
-        return math.sqrt(float(simpson(np.abs(v) ** 2, x=grid.points)))
+        return math.sqrt(float(simpson(np.abs(v) ** 2, grid.points)))
 
     synthesized = synthesized / l2(synthesized)
     closed = closed / l2(closed)
-    overlap = complex(simpson(np.conj(synthesized) * closed, x=grid.points))
+    overlap = complex(simpson(np.conj(synthesized) * closed, grid.points))
     if overlap == 0:
         return float(np.max(np.abs(closed - synthesized)))
     factor = overlap / abs(overlap)

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import InstabilityError, StencilError
 from .fock import BandOperator, interior_norm, k0_operator, tail_support
@@ -267,14 +266,17 @@ def hermitian_image_check(traj: MetricTrajectory, t_index: int, dim: int) -> flo
 
 
 def hamiltonian_source(traj: MetricTrajectory, dim: int) -> Callable[[float], BandOperator]:
-    """H(t) for the propagator, cubic-splined from the dense coefficient grid."""
-    om = CubicSpline(traj.dense_times, traj.omega)
-    al = CubicSpline(traj.dense_times, traj.alpha)
-    be = CubicSpline(traj.dense_times, traj.beta)
+    """H(t) for the propagator, read from the trajectory's half-step grid.
+
+    That grid holds every RK4 stage time of substeps 1, 2, 4 and 8 per
+    report interval (at the default stride 8); any other t raises a
+    ValueError naming it.
+    """
+    om, al, be = traj.half_omega.tolist(), traj.half_alpha.tolist(), traj.half_beta.tolist()
 
     def h_of_t(t: float) -> BandOperator:
-        c = HamiltonianCoefficients(complex(om(t)), complex(al(t)), complex(be(t)))
-        return hamiltonian_op(c, dim)
+        j = traj.half_step_index(t)
+        return hamiltonian_op(HamiltonianCoefficients(om[j], al[j], be[j]), dim)
 
     return h_of_t
 
@@ -285,12 +287,13 @@ def transformed_generator_source(
     """h(t) = -2 W(t) K0, the generator on the Hermitian side.
 
     The sign is fixed by the harmonic limit: W = -1 there, and the mapped
-    states must evolve under the ordinary oscillator +2 K0.
+    states must evolve under the ordinary oscillator +2 K0. W is read from
+    the half-step grid, like H in hamiltonian_source.
     """
-    w_re = CubicSpline(traj.dense_times, traj.w.real)
+    w_re = traj.half_w.real.tolist()
 
     def h_of_t(t: float) -> BandOperator:
-        return k0_operator(dim, -2.0 * float(w_re(t)))
+        return k0_operator(dim, -2.0 * w_re[traj.half_step_index(t)])
 
     return h_of_t
 

@@ -8,20 +8,30 @@ meters are the residual meters as dense matrix algebra over the full
 generator matrices, where phinv multiplies by three diagonals. They exist so
 the factored/banded production routes are checked against algorithms that
 share none of their structure.
+
+commutator, apply, frobenius_distance, nilpotent_exp and diagonal_power are
+the small exact matrix toolkit the operator-algebra tests are written in,
+with phinv's input checks (square, finite, matching shapes).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from phinv import (
+    DomainError,
     InvariantCoefficients,
     MetricState,
+    ShapeError,
+    StructureError,
     build_eta,
     build_rho,
     cached_operator_set,
     interior_norm,
 )
+from phinv.fock import ensure_operator, ensure_state
 
 
 def reference_expm(a: np.ndarray) -> np.ndarray:
@@ -177,3 +187,77 @@ def dense_hermitian_image_check(traj, t_index: int, dim: int) -> float:
     image = rho @ inv - two_k0 @ rho
     r2 = interior_norm(image) / max(1.0, interior_norm(two_k0 @ rho))
     return max(r1, r2)
+
+
+def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    a = ensure_operator(a)
+    b = ensure_operator(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"dim mismatch: {a.shape} vs {b.shape}")
+    return a @ b - b @ a
+
+
+def apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    a = ensure_operator(a)
+    v = ensure_state(v)
+    if a.shape[1] != v.shape[0]:
+        raise ShapeError(f"dim mismatch: {a.shape} vs {v.shape}")
+    return a @ v
+
+
+def frobenius_distance(a: np.ndarray, b: np.ndarray, exclude_top: int = 0) -> float:
+    """Frobenius norm of A - B, optionally on the interior block only.
+
+    exclude_top drops that many of the highest basis levels from both rows
+    and columns before taking the norm.
+    """
+    a = ensure_operator(a)
+    b = ensure_operator(b)
+    if a.shape != b.shape:
+        raise ShapeError(f"dim mismatch: {a.shape} vs {b.shape}")
+    if exclude_top < 0 or exclude_top >= a.shape[0]:
+        raise ShapeError(f"exclude_top={exclude_top} out of range for dim {a.shape[0]}")
+    keep = a.shape[0] - exclude_top
+    return float(np.linalg.norm(a[:keep, :keep] - b[:keep, :keep]))
+
+
+def nilpotent_exp(a: np.ndarray, bandwidth: int) -> np.ndarray:
+    """Exponential of a strictly one-sided banded (hence nilpotent) matrix.
+
+    The matrix must have every nonzero entry at offset >= bandwidth on a
+    single triangular side; the finite Taylor sum of ceil(dim/bandwidth)
+    terms is then exact up to rounding.
+    """
+    a = ensure_operator(a)
+    if bandwidth < 1:
+        raise StructureError(f"bandwidth must be >= 1, got {bandwidth}")
+    dim = a.shape[0]
+    rows, cols = np.nonzero(a)
+    if rows.size:
+        offsets = rows - cols
+        if np.all(offsets >= bandwidth):
+            pass
+        elif np.all(offsets <= -bandwidth):
+            pass
+        else:
+            raise StructureError(
+                f"matrix is not strictly banded on one side with bandwidth {bandwidth}"
+            )
+    terms = math.ceil(dim / bandwidth)
+    out = np.eye(dim, dtype=complex)
+    power = np.eye(dim, dtype=complex)
+    for k in range(1, terms + 1):
+        power = power @ a / k
+        out += power
+    return out
+
+
+def diagonal_power(base: float, d: np.ndarray) -> np.ndarray:
+    """base ** D for a diagonal D, entrywise on the diagonal."""
+    if base <= 0:
+        raise DomainError(f"base must be positive, got {base}")
+    d = ensure_operator(d)
+    off = d - np.diag(np.diag(d))
+    if np.any(off != 0):
+        raise StructureError("diagonal_power requires a diagonal matrix")
+    return np.diag(np.power(base, np.real(np.diag(d)))).astype(complex)

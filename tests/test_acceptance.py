@@ -38,7 +38,7 @@ from phinv import (
     parse_scenario,
     run_scenario,
 )
-from phinv.fock import frobenius_distance, interior_norm
+from phinv.fock import interior_norm
 from phinv.metric import conjugate_k
 from phinv.model import (
     HamiltonianCoefficients,
@@ -60,7 +60,7 @@ from phinv.propagator import (
 )
 from phinv.runner import ORACLE_HORIZON, _parse_csv
 
-from support import random_metric_states, reference_expm
+from support import frobenius_distance, random_metric_states, reference_expm
 
 STEEP_TD = {
     "initial_metric": {"phi_cap": 0.5, "vtheta_zero": 1.0},

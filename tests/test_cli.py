@@ -205,6 +205,16 @@ def test_console_script_smoke(tmp_path):
     assert __version__ in entry.stdout
 
 
+def test_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    probe = "import sys, phinv, phinv.cli; print('scipy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 @pytest.mark.skipif(
     shutil.which("phinv") is None,
     reason="no phinv console script on PATH (pip install -e . --no-build-isolation)",

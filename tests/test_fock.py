@@ -2,7 +2,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import dense_hamiltonian, dense_invariant, ladder_exp_loop, reference_expm
+from support import (
+    apply,
+    commutator,
+    dense_hamiltonian,
+    dense_invariant,
+    diagonal_power,
+    frobenius_distance,
+    ladder_exp_loop,
+    nilpotent_exp,
+    reference_expm,
+)
 
 from phinv import (
     DimensionError,
@@ -10,16 +20,11 @@ from phinv import (
     ShapeError,
     StructureError,
     adjoint,
-    apply,
     basis_state,
     build_operator_set,
     cached_operator_set,
-    commutator,
-    diagonal_power,
-    frobenius_distance,
     interior_norm,
     ladder_exp,
-    nilpotent_exp,
     propagate,
     tail_support,
 )

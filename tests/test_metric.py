@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from support import dense_inverse, random_gauss_inputs, random_metric_states, reference_expm
+from support import (
+    dense_inverse,
+    frobenius_distance,
+    random_gauss_inputs,
+    random_metric_states,
+    reference_expm,
+)
 
 from phinv import (
     GaussParams,
@@ -15,7 +21,6 @@ from phinv import (
     build_rho_inverse,
     cached_operator_set,
     conjugate_k,
-    frobenius_distance,
     gauss_params,
     interior_norm,
     invert_gauss_params,

@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from support import dense_dyson_residual, dense_hermitian_image_check, dense_invariant_residual
 
@@ -25,6 +27,8 @@ from phinv import (
     propagate,
     schrodinger_residual,
 )
+from phinv.fock import k0_operator
+from phinv.model import HamiltonianCoefficients, hamiltonian_op
 from phinv.propagator import eta_source, hamiltonian_source, transformed_generator_source
 
 
@@ -221,3 +225,60 @@ def test_band_meters_match_dense_oracles(demo_td_traj, dim):
         ):
             got, want = meter(demo_td_traj, i, dim), oracle(demo_td_traj, i, dim)
             assert abs(got - want) <= 1e-14, f"{meter.__name__} at {i}: {got:.3e} vs {want:.3e}"
+
+
+@pytest.fixture(scope="module")
+def check_traj():
+    """A check-mode flow whose alpha and beta vary in time."""
+    return integrate_metric(
+        MetricState(0.2, 1.0),
+        lambda t: 1.0 + 0.1j * np.sin(t),
+        0.5,
+        1e-3,
+        alpha=lambda t: 0.1 * np.cos(t) + 0.05j,
+        beta=lambda t: -0.3 + 0.2 * t - 0.02j * np.cos(2 * t),
+    )
+
+
+def _spline_sources(traj, dim):
+    """H(t) and -2 W(t) K0 cubic-splined from the dense grid: the route the
+    sources took before they read the half-step grid."""
+    om, al, be, w_re = (
+        CubicSpline(traj.dense_times, a) for a in (traj.omega, traj.alpha, traj.beta, traj.w.real)
+    )
+
+    def h_of_t(t):
+        c = HamiltonianCoefficients(complex(om(t)), complex(al(t)), complex(be(t)))
+        return hamiltonian_op(c, dim)
+
+    return h_of_t, lambda t: k0_operator(dim, -2.0 * float(w_re(t)))
+
+
+@pytest.mark.parametrize("traj_name", ["gentle_traj", "check_traj"])
+def test_sources_read_the_half_step_grid(traj_name, request):
+    traj = request.getfixturevalue(traj_name)
+    dim = 16
+    sources = (hamiltonian_source(traj, dim), transformed_generator_source(traj, dim))
+    for i in (0, 1, 250, traj.n_times - 1):
+        t = float(traj.times[i])
+        h, g = (src(t).bands for src in sources)
+        assert np.array_equal(h, hamiltonian_op(traj.coeffs_at(i), dim).bands)
+        assert np.array_equal(g, k0_operator(dim, -2.0 * traj.w_at(i).real).bands)
+    # Every midpoint of the first report interval, then a sparse sweep.
+    mids = traj.half_times[1::2]
+    for t in np.concatenate([mids[:8], mids[8::397], mids[-1:]]):
+        for src, spline in zip(sources, _spline_sources(traj, dim)):
+            got, want = src(float(t)).bands, spline(float(t)).bands
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), t
+
+
+def test_sources_reject_times_off_the_half_step_grid(gentle_traj):
+    spacing = gentle_traj.dt / (2 * gentle_traj.stride)
+    for src in (hamiltonian_source(gentle_traj, 16), transformed_generator_source(gentle_traj, 16)):
+        for t in (
+            float(gentle_traj.times[3]) + spacing / 3,
+            -spacing,
+            float(gentle_traj.times[-1]) + spacing,
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"t={t!r}")):
+                src(t)

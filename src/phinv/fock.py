@@ -6,10 +6,12 @@ combination of the su(1,1) generators K0, K- and K+ (the Hamiltonian, the
 invariant, 2 K0) is a BandOperator: it is nonzero only on the diagonals at
 offsets 0 and +-2, so it is stored as those three diagonals (a multiple of
 K0 as its main diagonal alone) and multiplies a vector in O(N) and a matrix
-in O(N^2). Its dense form holds the same entries as the sum of the dense
-generators. Identities involving raising operators are only exact away from
-the truncation edge, so comparisons support an interior block that excludes
-the top few levels.
+in O(N^2). The product of two such operators, a commutator term, is again a
+BandOperator, on the diagonals at offsets 0, +-2 and +-4, formed in O(N).
+Its dense form holds the same entries as the sum of the dense generators.
+Identities involving raising operators are only exact away from the
+truncation edge, so comparisons support an interior block that excludes the
+top few levels; `interior_norm` takes it on a dense array or on the bands.
 """
 
 from __future__ import annotations
@@ -98,15 +100,20 @@ def _su11_diagonals(dim: int) -> np.ndarray:
 
 
 class BandOperator:
-    """An operator whose nonzero entries lie on the diagonals at offsets 0, +2, -2.
+    """An operator whose nonzero entries lie on diagonals at even offsets.
 
-    bands is a (3, dim) array: row 0 is the main diagonal, row 1 holds the
-    entries [n, n+2] and row 2 the entries [n+2, n], each in its first
-    dim - 2 slots; the last two slots of rows 1 and 2 are zero. A diagonal
-    operator may hold row 0 alone, a (1, dim) array. `op @ v`, `op @ M` and
-    `M @ op` skip the exact-zero terms of the dense product. Any other
-    arithmetic with an array goes through the dense matrix, which `.dense()`
-    and `np.asarray(op)` return as a complex array.
+    bands is a (2m + 1, dim) array holding the diagonals at offsets 0, +2,
+    -2, ..., +2m, -2m in that row order. The entry [n, n + k] of the offset-k
+    diagonal sits in slot min(n, n + k) of its row, so a row at offset +-k
+    fills its first dim - k slots and keeps the rest zero. The su(1,1)
+    combinations have three rows; a diagonal operator may hold row 0 alone, a
+    (1, dim) array. `.adjoint()` swaps each +k row with its -k row and
+    conjugates. `op @ v`, `op @ M`, `M @ op` and `op @ other_op` skip the
+    exact-zero terms of the dense product and add the remaining ones in the
+    order `op @ M` does, row by row of the left operand; `op @ other_op` is
+    a BandOperator again. Any other arithmetic with an array goes through
+    the dense matrix, which `.dense()` and `np.asarray(op)` return as a
+    complex array.
     """
 
     # Makes ndarray @ op defer to __rmatmul__ instead of converting op.
@@ -120,9 +127,9 @@ class BandOperator:
         i = np.arange(b.shape[1])
         out = np.zeros((len(i), len(i)), dtype=complex)
         out[i, i] = b[0]
-        if len(b) == 3:
-            out[i[:-2], i[2:]] = b[1, :-2]
-            out[i[2:], i[:-2]] = b[2, :-2]
+        for k in range(2, len(b), 2):
+            out[i[:-k], i[k:]] = b[k - 1, :-k]
+            out[i[k:], i[:-k]] = b[k, :-k]
         return out
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
@@ -130,27 +137,31 @@ class BandOperator:
         return out if dtype is None else out.astype(dtype, copy=False)
 
     def adjoint(self) -> "BandOperator":
+        # Conjugate, and swap each +k row with its -k row; slots stay put.
         b = self.bands.conj()
-        return BandOperator(b[[0, 2, 1]] if len(b) == 3 else b)
+        rows = [0] + [r for k in range(1, len(b), 2) for r in (k + 1, k)]
+        return BandOperator(b[rows])
 
-    def __matmul__(self, other) -> np.ndarray:
+    def __matmul__(self, other):
+        if isinstance(other, BandOperator):
+            return BandOperator(_band_product(self.bands, other.bands))
         other = np.asarray(other)
         b = self.bands if other.ndim == 1 else self.bands[:, :, None]
         out = b[0] * other
-        if len(b) == 3:
-            head, tail = out[:-2], out[2:]
-            head += b[1, :-2] * other[2:]
-            tail += b[2, :-2] * other[:-2]
+        for k in range(2, len(b), 2):
+            head, tail = out[:-k], out[k:]
+            head += b[k - 1, :-k] * other[k:]
+            tail += b[k, :-k] * other[:-k]
         return out
 
     def __rmatmul__(self, other) -> np.ndarray:
         other = np.asarray(other)
         b = self.bands
         out = other * b[0]
-        if len(b) == 3:
-            left, right = out[..., :-2], out[..., 2:]
-            right += other[..., :-2] * b[1, :-2]
-            left += other[..., 2:] * b[2, :-2]
+        for k in range(2, len(b), 2):
+            left, right = out[..., :-k], out[..., k:]
+            right += other[..., :-k] * b[k - 1, :-k]
+            left += other[..., k:] * b[k, :-k]
         return out
 
     def __add__(self, other) -> np.ndarray:
@@ -163,6 +174,37 @@ class BandOperator:
 
     def __rsub__(self, other) -> np.ndarray:
         return other - self.dense()
+
+
+def _band_offset(row: int) -> int:
+    """Offset of the diagonal stored in a bands row: 0, +2, -2, +4, -4, ..."""
+    return row + 1 if row % 2 else -row
+
+
+def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Bands of the product of two band stacks.
+
+    The entry [n, n + d] collects a[n, n + p] * b[n + p, n + d] over the
+    rows p of a in their stored order, starting from zero, which is the sum
+    `BandOperator(a) @ dense(b)` forms entry by entry once its exact zeros
+    are dropped.
+    """
+    dim = a.shape[1]
+    out = np.zeros((len(a) + len(b) - 1, dim), dtype=np.result_type(a, b))
+    for i, row_a in enumerate(a):
+        p = _band_offset(i)
+        for j, row_b in enumerate(b):
+            q = _band_offset(j)
+            d = p + q
+            # n runs over lo <= n < hi, where n, n + p and n + d are levels;
+            # each row is read from its slot min(row index, column index).
+            lo, hi = max(0, -p, -d), dim - max(0, p, d)
+            if hi <= lo:
+                continue
+            sa, sb, so = min(0, p), p + min(0, q), min(0, d)
+            target = out[d - 1 if d > 0 else -d, lo + so : hi + so]
+            target += row_a[lo + sa : hi + sa] * row_b[lo + sb : hi + sb]
+    return out
 
 
 def su11_operator(dim: int, zero: complex, minus: complex, plus: complex) -> BandOperator:
@@ -181,13 +223,22 @@ def k0_operator(dim: int, coeff: float) -> BandOperator:
     return BandOperator(coeff * _su11_diagonals(dim)[:1])
 
 
-def adjoint(a: np.ndarray) -> np.ndarray:
-    return ensure_operator(a).conj().T.copy()
+def interior_norm(a: np.ndarray | BandOperator, exclude_top: int = 3) -> float:
+    """Frobenius norm of the block that drops the top `exclude_top` levels
+    from both rows and columns, of a dense array or of a BandOperator.
 
-
-def interior_norm(a: np.ndarray, exclude_top: int = 3) -> float:
+    A dense block is summed where it lies (np.linalg.norm would first copy
+    the non-contiguous slice); a band row at offset +-k keeps its first
+    dim - exclude_top - k slots.
+    """
+    if isinstance(a, BandOperator):
+        keep = a.bands.shape[1] - exclude_top
+        parts = [row[: max(keep - abs(_band_offset(r)), 0)] for r, row in enumerate(a.bands)]
+        return float(np.linalg.norm(np.concatenate(parts)))
     keep = a.shape[0] - exclude_top
-    return float(np.linalg.norm(a[:keep, :keep]))
+    block = a[:keep, :keep]
+    parts = (block.real, block.imag) if np.iscomplexobj(block) else (block,)
+    return math.sqrt(sum(float(np.einsum("ij,ij->", x, x)) for x in parts))
 
 
 def tail_support(v: np.ndarray, levels: int = TAIL_LEVELS) -> float:
@@ -197,6 +248,14 @@ def tail_support(v: np.ndarray, levels: int = TAIL_LEVELS) -> float:
     if total == 0.0:
         return 0.0
     return float(np.sum(np.abs(v[-levels:]) ** 2)) / total
+
+
+def basis_column(m: np.ndarray, n: int) -> np.ndarray:
+    """Column n of the square matrix m, m|n>, as a new complex vector."""
+    dim = m.shape[1]
+    if not 0 <= n < dim:
+        raise ShapeError(f"basis index {n} out of range for dim {dim}")
+    return m[:, n].astype(complex)
 
 
 def basis_state(dim: int, n: int) -> np.ndarray:

@@ -4,6 +4,12 @@ The Hermitian map rho = exp[vtheta_plus*K+] * vtheta0^{K0} * exp[vtheta_minus*K-
 and the metric eta = rho^dag rho are built in factored form only, which gives
 an analytic inverse (reversed factors, negated parameters) and keeps every
 factor exactly representable after truncation.
+
+K+ and K- shift n by 2 and K0 keeps it, so every factor, and with them rho,
+rho^{-1} and eta, is block-diagonal in the parity of n: each dense product
+is formed as two products of the even and of the odd levels, a quarter of
+the work, and written back into a dense matrix whose other entries are the
+exact zeros of the full product.
 """
 
 from __future__ import annotations
@@ -15,9 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NoPreimageError, NumericsError, SingularMetricError
-from .fock import adjoint, cached_operator_set
+from .fock import cached_operator_set, ensure_operator
 
 _SERIES_CUTOFF = 1e-6
+_PARITY_SECTORS = (slice(0, None, 2), slice(1, None, 2))
 
 
 def _even_cosh(theta_sq: float) -> float:
@@ -181,8 +188,27 @@ def ladder_exp(tau: float, dim: int, raising: bool) -> np.ndarray:
 
 
 def _k0_power(base: float, dim: int) -> np.ndarray:
-    """Diagonal of base^{K0} with K0 = diag(n/2 + 1/4)."""
-    return np.power(base, np.arange(dim) / 2.0 + 0.25)
+    """Diagonal of base^{K0} with K0 = diag(n/2 + 1/4); the exponents
+    0.25, 0.75, ... are exact, so one arange gives them."""
+    return np.power(base, np.arange(0.25, dim / 2, 0.5))
+
+
+def _sector_matmul(
+    left: np.ndarray, right: np.ndarray, mid: np.ndarray | None = None
+) -> np.ndarray:
+    """left @ diag(mid) @ right (left @ right without mid) for real operators
+    that keep the parity of n.
+
+    Each parity sector is multiplied on its own and written into a dense
+    zero matrix; the entries and terms left out are exact zeros of the full
+    product. mid scales the rows of right's sector before the product, as
+    in left @ (mid[:, None] * right).
+    """
+    out = np.zeros(left.shape)
+    for s in _PARITY_SECTORS:
+        r = right[s, s] if mid is None else mid[s, None] * right[s, s]
+        np.matmul(left[s, s], r, out=out[s, s])
+    return out
 
 
 def build_rho(g: GaussParams, dim: int) -> np.ndarray:
@@ -200,7 +226,7 @@ def _rho_cached(vp: float, vz: float, vm: float, dim: int) -> np.ndarray:
     e_plus = ladder_exp(vp, dim, raising=True)
     mid = _k0_power(vz, dim)
     e_minus = ladder_exp(vm, dim, raising=False)
-    out = e_plus @ (mid[:, None] * e_minus)
+    out = _sector_matmul(e_plus, e_minus, mid)
     out.setflags(write=False)
     return out
 
@@ -215,7 +241,7 @@ def _rho_inv_cached(vp: float, vz: float, vm: float, dim: int) -> np.ndarray:
     e_minus = ladder_exp(-vm, dim, raising=False)
     mid = _k0_power(1.0 / vz, dim)
     e_plus = ladder_exp(-vp, dim, raising=True)
-    out = e_minus @ (mid[:, None] * e_plus)
+    out = _sector_matmul(e_minus, e_plus, mid)
     out.setflags(write=False)
     return out
 
@@ -226,8 +252,8 @@ def build_eta(g: GaussParams, dim: int) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _eta_cached(vp: float, vz: float, vm: float, dim: int) -> np.ndarray:
-    rho = _rho_cached(vp, vz, vm, dim)
-    out = adjoint(rho) @ rho
+    rho = ensure_operator(_rho_cached(vp, vz, vm, dim))
+    out = _sector_matmul(rho.T, rho)
     out.setflags(write=False)
     return out
 

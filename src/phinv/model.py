@@ -8,7 +8,6 @@ exact solutions sum_n C_n exp(i gamma_n) rho^{-1}|n>.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -24,7 +23,7 @@ from .errors import (
     SingularMetricError,
     TruncationWarning,
 )
-from .fock import BandOperator, basis_state, su11_operator, tail_support
+from .fock import BandOperator, basis_column, su11_operator, tail_support
 from .metric import GaussParams, build_rho_inverse, params_from_state
 
 VTHETA_FLOOR = 1e-8
@@ -61,23 +60,11 @@ class MetricState:
 
 @dataclass(frozen=True)
 class HamiltonianCoefficients:
-    """(omega, alpha, beta) at one time, with polar views."""
+    """(omega, alpha, beta) at one time."""
 
     omega: complex
     alpha: complex
     beta: complex
-
-    @property
-    def moduli(self) -> tuple[float, float, float]:
-        return abs(self.omega), abs(self.alpha), abs(self.beta)
-
-    @property
-    def angles(self) -> tuple[float, float, float]:
-        return (
-            math.atan2(self.omega.imag, self.omega.real),
-            math.atan2(self.alpha.imag, self.alpha.real),
-            math.atan2(self.beta.imag, self.beta.real),
-        )
 
 
 @dataclass(frozen=True)
@@ -322,6 +309,8 @@ def integrate_metric(
     The steps run on (Phi, vtheta0) as Python floats, and the drive is
     sampled once per distinct stage time of a substep (six, not twelve);
     the arithmetic is that of RK4 on the 2-vector, operation for operation.
+    The samples at the dense nodes and the substep midpoints also give the
+    coefficients recorded there, so no time is sampled twice.
     """
     generator = im_beta is not None
     if generator and (alpha is not None or beta is not None):
@@ -336,14 +325,19 @@ def integrate_metric(
     n_dense = steps * stride
     dense_times = np.linspace(0.0, t_max, n_dense + 1)
 
-    def drive(t: float) -> tuple[float, float]:
-        """(Im beta, Im omega) at time t."""
-        return (im_beta(t) if generator else beta(t).imag), omega(t).imag
+    def drive(t: float) -> tuple:
+        """(Im beta, Im omega, omega, alpha, beta) at time t; alpha and beta
+        are None in generator mode."""
+        om = omega(t)
+        if generator:
+            return im_beta(t), om.imag, om, None, None
+        b = beta(t)
+        return b.imag, om.imag, om, alpha(t), b
 
-    def rates(p: float, q: float, t: float, d: tuple[float, float]) -> tuple[float, float]:
+    def rates(p: float, q: float, t: float, d: tuple) -> tuple[float, float]:
         if q <= 0:
             raise GuardError("vtheta-zero-floor", t, f"vtheta0={q:.3e}")
-        ib, io = d
+        ib, io, _, _, _ = d
         return 2 * q * ib, 2 * q * (-io + 2 * p * ib)
 
     def rk4(p, q, t, h, d0, d_mid, d_end):
@@ -366,6 +360,9 @@ def integrate_metric(
     # The state after each substep's first half step, at t + h/2.
     phi_mid = np.empty(n_dense)
     th0_mid = np.empty(n_dense)
+    # The drive at each dense node and substep midpoint, as the flow sampled it.
+    node_drive: list[tuple] = []
+    mid_drive: list[tuple] = []
     denom_prev = initial.constraint_denominator
     _check_flow_guards(q, 0.0, denom_prev)
     h2 = h / 2
@@ -397,13 +394,20 @@ def integrate_metric(
         denom_prev = denom
         phi[i + 1], th0[i + 1] = p, q
         phi_mid[i], th0_mid[i] = mid
+        node_drive.append(d0)
+        mid_drive.append(d_mid)
+    # The last step ends at t + h, which may round apart from t_max.
+    t_last = float(dense_times[-1])
+    node_drive.append(d_end if t_end == t_last else drive(t_last))
 
+    ib, _, om, a, b = zip(*node_drive)
     omega_arr, alpha_arr, beta_arr, dphi_arr, dth0_arr, w_arr = _coefficients_on(
-        dense_times, phi, th0, omega, im_beta, alpha, beta
+        phi, th0, om, ib if generator else None, a, b
     )
     mid_times = dense_times[:-1] + 0.5 * h
+    ib, _, om, a, b = zip(*mid_drive)
     mid_omega, mid_alpha, mid_beta, _, _, mid_w = _coefficients_on(
-        mid_times, phi_mid, th0_mid, omega, im_beta, alpha, beta
+        phi_mid, th0_mid, om, ib if generator else None, a, b
     )
 
     traj = MetricTrajectory(
@@ -437,18 +441,18 @@ def integrate_metric(
     return traj
 
 
-def _coefficients_on(times, phi, th0, omega, im_beta, alpha, beta):
-    """omega, alpha, beta, dPhi, dvtheta0 and W at the given times, from
-    the flow state (Phi, vtheta0) there.
+def _coefficients_on(phi, th0, omega, im_beta, alpha, beta):
+    """omega, alpha, beta, dPhi, dvtheta0 and W at a run of times, from the
+    flow state (Phi, vtheta0) and the drive sampled there.
 
     Generator mode (im_beta given) fills alpha and Re beta from the
-    constraints; check mode samples the supplied alpha and beta.
+    constraints; check mode records the sampled alpha and beta.
     """
-    om = np.array([omega(t) for t in times], dtype=complex)
+    om = np.array(omega, dtype=complex)
     chi = phi * phi - th0
     if im_beta is not None:
         ro, io = om.real, om.imag
-        ib = np.array([im_beta(t) for t in times])
+        ib = np.array(im_beta)
         denom = phi * phi + chi
         rb = phi * ro / denom
         ra = chi * phi * ro / denom
@@ -458,8 +462,8 @@ def _coefficients_on(times, phi, th0, omega, im_beta, alpha, beta):
         beta_arr = rb + 1j * ib
     else:
         omega_arr = om
-        alpha_arr = np.array([alpha(t) for t in times], dtype=complex)
-        beta_arr = np.array([beta(t) for t in times], dtype=complex)
+        alpha_arr = np.array(alpha, dtype=complex)
+        beta_arr = np.array(beta, dtype=complex)
 
     dphi_arr = 2 * th0 * beta_arr.imag
     dth0_arr = 2 * th0 * (-omega_arr.imag + 2 * phi * beta_arr.imag)
@@ -545,13 +549,12 @@ def assemble_solution(traj: MetricTrajectory, t_index: int, dim: int) -> np.ndar
     rho_inv = build_rho_inverse(traj.gauss_at(t_index), dim)
     out = np.zeros(dim, dtype=complex)
     for n, c_n in traj.superposition.items():
-        if n >= dim:
-            raise ShapeError(f"quantum number {n} out of range for dim {dim}")
+        column = basis_column(rho_inv, n)
         gamma = traj.phases.get(n)
         if gamma is None:
             gamma = phase(n, traj)
             traj.phases[n] = gamma
-        out += c_n * np.exp(1j * gamma[t_index]) * (rho_inv @ basis_state(dim, n))
+        out += c_n * np.exp(1j * gamma[t_index]) * column
     frac = tail_support(out)
     if frac > TAIL_WARN:
         warnings.warn(
@@ -563,6 +566,6 @@ def assemble_solution(traj: MetricTrajectory, t_index: int, dim: int) -> np.ndar
 
 
 def eigenstate(traj: MetricTrajectory, n: int, t_index: int, dim: int) -> np.ndarray:
-    """rho^{-1}(t)|n>, the invariant eigenvector at one report time."""
-    rho_inv = build_rho_inverse(traj.gauss_at(t_index), dim)
-    return rho_inv @ basis_state(dim, n)
+    """rho^{-1}(t)|n>, the invariant eigenvector at one report time: column
+    n of rho^{-1}, as a complex vector."""
+    return basis_column(build_rho_inverse(traj.gauss_at(t_index), dim), n)

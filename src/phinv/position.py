@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .fock import basis_state, cached_operator_set, interior_norm
+from .fock import basis_column, cached_operator_set, interior_norm
 from .metric import build_rho_inverse
 from .model import MetricState, invariant_ph
 
@@ -273,9 +273,9 @@ def cross_representation_residual(
     real factor), then aligned by one unit-modulus complex factor. Returns
     max |difference| / max |closed form|.
     """
+    fock_vec = basis_column(build_rho_inverse(s.gauss(), dim), n)
     if grid is None:
         grid = PositionGrid.for_shape(GaussianShape.from_state(s), n_max=n)
-    fock_vec = build_rho_inverse(s.gauss(), dim) @ basis_state(dim, n)
     synthesized = fock_to_position(fock_vec, grid)
     closed = np.asarray(eigenfunction(n, grid.points, s))
 

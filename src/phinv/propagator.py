@@ -7,8 +7,12 @@ equation, and a conjugation check that the invariant maps to 2 K0.
 
 H(t), the invariant and 2 K0 enter every product as BandOperators (three
 diagonals), so the RK4 oracles cost O(N) per stage and the meters O(N^2) per
-report time outside the dense metric products. The invariant's time
-derivative is taken over its three diagonals, the only entries it has.
+report time outside the dense metric products. The invariant meter works on
+bands alone: its time derivative is taken over I's three diagonals, the only
+entries it has, and the commutator [I, H] is a band product with five. eta is
+real symmetric and I is real, so H^dag eta = (eta H)^dag and
+I^dag eta = (eta I)^T: the Dyson and Hermitian-image meters form one band
+product with eta and read the other term as its transpose.
 
 All operator time derivatives use a 4th-order central difference combined
 with one Richardson extrapolation (stencils at +-h and +-2h), so meters near
@@ -19,6 +23,7 @@ excluded) and normalized by max(1, scale of the compared term).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -217,11 +222,15 @@ def dyson_residual(traj: MetricTrajectory, t_index: int, dim: int) -> float:
 
     eta_dot = _fd4_richardson(eta_at, t_index, dt)
     eta = eta_at(t_index)
-    h = hamiltonian_op(traj.coeffs_at(t_index), dim)
-    eta_h = eta @ h
-    residual = eta_dot + 1j * (h.adjoint() @ eta - eta_h)
-    scale = max(1.0, interior_norm(eta_h))
-    return interior_norm(residual) / scale
+    h = hamiltonian_op(traj.coeffs_at(t_index), dim).bands
+    # eta H = x + i y with real x, y. eta is real symmetric, so H_adj eta is
+    # x^T - i y^T and the residual is (eta_dot + y + y^T) + i (x^T - x).
+    x = eta @ BandOperator(h.real)
+    y = eta @ BandOperator(h.imag)
+    re = eta_dot + (y + y.T)
+    im = x.T - x
+    scale = max(1.0, math.hypot(interior_norm(x), interior_norm(y)))
+    return math.hypot(interior_norm(re), interior_norm(im)) / scale
 
 
 def invariant_residual(traj: MetricTrajectory, t_index: int, dim: int) -> float:
@@ -234,12 +243,15 @@ def invariant_residual(traj: MetricTrajectory, t_index: int, dim: int) -> float:
         # as it rounds the dense matrix.
         return invariant_op(traj.state_at(j), dim).bands.astype(complex)
 
-    di = BandOperator(_fd4_richardson(bands_at, t_index, traj.dt))
+    di = _fd4_richardson(bands_at, t_index, traj.dt)
     inv = invariant_op(traj.state_at(t_index), dim)
-    h_mat = hamiltonian_op(traj.coeffs_at(t_index), dim).dense()
-    comm = 1j * (inv @ h_mat - h_mat @ inv)
-    scale = max(1.0, interior_norm(comm))
-    return interior_norm(di - comm) / scale
+    h = hamiltonian_op(traj.coeffs_at(t_index), dim)
+    comm = 1j * ((inv @ h).bands - (h @ inv).bands)
+    residual = np.zeros_like(comm)
+    residual[: len(di)] = di
+    residual -= comm
+    scale = max(1.0, interior_norm(BandOperator(comm)))
+    return interior_norm(BandOperator(residual)) / scale
 
 
 def hermitian_image_check(traj: MetricTrajectory, t_index: int, dim: int) -> float:
@@ -256,8 +268,9 @@ def hermitian_image_check(traj: MetricTrajectory, t_index: int, dim: int) -> flo
     rho = build_rho(g, dim)
     two_k0 = k0_operator(dim, 2.0)
 
+    # I is real and eta real symmetric, so I_adj eta = (eta I)^T.
     eta_inv = eta @ inv
-    herm = eta_inv - inv.adjoint() @ eta
+    herm = eta_inv - eta_inv.T
     r1 = interior_norm(herm) / max(1.0, interior_norm(eta_inv))
     k0_rho = two_k0 @ rho
     image = rho @ inv - k0_rho

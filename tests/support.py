@@ -5,13 +5,15 @@ dense_inverse is hand-rolled Gaussian elimination with partial pivoting;
 ladder_exp_loop builds exp(tau K+-) band by band with tau inside the product
 recurrence, where phinv reads a per-dim coefficient table; the dense_*
 meters are the residual meters as dense matrix algebra over the full
-generator matrices, where phinv multiplies by three diagonals. They exist so
-the factored/banded production routes are checked against algorithms that
-share none of their structure.
+generator matrices, where phinv multiplies by three diagonals; the
+dense_gemm_* builders form rho, rho^-1 and eta from the same factors by full
+dense products, where phinv multiplies each parity sector on its own. They
+exist so the factored/banded production routes are checked against
+algorithms that share none of their structure.
 
-commutator, apply, frobenius_distance, nilpotent_exp and diagonal_power are
-the small exact matrix toolkit the operator-algebra tests are written in,
-with phinv's input checks (square, finite, matching shapes).
+commutator, apply, adjoint, frobenius_distance, nilpotent_exp and
+diagonal_power are the small exact matrix toolkit the operator-algebra tests
+are written in, with phinv's input checks (square, finite, matching shapes).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from phinv import (
     build_rho,
     cached_operator_set,
     interior_norm,
+    ladder_exp,
 )
 from phinv.fock import ensure_operator, ensure_state
 
@@ -130,6 +133,32 @@ def random_gauss_inputs(seed: int, count: int) -> list[tuple[float, float]]:
     return out
 
 
+def _k0_diagonal_power(base: float, dim: int) -> np.ndarray:
+    """base^(n/2 + 1/4) for n = 0 .. dim - 1."""
+    return np.power(base, np.arange(dim) / 2.0 + 0.25)
+
+
+def dense_gemm_rho(g, dim: int) -> np.ndarray:
+    """exp(vtheta_plus K+) vtheta0^K0 exp(vtheta_minus K-) as one full gemm."""
+    e_plus = ladder_exp(g.vtheta_plus, dim, raising=True)
+    e_minus = ladder_exp(g.vtheta_minus, dim, raising=False)
+    return e_plus @ (_k0_diagonal_power(g.vtheta_zero, dim)[:, None] * e_minus)
+
+
+def dense_gemm_rho_inverse(g, dim: int) -> np.ndarray:
+    """The reversed factors with negated and reciprocal parameters, as one
+    full gemm."""
+    e_minus = ladder_exp(-g.vtheta_minus, dim, raising=False)
+    e_plus = ladder_exp(-g.vtheta_plus, dim, raising=True)
+    return e_minus @ (_k0_diagonal_power(1.0 / g.vtheta_zero, dim)[:, None] * e_plus)
+
+
+def dense_gemm_eta(g, dim: int) -> np.ndarray:
+    """rho^dag rho as one full gemm."""
+    rho = dense_gemm_rho(g, dim)
+    return adjoint(rho) @ rho
+
+
 def dense_hamiltonian(c, dim: int) -> np.ndarray:
     """2 omega K0 + 2 alpha K- + 2 beta K+ summed over the dense generators."""
     ops = cached_operator_set(dim)
@@ -203,6 +232,10 @@ def apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     if a.shape[1] != v.shape[0]:
         raise ShapeError(f"dim mismatch: {a.shape} vs {v.shape}")
     return a @ v
+
+
+def adjoint(a: np.ndarray) -> np.ndarray:
+    return ensure_operator(a).conj().T.copy()
 
 
 def frobenius_distance(a: np.ndarray, b: np.ndarray, exclude_top: int = 0) -> float:

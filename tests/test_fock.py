@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import (
+    adjoint,
     apply,
     commutator,
     dense_hamiltonian,
@@ -19,7 +20,6 @@ from phinv import (
     DomainError,
     ShapeError,
     StructureError,
-    adjoint,
     basis_state,
     build_operator_set,
     cached_operator_set,
@@ -28,7 +28,7 @@ from phinv import (
     propagate,
     tail_support,
 )
-from phinv.fock import k0_operator, su11_operator
+from phinv.fock import BandOperator, basis_column, k0_operator, su11_operator
 from phinv.model import (
     HamiltonianCoefficients,
     MetricState,
@@ -189,6 +189,14 @@ def test_interior_norm_excludes_top_levels():
     assert interior_norm(a, exclude_top=2) == 1e6
 
 
+@pytest.mark.parametrize("dim", [8, 65, 192])
+def test_interior_norm_matches_the_copied_block(dim):
+    rng = np.random.default_rng(dim)
+    for a in (rng.normal(size=(dim, dim)), _complex_normals(rng, dim, dim)):
+        want = float(np.linalg.norm(a[: dim - 3, : dim - 3].copy()))
+        assert abs(interior_norm(a) - want) <= 1e-15 * want
+
+
 def test_frobenius_distance_exclusion():
     a = np.eye(6)
     b = np.eye(6)
@@ -220,6 +228,18 @@ def test_basis_state_and_apply():
         basis_state(8, 9)
     with pytest.raises(ShapeError):
         apply(ops.a, basis_state(16, 0))
+
+
+def test_basis_column_is_the_matvec_on_a_basis_state():
+    m = np.arange(25.0).reshape(5, 5)
+    m.setflags(write=False)
+    for n in range(5):
+        col = basis_column(m, n)
+        assert col.dtype == complex and col.flags.writeable
+        assert np.array_equal(col, m @ basis_state(5, n))
+    for n in (-1, 5):
+        with pytest.raises(ShapeError):
+            basis_column(m, n)
 
 
 @given(
@@ -258,7 +278,9 @@ def test_band_operator_products_match_dense(dim, seed):
     v = _complex_normals(rng, dim)
     m = _complex_normals(rng, dim, dim)
     rows = _complex_normals(rng, 3, dim)
-    for op in (su11_operator(dim, *_complex_normals(rng, 3)), k0_operator(dim, rng.normal())):
+    su11 = [su11_operator(dim, *_complex_normals(rng, 3)) for _ in range(2)]
+    # su11[0] @ su11[1] has five band rows, at offsets 0, +-2 and +-4.
+    for op in (*su11, k0_operator(dim, rng.normal()), su11[0] @ su11[1]):
         dense = op.dense()
         assert _relative_gap(op @ v, dense @ v) <= 1e-14
         assert _relative_gap(op @ m, dense @ m) <= 1e-14
@@ -307,3 +329,30 @@ def test_propagate_band_and_dense_generators_agree(dim, seed):
     want = propagate(dense_h, psi0, times, substeps=4).states
     got = propagate(band_h, psi0, times, substeps=4).states
     assert _relative_gap(got, want) <= 1e-13
+
+
+def _random_bands(rng, dim: int, rows: int, is_complex: bool) -> BandOperator:
+    """Random diagonals at offsets 0, +-2 (rows 3) with the slots past each
+    diagonal's end zero, as the band layout requires."""
+    bands = _complex_normals(rng, rows, dim) if is_complex else rng.normal(size=(rows, dim))
+    bands[1:, dim - 2 :] = 0
+    return BandOperator(bands)
+
+
+@given(st.integers(min_value=4, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_band_product_and_band_interior_norm_match_dense(dim, seed):
+    rng = np.random.default_rng(seed)
+    ops = [_random_bands(rng, dim, rows, c) for rows in (1, 3) for c in (False, True)]
+    for a in ops:
+        assert abs(interior_norm(a) - interior_norm(a.dense())) <= 1e-14 * interior_norm(a.dense())
+        for b in ops:
+            prod = a @ b
+            assert isinstance(prod, BandOperator)
+            assert prod.bands.shape == (len(a.bands) + len(b.bands) - 1, dim)
+            want = a.dense() @ b.dense()
+            assert _relative_gap(prod.dense(), want) <= 1e-14
+            # The terms are added in the order of the band x dense product.
+            assert np.array_equal(prod.dense(), a @ b.dense())
+            norm = interior_norm(want)
+            assert abs(interior_norm(prod) - norm) <= 1e-14 * max(norm, 1e-300)

@@ -4,6 +4,9 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from support import (
+    dense_gemm_eta,
+    dense_gemm_rho,
+    dense_gemm_rho_inverse,
     dense_inverse,
     frobenius_distance,
     random_gauss_inputs,
@@ -303,3 +306,17 @@ def test_rho_caching_returns_readonly():
     assert r1 is r2
     with pytest.raises(ValueError):
         r1[0, 0] = 99.0
+
+
+@pytest.mark.parametrize("dim", [8, 9, 64, 65, 192])
+def test_parity_sector_builders_match_dense_gemm(dim):
+    for g in [s.gauss() for s in random_metric_states(29, 3)] + [params_from_state(0.45, 0.7)]:
+        for build, oracle in (
+            (build_rho, dense_gemm_rho),
+            (build_rho_inverse, dense_gemm_rho_inverse),
+            (build_eta, dense_gemm_eta),
+        ):
+            got, want = build(g, dim), oracle(g, dim)
+            assert not got.flags.writeable
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))

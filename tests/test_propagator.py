@@ -27,6 +27,7 @@ from phinv import (
     propagate,
     schrodinger_residual,
 )
+import phinv.propagator
 from phinv.fock import k0_operator
 from phinv.model import HamiltonianCoefficients, hamiltonian_op
 from phinv.propagator import eta_source, hamiltonian_source, transformed_generator_source
@@ -159,6 +160,18 @@ def test_hermitian_image_of_invariant(gentle_traj, harmonic_traj):
     assert hermitian_image_check(static, 500, 64) <= 1e-12
     worst = max(hermitian_image_check(gentle_traj, i, 64) for i in (0, 1000, 2500, 5000))
     assert worst <= 1e-9
+
+
+def test_hermitian_image_catches_a_metric_that_does_not_fit_the_invariant(
+    gentle_traj, monkeypatch
+):
+    """eta from a state with Phi off by 1 % leaves rho and I untouched, so
+    only the Hermiticity half, |eta I - (eta I)^T|, can see it."""
+    clean = hermitian_image_check(gentle_traj, 2500, 64)
+    s = gentle_traj.state_at(2500)
+    bad = MetricState(1.01 * s.phi_cap, s.vtheta_zero).gauss()
+    monkeypatch.setattr(phinv.propagator, "build_eta", lambda g, dim: build_eta(bad, dim))
+    assert hermitian_image_check(gentle_traj, 2500, 64) >= 1e3 * max(clean, 1e-15)
 
 
 def test_short_horizon_oracle_agreement(gentle_traj):

@@ -10,10 +10,12 @@ from phinv import (
     FormatError,
     GuardError,
     TruncationWarning,
+    demo_scenarios,
     parse_scenario,
     run_scenario,
     verify_artifacts,
 )
+import phinv.metric
 import phinv.runner
 from phinv._version import __version__
 from phinv.runner import CSV_EOL, _fmt, _parse_csv
@@ -286,3 +288,25 @@ def test_collapsed_falloff_stops_before_the_meters(monkeypatch):
     })
     with pytest.raises(DomainError, match=r"^t=0: width coefficient .* is not positive"):
         run_scenario(cfg)
+
+
+@pytest.mark.parametrize("dim", [16, 17])
+def test_short_run_makes_the_pinned_ladder_exp_calls(dim, monkeypatch):
+    """The metric caches miss, and call ladder_exp through the module
+    global, exactly as often as before the parity-sector builders: 404
+    times for demo_td to t_max 0.1 from empty caches. perfbench's
+    ladder_exp_calls counter counts the same calls."""
+    real = phinv.metric.ladder_exp
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(phinv.metric, "ladder_exp", counting)
+    for cache in (
+        phinv.metric._rho_cached, phinv.metric._rho_inv_cached, phinv.metric._eta_cached
+    ):
+        cache.cache_clear()
+    run_scenario(scenario(dict(demo_scenarios()["demo_td"], dim=dim, t_max=0.1)))
+    assert len(calls) == 404

@@ -9,6 +9,7 @@ input/format error, 3 numerical guard tripped.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -16,7 +17,7 @@ import sys
 from ._version import __version__
 from .errors import InputError, NumericsError
 from .runner import run_scenario, verify_artifacts
-from .scenario import DEFAULT_TOLERANCES, ScenarioConfig, demo_scenarios, parse_scenario
+from .scenario import DEFAULT_TOLERANCES, demo_scenarios, parse_scenario
 
 
 def _tolerance_pair(text: str) -> tuple[str, float]:
@@ -79,13 +80,7 @@ def _cmd_run(args) -> int:
             if name not in DEFAULT_TOLERANCES:
                 print(f"error: unknown tolerance name {name!r}", file=sys.stderr)
                 return 2
-        merged = {**cfg.tolerances, **overrides}
-        cfg = ScenarioConfig(
-            dim=cfg.dim, t_max=cfg.t_max, dt=cfg.dt, mode=cfg.mode,
-            profiles=cfg.profiles, phi0=cfg.phi0, vtheta0=cfg.vtheta0,
-            quantum_numbers=cfg.quantum_numbers, superposition=cfg.superposition,
-            tolerances=merged, seed=cfg.seed,
-        )
+        cfg = dataclasses.replace(cfg, tolerances={**cfg.tolerances, **overrides})
     result = run_scenario(cfg)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "series.csv")

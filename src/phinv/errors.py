@@ -41,10 +41,6 @@ class ShapeError(NumericsError):
     """Mismatched operand shapes."""
 
 
-class StructureError(NumericsError):
-    """Matrix lacks the structure an algorithm requires (band, diagonal)."""
-
-
 class DomainError(NumericsError):
     """Scalar argument outside the mathematical domain."""
 
@@ -55,10 +51,6 @@ class SingularMetricError(NumericsError):
 
 class ConstraintSingularityError(NumericsError):
     """Coefficient constraints divide by 2*Phi^2 - vtheta0 = 0."""
-
-
-class NoPreimageError(NumericsError):
-    """Newton inversion of the factorization map did not converge."""
 
 
 class NonRealPhaseError(NumericsError):

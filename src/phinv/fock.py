@@ -241,13 +241,13 @@ def interior_norm(a: np.ndarray | BandOperator, exclude_top: int = 3) -> float:
     return math.sqrt(sum(float(np.einsum("ij,ij->", x, x)) for x in parts))
 
 
-def tail_support(v: np.ndarray, levels: int = TAIL_LEVELS) -> float:
-    """Fraction of squared magnitude living in the top `levels` basis levels."""
+def tail_support(v: np.ndarray) -> float:
+    """Fraction of squared magnitude living in the top TAIL_LEVELS basis levels."""
     v = ensure_state(v)
     total = float(np.sum(np.abs(v) ** 2))
     if total == 0.0:
         return 0.0
-    return float(np.sum(np.abs(v[-levels:]) ** 2)) / total
+    return float(np.sum(np.abs(v[-TAIL_LEVELS:]) ** 2)) / total
 
 
 def basis_column(m: np.ndarray, n: int) -> np.ndarray:

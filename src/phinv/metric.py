@@ -20,8 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NoPreimageError, NumericsError, SingularMetricError
-from .fock import cached_operator_set, ensure_operator
+from .errors import NumericsError, SingularMetricError
+from .fock import ensure_operator
 
 _SERIES_CUTOFF = 1e-6
 _PARITY_SECTORS = (slice(0, None, 2), slice(1, None, 2))
@@ -59,15 +59,8 @@ def _even_sinhc(theta_sq: float) -> float:
 
 @dataclass(frozen=True)
 class GaussParams:
-    """Factorization data of the metric map.
+    """Factorization data of the metric map."""
 
-    epsilon/mu are None when the params came from an ODE state rather than
-    from the generator pair (the factored form needs only the vtheta values).
-    """
-
-    epsilon: float | None
-    mu: float | None
-    theta_sq: float | None
     vtheta_plus: float
     vtheta_zero: float
     vtheta_minus: float
@@ -112,9 +105,6 @@ def gauss_params(epsilon: float, mu: float) -> GaussParams:
     vtheta_zero = 1.0 / (d * d)
     chi = -(c + epsilon * s) / d
     return GaussParams(
-        epsilon=epsilon,
-        mu=mu,
-        theta_sq=theta_sq,
         vtheta_plus=vtheta_plus,
         vtheta_zero=vtheta_zero,
         vtheta_minus=vtheta_plus,
@@ -129,9 +119,6 @@ def params_from_state(phi_cap: float, vtheta_zero: float) -> GaussParams:
         raise SingularMetricError(f"vtheta_zero must be positive, got {vtheta_zero}")
     chi = phi_cap * phi_cap - vtheta_zero
     return GaussParams(
-        epsilon=None,
-        mu=None,
-        theta_sq=None,
         vtheta_plus=-phi_cap,
         vtheta_zero=vtheta_zero,
         vtheta_minus=-phi_cap,
@@ -256,72 +243,3 @@ def _eta_cached(vp: float, vz: float, vm: float, dim: int) -> np.ndarray:
     out = _sector_matmul(rho.T, rho)
     out.setflags(write=False)
     return out
-
-
-def conjugate_k(g: GaussParams, which: str, dim: int) -> np.ndarray:
-    """Closed form of rho K rho^{-1} expanded over K+, K0, K-."""
-    ops = cached_operator_set(dim)
-    vp, vz, vm, chi = g.vtheta_plus, g.vtheta_zero, g.vtheta_minus, g.chi
-    if which == "minus":
-        combo = -2 * vp * ops.k_zero + ops.k_minus + vp * vp * ops.k_plus
-    elif which == "zero":
-        combo = -(vm * vp + chi) * ops.k_zero + vm * ops.k_minus + chi * vp * ops.k_plus
-    elif which == "plus":
-        combo = -2 * vm * chi * ops.k_zero + vm * vm * ops.k_minus + chi * chi * ops.k_plus
-    else:
-        raise ValueError(f"which must be 'plus', 'zero', or 'minus', got {which!r}")
-    return combo / vz
-
-
-def invert_gauss_params(phi_cap: float, vtheta_zero: float) -> tuple[float, float]:
-    """Recover (epsilon, mu) from (Phi, vtheta0) by damped 2D Newton iteration."""
-    if not vtheta_zero > 0:
-        raise SingularMetricError(f"vtheta_zero must be positive, got {vtheta_zero}")
-    target = np.array([phi_cap, vtheta_zero])
-
-    def residual(eps: float, mu: float) -> np.ndarray:
-        g = gauss_params(eps, mu)
-        return np.array([g.phi_cap, g.vtheta_zero]) - target
-
-    eps = 0.5 * math.log(vtheta_zero)
-    g0 = gauss_params(eps, 0.0)
-    s0 = _even_sinhc(eps * eps)
-    d0 = 1.0 / math.sqrt(g0.vtheta_zero)
-    mu = -phi_cap * d0 / (2 * s0)
-    try:
-        f = residual(eps, mu)
-    except (SingularMetricError, OverflowError):
-        eps, mu = 0.0, 0.0
-        f = residual(eps, mu)
-    h = 1e-7
-    for _ in range(100):
-        if np.linalg.norm(f) <= 1e-10:
-            return eps, mu
-        try:
-            fe = residual(eps + h, mu)
-            fm = residual(eps, mu + h)
-            jac = np.column_stack([(fe - f) / h, (fm - f) / h])
-            step = np.linalg.solve(jac, -f)
-        except (SingularMetricError, OverflowError, np.linalg.LinAlgError) as exc:
-            raise NoPreimageError(
-                f"no (epsilon, mu) preimage found for (Phi={phi_cap}, vtheta0={vtheta_zero})"
-            ) from exc
-        damp = 1.0
-        for _ in range(10):
-            try:
-                f_new = residual(eps + damp * step[0], mu + damp * step[1])
-            except (SingularMetricError, OverflowError):
-                damp /= 2
-                continue
-            if np.linalg.norm(f_new) < np.linalg.norm(f):
-                break
-            damp /= 2
-        else:
-            raise NoPreimageError(
-                f"Newton stalled for (Phi={phi_cap}, vtheta0={vtheta_zero})"
-            )
-        eps, mu = eps + damp * step[0], mu + damp * step[1]
-        f = f_new
-    raise NoPreimageError(
-        f"Newton did not converge in 100 iterations for (Phi={phi_cap}, vtheta0={vtheta_zero})"
-    )

@@ -2,8 +2,12 @@
 
 Implements the coefficient constraints that keep the transformed frequency
 real, the reduced metric flow, the pseudo-Hermitian invariant, the
-transformed coefficients (W, U, V), the phase integrals, and assembly of the
-exact solutions sum_n C_n exp(i gamma_n) rho^{-1}|n>.
+transformed frequency W, the phase integrals, and assembly of the exact
+solutions sum_n C_n exp(i gamma_n) rho^{-1}|n>.
+
+The constraints, the flow rates and W are each one function of (Phi,
+vtheta0) and the coefficients that takes floats or arrays alike; the metric
+flow calls them on its whole half-step grid at once.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import numpy as np
 
 from .errors import (
     ConstraintSingularityError,
-    DomainError,
     GuardError,
     NonRealPhaseError,
     ShapeError,
@@ -29,7 +32,6 @@ from .metric import GaussParams, build_rho_inverse, params_from_state
 VTHETA_FLOOR = 1e-8
 DENOM_FLOOR = 1e-8
 TAIL_WARN = 1e-8
-TAIL_ABORT = 1e-6
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,7 @@ class MetricState:
     @property
     def constraint_denominator(self) -> float:
         """2 Phi^2 - vtheta0, the denominator of the coefficient constraints."""
-        return self.phi_cap * self.phi_cap + self.chi
+        return constraint_denominator(self.phi_cap, self.vtheta_zero)
 
     def gauss(self) -> GaussParams:
         return params_from_state(self.phi_cap, self.vtheta_zero)
@@ -84,46 +86,41 @@ class InvariantCoefficients:
         )
 
 
-@dataclass(frozen=True)
-class TransformedCoefficients:
-    w: complex
-    u: complex
-    v: complex
-
-
 def hamiltonian_op(c: HamiltonianCoefficients, dim: int) -> BandOperator:
     """H = omega (a_dag a + 1/2) + alpha a^2 + beta a_dag^2
     = 2 omega K0 + 2 alpha K- + 2 beta K+."""
     return su11_operator(dim, 2 * c.omega, 2 * c.alpha, 2 * c.beta)
 
 
-def hamiltonian_matrix(c: HamiltonianCoefficients, dim: int) -> np.ndarray:
-    """H as a dense complex matrix."""
-    return hamiltonian_op(c, dim).dense()
+def constraint_denominator(phi, vtheta0):
+    """2 Phi^2 - vtheta0, written Phi^2 + chi as the constraints use it."""
+    return phi * phi + (phi * phi - vtheta0)
 
 
-def derive_constrained_coeffs(
-    s: MetricState, re_omega: float, im_omega: float, im_beta: float
-) -> HamiltonianCoefficients:
-    """Fill alpha and Re beta so the coefficient relations hold identically.
+def derive_constrained_coeffs(phi, vtheta0, re_omega, im_omega, im_beta):
+    """(omega, alpha, beta) with alpha and Re beta filled so the coefficient
+    relations hold identically, for floats or arrays of one shape.
 
     Re beta = Phi Re omega / (Phi^2 + chi); Re alpha = chi Phi Re omega /
     (Phi^2 + chi); Im alpha = Phi Im omega - chi Im beta (the reality
-    condition on the transformed frequency).
+    condition on the transformed frequency). Raises
+    ConstraintSingularityError if any denominator is within DENOM_FLOOR of
+    zero.
     """
-    denom = s.constraint_denominator
-    if abs(denom) <= DENOM_FLOOR:
+    chi = phi * phi - vtheta0
+    denom = constraint_denominator(phi, vtheta0)
+    if np.any(np.abs(denom) <= DENOM_FLOOR):
         raise ConstraintSingularityError(
-            f"constraint denominator 2 Phi^2 - vtheta0 = {denom:.3e} is singular"
+            f"constraint denominator |2 Phi^2 - vtheta0| = "
+            f"{np.min(np.abs(denom)):.3e} is singular"
         )
-    phi, chi = s.phi_cap, s.chi
     re_beta = phi * re_omega / denom
     re_alpha = chi * phi * re_omega / denom
     im_alpha = phi * im_omega - chi * im_beta
-    return HamiltonianCoefficients(
-        omega=complex(re_omega, im_omega),
-        alpha=complex(re_alpha, im_alpha),
-        beta=complex(re_beta, im_beta),
+    return (
+        re_omega + 1j * im_omega,
+        re_alpha + 1j * im_alpha,
+        re_beta + 1j * im_beta,
     )
 
 
@@ -139,35 +136,15 @@ def constraint_residuals(s: MetricState, c: HamiltonianCoefficients) -> dict[str
     }
 
 
-def metric_rhs(s: MetricState, im_omega: float, im_beta: float) -> tuple[float, float]:
+def metric_rhs(phi, vtheta0, im_omega, im_beta):
     """Reduced metric flow: dPhi = 2 vtheta0 Im beta,
-    dvtheta0 = 2 vtheta0 (-Im omega + 2 Phi Im beta).
+    dvtheta0 = 2 vtheta0 (-Im omega + 2 Phi Im beta), for floats or arrays.
 
     These are the rates consistent with the defining metric-flow relation
-    d(eta)/dt = -i (H^dag eta - eta H); see raw_metric_rates for the
-    unreduced forms they compress.
+    d(eta)/dt = -i (H^dag eta - eta H), with the coefficient constraints
+    used to eliminate Im alpha and the division by Phi.
     """
-    th0 = s.vtheta_zero
-    dphi = 2 * th0 * im_beta
-    dth0 = 2 * th0 * (-im_omega + 2 * s.phi_cap * im_beta)
-    return dphi, dth0
-
-
-def raw_metric_rates(s: MetricState, c: HamiltonianCoefficients) -> tuple[float, float]:
-    """Unreduced metric-flow rates in terms of the full coefficients.
-
-    The vtheta0 rate divides by Phi, so Phi = 0 is outside its domain; the
-    reduced form in metric_rhs has no such division.
-    """
-    phi, chi, th0 = s.phi_cap, s.chi, s.vtheta_zero
-    im_o, im_a, im_b = c.omega.imag, c.alpha.imag, c.beta.imag
-    dphi = 2 * (-phi * im_o + im_a + phi * phi * im_b)
-    if phi == 0.0:
-        raise DomainError("raw vtheta0 rate divides by Phi")
-    dth0 = (2 * th0 / phi) * (
-        -2 * phi * im_o + im_a + (2 * phi * phi + chi) * im_b
-    )
-    return dphi, dth0
+    return 2 * vtheta0 * im_beta, 2 * vtheta0 * (-im_omega + 2 * phi * im_beta)
 
 
 def invariant_op(s: MetricState, dim: int) -> BandOperator:
@@ -182,20 +159,21 @@ def invariant_ph(s: MetricState, dim: int) -> np.ndarray:
     return invariant_op(s, dim).dense()
 
 
-def wuv_coefficients(
-    s: MetricState, c: HamiltonianCoefficients, dphi: float, dvtheta0: float
-) -> TransformedCoefficients:
-    """Transformed coefficients from the unsimplified definitions (no
-    division by Phi). Along constrained trajectories U and V vanish and W is
-    real."""
-    phi, chi, th0 = s.phi_cap, s.chi, s.vtheta_zero
-    om, al, be = c.omega, c.alpha, c.beta
-    w = (om * (phi * phi + chi) - 2 * phi * (al + be * chi)
-         - 0.5j * (dvtheta0 - 2 * phi * dphi)) / th0
-    u = (om * phi - al - be * phi * phi + 0.5j * dphi) / th0
-    v = (om * chi * phi - al * phi * phi - be * chi * chi
-         + 0.5j * (th0 * dphi + phi * phi * dphi - phi * dvtheta0)) / th0
-    return TransformedCoefficients(w=w, u=u, v=v)
+def transformed_frequency(phi, vtheta0, omega, alpha, beta, dphi, dvtheta0):
+    """The transformed frequency W, from its unsimplified definition (no
+    division by Phi), for floats or arrays. W is real along constrained
+    trajectories; the phases are gamma_n' = (n + 1/2) W.
+
+    The last division is np.divide, so a scalar divides as an array element
+    does (numpy divides a complex number by a real through its reciprocal).
+    """
+    chi = phi * phi - vtheta0
+    return np.divide(
+        omega * (phi * phi + chi)
+        - 2 * phi * (alpha + beta * chi)
+        - 0.5j * (dvtheta0 - 2 * phi * dphi),
+        vtheta0,
+    )
 
 
 @dataclass
@@ -207,7 +185,8 @@ class MetricTrajectory:
     half-step grid (half_*) interleaves the dense grid with the midpoints of
     its substeps, where the flow's step doubling already has the state; it
     holds every RK4 stage time of the propagation oracles, which read H(t)
-    and W(t) there by index.
+    and W(t) there by index. The dense-grid arrays (phi, omega, w, ...) are
+    views of the even entries of the half-step arrays.
     """
 
     times: np.ndarray
@@ -259,8 +238,7 @@ class MetricTrajectory:
         return complex(self.w[self._dense_index(t_index)])
 
     def gauss_at(self, t_index: int) -> GaussParams:
-        s = self.state_at(t_index)
-        return params_from_state(s.phi_cap, s.vtheta_zero)
+        return self.state_at(t_index).gauss()
 
     def half_step_index(self, t: float) -> int:
         """Index of t on the half-step grid; ValueError, naming t, for a time
@@ -338,7 +316,7 @@ def integrate_metric(
         if q <= 0:
             raise GuardError("vtheta-zero-floor", t, f"vtheta0={q:.3e}")
         ib, io, _, _, _ = d
-        return 2 * q * ib, 2 * q * (-io + 2 * p * ib)
+        return metric_rhs(p, q, io, ib)
 
     def rk4(p, q, t, h, d0, d_mid, d_end):
         """One classic RK4 step on floats, given the drive at t, t + h/2 and
@@ -353,16 +331,17 @@ def integrate_metric(
             q + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4),
         )
 
+    # The half-step grid: dense node i at 2i, the midpoint of substep i,
+    # where its first half step ends, at 2i + 1.
+    half_times = np.empty(2 * n_dense + 1)
+    half_times[::2] = dense_times
+    half_times[1::2] = dense_times[:-1] + 0.5 * h
     p, q = initial.phi_cap, initial.vtheta_zero
-    phi = np.empty(n_dense + 1)
-    th0 = np.empty(n_dense + 1)
+    phi = np.empty(2 * n_dense + 1)
+    th0 = np.empty(2 * n_dense + 1)
     phi[0], th0[0] = p, q
-    # The state after each substep's first half step, at t + h/2.
-    phi_mid = np.empty(n_dense)
-    th0_mid = np.empty(n_dense)
-    # The drive at each dense node and substep midpoint, as the flow sampled it.
-    node_drive: list[tuple] = []
-    mid_drive: list[tuple] = []
+    # The drive at each half-step time, as the flow sampled it.
+    samples: list[tuple] = []
     denom_prev = initial.constraint_denominator
     _check_flow_guards(q, 0.0, denom_prev)
     h2 = h / 2
@@ -384,7 +363,7 @@ def integrate_metric(
             raise GuardError("local-error", t, f"estimate {err:.3e} > {local_error_tol:.1e}")
         p, q = half
         t_next = dense_times[i + 1]
-        denom = p * p + (p * p - q)
+        denom = constraint_denominator(p, q)
         if denom_prev * denom < 0:
             raise GuardError(
                 "constraint-denominator", t_next,
@@ -392,42 +371,35 @@ def integrate_metric(
             )
         _check_flow_guards(q, t_next, denom)
         denom_prev = denom
-        phi[i + 1], th0[i + 1] = p, q
-        phi_mid[i], th0_mid[i] = mid
-        node_drive.append(d0)
-        mid_drive.append(d_mid)
+        phi[2 * i + 1], th0[2 * i + 1] = mid
+        phi[2 * i + 2], th0[2 * i + 2] = p, q
+        samples += (d0, d_mid)
     # The last step ends at t + h, which may round apart from t_max.
     t_last = float(dense_times[-1])
-    node_drive.append(d_end if t_end == t_last else drive(t_last))
+    samples.append(d_end if t_end == t_last else drive(t_last))
 
-    ib, _, om, a, b = zip(*node_drive)
+    ib, _, om, a, b = zip(*samples)
     omega_arr, alpha_arr, beta_arr, dphi_arr, dth0_arr, w_arr = _coefficients_on(
         phi, th0, om, ib if generator else None, a, b
     )
-    mid_times = dense_times[:-1] + 0.5 * h
-    ib, _, om, a, b = zip(*mid_drive)
-    mid_omega, mid_alpha, mid_beta, _, _, mid_w = _coefficients_on(
-        phi_mid, th0_mid, om, ib if generator else None, a, b
-    )
-
     traj = MetricTrajectory(
         times=dense_times[::stride].copy(),
         dt=dt,
         stride=stride,
         dense_times=dense_times,
-        phi=phi,
-        vtheta0=th0,
-        omega=omega_arr,
-        alpha=alpha_arr,
-        beta=beta_arr,
-        dphi=dphi_arr,
-        dvtheta0=dth0_arr,
-        w=w_arr,
-        half_times=_interleave(dense_times, mid_times),
-        half_omega=_interleave(omega_arr, mid_omega),
-        half_alpha=_interleave(alpha_arr, mid_alpha),
-        half_beta=_interleave(beta_arr, mid_beta),
-        half_w=_interleave(w_arr, mid_w),
+        phi=phi[::2],
+        vtheta0=th0[::2],
+        omega=omega_arr[::2],
+        alpha=alpha_arr[::2],
+        beta=beta_arr[::2],
+        dphi=dphi_arr[::2],
+        dvtheta0=dth0_arr[::2],
+        w=w_arr[::2],
+        half_times=half_times,
+        half_omega=omega_arr,
+        half_alpha=alpha_arr,
+        half_beta=beta_arr,
+        half_w=w_arr,
         mode="generator" if generator else "check",
         quantum_numbers=tuple(sorted(set(int(n) for n in quantum_numbers))),
         superposition=dict(superposition or {}),
@@ -449,38 +421,16 @@ def _coefficients_on(phi, th0, omega, im_beta, alpha, beta):
     constraints; check mode records the sampled alpha and beta.
     """
     om = np.array(omega, dtype=complex)
-    chi = phi * phi - th0
     if im_beta is not None:
-        ro, io = om.real, om.imag
-        ib = np.array(im_beta)
-        denom = phi * phi + chi
-        rb = phi * ro / denom
-        ra = chi * phi * ro / denom
-        ia = phi * io - chi * ib
-        omega_arr = ro + 1j * io
-        alpha_arr = ra + 1j * ia
-        beta_arr = rb + 1j * ib
+        om, alpha_arr, beta_arr = derive_constrained_coeffs(
+            phi, th0, om.real, om.imag, np.array(im_beta)
+        )
     else:
-        omega_arr = om
         alpha_arr = np.array(alpha, dtype=complex)
         beta_arr = np.array(beta, dtype=complex)
-
-    dphi_arr = 2 * th0 * beta_arr.imag
-    dth0_arr = 2 * th0 * (-omega_arr.imag + 2 * phi * beta_arr.imag)
-    w_arr = (
-        omega_arr * (phi * phi + chi)
-        - 2 * phi * (alpha_arr + beta_arr * chi)
-        - 0.5j * (dth0_arr - 2 * phi * dphi_arr)
-    ) / th0
-    return omega_arr, alpha_arr, beta_arr, dphi_arr, dth0_arr, w_arr
-
-
-def _interleave(nodes: np.ndarray, mids: np.ndarray) -> np.ndarray:
-    """nodes[0], mids[0], nodes[1], ..., mids[-1], nodes[-1]."""
-    out = np.empty(len(nodes) + len(mids), dtype=nodes.dtype)
-    out[::2] = nodes
-    out[1::2] = mids
-    return out
+    dphi, dth0 = metric_rhs(phi, th0, om.imag, beta_arr.imag)
+    w = transformed_frequency(phi, th0, om, alpha_arr, beta_arr, dphi, dth0)
+    return om, alpha_arr, beta_arr, dphi, dth0, w
 
 
 def _check_flow_guards(vtheta0: float, t: float, denom: float) -> None:

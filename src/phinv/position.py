@@ -102,12 +102,11 @@ class PositionGrid:
         return float(self.points[-1])
 
     @classmethod
-    def for_shape(
-        cls, shape: GaussianShape, n_max: int = 0, n_points: int = DEFAULT_POINTS
-    ) -> "PositionGrid":
+    def for_shape(cls, shape: GaussianShape, n_max: int = 0) -> "PositionGrid":
         """Auto-sized grid: 8 widths of the requested family, extended until
         the highest eigenfunction decays below the edge threshold, with
-        spacing that resolves its fastest oscillation by 20+ points."""
+        spacing that resolves its fastest oscillation by 20+ points, and at
+        least DEFAULT_POINTS points."""
         extent = 8.0 / math.sqrt(shape.width_coeff)
         amp = _envelope_edge(shape, n_max, extent)
         while amp > 0.1 * EDGE_DECAY and extent < 64.0 / math.sqrt(shape.width_coeff):
@@ -116,6 +115,7 @@ class PositionGrid:
         k_max = math.sqrt((2 * n_max + 1) * max(shape.width_coeff, shape.exp_coeff))
         max_spacing = (2 * math.pi / k_max) / 20.0
         needed = int(math.ceil(2 * extent / max_spacing)) + 1
+        n_points = DEFAULT_POINTS
         if needed > n_points:
             n_points = needed if needed % 2 == 1 else needed + 1
         pts = np.linspace(-extent, extent, n_points)
@@ -262,9 +262,7 @@ def fock_to_position(vec: np.ndarray, grid: PositionGrid) -> np.ndarray:
     return out
 
 
-def cross_representation_residual(
-    s: MetricState, n: int, dim: int, grid: PositionGrid | None = None
-) -> float:
+def cross_representation_residual(s: MetricState, n: int, dim: int) -> float:
     """Pointwise mismatch between the two routes to the same eigenfunction.
 
     Route one: rho^{-1}|n> in the Fock basis, synthesized on the grid. Route
@@ -274,8 +272,7 @@ def cross_representation_residual(
     max |difference| / max |closed form|.
     """
     fock_vec = basis_column(build_rho_inverse(s.gauss(), dim), n)
-    if grid is None:
-        grid = PositionGrid.for_shape(GaussianShape.from_state(s), n_max=n)
+    grid = PositionGrid.for_shape(GaussianShape.from_state(s), n_max=n)
     synthesized = fock_to_position(fock_vec, grid)
     closed = np.asarray(eigenfunction(n, grid.points, s))
 

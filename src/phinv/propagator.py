@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -50,7 +51,6 @@ class PropagationResult:
     states: np.ndarray
     eta_norms: np.ndarray
     tail_support: np.ndarray
-    order_estimate: float | None = None
 
     def final_state(self) -> np.ndarray:
         return self.states[-1]
@@ -73,7 +73,6 @@ def propagate(
     *,
     substeps: int = 8,
     eta_of_t: Callable[[float], np.ndarray] | None = None,
-    attach_order_estimate: bool = False,
 ) -> PropagationResult:
     """Integrate i d/dt psi = H(t) psi with classic RK4.
 
@@ -114,16 +113,11 @@ def propagate(
         else:
             eta_norms[i] = float(np.real(np.vdot(v, eta_of_t(float(t)) @ v)))
         tails[i] = tail_support(v)
-
-    order = None
-    if attach_order_estimate:
-        _, order = convergence_probe(h_of_t, psi0, times, substeps=max(1, substeps // 2))
     return PropagationResult(
         times=np.asarray(times, dtype=float),
         states=states,
         eta_norms=eta_norms,
         tail_support=tails,
-        order_estimate=order,
     )
 
 
@@ -169,25 +163,22 @@ def _require_stencil(t_index: int, n_times: int, margin: int) -> None:
         )
 
 
-def _fd4(values, i: int, h: float):
-    """4th-order central difference over values at indices i-2 .. i+2."""
-    return (-values[i + 2] + 8 * values[i + 1] - 8 * values[i - 1] + values[i - 2]) / (12 * h)
+def _fd4(v: Callable[[int], np.ndarray], i: int, h: float):
+    """4th-order central difference over v(i-2) .. v(i+2), with v(j) the
+    value at grid index j; v is called in the order i+2, i+1, i-1, i-2."""
+    return (-v(i + 2) + 8 * v(i + 1) - 8 * v(i - 1) + v(i - 2)) / (12 * h)
 
 
 def _fd4_richardson(value_at: Callable[[int], np.ndarray], i: int, h: float) -> np.ndarray:
     """Richardson combination of the 4th-order stencil at spacings h and 2h.
 
-    Uses indices i-4 .. i+4 of the underlying grid.
+    Uses indices i-4 .. i+4 of the underlying grid and evaluates each of the
+    six it needs once: i+2, i+1, i-1, i-2, then i+4 and i-4.
     """
-    cache: dict[int, np.ndarray] = {}
-
-    def v(j: int) -> np.ndarray:
-        if j not in cache:
-            cache[j] = value_at(j)
-        return cache[j]
-
-    d_h = (-v(i + 2) + 8 * v(i + 1) - 8 * v(i - 1) + v(i - 2)) / (12 * h)
-    d_2h = (-v(i + 4) + 8 * v(i + 2) - 8 * v(i - 2) + v(i - 4)) / (24 * h)
+    v = lru_cache(maxsize=None)(value_at)
+    d_h = _fd4(v, i, h)
+    # The stencil at spacing 2h reads index i + 2k where _fd4 asks for i + k.
+    d_2h = _fd4(lambda j: v(2 * j - i), i, 2 * h)
     return (16 * d_h - d_2h) / 15
 
 
@@ -200,7 +191,7 @@ def schrodinger_residual(
     """|i D_t psi - H psi| / max(1, |H psi|) with a 4th-order stencil."""
     dt = _check_uniform(times)
     _require_stencil(t_index, len(times), 2)
-    dpsi = _fd4(states, t_index, dt)
+    dpsi = _fd4(states.__getitem__, t_index, dt)
     h_psi = h_of_t(float(times[t_index])) @ states[t_index]
     num = float(np.linalg.norm(1j * dpsi - h_psi))
     return num / max(1.0, float(np.linalg.norm(h_psi)))
@@ -321,27 +312,19 @@ def eta_source(traj: MetricTrajectory, dim: int) -> Callable[[float], np.ndarray
     return eta_of_t
 
 
-def hermitian_side_check(
-    traj: MetricTrajectory,
-    assembled: np.ndarray,
-    dim: int,
-    *,
-    substeps: int = 8,
-) -> float:
+def hermitian_side_check(traj: MetricTrajectory, assembled: np.ndarray, dim: int) -> float:
     """Full-horizon cross-check through the Hermitian frame.
 
     Maps the t=0 assembled state with rho(0), propagates it under
     h(t) = -2 W(t) K0 (bounded and diagonal, so RK4 stays stable where the
-    non-Hermitian frame blows up), and compares against rho(t) times the
-    assembled state at every report time. Returns the worst relative
-    mismatch.
+    non-Hermitian frame blows up) with propagate's default substeps, and
+    compares against rho(t) times the assembled state at every report
+    time. Returns the worst relative mismatch.
     """
     if assembled.shape != (traj.n_times, dim):
         raise ValueError("assembled must hold one state per report time")
     phi0 = build_rho(traj.gauss_at(0), dim) @ assembled[0]
-    result = propagate(
-        transformed_generator_source(traj, dim), phi0, traj.times, substeps=substeps
-    )
+    result = propagate(transformed_generator_source(traj, dim), phi0, traj.times)
     worst = 0.0
     for i in range(traj.n_times):
         mapped = build_rho(traj.gauss_at(i), dim) @ assembled[i]

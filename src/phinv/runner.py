@@ -86,19 +86,18 @@ class RunResult:
         return bool(self.report["overall_pass"])
 
 
-def _profile_callables(cfg: ScenarioConfig):
+def _profile_callables(cfg: ScenarioConfig) -> dict:
+    """The drive keywords of integrate_metric: omega, and im_beta in
+    generator mode or alpha and beta in check mode."""
     p = cfg.profiles
+
+    def pair(name: str):
+        re_f, im_f = p[f"re_{name}"], p[f"im_{name}"]
+        return lambda t: complex(re_f(t), im_f(t))
+
     if cfg.mode == "generator":
-        re_o, im_o, im_b = p["re_omega"], p["im_omega"], p["im_beta"]
-        return {
-            "omega": lambda t: complex(re_o(t), im_o(t)),
-            "im_beta": im_b,
-        }
-    return {
-        "omega": lambda t: complex(p["re_omega"](t), p["im_omega"](t)),
-        "alpha": lambda t: complex(p["re_alpha"](t), p["im_alpha"](t)),
-        "beta": lambda t: complex(p["re_beta"](t), p["im_beta"](t)),
-    }
+        return {"omega": pair("omega"), "im_beta": p["im_beta"]}
+    return {"omega": pair("omega"), "alpha": pair("alpha"), "beta": pair("beta")}
 
 
 def _sample_indices(n_times: int) -> np.ndarray:
@@ -108,26 +107,16 @@ def _sample_indices(n_times: int) -> np.ndarray:
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     dim = cfg.dim
     tol = cfg.tolerances
-    funcs = _profile_callables(cfg)
-    initial = MetricState(cfg.phi0, cfg.vtheta0)
-    superposition = dict(zip(cfg.quantum_numbers, cfg.superposition))
-
-    kwargs = dict(
+    traj = integrate_metric(
+        MetricState(cfg.phi0, cfg.vtheta0),
+        **_profile_callables(cfg),
+        t_max=cfg.t_max,
+        dt=cfg.dt,
         quantum_numbers=cfg.quantum_numbers,
-        superposition=superposition,
+        superposition=dict(zip(cfg.quantum_numbers, cfg.superposition)),
         local_error_tol=tol["local_error"],
         im_w_tol=tol["im_w"],
     )
-    if cfg.mode == "generator":
-        traj = integrate_metric(
-            initial, funcs["omega"], cfg.t_max, cfg.dt,
-            im_beta=funcs["im_beta"], **kwargs,
-        )
-    else:
-        traj = integrate_metric(
-            initial, funcs["omega"], cfg.t_max, cfg.dt,
-            alpha=funcs["alpha"], beta=funcs["beta"], **kwargs,
-        )
 
     n_times = traj.n_times
     times = traj.times
@@ -235,7 +224,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     probe_times = short_times[::25] if len(short_times) > 50 else short_times
     ratio, order = convergence_probe(h_src, states[0], probe_times, substeps=2)
 
-    herm_side = hermitian_side_check(traj, states, dim, substeps=8)
+    herm_side = hermitian_side_check(traj, states, dim)
 
     def _max_at(arr: np.ndarray) -> tuple[float, float | None]:
         finite = np.isfinite(arr)

@@ -135,9 +135,6 @@ class ScenarioConfig:
     tolerances: dict[str, float] = field(default_factory=dict)
     seed: int = 0
 
-    def tolerance(self, name: str) -> float:
-        return self.tolerances[name]
-
     def effective(self) -> dict[str, Any]:
         """Fully resolved config as plain JSON data (defaults included)."""
         return {

@@ -13,7 +13,16 @@ algorithms that share none of their structure.
 
 commutator, apply, adjoint, frobenius_distance, nilpotent_exp and
 diagonal_power are the small exact matrix toolkit the operator-algebra tests
-are written in, with phinv's input checks (square, finite, matching shapes).
+are written in, with phinv's input checks (square, finite, matching shapes);
+the last two raise StructureError on an argument without the structure they
+need.
+
+conjugate_k, raw_metric_rates and uv_coefficients are closed forms of the
+paper that the pipeline does not evaluate: the conjugated su(1,1)
+generators, the unreduced metric-flow rates, and the K- and K+ coefficients
+U and V of the transformed generator. The tests check the first against
+phinv's metric, the second against its reduced flow, and that the last two
+vanish along its constrained trajectories.
 """
 
 from __future__ import annotations
@@ -26,8 +35,8 @@ from phinv import (
     DomainError,
     InvariantCoefficients,
     MetricState,
+    NumericsError,
     ShapeError,
-    StructureError,
     build_eta,
     build_rho,
     cached_operator_set,
@@ -35,6 +44,10 @@ from phinv import (
     ladder_exp,
 )
 from phinv.fock import ensure_operator, ensure_state
+
+
+class StructureError(NumericsError):
+    """Matrix lacks the structure an algorithm requires (band, diagonal)."""
 
 
 def reference_expm(a: np.ndarray) -> np.ndarray:
@@ -294,3 +307,47 @@ def diagonal_power(base: float, d: np.ndarray) -> np.ndarray:
     if np.any(off != 0):
         raise StructureError("diagonal_power requires a diagonal matrix")
     return np.diag(np.power(base, np.real(np.diag(d)))).astype(complex)
+
+
+def conjugate_k(g, which: str, dim: int) -> np.ndarray:
+    """Closed form of rho K rho^{-1} expanded over K+, K0, K-."""
+    ops = cached_operator_set(dim)
+    vp, vz, vm, chi = g.vtheta_plus, g.vtheta_zero, g.vtheta_minus, g.chi
+    if which == "minus":
+        combo = -2 * vp * ops.k_zero + ops.k_minus + vp * vp * ops.k_plus
+    elif which == "zero":
+        combo = -(vm * vp + chi) * ops.k_zero + vm * ops.k_minus + chi * vp * ops.k_plus
+    elif which == "plus":
+        combo = -2 * vm * chi * ops.k_zero + vm * vm * ops.k_minus + chi * chi * ops.k_plus
+    else:
+        raise ValueError(f"which must be 'plus', 'zero', or 'minus', got {which!r}")
+    return combo / vz
+
+
+def raw_metric_rates(s: MetricState, c) -> tuple[float, float]:
+    """Unreduced metric-flow rates in terms of the full coefficients.
+
+    The vtheta0 rate divides by Phi, so Phi = 0 is outside its domain; the
+    reduced form in phinv.metric_rhs has no such division.
+    """
+    phi, chi, th0 = s.phi_cap, s.chi, s.vtheta_zero
+    im_o, im_a, im_b = c.omega.imag, c.alpha.imag, c.beta.imag
+    dphi = 2 * (-phi * im_o + im_a + phi * phi * im_b)
+    if phi == 0.0:
+        raise DomainError("raw vtheta0 rate divides by Phi")
+    dth0 = (2 * th0 / phi) * (
+        -2 * phi * im_o + im_a + (2 * phi * phi + chi) * im_b
+    )
+    return dphi, dth0
+
+
+def uv_coefficients(s: MetricState, c, dphi: float, dvtheta0: float) -> tuple[complex, complex]:
+    """U and V, the K- and K+ coefficients of the transformed generator, from
+    their unsimplified definitions (no division by Phi). Along constrained
+    trajectories both vanish."""
+    phi, chi, th0 = s.phi_cap, s.chi, s.vtheta_zero
+    om, al, be = c.omega, c.alpha, c.beta
+    u = (om * phi - al - be * phi * phi + 0.5j * dphi) / th0
+    v = (om * chi * phi - al * phi * phi - be * chi * chi
+         + 0.5j * (th0 * dphi + phi * phi * dphi - phi * dvtheta0)) / th0
+    return u, v

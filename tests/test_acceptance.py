@@ -39,14 +39,12 @@ from phinv import (
     run_scenario,
 )
 from phinv.fock import interior_norm
-from phinv.metric import conjugate_k
 from phinv.model import (
     HamiltonianCoefficients,
     constraint_residuals,
-    hamiltonian_matrix,
+    hamiltonian_op,
     integrate_metric,
     invariant_ph,
-    wuv_coefficients,
 )
 from phinv.position import GaussianShape, PositionGrid, canonical_agreement
 from phinv.propagator import (
@@ -60,7 +58,13 @@ from phinv.propagator import (
 )
 from phinv.runner import ORACLE_HORIZON, _parse_csv
 
-from support import frobenius_distance, random_metric_states, reference_expm
+from support import (
+    conjugate_k,
+    frobenius_distance,
+    random_metric_states,
+    reference_expm,
+    uv_coefficients,
+)
 
 STEEP_TD = {
     "initial_metric": {"phi_cap": 0.5, "vtheta_zero": 1.0},
@@ -131,7 +135,7 @@ def window_schrodinger_residual(traj, i: int, dim: int) -> float:
     window = np.array([assemble_solution(traj, j, dim) for j in range(i - 2, i + 3)])
 
     def h_of_t(t: float) -> np.ndarray:
-        return hamiltonian_matrix(traj.coeffs_at(int(round(t / traj.dt))), dim)
+        return hamiltonian_op(traj.coeffs_at(int(round(t / traj.dt))), dim).dense()
 
     return schrodinger_residual(window, traj.times[i - 2 : i + 3], h_of_t, 2)
 
@@ -402,10 +406,10 @@ def test_criterion_08_normalization_and_collapse(gentle_traj):
 
     worst_uvw = 0.0
     for i in range(0, gentle_traj.n_times, 50):
-        tc = wuv_coefficients(
+        u, v = uv_coefficients(
             gentle_traj.state_at(i), gentle_traj.coeffs_at(i), *gentle_traj.rates_at(i)
         )
-        worst_uvw = max(worst_uvw, abs(tc.u), abs(tc.v), abs(tc.w.imag))
+        worst_uvw = max(worst_uvw, abs(u), abs(v), abs(gentle_traj.w_at(i).imag))
     assert worst_uvw <= 1e-10
     say(8, True, f"identity within {worst_norm:.1e}, U/V/Im W within {worst_uvw:.1e}")
 

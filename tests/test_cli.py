@@ -110,6 +110,21 @@ def test_run_unknown_tolerance_name(artifact_dir, capsys):
     assert "unknown tolerance name" in capsys.readouterr().err
 
 
+def test_local_error_is_a_run_threshold_not_a_check(artifact_dir, tmp_path, capsys):
+    # local_error bounds the metric flow's step-doubling estimate: run takes
+    # the override and aborts past it, but no check carries the name, so
+    # verify rejects it
+    rc = main([
+        "run", "--config", str(artifact_dir / "config.json"), "--out", str(tmp_path),
+        "--tolerance", "local_error=1e-30",
+    ])
+    assert rc == 3
+    assert "guard 'local-error'" in capsys.readouterr().err
+    rc = main(["verify", "--out", str(artifact_dir), "--tolerance", "local_error=1e-8"])
+    assert rc == 2
+    assert "unknown check name" in capsys.readouterr().err
+
+
 def test_malformed_tolerance_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["run", "--config", "x.json", "--tolerance", "schrodinger"])

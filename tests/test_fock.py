@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import (
+    StructureError,
     adjoint,
     apply,
     commutator,
@@ -19,7 +20,6 @@ from phinv import (
     DimensionError,
     DomainError,
     ShapeError,
-    StructureError,
     basis_state,
     build_operator_set,
     cached_operator_set,
@@ -32,7 +32,6 @@ from phinv.fock import BandOperator, basis_column, k0_operator, su11_operator
 from phinv.model import (
     HamiltonianCoefficients,
     MetricState,
-    hamiltonian_matrix,
     hamiltonian_op,
     invariant_op,
     invariant_ph,
@@ -301,7 +300,6 @@ def test_band_operator_dense_form_is_the_dense_sum(dim, seed):
     h, inv = hamiltonian_op(c, dim).dense(), invariant_op(s, dim).dense()
     assert h.dtype == inv.dtype == complex
     assert np.array_equal(h, dense_hamiltonian(c, dim))
-    assert np.array_equal(h, hamiltonian_matrix(c, dim))
     assert np.array_equal(inv, dense_invariant(s, dim))
     assert np.array_equal(inv, invariant_ph(s, dim))
     k_zero = cached_operator_set(dim).k_zero

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from support import (
+    conjugate_k,
     dense_gemm_eta,
     dense_gemm_rho,
     dense_gemm_rho_inverse,
@@ -16,17 +17,14 @@ from support import (
 
 from phinv import (
     GaussParams,
-    NoPreimageError,
     NumericsError,
     SingularMetricError,
     build_eta,
     build_rho,
     build_rho_inverse,
     cached_operator_set,
-    conjugate_k,
     gauss_params,
     interior_norm,
-    invert_gauss_params,
     params_from_state,
 )
 from phinv.metric import _even_cosh, _even_sinhc
@@ -53,8 +51,9 @@ def test_diagonal_family_point():
 
 
 def test_trigonometric_branch_point():
+    # theta^2 = eps^2 - 4 mu^2 = -0.36: cosh and sinh(theta)/theta become
+    # cos(0.6) and sin(0.6)/0.6
     g = gauss_params(0.0, 0.3)
-    assert g.theta_sq == pytest.approx(-0.36, abs=1e-15)
     assert g.vtheta_plus == pytest.approx(np.tan(0.6), rel=1e-13)
     assert g.vtheta_minus == pytest.approx(np.tan(0.6), rel=1e-13)
     assert g.vtheta_zero == pytest.approx(1.0 / np.cos(0.6) ** 2, rel=1e-13)
@@ -77,13 +76,11 @@ def test_singular_denominator_rejected():
 def test_invalid_direct_construction_rejected():
     with pytest.raises(SingularMetricError):
         GaussParams(
-            epsilon=None, mu=None, theta_sq=None,
             vtheta_plus=0.1, vtheta_zero=-1.0, vtheta_minus=0.1,
             chi=-1.0, phi_cap=-0.1,
         ).validate()
     with pytest.raises(NumericsError):
         GaussParams(
-            epsilon=None, mu=None, theta_sq=None,
             vtheta_plus=0.1, vtheta_zero=1.0, vtheta_minus=0.3,
             chi=-0.99, phi_cap=-0.1,
         ).validate()
@@ -277,26 +274,6 @@ def test_branch_continuation_across_seam():
         below = gauss_params(np.sqrt(eps_c**2 - 1e-6), mu)
         for field in ("vtheta_plus", "vtheta_zero", "chi"):
             assert abs(getattr(above, field) - getattr(below, field)) <= 1e-4
-
-
-def test_invert_gauss_params_trivial_targets():
-    eps, mu = invert_gauss_params(0.0, 1.0)
-    assert abs(eps) <= 1e-10 and abs(mu) <= 1e-10
-    eps, mu = invert_gauss_params(0.0, float(np.exp(2.0)))
-    assert eps == pytest.approx(1.0, abs=1e-9)
-    assert abs(mu) <= 1e-9
-
-
-def test_invert_gauss_params_round_trip():
-    g = gauss_params(0.4, 0.15)
-    eps, mu = invert_gauss_params(g.phi_cap, g.vtheta_zero)
-    assert eps == pytest.approx(0.4, abs=1e-9)
-    assert mu == pytest.approx(0.15, abs=1e-9)
-
-
-def test_invert_gauss_params_no_preimage():
-    with pytest.raises(NoPreimageError):
-        invert_gauss_params(0.9, 0.05)
 
 
 def test_rho_caching_returns_readonly():

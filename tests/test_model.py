@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import random_metric_states
+from support import random_metric_states, raw_metric_rates, uv_coefficients
 
 from phinv import (
     ConstraintSingularityError,
@@ -24,15 +24,14 @@ from phinv import (
     constraint_residuals,
     derive_constrained_coeffs,
     eigenstate,
-    hamiltonian_matrix,
     integrate_metric,
     interior_norm,
     invariant_ph,
     metric_rhs,
     phase,
-    raw_metric_rates,
-    wuv_coefficients,
+    transformed_frequency,
 )
+from phinv.model import hamiltonian_op
 
 
 def _random_drive(rng):
@@ -40,6 +39,12 @@ def _random_drive(rng):
         float(rng.uniform(0.5, 1.5)),
         float(rng.uniform(-0.3, 0.3)),
         float(rng.uniform(-0.1, 0.1)),
+    )
+
+
+def _constrained(s, re_omega, im_omega, im_beta):
+    return HamiltonianCoefficients(
+        *derive_constrained_coeffs(s.phi_cap, s.vtheta_zero, re_omega, im_omega, im_beta)
     )
 
 
@@ -55,7 +60,7 @@ def test_metric_state_validation():
 
 def test_constrained_coefficients_worked_point():
     s = MetricState(0.5, 1.0)
-    c = derive_constrained_coeffs(s, 1.0, 0.2, 0.1)
+    c = _constrained(s, 1.0, 0.2, 0.1)
     assert c.beta.real == pytest.approx(-1.0, abs=1e-14)
     assert c.alpha.real == pytest.approx(0.75, abs=1e-14)
     assert c.alpha.imag == pytest.approx(0.175, abs=1e-14)
@@ -67,13 +72,23 @@ def test_constraint_denominator_singularity():
     s = MetricState(0.5, 0.5)
     assert abs(s.constraint_denominator) < 1e-15
     with pytest.raises(ConstraintSingularityError):
-        derive_constrained_coeffs(s, 1.0, 0.0, 0.0)
+        derive_constrained_coeffs(s.phi_cap, s.vtheta_zero, 1.0, 0.0, 0.0)
+
+
+def test_one_singular_state_stops_an_array():
+    # the flow evaluates the constraints on its whole half-step grid at once
+    phi, th0 = np.array([0.2, 0.5, -0.1]), np.array([1.0, 0.5, 0.8])
+    ones, zeros = np.ones(3), np.zeros(3)
+    with pytest.raises(ConstraintSingularityError):
+        derive_constrained_coeffs(phi, th0, ones, zeros, zeros)
+    regular = [0, 2]
+    derive_constrained_coeffs(phi[regular], th0[regular], ones[:2], zeros[:2], zeros[:2])
 
 
 def test_constraint_residuals_vanish_on_derived_coeffs():
     rng = np.random.default_rng(3)
     for s in random_metric_states(23, 100):
-        c = derive_constrained_coeffs(s, *_random_drive(rng))
+        c = _constrained(s, *_random_drive(rng))
         res = constraint_residuals(s, c)
         assert set(res) == {"re_beta", "re_alpha", "im_alpha"}
         assert max(abs(v) for v in res.values()) <= 1e-12
@@ -81,7 +96,7 @@ def test_constraint_residuals_vanish_on_derived_coeffs():
 
 def test_constraint_residuals_flag_inconsistency():
     s = MetricState(0.2, 1.0)
-    c = derive_constrained_coeffs(s, 1.0, 0.1, -0.02)
+    c = _constrained(s, 1.0, 0.1, -0.02)
     res0 = max(abs(v) for v in constraint_residuals(s, c).values())
     shifted = HamiltonianCoefficients(c.omega, c.alpha + 0.01, c.beta)
     res1 = max(abs(v) for v in constraint_residuals(s, shifted).values())
@@ -95,8 +110,8 @@ def test_reduced_flow_matches_raw_flow():
         re_om, im_om, im_b = _random_drive(rng)
         if abs(s.phi_cap) < 1e-3:
             continue
-        c = derive_constrained_coeffs(s, re_om, im_om, im_b)
-        reduced = metric_rhs(s, im_om, im_b)
+        c = _constrained(s, re_om, im_om, im_b)
+        reduced = metric_rhs(s.phi_cap, s.vtheta_zero, im_om, im_b)
         raw = raw_metric_rates(s, c)
         assert abs(reduced[0] - raw[0]) <= 1e-11
         assert abs(reduced[1] - raw[1]) <= 1e-11
@@ -104,7 +119,7 @@ def test_reduced_flow_matches_raw_flow():
 
 def test_raw_flow_requires_nonzero_phi():
     s = MetricState(0.0, 1.0)
-    c = derive_constrained_coeffs(s, 1.0, 0.1, 0.0)
+    c = _constrained(s, 1.0, 0.1, 0.0)
     with pytest.raises(DomainError):
         raw_metric_rates(s, c)
 
@@ -201,11 +216,12 @@ def test_invariant_image_under_metric_map(ops64):
 
 def test_transformed_frame_harmonic():
     s = MetricState(0.0, 1.0)
-    c = derive_constrained_coeffs(s, 1.0, 0.0, 0.0)
-    tc = wuv_coefficients(s, c, 0.0, 0.0)
-    assert tc.w == pytest.approx(-1.0, abs=1e-14)
-    assert abs(tc.u) <= 1e-14
-    assert abs(tc.v) <= 1e-14
+    c = _constrained(s, 1.0, 0.0, 0.0)
+    w = transformed_frequency(0.0, 1.0, c.omega, c.alpha, c.beta, 0.0, 0.0)
+    u, v = uv_coefficients(s, c, 0.0, 0.0)
+    assert w == pytest.approx(-1.0, abs=1e-14)
+    assert abs(u) <= 1e-14
+    assert abs(v) <= 1e-14
 
 
 def test_transformed_frame_collapses_to_k_zero():
@@ -213,18 +229,42 @@ def test_transformed_frame_collapses_to_k_zero():
     # cancel and the frequency is real
     rng = np.random.default_rng(5)
     for s in random_metric_states(31, 50):
-        c = derive_constrained_coeffs(s, *_random_drive(rng))
-        im_om, im_b = c.omega.imag, c.beta.imag
-        dphi, dth0 = metric_rhs(s, im_om, im_b)
-        tc = wuv_coefficients(s, c, dphi, dth0)
-        assert abs(tc.u) <= 1e-12
-        assert abs(tc.v) <= 1e-12
-        assert abs(tc.w.imag) <= 1e-12
+        c = _constrained(s, *_random_drive(rng))
+        phi, th0 = s.phi_cap, s.vtheta_zero
+        dphi, dth0 = metric_rhs(phi, th0, c.omega.imag, c.beta.imag)
+        w = transformed_frequency(phi, th0, c.omega, c.alpha, c.beta, dphi, dth0)
+        u, v = uv_coefficients(s, c, dphi, dth0)
+        assert abs(u) <= 1e-12
+        assert abs(v) <= 1e-12
+        assert abs(w.imag) <= 1e-12
+
+
+@given(st.integers(min_value=0, max_value=10_000))
+@settings(max_examples=60, deadline=None)
+def test_formulas_agree_on_floats_and_in_one_array(seed):
+    # integrate_metric evaluates the constraints, the rates and W on its
+    # whole half-step grid at once; each state taken alone as floats must
+    # give the same bits
+    states = random_metric_states(seed, 8)
+    rng = np.random.default_rng(seed)
+    drives = [_random_drive(rng) for _ in states]
+    phi = np.array([s.phi_cap for s in states])
+    th0 = np.array([s.vtheta_zero for s in states])
+    re_om, im_om, im_b = (np.array(col) for col in zip(*drives))
+    coeffs = derive_constrained_coeffs(phi, th0, re_om, im_om, im_b)
+    rates = metric_rhs(phi, th0, im_om, im_b)
+    w = transformed_frequency(phi, th0, *coeffs, *rates)
+    for k, (s, (ro, io, ib)) in enumerate(zip(states, drives)):
+        coeffs_k = derive_constrained_coeffs(s.phi_cap, s.vtheta_zero, ro, io, ib)
+        rates_k = metric_rhs(s.phi_cap, s.vtheta_zero, io, ib)
+        w_k = transformed_frequency(s.phi_cap, s.vtheta_zero, *coeffs_k, *rates_k)
+        for one, batch in zip((*coeffs_k, *rates_k, w_k), (*coeffs, *rates, w)):
+            assert np.array_equal(one, batch[k])
 
 
 def test_hamiltonian_matrix_layout(ops64):
     c = HamiltonianCoefficients(1.0 + 0.2j, 0.3 - 0.1j, -0.25 + 0.05j)
-    h = hamiltonian_matrix(c, 64)
+    h = hamiltonian_op(c, 64).dense()
     expected = 2 * c.omega * ops64.k_zero + 2 * c.alpha * ops64.k_minus + 2 * c.beta * ops64.k_plus
     assert np.array_equal(h, expected)
 
@@ -381,7 +421,7 @@ def test_trajectory_accessors(gentle_traj):
     assert gentle_traj.w_at(i) == gentle_traj.w[j]
     assert gentle_traj.times[i] == pytest.approx(gentle_traj.dense_times[j], abs=1e-12)
     dphi, dth0 = gentle_traj.rates_at(i)
-    ref = metric_rhs(s, c.omega.imag, c.beta.imag)
+    ref = metric_rhs(s.phi_cap, s.vtheta_zero, c.omega.imag, c.beta.imag)
     assert dphi == pytest.approx(ref[0], abs=1e-14)
     assert dth0 == pytest.approx(ref[1], abs=1e-14)
 

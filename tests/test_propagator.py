@@ -61,14 +61,10 @@ def test_propagation_result_diagnostics(gentle_traj):
     assert out.eta_norms.shape == (201,)
     assert np.max(np.abs(out.eta_norms - out.eta_norms[0])) <= 1e-7
     assert np.max(out.tail_support) <= 1e-12
-    assert out.order_estimate is None
     # order estimate needs a step size whose halving error clears the
     # rounding floor, hence the coarse grid here
-    coarse = propagate(
-        h, psi0, gentle_traj.times[:501:25], substeps=2, attach_order_estimate=True
-    )
-    assert coarse.order_estimate is not None
-    assert 3.5 <= coarse.order_estimate <= 4.5
+    _, order = convergence_probe(h, psi0, gentle_traj.times[:501:25], substeps=1)
+    assert 3.5 <= order <= 4.5
 
 
 def test_propagate_requires_uniform_grid():

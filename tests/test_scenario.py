@@ -34,7 +34,7 @@ def test_minimal_scenario_defaults():
     assert cfg.quantum_numbers == (0,)
     assert cfg.superposition == (1.0 + 0.0j,)
     assert cfg.tolerances == DEFAULT_TOLERANCES
-    assert cfg.tolerance("dyson") == 5e-6
+    assert cfg.tolerances["dyson"] == 5e-6
 
 
 def test_malformed_json_reports_position():
@@ -223,8 +223,8 @@ def test_superposition_validation():
 
 def test_tolerance_overrides():
     cfg = parse(minimal_doc(tolerances={"schrodinger": 1e-8}))
-    assert cfg.tolerance("schrodinger") == 1e-8
-    assert cfg.tolerance("dyson") == DEFAULT_TOLERANCES["dyson"]
+    assert cfg.tolerances["schrodinger"] == 1e-8
+    assert cfg.tolerances["dyson"] == DEFAULT_TOLERANCES["dyson"]
 
     with pytest.raises(ConfigError) as info:
         parse(minimal_doc(tolerances={"frobulation": 1e-8}))

@@ -111,9 +111,8 @@ class BandOperator:
     conjugates. `op @ v`, `op @ M`, `M @ op` and `op @ other_op` skip the
     exact-zero terms of the dense product and add the remaining ones in the
     order `op @ M` does, row by row of the left operand; `op @ other_op` is
-    a BandOperator again. Any other arithmetic with an array goes through
-    the dense matrix, which `.dense()` and `np.asarray(op)` return as a
-    complex array.
+    a BandOperator again. `.dense()` and `np.asarray(op)` return the dense
+    matrix as a complex array; there is no other arithmetic with arrays.
     """
 
     # Makes ndarray @ op defer to __rmatmul__ instead of converting op.
@@ -163,17 +162,6 @@ class BandOperator:
             right += other[..., :-k] * b[k - 1, :-k]
             left += other[..., k:] * b[k, :-k]
         return out
-
-    def __add__(self, other) -> np.ndarray:
-        return self.dense() + other
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> np.ndarray:
-        return self.dense() - other
-
-    def __rsub__(self, other) -> np.ndarray:
-        return other - self.dense()
 
 
 def _band_offset(row: int) -> int:
@@ -256,11 +244,3 @@ def basis_column(m: np.ndarray, n: int) -> np.ndarray:
     if not 0 <= n < dim:
         raise ShapeError(f"basis index {n} out of range for dim {dim}")
     return m[:, n].astype(complex)
-
-
-def basis_state(dim: int, n: int) -> np.ndarray:
-    if not 0 <= n < dim:
-        raise ShapeError(f"basis index {n} out of range for dim {dim}")
-    v = np.zeros(dim, dtype=complex)
-    v[n] = 1.0
-    return v

@@ -3,7 +3,9 @@
 The Hermitian map rho = exp[vtheta_plus*K+] * vtheta0^{K0} * exp[vtheta_minus*K-]
 and the metric eta = rho^dag rho are built in factored form only, which gives
 an analytic inverse (reversed factors, negated parameters) and keeps every
-factor exactly representable after truncation.
+factor exactly representable after truncation. The builders take a
+MetricState: the flow state (Phi, vtheta0) fixes the factors, with
+vtheta_plus = vtheta_minus = -Phi.
 
 K+ and K- shift n by 2 and K0 keeps it, so every factor, and with them rho,
 rho^{-1} and eta, is block-diagonal in the parity of n: each dense product
@@ -14,117 +16,17 @@ exact zeros of the full product.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import NumericsError, SingularMetricError
 from .fock import ensure_operator
 
-_SERIES_CUTOFF = 1e-6
+if TYPE_CHECKING:
+    from .model import MetricState
+
 _PARITY_SECTORS = (slice(0, None, 2), slice(1, None, 2))
-
-
-def _even_cosh(theta_sq: float) -> float:
-    """cosh(theta) as an even analytic function of theta^2."""
-    if abs(theta_sq) < _SERIES_CUTOFF:
-        total, term = 0.0, 1.0
-        for k in range(8):
-            if k:
-                term *= theta_sq / ((2 * k - 1) * (2 * k))
-            total += term
-        return total
-    if theta_sq > 0:
-        return math.cosh(math.sqrt(theta_sq))
-    return math.cos(math.sqrt(-theta_sq))
-
-
-def _even_sinhc(theta_sq: float) -> float:
-    """sinh(theta)/theta as an even analytic function of theta^2."""
-    if abs(theta_sq) < _SERIES_CUTOFF:
-        total, term = 0.0, 1.0
-        for k in range(8):
-            if k:
-                term *= theta_sq / ((2 * k) * (2 * k + 1))
-            total += term
-        return total
-    if theta_sq > 0:
-        t = math.sqrt(theta_sq)
-        return math.sinh(t) / t
-    t = math.sqrt(-theta_sq)
-    return math.sin(t) / t
-
-
-@dataclass(frozen=True)
-class GaussParams:
-    """Factorization data of the metric map."""
-
-    vtheta_plus: float
-    vtheta_zero: float
-    vtheta_minus: float
-    chi: float
-    phi_cap: float
-
-    def validate(self) -> "GaussParams":
-        th0 = self.vtheta_zero
-        if not th0 > 0:
-            raise SingularMetricError(f"vtheta_zero must be positive, got {th0}")
-        if abs(self.vtheta_plus - self.vtheta_minus) > 1e-12 * max(1.0, abs(self.vtheta_plus)):
-            raise NumericsError("vtheta_plus != vtheta_minus (non-Hermitian rho)")
-        phi, chi = self.phi_cap, self.chi
-        scale = max(1.0, abs(th0))
-        if abs(th0 - (phi * phi - chi)) > 1e-12 * scale:
-            raise NumericsError("vtheta_zero != phi_cap^2 - chi")
-        lhs = (phi * phi + chi) ** 2 - 4 * chi * phi * phi
-        if abs(lhs - th0 * th0) > 1e-12 * max(1.0, th0 * th0):
-            raise NumericsError("(phi^2+chi)^2 - 4 chi phi^2 != vtheta_zero^2")
-        return self
-
-
-def gauss_params(epsilon: float, mu: float) -> GaussParams:
-    """Factorization parameters from the generator pair (epsilon, mu).
-
-    Evaluated through even functions of theta^2 = epsilon^2 - 4 mu^2, so the
-    hyperbolic/trigonometric branch change is automatic and continuous.
-    """
-    theta_sq = epsilon * epsilon - 4 * mu * mu
-    c = float(_even_cosh(theta_sq))
-    s = float(_even_sinhc(theta_sq))
-    d = float(c - epsilon * s)
-    if not math.isfinite(d) or not math.isfinite(d * d):
-        raise SingularMetricError(
-            f"factorization overflows at (epsilon={epsilon}, mu={mu})"
-        )
-    if abs(d) <= 1e-12 * max(1.0, abs(c), abs(epsilon * s)):
-        raise SingularMetricError(
-            f"factorization denominator vanishes at (epsilon={epsilon}, mu={mu})"
-        )
-    vtheta_plus = 2 * mu * s / d
-    vtheta_zero = 1.0 / (d * d)
-    chi = -(c + epsilon * s) / d
-    return GaussParams(
-        vtheta_plus=vtheta_plus,
-        vtheta_zero=vtheta_zero,
-        vtheta_minus=vtheta_plus,
-        chi=chi,
-        phi_cap=-vtheta_plus,
-    ).validate()
-
-
-def params_from_state(phi_cap: float, vtheta_zero: float) -> GaussParams:
-    """Factorization parameters straight from the ODE state (Phi, vtheta0)."""
-    if not vtheta_zero > 0:
-        raise SingularMetricError(f"vtheta_zero must be positive, got {vtheta_zero}")
-    chi = phi_cap * phi_cap - vtheta_zero
-    return GaussParams(
-        vtheta_plus=-phi_cap,
-        vtheta_zero=vtheta_zero,
-        vtheta_minus=-phi_cap,
-        chi=chi,
-        phi_cap=phi_cap,
-    ).validate()
 
 
 @lru_cache(maxsize=None)
@@ -198,12 +100,14 @@ def _sector_matmul(
     return out
 
 
-def build_rho(g: GaussParams, dim: int) -> np.ndarray:
-    """Factored metric map; the lowering factor acts first, so the truncated
-    product is the exact truncation of the full-space operator.
+def build_rho(g: MetricState, dim: int) -> np.ndarray:
+    """Factored metric map at the metric state g; the lowering factor acts
+    first, so the truncated product is the exact truncation of the
+    full-space operator.
 
-    Results are cached by parameter value and returned read-only; residual
-    sweeps revisit the same state many times through overlapping stencils.
+    Results are cached by (vtheta_plus, vtheta_zero, vtheta_minus, dim) and
+    returned read-only; residual sweeps revisit the same state many times
+    through overlapping stencils.
     """
     return _rho_cached(g.vtheta_plus, g.vtheta_zero, g.vtheta_minus, dim)
 
@@ -218,7 +122,7 @@ def _rho_cached(vp: float, vz: float, vm: float, dim: int) -> np.ndarray:
     return out
 
 
-def build_rho_inverse(g: GaussParams, dim: int) -> np.ndarray:
+def build_rho_inverse(g: MetricState, dim: int) -> np.ndarray:
     """Analytic inverse: reversed factors with negated/reciprocal parameters."""
     return _rho_inv_cached(g.vtheta_plus, g.vtheta_zero, g.vtheta_minus, dim)
 
@@ -233,7 +137,8 @@ def _rho_inv_cached(vp: float, vz: float, vm: float, dim: int) -> np.ndarray:
     return out
 
 
-def build_eta(g: GaussParams, dim: int) -> np.ndarray:
+def build_eta(g: MetricState, dim: int) -> np.ndarray:
+    """eta = rho^T rho (rho is real), cached like rho."""
     return _eta_cached(g.vtheta_plus, g.vtheta_zero, g.vtheta_minus, dim)
 
 

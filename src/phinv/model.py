@@ -27,8 +27,12 @@ from .errors import (
     TruncationWarning,
 )
 from .fock import BandOperator, basis_column, su11_operator, tail_support
-from .metric import GaussParams, build_rho_inverse, params_from_state
+from .metric import build_rho_inverse
 
+# Dense flow steps per report interval. The propagation oracles read H(t)
+# and W(t) at their RK4 stage times off the half-step grid, which holds the
+# stage times of 1, 2, 4 and 8 RK4 steps per report interval at this stride.
+STRIDE = 8
 VTHETA_FLOOR = 1e-8
 DENOM_FLOOR = 1e-8
 TAIL_WARN = 1e-8
@@ -36,7 +40,12 @@ TAIL_WARN = 1e-8
 
 @dataclass(frozen=True)
 class MetricState:
-    """One point of the metric flow: (Phi, vtheta0), with chi derived."""
+    """One point of the metric flow: (Phi, vtheta0), with chi derived.
+
+    It fixes the metric completely, and the builders of metric.py take it
+    as it stands: the Gauss factors are vtheta_plus = vtheta_minus = -Phi
+    and vtheta_zero.
+    """
 
     phi_cap: float
     vtheta_zero: float
@@ -52,12 +61,17 @@ class MetricState:
         return self.phi_cap * self.phi_cap - self.vtheta_zero
 
     @property
+    def vtheta_plus(self) -> float:
+        return -self.phi_cap
+
+    @property
+    def vtheta_minus(self) -> float:
+        return -self.phi_cap
+
+    @property
     def constraint_denominator(self) -> float:
         """2 Phi^2 - vtheta0, the denominator of the coefficient constraints."""
         return constraint_denominator(self.phi_cap, self.vtheta_zero)
-
-    def gauss(self) -> GaussParams:
-        return params_from_state(self.phi_cap, self.vtheta_zero)
 
 
 @dataclass(frozen=True)
@@ -154,11 +168,6 @@ def invariant_op(s: MetricState, dim: int) -> BandOperator:
     return su11_operator(dim, 2 * d.delta1, 2 * d.delta2, 2 * d.delta3)
 
 
-def invariant_ph(s: MetricState, dim: int) -> np.ndarray:
-    """I as a dense complex matrix."""
-    return invariant_op(s, dim).dense()
-
-
 def transformed_frequency(phi, vtheta0, omega, alpha, beta, dphi, dvtheta0):
     """The transformed frequency W, from its unsimplified definition (no
     division by Phi), for floats or arrays. W is real along constrained
@@ -230,15 +239,8 @@ class MetricTrajectory:
             complex(self.omega[j]), complex(self.alpha[j]), complex(self.beta[j])
         )
 
-    def rates_at(self, t_index: int) -> tuple[float, float]:
-        j = self._dense_index(t_index)
-        return float(self.dphi[j]), float(self.dvtheta0[j])
-
     def w_at(self, t_index: int) -> complex:
         return complex(self.w[self._dense_index(t_index)])
-
-    def gauss_at(self, t_index: int) -> GaussParams:
-        return self.state_at(t_index).gauss()
 
     def half_step_index(self, t: float) -> int:
         """Index of t on the half-step grid; ValueError, naming t, for a time
@@ -267,7 +269,6 @@ def integrate_metric(
     beta: Callable[[float], complex] | None = None,
     quantum_numbers: Sequence[int] = (0,),
     superposition: Mapping[int, complex] | None = None,
-    stride: int = 8,
     local_error_tol: float = 1e-8,
     im_w_tol: float = 1e-10,
 ) -> MetricTrajectory:
@@ -279,7 +280,7 @@ def integrate_metric(
     as-is and only the flow uses their imaginary parts; residuals are the
     caller's to inspect.
 
-    Classic RK4 at dt/stride substeps; every substep is re-run as two half
+    Classic RK4 at dt/STRIDE substeps; every substep is re-run as two half
     steps for a local error estimate (abort above local_error_tol). The flow
     stops with a structured guard error if vtheta0 falls to its floor or the
     constraint denominator 2 Phi^2 - vtheta0 reaches or crosses zero.
@@ -299,8 +300,8 @@ def integrate_metric(
     steps = round(t_max / dt)
     if steps < 1 or abs(steps * dt - t_max) > 1e-9 * max(1.0, t_max):
         raise ValueError(f"t_max={t_max} is not a positive multiple of dt={dt}")
-    h = dt / stride
-    n_dense = steps * stride
+    h = dt / STRIDE
+    n_dense = steps * STRIDE
     dense_times = np.linspace(0.0, t_max, n_dense + 1)
 
     def drive(t: float) -> tuple:
@@ -383,9 +384,9 @@ def integrate_metric(
         phi, th0, om, ib if generator else None, a, b
     )
     traj = MetricTrajectory(
-        times=dense_times[::stride].copy(),
+        times=dense_times[::STRIDE].copy(),
         dt=dt,
-        stride=stride,
+        stride=STRIDE,
         dense_times=dense_times,
         phi=phi[::2],
         vtheta0=th0[::2],
@@ -496,7 +497,7 @@ def assemble_solution(traj: MetricTrajectory, t_index: int, dim: int) -> np.ndar
     report time. Warns when the result leans on the truncation edge."""
     if not traj.superposition:
         raise ValueError("trajectory has no superposition coefficients")
-    rho_inv = build_rho_inverse(traj.gauss_at(t_index), dim)
+    rho_inv = build_rho_inverse(traj.state_at(t_index), dim)
     out = np.zeros(dim, dtype=complex)
     for n, c_n in traj.superposition.items():
         column = basis_column(rho_inv, n)
@@ -514,8 +515,3 @@ def assemble_solution(traj: MetricTrajectory, t_index: int, dim: int) -> np.ndar
         )
     return out
 
-
-def eigenstate(traj: MetricTrajectory, n: int, t_index: int, dim: int) -> np.ndarray:
-    """rho^{-1}(t)|n>, the invariant eigenvector at one report time: column
-    n of rho^{-1}, as a complex vector."""
-    return basis_column(build_rho_inverse(traj.gauss_at(t_index), dim), n)

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .fock import basis_column, cached_operator_set, interior_norm
 from .metric import build_rho_inverse
-from .model import MetricState, invariant_ph
+from .model import MetricState, invariant_op
 
 HERMITE_CAP = 30
 EDGE_DECAY = 1e-12
@@ -271,7 +271,7 @@ def cross_representation_residual(s: MetricState, n: int, dim: int) -> float:
     real factor), then aligned by one unit-modulus complex factor. Returns
     max |difference| / max |closed form|.
     """
-    fock_vec = basis_column(build_rho_inverse(s.gauss(), dim), n)
+    fock_vec = basis_column(build_rho_inverse(s, dim), n)
     grid = PositionGrid.for_shape(GaussianShape.from_state(s), n_max=n)
     synthesized = fock_to_position(fock_vec, grid)
     closed = np.asarray(eigenfunction(n, grid.points, s))
@@ -292,5 +292,5 @@ def cross_representation_residual(s: MetricState, n: int, dim: int) -> float:
 def canonical_agreement(s: MetricState, dim: int) -> float:
     """Interior-block Frobenius distance between the canonical (x, p) form
     and the ladder-coefficient form of the invariant."""
-    diff = canonical_invariant(s, dim) - invariant_ph(s, dim)
+    diff = canonical_invariant(s, dim) - invariant_op(s, dim).dense()
     return interior_norm(diff)

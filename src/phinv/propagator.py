@@ -24,14 +24,13 @@ excluded) and normalized by max(1, scale of the compared term).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import InstabilityError, StencilError
-from .fock import BandOperator, interior_norm, k0_operator, tail_support
+from .fock import BandOperator, interior_norm, k0_operator
 from .metric import build_eta, build_rho
 from .model import (
     HamiltonianCoefficients,
@@ -41,19 +40,6 @@ from .model import (
 )
 
 INSTABILITY_FACTOR = 1e6
-
-
-@dataclass
-class PropagationResult:
-    """RK4 trajectory with per-time metric norms and truncation-tail weight."""
-
-    times: np.ndarray
-    states: np.ndarray
-    eta_norms: np.ndarray
-    tail_support: np.ndarray
-
-    def final_state(self) -> np.ndarray:
-        return self.states[-1]
 
 
 def _check_uniform(times: np.ndarray) -> float:
@@ -72,16 +58,15 @@ def propagate(
     times: np.ndarray,
     *,
     substeps: int = 8,
-    eta_of_t: Callable[[float], np.ndarray] | None = None,
-) -> PropagationResult:
-    """Integrate i d/dt psi = H(t) psi with classic RK4.
+) -> np.ndarray:
+    """Integrate i d/dt psi = H(t) psi with classic RK4 and return the
+    states at the given times, an (n_times, dim) complex array.
 
     Each report interval is split into `substeps` RK4 steps. The run aborts
     with an instability error, carrying the offending time, as soon as the
     state stops being finite or its norm exceeds 1e6 times the initial norm
     (truncated non-normal generators can blow up; silence would poison every
-    downstream meter). eta_of_t, when given, fills the per-time metric norms
-    <psi|eta(t)|psi>; otherwise the plain squared norm is recorded.
+    downstream meter).
     """
     _check_uniform(times)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -103,22 +88,7 @@ def propagate(
                     t + h, f"state norm {norm:.3e} at t={t + h:.4f} (cap {cap:.1e})"
                 )
         states[i + 1] = psi
-
-    eta_norms = np.empty(len(times))
-    tails = np.empty(len(times))
-    for i, t in enumerate(times):
-        v = states[i]
-        if eta_of_t is None:
-            eta_norms[i] = float(np.real(np.vdot(v, v)))
-        else:
-            eta_norms[i] = float(np.real(np.vdot(v, eta_of_t(float(t)) @ v)))
-        tails[i] = tail_support(v)
-    return PropagationResult(
-        times=np.asarray(times, dtype=float),
-        states=states,
-        eta_norms=eta_norms,
-        tail_support=tails,
-    )
+    return states
 
 
 def _rk4_schrodinger(h_of_t, psi: np.ndarray, t: float, h: float) -> np.ndarray:
@@ -147,7 +117,7 @@ def convergence_probe(
     """
     finals = []
     for s in (substeps, 2 * substeps, 4 * substeps):
-        finals.append(propagate(h_of_t, psi0, times, substeps=s).final_state())
+        finals.append(propagate(h_of_t, psi0, times, substeps=s)[-1])
     e1 = float(np.linalg.norm(finals[0] - finals[1]))
     e2 = float(np.linalg.norm(finals[1] - finals[2]))
     if e2 == 0.0:
@@ -209,7 +179,7 @@ def dyson_residual(traj: MetricTrajectory, t_index: int, dim: int) -> float:
     dt = traj.dt
 
     def eta_at(j: int) -> np.ndarray:
-        return build_eta(traj.gauss_at(j), dim)
+        return build_eta(traj.state_at(j), dim)
 
     eta_dot = _fd4_richardson(eta_at, t_index, dt)
     eta = eta_at(t_index)
@@ -253,10 +223,10 @@ def hermitian_image_check(traj: MetricTrajectory, t_index: int, dim: int) -> flo
     distance from 2 K0 (|rho I - 2 K0 rho|), each normalized by
     max(1, scale).
     """
-    g = traj.gauss_at(t_index)
-    inv = invariant_op(traj.state_at(t_index), dim)
-    eta = build_eta(g, dim)
-    rho = build_rho(g, dim)
+    s = traj.state_at(t_index)
+    inv = invariant_op(s, dim)
+    eta = build_eta(s, dim)
+    rho = build_rho(s, dim)
     two_k0 = k0_operator(dim, 2.0)
 
     # I is real and eta real symmetric, so I_adj eta = (eta I)^T.
@@ -273,7 +243,7 @@ def hamiltonian_source(traj: MetricTrajectory, dim: int) -> Callable[[float], Ba
     """H(t) for the propagator, read from the trajectory's half-step grid.
 
     That grid holds every RK4 stage time of substeps 1, 2, 4 and 8 per
-    report interval (at the default stride 8); any other t raises a
+    report interval (at the flow's STRIDE of 8); any other t raises a
     ValueError naming it.
     """
     om, al, be = traj.half_omega.tolist(), traj.half_alpha.tolist(), traj.half_beta.tolist()
@@ -302,16 +272,6 @@ def transformed_generator_source(
     return h_of_t
 
 
-def eta_source(traj: MetricTrajectory, dim: int) -> Callable[[float], np.ndarray]:
-    """eta(t) at report times only (nearest report index; exact on the grid)."""
-
-    def eta_of_t(t: float) -> np.ndarray:
-        j = int(round(t / traj.dt))
-        return build_eta(traj.gauss_at(j), dim)
-
-    return eta_of_t
-
-
 def hermitian_side_check(traj: MetricTrajectory, assembled: np.ndarray, dim: int) -> float:
     """Full-horizon cross-check through the Hermitian frame.
 
@@ -323,11 +283,11 @@ def hermitian_side_check(traj: MetricTrajectory, assembled: np.ndarray, dim: int
     """
     if assembled.shape != (traj.n_times, dim):
         raise ValueError("assembled must hold one state per report time")
-    phi0 = build_rho(traj.gauss_at(0), dim) @ assembled[0]
-    result = propagate(transformed_generator_source(traj, dim), phi0, traj.times)
+    phi0 = build_rho(traj.state_at(0), dim) @ assembled[0]
+    states = propagate(transformed_generator_source(traj, dim), phi0, traj.times)
     worst = 0.0
     for i in range(traj.n_times):
-        mapped = build_rho(traj.gauss_at(i), dim) @ assembled[i]
-        diff = float(np.linalg.norm(result.states[i] - mapped))
+        mapped = build_rho(traj.state_at(i), dim) @ assembled[i]
+        diff = float(np.linalg.norm(states[i] - mapped))
         worst = max(worst, diff / max(1.0, float(np.linalg.norm(mapped))))
     return worst

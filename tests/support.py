@@ -23,6 +23,12 @@ generators, the unreduced metric-flow rates, and the K- and K+ coefficients
 U and V of the transformed generator. The tests check the first against
 phinv's metric, the second against its reduced flow, and that the last two
 vanish along its constrained trajectories.
+
+gauss_params is the other route to the metric factors: it disentangles
+exp(epsilon 2 K0 + mu 2 (K+ + K-)) from the generator pair, where phinv
+reads the factors off the flow state (Phi, vtheta0). gauss_factors gives
+its three numbers, chi computed on its own rather than as Phi^2 - vtheta0,
+and check_gauss_identities the relations between them.
 """
 
 from __future__ import annotations
@@ -37,6 +43,7 @@ from phinv import (
     MetricState,
     NumericsError,
     ShapeError,
+    SingularMetricError,
     build_eta,
     build_rho,
     cached_operator_set,
@@ -124,13 +131,103 @@ def random_metric_states(seed: int, count: int) -> list[MetricState]:
     return out
 
 
+def basis_state(dim: int, n: int) -> np.ndarray:
+    """|n> as a complex dim-vector."""
+    if not 0 <= n < dim:
+        raise ShapeError(f"basis index {n} out of range for dim {dim}")
+    v = np.zeros(dim, dtype=complex)
+    v[n] = 1.0
+    return v
+
+
+_SERIES_CUTOFF = 1e-6
+
+
+def _even_cosh(theta_sq: float) -> float:
+    """cosh(theta) as an even analytic function of theta^2."""
+    if abs(theta_sq) < _SERIES_CUTOFF:
+        total, term = 0.0, 1.0
+        for k in range(8):
+            if k:
+                term *= theta_sq / ((2 * k - 1) * (2 * k))
+            total += term
+        return total
+    if theta_sq > 0:
+        return math.cosh(math.sqrt(theta_sq))
+    return math.cos(math.sqrt(-theta_sq))
+
+
+def _even_sinhc(theta_sq: float) -> float:
+    """sinh(theta)/theta as an even analytic function of theta^2."""
+    if abs(theta_sq) < _SERIES_CUTOFF:
+        total, term = 0.0, 1.0
+        for k in range(8):
+            if k:
+                term *= theta_sq / ((2 * k) * (2 * k + 1))
+            total += term
+        return total
+    if theta_sq > 0:
+        t = math.sqrt(theta_sq)
+        return math.sinh(t) / t
+    t = math.sqrt(-theta_sq)
+    return math.sin(t) / t
+
+
+def gauss_factors(epsilon: float, mu: float) -> tuple[float, float, float]:
+    """(vtheta_plus, vtheta_zero, chi) of the generator pair (epsilon, mu),
+    with vtheta_minus = vtheta_plus.
+
+    Evaluated through even functions of theta^2 = epsilon^2 - 4 mu^2, so the
+    hyperbolic/trigonometric branch change is automatic and continuous.
+    Raises SingularMetricError where the factorization denominator vanishes
+    or overflows.
+    """
+    theta_sq = epsilon * epsilon - 4 * mu * mu
+    c = float(_even_cosh(theta_sq))
+    s = float(_even_sinhc(theta_sq))
+    d = float(c - epsilon * s)
+    if not math.isfinite(d) or not math.isfinite(d * d):
+        raise SingularMetricError(
+            f"factorization overflows at (epsilon={epsilon}, mu={mu})"
+        )
+    if abs(d) <= 1e-12 * max(1.0, abs(c), abs(epsilon * s)):
+        raise SingularMetricError(
+            f"factorization denominator vanishes at (epsilon={epsilon}, mu={mu})"
+        )
+    return 2 * mu * s / d, 1.0 / (d * d), -(c + epsilon * s) / d
+
+
+def check_gauss_identities(
+    vtheta_plus: float, vtheta_zero: float, vtheta_minus: float, chi: float
+) -> None:
+    """The relations a Hermitian metric map's factors satisfy, with
+    Phi = -vtheta_plus: vtheta_plus = vtheta_minus, vtheta_zero =
+    Phi^2 - chi and (Phi^2 + chi)^2 - 4 chi Phi^2 = vtheta_zero^2."""
+    th0 = vtheta_zero
+    if not th0 > 0:
+        raise SingularMetricError(f"vtheta_zero must be positive, got {th0}")
+    if abs(vtheta_plus - vtheta_minus) > 1e-12 * max(1.0, abs(vtheta_plus)):
+        raise NumericsError("vtheta_plus != vtheta_minus (non-Hermitian rho)")
+    phi = -vtheta_plus
+    scale = max(1.0, abs(th0))
+    if abs(th0 - (phi * phi - chi)) > 1e-12 * scale:
+        raise NumericsError("vtheta_zero != phi_cap^2 - chi")
+    lhs = (phi * phi + chi) ** 2 - 4 * chi * phi * phi
+    if abs(lhs - th0 * th0) > 1e-12 * max(1.0, th0 * th0):
+        raise NumericsError("(phi^2+chi)^2 - 4 chi phi^2 != vtheta_zero^2")
+
+
+def gauss_params(epsilon: float, mu: float) -> MetricState:
+    """The metric state whose factors disentangle the generator pair
+    (epsilon, mu), after checking the factor identities."""
+    vtheta_plus, vtheta_zero, chi = gauss_factors(epsilon, mu)
+    check_gauss_identities(vtheta_plus, vtheta_zero, vtheta_plus, chi)
+    return MetricState(-vtheta_plus, vtheta_zero)
+
+
 def random_gauss_inputs(seed: int, count: int) -> list[tuple[float, float]]:
     """(epsilon, mu) pairs on the disentangling test square, avoiding the
     theta^2 = 0 seam and the factorization-denominator zero set."""
-    import math
-
-    from phinv.metric import _even_cosh, _even_sinhc
-
     rng = np.random.default_rng(seed)
     out: list[tuple[float, float]] = []
     while len(out) < count:
@@ -196,9 +293,9 @@ def dense_dyson_residual(traj, t_index: int, dim: int) -> float:
     """|d(eta)/dt + i (H_adj eta - eta H)| / max(1, |eta H|) on the interior
     block, with every product a dense matmul."""
     eta_dot = _dense_fd4_richardson(
-        lambda j: build_eta(traj.gauss_at(j), dim), t_index, traj.dt
+        lambda j: build_eta(traj.state_at(j), dim), t_index, traj.dt
     )
-    eta = build_eta(traj.gauss_at(t_index), dim)
+    eta = build_eta(traj.state_at(t_index), dim)
     h_mat = dense_hamiltonian(traj.coeffs_at(t_index), dim)
     residual = eta_dot + 1j * (h_mat.conj().T @ eta - eta @ h_mat)
     return interior_norm(residual) / max(1.0, interior_norm(eta @ h_mat))
@@ -219,10 +316,10 @@ def dense_invariant_residual(traj, t_index: int, dim: int) -> float:
 def dense_hermitian_image_check(traj, t_index: int, dim: int) -> float:
     """max of |eta I - I_adj eta| / max(1, |eta I|) and
     |rho I - 2 K0 rho| / max(1, |2 K0 rho|), as dense matmuls."""
-    g = traj.gauss_at(t_index)
-    inv = dense_invariant(traj.state_at(t_index), dim)
-    eta = build_eta(g, dim)
-    rho = build_rho(g, dim)
+    s = traj.state_at(t_index)
+    inv = dense_invariant(s, dim)
+    eta = build_eta(s, dim)
+    rho = build_rho(s, dim)
     two_k0 = 2 * cached_operator_set(dim).k_zero
     herm = eta @ inv - inv.conj().T @ eta
     r1 = interior_norm(herm) / max(1.0, interior_norm(eta @ inv))

@@ -26,14 +26,12 @@ from phinv import (
     GuardError,
     MetricState,
     assemble_solution,
-    basis_state,
     build_eta,
     build_rho,
     build_rho_inverse,
     cached_operator_set,
     canonical_invariant,
     cross_representation_residual,
-    gauss_params,
     orthonormality_matrix,
     parse_scenario,
     run_scenario,
@@ -44,7 +42,7 @@ from phinv.model import (
     constraint_residuals,
     hamiltonian_op,
     integrate_metric,
-    invariant_ph,
+    invariant_op,
 )
 from phinv.position import GaussianShape, PositionGrid, canonical_agreement
 from phinv.propagator import (
@@ -59,8 +57,10 @@ from phinv.propagator import (
 from phinv.runner import ORACLE_HORIZON, _parse_csv
 
 from support import (
+    basis_state,
     conjugate_k,
     frobenius_distance,
+    gauss_params,
     random_metric_states,
     reference_expm,
     uv_coefficients,
@@ -157,7 +157,7 @@ def test_criterion_01_harmonic_limit(harmonic_run):
         analytic = sum(
             np.exp(-1j * (n + 0.5) * times[i]) * basis_state(64, n) for n in range(7)
         ) / np.sqrt(7)
-        worst_state = max(worst_state, float(np.max(np.abs(out.states[i] - analytic))))
+        worst_state = max(worst_state, float(np.max(np.abs(out[i] - analytic))))
     assert worst_state <= 1e-9
     say(1, True, f"gamma_n within {worst_gamma:.1e}, RK4 vs analytic {worst_state:.1e}")
 
@@ -203,7 +203,7 @@ def test_criterion_02_demonstration(td_run, gentle_traj, gentle_states):
     # full-horizon RK4 oracle, run in the Hermitian frame where the flat
     # norm is conserved; plain overlaps there equal eta-overlaps here
     dim = 64
-    mapped0 = build_rho(gentle_traj.gauss_at(0), dim) @ gentle_states[0]
+    mapped0 = build_rho(gentle_traj.state_at(0), dim) @ gentle_states[0]
     out = propagate(
         transformed_generator_source(gentle_traj, dim),
         mapped0,
@@ -211,8 +211,8 @@ def test_criterion_02_demonstration(td_run, gentle_traj, gentle_states):
         substeps=8,
     )
     end = gentle_traj.n_times - 1
-    mapped_ref = build_rho(gentle_traj.gauss_at(end), dim) @ gentle_states[end]
-    psi = out.states[end]
+    mapped_ref = build_rho(gentle_traj.state_at(end), dim) @ gentle_states[end]
+    psi = out[end]
     num = abs(np.vdot(psi, mapped_ref))
     den = np.sqrt(np.vdot(psi, psi).real * np.vdot(mapped_ref, mapped_ref).real)
     deficit = abs(1.0 - num / den)
@@ -406,8 +406,10 @@ def test_criterion_08_normalization_and_collapse(gentle_traj):
 
     worst_uvw = 0.0
     for i in range(0, gentle_traj.n_times, 50):
+        j = i * gentle_traj.stride
         u, v = uv_coefficients(
-            gentle_traj.state_at(i), gentle_traj.coeffs_at(i), *gentle_traj.rates_at(i)
+            gentle_traj.state_at(i), gentle_traj.coeffs_at(i),
+            gentle_traj.dphi[j], gentle_traj.dvtheta0[j],
         )
         worst_uvw = max(worst_uvw, abs(u), abs(v), abs(gentle_traj.w_at(i).imag))
     assert worst_uvw <= 1e-10
@@ -521,7 +523,7 @@ def test_criterion_10_meter_sensitivity(gentle_traj, gentle_states):
     )
 
     idx = range(0, 2001, 100)
-    etas = {j: build_eta(traj.gauss_at(j), dim) for j in idx}
+    etas = {j: build_eta(traj.state_at(j), dim) for j in idx}
     def drift(states_of):
         norms = [float(np.vdot(states_of(j), etas[j] @ states_of(j)).real) for j in idx]
         return max(abs(v - norms[0]) for v in norms)
@@ -531,8 +533,8 @@ def test_criterion_10_meter_sensitivity(gentle_traj, gentle_states):
         drift(lambda j: 1.01 * gentle_states[j] if j >= 1000 else gentle_states[j]),
     )
 
-    eta = build_eta(traj.gauss_at(i), dim)
-    inv = invariant_ph(s, dim)
+    eta = build_eta(traj.state_at(i), dim)
+    inv = invariant_op(s, dim).dense()
     def rayleigh(vec):
         return abs(
             float(np.vdot(vec, eta @ (inv @ vec)).real)
@@ -541,22 +543,22 @@ def test_criterion_10_meter_sensitivity(gentle_traj, gentle_states):
         )
     record(
         "rayleigh",
-        rayleigh(build_rho_inverse(s.gauss(), dim)[:, 3]),
-        rayleigh(build_rho_inverse(s_bad.gauss(), dim)[:, 3]),
+        rayleigh(build_rho_inverse(s, dim)[:, 3]),
+        rayleigh(build_rho_inverse(s_bad, dim)[:, 3]),
     )
 
-    rho = build_rho(s.gauss(), dim)
+    rho = build_rho(s, dim)
     two_k0 = 2 * cached_operator_set(dim).k_zero
     scale = max(1.0, interior_norm(two_k0 @ rho))
     record(
         "hermitian_image",
         hermitian_image_check(traj, i, dim),
-        interior_norm(rho @ invariant_ph(s_bad, dim) - two_k0 @ rho) / scale,
+        interior_norm(rho @ invariant_op(s_bad, dim).dense() - two_k0 @ rho) / scale,
     )
     record(
         "canonical",
         canonical_agreement(s, dim),
-        interior_norm(canonical_invariant(s_bad, dim) - invariant_ph(s, dim)),
+        interior_norm(canonical_invariant(s_bad, dim) - invariant_op(s, dim).dense()),
     )
 
     weakest = min(ratios, key=ratios.get)

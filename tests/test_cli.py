@@ -125,6 +125,71 @@ def test_local_error_is_a_run_threshold_not_a_check(artifact_dir, tmp_path, caps
     assert "unknown check name" in capsys.readouterr().err
 
 
+IM_W_DRIVE = {
+    "dim": 16,
+    "t_max": 0.05,
+    "dt": 1e-3,
+    "mode": "check",
+    "initial_metric": {"phi_cap": 0.2, "vtheta_zero": 1.0},
+    "profiles": {
+        "re_omega": {"kind": "constant", "value": 1.0},
+        "im_omega": {"kind": "constant", "value": 0.0},
+        "re_alpha": {"kind": "constant", "value": 0.0},
+        "im_alpha": {
+            "kind": "sinusoid",
+            "offset": 0.0, "amplitude": 1e-3, "frequency": 1000.0, "phase": 0.3,
+        },
+        "re_beta": {"kind": "constant", "value": 0.0},
+        "im_beta": {"kind": "constant", "value": 0.0},
+    },
+    "quantum_numbers": [0],
+    "superposition": [[1.0, 0.0]],
+}
+
+
+def test_verify_judges_im_w_by_the_recorded_dense_grid_max(tmp_path, capsys):
+    # Im W = -2 Phi Im alpha oscillates faster than the report grid samples
+    # it: the run records its max over the dense grid, the CSV holds W only
+    # on the report grid. verify must judge the recorded number, so a
+    # tolerance between the two fails.
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(IM_W_DRIVE))
+    main(["run", "--config", str(config), "--out", str(tmp_path), "--quiet"])
+    report = json.loads((tmp_path / "report.json").read_text())
+    recorded = next(c["max_residual"] for c in report["checks"] if c["name"] == "im_w")
+    rows = (tmp_path / "series.csv").read_text().split()
+    col = rows[0].split(",").index("W_im")
+    on_report_grid = max(abs(float(r.split(",")[col])) for r in rows[1:])
+    assert on_report_grid < recorded
+    # every other check passes, so the im_w row alone decides the exit code
+    loose = [
+        arg for c in report["checks"] if c["name"] != "im_w"
+        for arg in ("--tolerance", f"{c['name']}=1e300")
+    ]
+    capsys.readouterr()
+    rc = main(["verify", "--out", str(tmp_path), *loose, "--tolerance", f"im_w={recorded}"])
+    assert rc == 0
+    between = (on_report_grid + recorded) / 2
+    rc = main(["verify", "--out", str(tmp_path), *loose, "--tolerance", f"im_w={between!r}"])
+    assert rc == 1
+    assert "FAIL im_w" in capsys.readouterr().out
+
+
+def test_readme_python_example_runs(monkeypatch, capsys):
+    # README's Python block, run as written, on a short demo_td so it is quick
+    import phinv
+
+    text = (PYPROJECT.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("```python\n", 1)[1].split("```", 1)[0]
+    short = dict(phinv.demo_scenarios()["demo_td"], dim=16, t_max=0.05)
+    monkeypatch.setattr(phinv, "demo_scenarios", lambda: {"demo_td": short})
+    exec(compile(block, "README.md", "exec"), {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] in ("True", "False")
+    assert len(lines) == 1 + 17
+    assert lines[1].startswith("schrodinger ")
+
+
 def test_malformed_tolerance_flag_is_a_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["run", "--config", "x.json", "--tolerance", "schrodinger"])

@@ -6,6 +6,7 @@ from support import (
     StructureError,
     adjoint,
     apply,
+    basis_state,
     commutator,
     dense_hamiltonian,
     dense_invariant,
@@ -20,7 +21,6 @@ from phinv import (
     DimensionError,
     DomainError,
     ShapeError,
-    basis_state,
     build_operator_set,
     cached_operator_set,
     interior_norm,
@@ -34,7 +34,6 @@ from phinv.model import (
     MetricState,
     hamiltonian_op,
     invariant_op,
-    invariant_ph,
 )
 
 
@@ -288,7 +287,11 @@ def test_band_operator_products_match_dense(dim, seed):
         assert _relative_gap(op.adjoint() @ m, dense.conj().T @ m) <= 1e-14
         assert np.array_equal(op.adjoint().dense(), dense.conj().T)
         assert np.array_equal(np.asarray(op), dense)
-        assert np.array_equal(op + m, dense + m) and np.array_equal(m - op, m - dense)
+        # Sums with arrays are not defined: a caller densifies on purpose.
+        with pytest.raises(TypeError):
+            op + m
+        with pytest.raises(TypeError):
+            m - op
 
 
 @given(st.integers(min_value=4, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
@@ -301,7 +304,6 @@ def test_band_operator_dense_form_is_the_dense_sum(dim, seed):
     assert h.dtype == inv.dtype == complex
     assert np.array_equal(h, dense_hamiltonian(c, dim))
     assert np.array_equal(inv, dense_invariant(s, dim))
-    assert np.array_equal(inv, invariant_ph(s, dim))
     k_zero = cached_operator_set(dim).k_zero
     assert np.array_equal(k0_operator(dim, 2.0).dense(), 2 * k_zero)
     w = float(rng.normal())
@@ -324,8 +326,8 @@ def test_propagate_band_and_dense_generators_agree(dim, seed):
     psi0 = _complex_normals(rng, dim)
     psi0 /= np.linalg.norm(psi0)
     times = np.linspace(0.0, 0.5, 11)
-    want = propagate(dense_h, psi0, times, substeps=4).states
-    got = propagate(band_h, psi0, times, substeps=4).states
+    want = propagate(dense_h, psi0, times, substeps=4)
+    got = propagate(band_h, psi0, times, substeps=4)
     assert _relative_gap(got, want) <= 1e-13
 
 

@@ -4,30 +4,32 @@ from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
 from support import (
+    _even_cosh,
+    _even_sinhc,
+    check_gauss_identities,
     conjugate_k,
     dense_gemm_eta,
     dense_gemm_rho,
     dense_gemm_rho_inverse,
     dense_inverse,
     frobenius_distance,
+    gauss_factors,
+    gauss_params,
     random_gauss_inputs,
     random_metric_states,
     reference_expm,
 )
 
 from phinv import (
-    GaussParams,
+    MetricState,
     NumericsError,
     SingularMetricError,
     build_eta,
     build_rho,
     build_rho_inverse,
     cached_operator_set,
-    gauss_params,
     interior_norm,
-    params_from_state,
 )
-from phinv.metric import _even_cosh, _even_sinhc
 
 
 def k_matrix(ops, which):
@@ -75,15 +77,11 @@ def test_singular_denominator_rejected():
 
 def test_invalid_direct_construction_rejected():
     with pytest.raises(SingularMetricError):
-        GaussParams(
-            vtheta_plus=0.1, vtheta_zero=-1.0, vtheta_minus=0.1,
-            chi=-1.0, phi_cap=-0.1,
-        ).validate()
+        check_gauss_identities(vtheta_plus=0.1, vtheta_zero=-1.0, vtheta_minus=0.1, chi=-1.0)
     with pytest.raises(NumericsError):
-        GaussParams(
-            vtheta_plus=0.1, vtheta_zero=1.0, vtheta_minus=0.3,
-            chi=-0.99, phi_cap=-0.1,
-        ).validate()
+        check_gauss_identities(vtheta_plus=0.1, vtheta_zero=1.0, vtheta_minus=0.3, chi=-0.99)
+    with pytest.raises(SingularMetricError):
+        MetricState(-0.1, -1.0)
 
 
 @given(
@@ -93,24 +91,26 @@ def test_invalid_direct_construction_rejected():
 @settings(max_examples=200)
 def test_gauss_identities_hold(eps, mu):
     try:
-        g = gauss_params(eps, mu)
+        vtheta_plus, th0, chi = gauss_factors(eps, mu)
     except SingularMetricError:
         return
-    th0, phi, chi = g.vtheta_zero, g.phi_cap, g.chi
+    phi = -vtheta_plus
     scale = max(1.0, abs(th0))
     assert abs(th0 - (phi * phi - chi)) <= 1e-12 * scale
     assert abs((phi * phi + chi) ** 2 - 4 * chi * phi * phi - th0 * th0) <= 1e-12 * scale * scale
-    assert g.vtheta_plus == g.vtheta_minus
+    g = gauss_params(eps, mu)
+    assert (g.phi_cap, g.vtheta_zero) == (phi, th0)
+    assert g.vtheta_plus == g.vtheta_minus == vtheta_plus
 
 
-def test_params_from_state_consistency():
-    g = params_from_state(0.3, 1.2)
+def test_metric_state_factor_parameters():
+    g = MetricState(0.3, 1.2)
     assert g.phi_cap == 0.3
     assert g.vtheta_plus == -0.3
     assert g.vtheta_minus == -0.3
     assert g.chi == pytest.approx(0.09 - 1.2, abs=1e-15)
     with pytest.raises(SingularMetricError):
-        params_from_state(0.3, 0.0)
+        MetricState(0.3, 0.0)
 
 
 def test_build_rho_identity_params():
@@ -137,7 +137,7 @@ def test_rho_hermitian_absolute_for_tame_factors():
     # itself stays at unit-thousands scale
     checked = 0
     for s in random_metric_states(42, 60):
-        r = build_rho(s.gauss(), 64)
+        r = build_rho(s, 64)
         if np.linalg.norm(r) <= 1e3:
             checked += 1
             assert np.linalg.norm(r - r.conj().T) <= 1e-12
@@ -158,14 +158,13 @@ def test_rho_inverse_backward_stable_product():
     res = np.linalg.norm(r @ ri - np.eye(64))
     assert res / (np.linalg.norm(r) * np.linalg.norm(ri)) <= 1e-16
     for s in random_metric_states(43, 25):
-        r, ri = build_rho(s.gauss(), 64), build_rho_inverse(s.gauss(), 64)
+        r, ri = build_rho(s, 64), build_rho_inverse(s, 64)
         res = np.linalg.norm(r @ ri - np.eye(64))
         assert res / (np.linalg.norm(r) * np.linalg.norm(ri)) <= 1e-14
 
 
 def test_rho_inverse_matches_dense_elimination():
-    for s in random_metric_states(12, 12):
-        g = s.gauss()
+    for g in random_metric_states(12, 12):
         dev = interior_norm(build_rho_inverse(g, 24) - dense_inverse(build_rho(g, 24)))
         assert dev <= 1e-9
     g = gauss_params(0.5, 0.2)
@@ -287,7 +286,7 @@ def test_rho_caching_returns_readonly():
 
 @pytest.mark.parametrize("dim", [8, 9, 64, 65, 192])
 def test_parity_sector_builders_match_dense_gemm(dim):
-    for g in [s.gauss() for s in random_metric_states(29, 3)] + [params_from_state(0.45, 0.7)]:
+    for g in random_metric_states(29, 3) + [MetricState(0.45, 0.7)]:
         for build, oracle in (
             (build_rho, dense_gemm_rho),
             (build_rho_inverse, dense_gemm_rho_inverse),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import random_metric_states, raw_metric_rates, uv_coefficients
+from support import basis_state, random_metric_states, raw_metric_rates, uv_coefficients
 
 from phinv import (
     ConstraintSingularityError,
@@ -16,22 +16,20 @@ from phinv import (
     NonRealPhaseError,
     SingularMetricError,
     assemble_solution,
-    basis_state,
     build_eta,
     build_rho,
     build_rho_inverse,
     cached_operator_set,
     constraint_residuals,
     derive_constrained_coeffs,
-    eigenstate,
     integrate_metric,
     interior_norm,
-    invariant_ph,
     metric_rhs,
     phase,
     transformed_frequency,
 )
-from phinv.model import hamiltonian_op
+from phinv.fock import basis_column
+from phinv.model import hamiltonian_op, invariant_op
 
 
 def _random_drive(rng):
@@ -145,7 +143,7 @@ def test_diagonal_metric_decay_rate():
 
 
 def test_invariant_harmonic_is_two_k_zero(ops64):
-    inv = invariant_ph(MetricState(0.0, 1.0), 64)
+    inv = invariant_op(MetricState(0.0, 1.0), 64).dense()
     assert np.linalg.norm(inv - 2 * ops64.k_zero) <= 1e-13
 
 
@@ -171,9 +169,9 @@ def test_invariant_delta_normalization(idx):
 
 def test_invariant_eigencheck_moderate_state(ops64):
     s = MetricState(0.2, 1.0)
-    inv = invariant_ph(s, 64)
-    ri = build_rho_inverse(s.gauss(), 64)
-    eta = build_eta(s.gauss(), 64)
+    inv = invariant_op(s, 64).dense()
+    ri = build_rho_inverse(s, 64)
+    eta = build_eta(s, 64)
     vecs = [ri @ basis_state(64, n) for n in range(7)]
     for n, v in enumerate(vecs):
         resid = np.linalg.norm(inv @ v - (n + 0.5) * v) / np.linalg.norm(v)
@@ -193,8 +191,8 @@ def test_invariant_eigencheck_strong_state_converges_with_dim():
     s = MetricState(0.5, 1.0)
     residuals = []
     for dim in (64, 96, 128, 160):
-        inv = invariant_ph(s, dim)
-        ri = build_rho_inverse(s.gauss(), dim)
+        inv = invariant_op(s, dim).dense()
+        ri = build_rho_inverse(s, dim)
         worst = 0.0
         for n in range(7):
             v = ri @ basis_state(dim, n)
@@ -207,8 +205,8 @@ def test_invariant_eigencheck_strong_state_converges_with_dim():
 
 def test_invariant_image_under_metric_map(ops64):
     for s in random_metric_states(25, 10):
-        inv = invariant_ph(s, 64)
-        r = build_rho(s.gauss(), 64)
+        inv = invariant_op(s, 64).dense()
+        r = build_rho(s, 64)
         lhs = r @ inv
         rhs = 2 * ops64.k_zero @ r
         assert interior_norm(lhs - rhs) / max(1.0, interior_norm(lhs)) <= 1e-12
@@ -303,7 +301,7 @@ def test_assembled_metric_norm_is_conserved(harmonic_traj, gentle_traj):
         norms = []
         for i in range(0, traj.n_times, 250):
             v = assemble_solution(traj, i, 64)
-            eta = build_eta(traj.gauss_at(i), 64)
+            eta = build_eta(traj.state_at(i), 64)
             norms.append(float((v.conj() @ (eta @ v)).real))
         norms = np.array(norms)
         assert abs(norms[0] - 1.0) <= 1e-12
@@ -311,10 +309,14 @@ def test_assembled_metric_norm_is_conserved(harmonic_traj, gentle_traj):
 
 
 def test_eigenstate_matches_inverse_map_column(gentle_traj):
-    i = 1200
-    v = eigenstate(gentle_traj, 1, i, 64)
-    ri = build_rho_inverse(gentle_traj.gauss_at(i), 64)
+    """The invariant eigenstate rho^{-1}|1> is column 1 of rho^{-1}, with
+    eigenvalue 3/2 away from the truncation edge."""
+    s = gentle_traj.state_at(1200)
+    ri = build_rho_inverse(s, 64)
+    v = basis_column(ri, 1)
     assert np.linalg.norm(v - ri @ basis_state(64, 1)) <= 1e-13
+    resid = invariant_op(s, 64) @ v - 1.5 * v
+    assert np.linalg.norm(resid[:-8]) / np.linalg.norm(v) <= 1e-10
 
 
 def test_integrate_guard_constraint_denominator():
@@ -420,7 +422,7 @@ def test_trajectory_accessors(gentle_traj):
     assert c.omega == gentle_traj.omega[j]
     assert gentle_traj.w_at(i) == gentle_traj.w[j]
     assert gentle_traj.times[i] == pytest.approx(gentle_traj.dense_times[j], abs=1e-12)
-    dphi, dth0 = gentle_traj.rates_at(i)
+    dphi, dth0 = gentle_traj.dphi[j], gentle_traj.dvtheta0[j]
     ref = metric_rhs(s.phi_cap, s.vtheta_zero, c.omega.imag, c.beta.imag)
     assert dphi == pytest.approx(ref[0], abs=1e-14)
     assert dth0 == pytest.approx(ref[1], abs=1e-14)

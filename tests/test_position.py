@@ -9,7 +9,6 @@ from phinv import (
     MetricState,
     PositionGrid,
     ShapeError,
-    basis_state,
     cached_operator_set,
     canonical_invariant,
     cross_representation_residual,
@@ -18,10 +17,10 @@ from phinv import (
     hermite,
     orthonormality_matrix,
 )
-from phinv.model import invariant_ph
+from phinv.model import invariant_op
 from phinv.position import canonical_agreement
 
-from support import random_metric_states
+from support import basis_state, random_metric_states
 
 
 def test_hermite_values():
@@ -177,10 +176,10 @@ def test_cross_representation_agreement():
 def test_cross_representation_on_invariant_eigenvector():
     s = MetricState(0.3, 1.1)
     assert cross_representation_residual(s, 2, 64) <= 1e-6
-    inv = invariant_ph(s, 64)
+    inv = invariant_op(s, 64).dense()
     ops = cached_operator_set(64)
     from phinv import build_rho_inverse
 
-    vec = build_rho_inverse(s.gauss(), 64) @ basis_state(64, 2)
+    vec = build_rho_inverse(s, 64) @ basis_state(64, 2)
     resid = inv @ vec - 2.5 * vec
     assert np.linalg.norm(resid[:-8]) / np.linalg.norm(vec) <= 1e-10

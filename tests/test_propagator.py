@@ -6,14 +6,18 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
-from support import dense_dyson_residual, dense_hermitian_image_check, dense_invariant_residual
+from support import (
+    basis_state,
+    dense_dyson_residual,
+    dense_hermitian_image_check,
+    dense_invariant_residual,
+)
 
 from phinv import (
     InstabilityError,
     MetricState,
     StencilError,
     assemble_solution,
-    basis_state,
     build_eta,
     cached_operator_set,
     convergence_probe,
@@ -26,20 +30,20 @@ from phinv import (
     parse_scenario,
     propagate,
     schrodinger_residual,
+    tail_support,
 )
 import phinv.propagator
 from phinv.fock import k0_operator
 from phinv.model import HamiltonianCoefficients, hamiltonian_op
-from phinv.propagator import eta_source, hamiltonian_source, transformed_generator_source
+from phinv.propagator import hamiltonian_source, transformed_generator_source
 
 
 def test_zero_hamiltonian_keeps_state():
     h = lambda t: np.zeros((16, 16), dtype=complex)
     psi0 = basis_state(16, 2).astype(complex)
     out = propagate(h, psi0, np.linspace(0.0, 1.0, 101))
-    assert np.max(np.abs(out.states - psi0[None, :])) <= 1e-14
-    assert out.times.shape == (101,)
-    assert out.states.shape == (101, 16)
+    assert np.max(np.abs(out - psi0[None, :])) <= 1e-14
+    assert out.shape == (101, 16)
 
 
 def test_constant_diagonal_hamiltonian_phases():
@@ -50,17 +54,25 @@ def test_constant_diagonal_hamiltonian_phases():
     expected = (
         np.exp(-0.5j) * basis_state(16, 0) + np.exp(-3.5j) * basis_state(16, 3)
     ) / np.sqrt(2)
-    assert np.linalg.norm(out.final_state() - expected) <= 1e-9
+    assert np.linalg.norm(out[-1] - expected) <= 1e-9
 
 
-def test_propagation_result_diagnostics(gentle_traj):
+def _eta_norms(traj, states):
+    """<psi|eta(t)|psi> of states propagated over the first report times."""
+    return np.array([
+        float(np.real(np.vdot(v, build_eta(traj.state_at(i), 64) @ v)))
+        for i, v in enumerate(states)
+    ])
+
+
+def test_propagated_states_diagnostics(gentle_traj):
     h = hamiltonian_source(gentle_traj, 64)
-    eta = eta_source(gentle_traj, 64)
     psi0 = assemble_solution(gentle_traj, 0, 64)
-    out = propagate(h, psi0, gentle_traj.times[:201], eta_of_t=eta)
-    assert out.eta_norms.shape == (201,)
-    assert np.max(np.abs(out.eta_norms - out.eta_norms[0])) <= 1e-7
-    assert np.max(out.tail_support) <= 1e-12
+    out = propagate(h, psi0, gentle_traj.times[:201])
+    assert out.shape == (201, 64)
+    norms = _eta_norms(gentle_traj, out)
+    assert np.max(np.abs(norms - norms[0])) <= 1e-7
+    assert max(tail_support(v) for v in out) <= 1e-12
     # order estimate needs a step size whose halving error clears the
     # rounding floor, hence the coarse grid here
     _, order = convergence_probe(h, psi0, gentle_traj.times[:501:25], substeps=1)
@@ -165,22 +177,21 @@ def test_hermitian_image_catches_a_metric_that_does_not_fit_the_invariant(
     only the Hermiticity half, |eta I - (eta I)^T|, can see it."""
     clean = hermitian_image_check(gentle_traj, 2500, 64)
     s = gentle_traj.state_at(2500)
-    bad = MetricState(1.01 * s.phi_cap, s.vtheta_zero).gauss()
+    bad = MetricState(1.01 * s.phi_cap, s.vtheta_zero)
     monkeypatch.setattr(phinv.propagator, "build_eta", lambda g, dim: build_eta(bad, dim))
     assert hermitian_image_check(gentle_traj, 2500, 64) >= 1e3 * max(clean, 1e-15)
 
 
 def test_short_horizon_oracle_agreement(gentle_traj):
     h = hamiltonian_source(gentle_traj, 64)
-    eta = eta_source(gentle_traj, 64)
     psi0 = assemble_solution(gentle_traj, 0, 64)
     times = gentle_traj.times[:501]
-    out = propagate(h, psi0, times, eta_of_t=eta)
+    out = propagate(h, psi0, times)
     worst_overlap = worst_vector = 0.0
     for i in (100, 250, 500):
-        psi = out.states[i]
+        psi = out[i]
         ref = assemble_solution(gentle_traj, i, 64)
-        eta_i = build_eta(gentle_traj.gauss_at(i), 64)
+        eta_i = build_eta(gentle_traj.state_at(i), 64)
         num = abs(psi.conj() @ (eta_i @ ref))
         den = np.sqrt(
             (psi.conj() @ (eta_i @ psi)).real * (ref.conj() @ (eta_i @ ref)).real
@@ -190,7 +201,8 @@ def test_short_horizon_oracle_agreement(gentle_traj):
     assert worst_overlap <= 1e-6
     # agreement holds vector by vector, with no phase alignment applied
     assert worst_vector <= 1e-5
-    assert np.max(np.abs(out.eta_norms - out.eta_norms[0])) <= 1e-7
+    norms = _eta_norms(gentle_traj, out)
+    assert np.max(np.abs(norms - norms[0])) <= 1e-7
 
 
 def test_hermitian_side_transport(gentle_traj, gentle_states, harmonic_traj):
@@ -206,7 +218,7 @@ def test_transformed_generator_is_scaled_number_operator(gentle_traj, ops64):
     gen = transformed_generator_source(gentle_traj, 64)
     t = float(gentle_traj.times[700])
     w_re = gentle_traj.w_at(700).real
-    assert np.linalg.norm(gen(t) + 2.0 * w_re * ops64.k_zero) <= 1e-10
+    assert np.linalg.norm(gen(t).dense() + 2.0 * w_re * ops64.k_zero) <= 1e-10
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,9 @@
 import hashlib
+import inspect
 import json
+import sys
 import time
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -11,11 +14,15 @@ from phinv import (
     GuardError,
     TruncationWarning,
     demo_scenarios,
+    orthonormality_matrix,
     parse_scenario,
+    propagate,
     run_scenario,
     verify_artifacts,
 )
 import phinv.metric
+import phinv.position
+import phinv.propagator
 import phinv.runner
 from phinv._version import __version__
 from phinv.runner import CSV_EOL, _fmt, _parse_csv
@@ -290,23 +297,69 @@ def test_collapsed_falloff_stops_before_the_meters(monkeypatch):
         run_scenario(cfg)
 
 
+def _patch_everywhere(monkeypatch, home, name: str, make_wrapper) -> None:
+    """Replace home.name in every phinv namespace that holds it, since
+    modules bind the names they import when they load."""
+    original = getattr(home, name)
+    wrapped = make_wrapper(original)
+    for mod_name, module in list(sys.modules.items()):
+        if module is None or not (mod_name == "phinv" or mod_name.startswith("phinv.")):
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, wrapped)
+
+
 @pytest.mark.parametrize("dim", [16, 17])
 def test_short_run_makes_the_pinned_ladder_exp_calls(dim, monkeypatch):
     """The metric caches miss, and call ladder_exp through the module
     global, exactly as often as before the parity-sector builders: 404
-    times for demo_td to t_max 0.1 from empty caches. perfbench's
-    ladder_exp_calls counter counts the same calls."""
-    real = phinv.metric.ladder_exp
-    calls = []
+    times for demo_td to t_max 0.1 from empty caches. The other counters
+    perfbench checks exactly are pinned with it: metric builder calls, RK4
+    steps over every propagate call, H(t) evaluations of both RK4 sources,
+    and position-grid points over every Gram matrix."""
+    counts = Counter()
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(key, bump=lambda args, kwargs: 1):
+        def make(fn):
+            def wrapper(*args, **kwargs):
+                counts[key] += bump(args, kwargs)
+                return fn(*args, **kwargs)
+            return wrapper
+        return make
 
-    monkeypatch.setattr(phinv.metric, "ladder_exp", counting)
+    def rk4_steps(args, kwargs):
+        b = inspect.signature(propagate).bind(*args, **kwargs)
+        b.apply_defaults()
+        return (len(b.arguments["times"]) - 1) * b.arguments["substeps"]
+
+    def grid_points(args, kwargs):
+        b = inspect.signature(orthonormality_matrix).bind(*args, **kwargs)
+        return len(b.arguments["grid"].points)
+
+    def counted_source(fn):
+        def source(*args, **kwargs):
+            return counting("h_evals")(fn(*args, **kwargs))
+        return source
+
+    for name in ("build_rho", "build_rho_inverse", "build_eta"):
+        _patch_everywhere(monkeypatch, phinv.metric, name, counting("build_calls"))
+    _patch_everywhere(monkeypatch, phinv.metric, "ladder_exp", counting("ladder_exp_calls"))
+    _patch_everywhere(monkeypatch, phinv.propagator, "propagate", counting("rk4_steps", rk4_steps))
+    for name in ("hamiltonian_source", "transformed_generator_source"):
+        _patch_everywhere(monkeypatch, phinv.propagator, name, counted_source)
+    _patch_everywhere(
+        monkeypatch, phinv.position, "orthonormality_matrix", counting("grid_points", grid_points)
+    )
     for cache in (
         phinv.metric._rho_cached, phinv.metric._rho_inv_cached, phinv.metric._eta_cached
     ):
         cache.cache_clear()
     run_scenario(scenario(dict(demo_scenarios()["demo_td"], dim=dim, t_max=0.1)))
-    assert len(calls) == 404
+    assert counts == {
+        "build_calls": 1426,
+        "ladder_exp_calls": 404,
+        "rk4_steps": 1656,
+        "h_evals": 6624,
+        "grid_points": 22011,
+    }

@@ -1,15 +1,21 @@
-"""Every name a phinv module imports is used in that module.
+"""Every name a phinv module imports is used in that module, and every
+name the package exports is used by the package.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by `import` or `from ... import` must appear as a name
 somewhere else in the module. `__future__` imports are directives, and the
-package `__init__` imports only to re-export, so both are exempt.
+package `__init__` imports only to re-export, so both are exempt. A name in
+`phinv.__all__` must be referenced, as a name or an attribute, in some
+module other than `__init__`: an export only tests use belongs in
+`tests/support.py`.
 """
 
 import ast
 import pathlib
 
 import pytest
+
+import phinv
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "phinv"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -39,3 +45,15 @@ def test_scan_flags_an_injected_unused_import():
         "basis_state", "os",
     ]
     assert unused_imports("from __future__ import annotations\nimport numpy as np\nnp.pi\n") == []
+
+
+def referenced_names(source: str) -> set[str]:
+    tree = ast.parse(source)
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return names | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def test_every_export_is_used_inside_the_package():
+    used = set().union(*(referenced_names(p.read_text(encoding="utf-8")) for p in MODULES))
+    assert sorted(set(phinv.__all__) - used) == []
+    assert "gauss_params" not in referenced_names("from .metric import gauss_params\n")

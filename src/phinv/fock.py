@@ -9,9 +9,14 @@ K0 as its main diagonal alone) and multiplies a vector in O(N) and a matrix
 in O(N^2). The product of two such operators, a commutator term, is again a
 BandOperator, on the diagonals at offsets 0, +-2 and +-4, formed in O(N).
 Its dense form holds the same entries as the sum of the dense generators.
+An operator that keeps the parity of n (the metric map rho, its inverse,
+eta) is a ParityBlocks: its even-level and odd-level blocks in one
+(2, m, m) array, m = ceil(N/2), so it stores and multiplies half the
+entries of the dense matrix, none of them the dense matrix's exact zeros.
 Identities involving raising operators are only exact away from the
 truncation edge, so comparisons support an interior block that excludes the
-top few levels; `interior_norm` takes it on a dense array or on the bands.
+top few levels; `interior_norm` takes it on a dense array, on the bands or
+on the parity blocks.
 """
 
 from __future__ import annotations
@@ -25,15 +30,6 @@ import numpy as np
 from .errors import DimensionError, DomainError, ShapeError
 
 TAIL_LEVELS = 4
-
-
-def ensure_operator(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"operator must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise DomainError("operator has non-finite entries")
-    return a
 
 
 def ensure_state(v: np.ndarray) -> np.ndarray:
@@ -111,7 +107,8 @@ class BandOperator:
     conjugates. `op @ v`, `op @ M`, `M @ op` and `op @ other_op` skip the
     exact-zero terms of the dense product and add the remaining ones in the
     order `op @ M` does, row by row of the left operand; `op @ other_op` is
-    a BandOperator again. `.dense()` and `np.asarray(op)` return the dense
+    a BandOperator again, and `op @ blocks` with a ParityBlocks is formed by
+    the ParityBlocks. `.dense()` and `np.asarray(op)` return the dense
     matrix as a complex array; there is no other arithmetic with arrays.
     """
 
@@ -144,6 +141,8 @@ class BandOperator:
     def __matmul__(self, other):
         if isinstance(other, BandOperator):
             return BandOperator(_band_product(self.bands, other.bands))
+        if isinstance(other, ParityBlocks):
+            return NotImplemented
         other = np.asarray(other)
         b = self.bands if other.ndim == 1 else self.bands[:, :, None]
         out = b[0] * other
@@ -162,6 +161,143 @@ class BandOperator:
             right += other[..., :-k] * b[k - 1, :-k]
             left += other[..., k:] * b[k, :-k]
         return out
+
+
+class ParityBlocks:
+    """A real or complex operator that keeps the parity of n, held as its
+    parity blocks.
+
+    blocks is a (2, m, m) array with m = ceil(dim / 2): blocks[0][i, j] is
+    the entry [2i, 2j] and blocks[1][i, j] the entry [2i + 1, 2j + 1]. For an
+    odd dim the odd block has m - 1 levels and is zero-padded in its last
+    row and column. `op @ v` takes a state or a (dim, k) matrix in natural
+    order and returns one; `op @ band` and `band @ op` with a BandOperator,
+    `.T`, `+` and `-` with another ParityBlocks, and `*` and `/` by a scalar
+    return a ParityBlocks. Inside a block a band's rows at offsets +-2k are
+    the rows at +-k. `.dense()` and `np.asarray(op)` return the dense
+    matrix; there is no other arithmetic with arrays.
+    """
+
+    # Makes ndarray @ op and ndarray + op raise instead of converting op.
+    __array_ufunc__ = None
+
+    def __init__(self, blocks: np.ndarray, dim: int):
+        self.blocks = blocks
+        self.dim = dim
+
+    @classmethod
+    def from_dense(cls, a: np.ndarray) -> "ParityBlocks":
+        """The parity blocks of a square matrix; entries that join an even
+        and an odd level are dropped."""
+        dim = len(a)
+        m = (dim + 1) // 2
+        blocks = np.zeros((2, m, m), dtype=a.dtype)
+        blocks[0] = a[0::2, 0::2]
+        blocks[1, : dim // 2, : dim // 2] = a[1::2, 1::2]
+        return cls(blocks, dim)
+
+    def dense(self) -> np.ndarray:
+        dim = self.dim
+        out = np.zeros((dim, dim), dtype=self.blocks.dtype)
+        out[0::2, 0::2] = self.blocks[0]
+        out[1::2, 1::2] = self.blocks[1, : dim // 2, : dim // 2]
+        return out
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        out = self.dense()
+        return out if dtype is None else out.astype(dtype, copy=False)
+
+    @property
+    def T(self) -> "ParityBlocks":
+        return ParityBlocks(self.blocks.transpose(0, 2, 1), self.dim)
+
+    def columns(self, stop: int) -> np.ndarray:
+        """Columns 0 .. stop - 1 as a (dim, stop) array in natural order."""
+        out = np.zeros((self.dim, stop), dtype=self.blocks.dtype)
+        for p in (0, 1):
+            out[p::2, p::2] = self.blocks[p, : (self.dim - p + 1) // 2, : (stop - p + 1) // 2]
+        return out
+
+    def __add__(self, other):
+        if isinstance(other, ParityBlocks):
+            return ParityBlocks(self.blocks + other.blocks, self.dim)
+        return NotImplemented
+
+    def __sub__(self, other):
+        if isinstance(other, ParityBlocks):
+            return ParityBlocks(self.blocks - other.blocks, self.dim)
+        return NotImplemented
+
+    def __neg__(self) -> "ParityBlocks":
+        return ParityBlocks(-self.blocks, self.dim)
+
+    def __mul__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return ParityBlocks(self.blocks * other, self.dim)
+        return NotImplemented
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, (int, float, complex)):
+            return ParityBlocks(self.blocks / other, self.dim)
+        return NotImplemented
+
+    def __matmul__(self, other):
+        if isinstance(other, BandOperator):
+            # Each column j of a block collects the block's columns j -+ k
+            # scaled by the band's +-k rows, in BandOperator.__rmatmul__'s order.
+            b = _sector_bands(other.bands, self.dim)[:, :, None, :]
+            a = self.blocks
+            out = a * b[0]
+            for k in range(1, (len(b) + 1) // 2):
+                left, right = out[..., :-k], out[..., k:]
+                right += a[..., :-k] * b[2 * k - 1, ..., :-k]
+                left += a[..., k:] * b[2 * k, ..., :-k]
+            return ParityBlocks(out, self.dim)
+        if isinstance(other, ParityBlocks):
+            return NotImplemented
+        return self._apply(np.asarray(other))
+
+    def __rmatmul__(self, other):
+        if not isinstance(other, BandOperator):
+            return NotImplemented
+        # Each row i of a block collects the block's rows i +- k scaled by
+        # the band's +-k rows, in BandOperator.__matmul__'s order.
+        b = _sector_bands(other.bands, self.dim)[..., None]
+        a = self.blocks
+        out = b[0] * a
+        for k in range(1, (len(b) + 1) // 2):
+            head, tail = out[:, :-k], out[:, k:]
+            head += b[2 * k - 1, :, :-k] * a[:, k:]
+            tail += b[2 * k, :, :-k] * a[:, :-k]
+        return ParityBlocks(out, self.dim)
+
+    def _apply(self, v: np.ndarray) -> np.ndarray:
+        """op @ v for a natural-order (dim,) or (dim, k) array: one batched
+        product over both blocks, read from and written to natural order
+        through strided views. Real blocks take a complex v as its real and
+        imaginary columns, so the blocks are never cast to complex."""
+        dim, m = self.dim, self.blocks.shape[1]
+        cols = np.ascontiguousarray(v.reshape(dim, -1))
+        if dim != 2 * m:
+            cols = np.concatenate([cols, np.zeros((1, cols.shape[1]), cols.dtype)])
+        out = np.empty((m, 2, cols.shape[1]), dtype=np.result_type(self.blocks, cols))
+        x, y = cols.reshape(m, 2, -1).transpose(1, 0, 2), out.transpose(1, 0, 2)
+        if x.dtype.kind == "c" and self.blocks.dtype.kind != "c":
+            x, y = x.view(np.float64), y.view(np.float64)
+        np.matmul(self.blocks, x, out=y)
+        return out.reshape(2 * m, -1)[:dim].reshape(v.shape)
+
+
+def _sector_bands(bands: np.ndarray, dim: int) -> np.ndarray:
+    """A band stack's rows split by parity, a (rows, 2, m) array: slot i of
+    sector p is the natural slot 2i + p, zero past the end of an odd dim.
+    Stored rows at offsets 0, +-2, +-4, ... are a sector's 0, +-1, +-2, ..."""
+    m = (dim + 1) // 2
+    if dim != 2 * m:
+        bands = np.concatenate([bands, np.zeros((len(bands), 1), bands.dtype)], axis=1)
+    return bands.reshape(len(bands), m, 2).transpose(0, 2, 1)
 
 
 def _band_offset(row: int) -> int:
@@ -211,22 +347,37 @@ def k0_operator(dim: int, coeff: float) -> BandOperator:
     return BandOperator(coeff * _su11_diagonals(dim)[:1])
 
 
-def interior_norm(a: np.ndarray | BandOperator, exclude_top: int = 3) -> float:
+def interior_norm(
+    a: np.ndarray | BandOperator | ParityBlocks, exclude_top: int = 3
+) -> float:
     """Frobenius norm of the block that drops the top `exclude_top` levels
-    from both rows and columns, of a dense array or of a BandOperator.
+    from both rows and columns, of a dense array, a BandOperator or a
+    ParityBlocks.
 
     A dense block is summed where it lies (np.linalg.norm would first copy
     the non-contiguous slice); a band row at offset +-k keeps its first
-    dim - exclude_top - k slots.
+    dim - exclude_top - k slots; of keep = dim - exclude_top levels, the even
+    block keeps its first ceil(keep / 2) and the odd block floor(keep / 2).
     """
     if isinstance(a, BandOperator):
         keep = a.bands.shape[1] - exclude_top
         parts = [row[: max(keep - abs(_band_offset(r)), 0)] for r, row in enumerate(a.bands)]
         return float(np.linalg.norm(np.concatenate(parts)))
-    keep = a.shape[0] - exclude_top
-    block = a[:keep, :keep]
-    parts = (block.real, block.imag) if np.iscomplexobj(block) else (block,)
-    return math.sqrt(sum(float(np.einsum("ij,ij->", x, x)) for x in parts))
+    if isinstance(a, ParityBlocks):
+        keep = a.dim - exclude_top
+        even, odd = (keep + 1) // 2, keep // 2
+        blocks = (a.blocks[0, :even, :even], a.blocks[1, :odd, :odd])
+    else:
+        keep = a.shape[0] - exclude_top
+        blocks = (a[:keep, :keep],)
+    total = 0.0
+    for b in blocks:
+        if b.dtype.kind == "c":
+            re, im = b.real, b.imag
+            total += float(np.einsum("ij,ij->", re, re)) + float(np.einsum("ij,ij->", im, im))
+        else:
+            total += float(np.einsum("ij,ij->", b, b))
+    return math.sqrt(total)
 
 
 def tail_support(v: np.ndarray) -> float:
@@ -238,9 +389,13 @@ def tail_support(v: np.ndarray) -> float:
     return float(np.sum(np.abs(v[-TAIL_LEVELS:]) ** 2)) / total
 
 
-def basis_column(m: np.ndarray, n: int) -> np.ndarray:
-    """Column n of the square matrix m, m|n>, as a new complex vector."""
-    dim = m.shape[1]
+def basis_column(m: ParityBlocks, n: int) -> np.ndarray:
+    """Column n of m, m|n>, as a new complex vector: column n // 2 of the
+    block of n's parity, on the levels of that parity."""
+    dim = m.dim
     if not 0 <= n < dim:
         raise ShapeError(f"basis index {n} out of range for dim {dim}")
-    return m[:, n].astype(complex)
+    p = n % 2
+    out = np.zeros(dim, dtype=complex)
+    out[p::2] = m.blocks[p, : (dim - p + 1) // 2, n // 2]
+    return out

@@ -6,8 +6,9 @@ for the Schrödinger equation, the metric flow relation, and the invariant
 equation, and a conjugation check that the invariant maps to 2 K0.
 
 H(t), the invariant and 2 K0 enter every product as BandOperators (three
-diagonals), so the RK4 oracles cost O(N) per stage and the meters O(N^2) per
-report time outside the dense metric products. The invariant meter works on
+diagonals), and rho and eta as their two parity blocks (fock.ParityBlocks),
+so the RK4 oracles cost O(N) per stage and the meters O(N^2) per report time
+outside the metric builders. The invariant meter works on
 bands alone: its time derivative is taken over I's three diagonals, the only
 entries it has, and the commutator [I, H] is a band product with five. eta is
 real symmetric and I is real, so H^dag eta = (eta H)^dag and

@@ -49,7 +49,7 @@ from .propagator import (
     propagate,
     schrodinger_residual,
 )
-from .scenario import ScenarioConfig
+from .scenario import ScenarioConfig, canonical_hash
 
 FIXED_COLUMNS = [
     "t", "Phi", "vtheta0", "chi",
@@ -158,7 +158,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     rayleigh_dev = np.empty(n_times)
     image_dev = np.empty(n_times)
     constraint_dev = np.empty(n_times)
-    ns = range(min(RAYLEIGH_MAX_N, dim // 4) + 1)
+    levels = np.arange(min(RAYLEIGH_MAX_N, dim // 4) + 1) + 0.5
     for i in range(n_times):
         s_i = traj.state_at(i)
         c_i = traj.coeffs_at(i)
@@ -170,14 +170,11 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             inv_res[i] = invariant_residual(traj, i, dim)
             dys_res[i] = dyson_residual(traj, i, dim)
         inv_op = invariant_op(s_i, dim)
-        rho_inv = build_rho_inverse(s_i, dim)
-        worst = 0.0
-        for n in ns:
-            v = rho_inv[:, n]
-            den = float(np.real(np.vdot(v, eta @ v)))
-            num = float(np.real(np.vdot(v, eta @ (inv_op @ v))))
-            worst = max(worst, abs(num / den - (n + 0.5)))
-        rayleigh_dev[i] = worst
+        # The columns rho^{-1}|n> are real, as are eta and I.
+        v = build_rho_inverse(s_i, dim).columns(len(levels))
+        den = np.sum(v * (eta @ v), axis=0)
+        num = np.sum(v * (eta @ (inv_op @ v)), axis=0)
+        rayleigh_dev[i] = float(np.max(np.abs(num / den - levels)))
         image_dev[i] = hermitian_image_check(traj, i, dim)
         constraint_dev[i] = max(constraint_residuals(s_i, c_i).values())
 
@@ -380,7 +377,8 @@ def verify_artifacts(
     run takes its max over the dense grid). Tolerances default to the
     recorded ones and can be overridden (typically tightened). The pair
     must belong together: the report's recorded CSV digest must match the
-    given CSV.
+    given CSV, and its recorded effective config must hash to its recorded
+    config hash.
     """
     overrides = overrides or {}
     try:
@@ -391,9 +389,15 @@ def verify_artifacts(
         checks = report["checks"]
         prov = report["provenance"]
         recorded_digest = prov["csv_sha256"]
+        recorded_hash = prov["config_hash"]
         eff = prov["effective_config"]
     except (KeyError, TypeError) as e:
         raise FormatError(f"report is missing required field: {e}") from e
+    if canonical_hash(eff) != recorded_hash:
+        raise FormatError(
+            "the report's effective_config does not hash to its config_hash; "
+            "the report was edited"
+        )
 
     digest = hashlib.sha256(csv_text.encode()).hexdigest()
     if digest != recorded_digest:

@@ -151,8 +151,14 @@ class ScenarioConfig:
         }
 
     def config_hash(self) -> str:
-        blob = json.dumps(self.effective(), sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode()).hexdigest()
+        return canonical_hash(self.effective())
+
+
+def canonical_hash(doc: Any) -> str:
+    """sha256 of the canonical JSON of doc (sorted keys, no whitespace), the
+    config hash of an effective config; a JSON round trip keeps it."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def _require_number(raw: Any, where: str) -> float:

@@ -7,15 +7,15 @@ recurrence, where phinv reads a per-dim coefficient table; the dense_*
 meters are the residual meters as dense matrix algebra over the full
 generator matrices, where phinv multiplies by three diagonals; the
 dense_gemm_* builders form rho, rho^-1 and eta from the same factors by full
-dense products, where phinv multiplies each parity sector on its own. They
+dense products, where phinv multiplies the factors' parity blocks. They
 exist so the factored/banded production routes are checked against
 algorithms that share none of their structure.
 
-commutator, apply, adjoint, frobenius_distance, nilpotent_exp and
-diagonal_power are the small exact matrix toolkit the operator-algebra tests
-are written in, with phinv's input checks (square, finite, matching shapes);
-the last two raise StructureError on an argument without the structure they
-need.
+ensure_operator, commutator, apply, adjoint, frobenius_distance,
+nilpotent_exp and diagonal_power are the small exact matrix toolkit the
+operator-algebra tests are written in, with phinv's input checks (square,
+finite, matching shapes); the last two raise StructureError on an argument
+without the structure they need.
 
 conjugate_k, raw_metric_rates and uv_coefficients are closed forms of the
 paper that the pipeline does not evaluate: the conjugated su(1,1)
@@ -50,11 +50,20 @@ from phinv import (
     interior_norm,
     ladder_exp,
 )
-from phinv.fock import ensure_operator, ensure_state
+from phinv.fock import ensure_state
 
 
 class StructureError(NumericsError):
     """Matrix lacks the structure an algorithm requires (band, diagonal)."""
+
+
+def ensure_operator(a: np.ndarray) -> np.ndarray:
+    a = np.asarray(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ShapeError(f"operator must be square, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("operator has non-finite entries")
+    return a
 
 
 def reference_expm(a: np.ndarray) -> np.ndarray:
@@ -250,16 +259,16 @@ def _k0_diagonal_power(base: float, dim: int) -> np.ndarray:
 
 def dense_gemm_rho(g, dim: int) -> np.ndarray:
     """exp(vtheta_plus K+) vtheta0^K0 exp(vtheta_minus K-) as one full gemm."""
-    e_plus = ladder_exp(g.vtheta_plus, dim, raising=True)
-    e_minus = ladder_exp(g.vtheta_minus, dim, raising=False)
+    e_plus = ladder_exp(g.vtheta_plus, dim, raising=True).dense()
+    e_minus = ladder_exp(g.vtheta_minus, dim, raising=False).dense()
     return e_plus @ (_k0_diagonal_power(g.vtheta_zero, dim)[:, None] * e_minus)
 
 
 def dense_gemm_rho_inverse(g, dim: int) -> np.ndarray:
     """The reversed factors with negated and reciprocal parameters, as one
     full gemm."""
-    e_minus = ladder_exp(-g.vtheta_minus, dim, raising=False)
-    e_plus = ladder_exp(-g.vtheta_plus, dim, raising=True)
+    e_minus = ladder_exp(-g.vtheta_minus, dim, raising=False).dense()
+    e_plus = ladder_exp(-g.vtheta_plus, dim, raising=True).dense()
     return e_minus @ (_k0_diagonal_power(1.0 / g.vtheta_zero, dim)[:, None] * e_plus)
 
 
@@ -293,9 +302,9 @@ def dense_dyson_residual(traj, t_index: int, dim: int) -> float:
     """|d(eta)/dt + i (H_adj eta - eta H)| / max(1, |eta H|) on the interior
     block, with every product a dense matmul."""
     eta_dot = _dense_fd4_richardson(
-        lambda j: build_eta(traj.state_at(j), dim), t_index, traj.dt
+        lambda j: build_eta(traj.state_at(j), dim).dense(), t_index, traj.dt
     )
-    eta = build_eta(traj.state_at(t_index), dim)
+    eta = build_eta(traj.state_at(t_index), dim).dense()
     h_mat = dense_hamiltonian(traj.coeffs_at(t_index), dim)
     residual = eta_dot + 1j * (h_mat.conj().T @ eta - eta @ h_mat)
     return interior_norm(residual) / max(1.0, interior_norm(eta @ h_mat))
@@ -318,8 +327,8 @@ def dense_hermitian_image_check(traj, t_index: int, dim: int) -> float:
     |rho I - 2 K0 rho| / max(1, |2 K0 rho|), as dense matmuls."""
     s = traj.state_at(t_index)
     inv = dense_invariant(s, dim)
-    eta = build_eta(s, dim)
-    rho = build_rho(s, dim)
+    eta = build_eta(s, dim).dense()
+    rho = build_rho(s, dim).dense()
     two_k0 = 2 * cached_operator_set(dim).k_zero
     herm = eta @ inv - inv.conj().T @ eta
     r1 = interior_norm(herm) / max(1.0, interior_norm(eta @ inv))

@@ -1,0 +1,49 @@
+"""The A/B script's summary: pair wins, quartiles and the gain rule, on
+synthetic runs (running the benchmark itself is not a unit test)."""
+
+import importlib.util
+import pathlib
+
+import pytest
+
+AB = pathlib.Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+spec = importlib.util.spec_from_file_location("ab", AB)
+ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab)
+
+
+def test_a_clear_drop_in_a_lower_is_better_metric_is_a_gain():
+    base = [266.0, 266.4, 266.2, 266.1, 266.3, 266.5, 266.2, 266.0, 266.6, 266.3]
+    change = [157.0 + 0.01 * i for i in range(10)]
+    s = ab.summarize(base, change, "lower", 0.1)
+    assert s["change_wins"] == 10 and s["pairs"] == 10
+    assert s["base"]["median"] == pytest.approx(266.25)
+    assert s["change"]["median"] == pytest.approx(157.045)
+    assert (s["base"]["q1"], s["base"]["q3"]) == pytest.approx((266.075, 266.425))
+    assert s["median_gain"] == pytest.approx(109.205)
+    assert s["gain"] and s["within_bound"]
+    assert s["relative_worsening"] == pytest.approx(-109.205 / 266.25)
+
+
+def test_eight_wins_in_ten_or_a_gap_inside_the_spread_is_no_gain():
+    base = [1.0] * 10
+    change = [0.5] * 8 + [1.5] * 2
+    s = ab.summarize(base, change, "lower", 0.25)
+    assert s["change_wins"] == 8 and not s["gain"]
+    # Nine wins by a hair: the medians differ by less than the base's spread.
+    base = [1.0, 1.2, 1.1, 1.3, 1.0, 1.2, 1.1, 1.3, 1.0, 1.2]
+    change = [b - 0.001 for b in base[:9]] + [2.0]
+    s = ab.summarize(base, change, "lower", 0.25)
+    assert s["change_wins"] == 9
+    assert s["median_gain"] < s["base_iqr"] and not s["gain"]
+
+
+def test_higher_is_better_ties_and_the_bound():
+    base = [10.0, 10.0, 10.0, 10.0]
+    s = ab.summarize(base, [10.0, 10.0, 9.0, 9.0], "higher", 0.05)
+    assert s["change_wins"] == 0  # ties count for neither side
+    assert s["relative_worsening"] == pytest.approx(0.05) and s["within_bound"]
+    s = ab.summarize(base, [9.0, 9.0, 9.0, 9.0], "higher", 0.05)
+    assert s["relative_worsening"] == pytest.approx(0.1) and not s["within_bound"]
+    with pytest.raises(ValueError):
+        ab.summarize([1.0, 2.0], [1.0], "lower", 0.1)

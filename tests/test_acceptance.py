@@ -320,10 +320,10 @@ def test_criterion_07_metric_algebra_float64(frozen_disentangle_reference):
     ops = cached_operator_set(64)
     g = gauss_params(0.0, 0.3)
     gen = 0.6 * (ops.k_minus + ops.k_plus)
-    rho = build_rho(g, 64)
+    rho = build_rho(g, 64).dense()
     disentangle = frobenius_distance(rho, reference_expm(gen), exclude_top=3)
     direct = frobenius_distance(
-        rho @ ops.k_minus @ build_rho_inverse(g, 64),
+        rho @ ops.k_minus @ build_rho_inverse(g, 64).dense(),
         conjugate_k(g, "minus", 64),
         exclude_top=3,
     )
@@ -358,7 +358,7 @@ def test_criterion_07_demonstration(frozen_disentangle_reference, ops64):
     # exact-arithmetic anchor, valid at strong coupling
     worst_ref = 0.0
     for entry in frozen_disentangle_reference["points"].values():
-        r = build_rho(gauss_params(entry["eps"], entry["mu"]), 64)
+        r = build_rho(gauss_params(entry["eps"], entry["mu"]), 64).dense()
         for n_str, col_strs in entry["cols"].items():
             ref = np.array([float(x) for x in col_strs])
             dev = np.linalg.norm(r[:, int(n_str)].real - ref)
@@ -370,7 +370,7 @@ def test_criterion_07_demonstration(frozen_disentangle_reference, ops64):
     eps, mu = 0.1, 0.02
     gen = 2 * eps * ops64.k_zero + 2 * mu * (ops64.k_minus + ops64.k_plus)
     deep = frobenius_distance(
-        build_rho(gauss_params(eps, mu), 64), reference_expm(gen), exclude_top=40
+        build_rho(gauss_params(eps, mu), 64).dense(), reference_expm(gen), exclude_top=40
     )
     assert deep <= 1e-10
 
@@ -378,7 +378,7 @@ def test_criterion_07_demonstration(frozen_disentangle_reference, ops64):
     worst_conj = 0.0
     for e, m in ((0.0, 0.3), (0.45, 0.4), (-0.3, 0.25)):
         g = gauss_params(e, m)
-        rho = build_rho(g, 64)
+        rho = build_rho(g, 64).dense()
         for which, k in (("plus", ops64.k_plus), ("zero", ops64.k_zero), ("minus", ops64.k_minus)):
             closed = conjugate_k(g, which, 64)
             resid = interior_norm(rho @ k - closed @ rho)
@@ -543,11 +543,11 @@ def test_criterion_10_meter_sensitivity(gentle_traj, gentle_states):
         )
     record(
         "rayleigh",
-        rayleigh(build_rho_inverse(s, dim)[:, 3]),
-        rayleigh(build_rho_inverse(s_bad, dim)[:, 3]),
+        rayleigh(build_rho_inverse(s, dim).dense()[:, 3]),
+        rayleigh(build_rho_inverse(s_bad, dim).dense()[:, 3]),
     )
 
-    rho = build_rho(s, dim)
+    rho = build_rho(s, dim).dense()
     two_k0 = 2 * cached_operator_set(dim).k_zero
     scale = max(1.0, interior_norm(two_k0 @ rho))
     record(

@@ -84,6 +84,19 @@ def test_verify_tampered_artifacts(artifact_dir, tmp_path, capsys):
     assert "digest mismatch" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [("dim", 8), ("seed", 12345)])
+def test_verify_rejects_an_edited_effective_config(artifact_dir, tmp_path, capsys, field, value):
+    edited = tmp_path / "pair"
+    edited.mkdir()
+    shutil.copy(artifact_dir / "series.csv", edited / "series.csv")
+    report = json.loads((artifact_dir / "report.json").read_text())
+    report["provenance"]["effective_config"][field] = value
+    (edited / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    rc = main(["verify", "--out", str(edited)])
+    assert rc == 2
+    assert "does not hash to its config_hash" in capsys.readouterr().err
+
+
 def test_verify_missing_artifacts(tmp_path, capsys):
     rc = main(["verify", "--out", str(tmp_path)])
     assert rc == 2

@@ -28,7 +28,7 @@ from phinv import (
     propagate,
     tail_support,
 )
-from phinv.fock import BandOperator, basis_column, k0_operator, su11_operator
+from phinv.fock import BandOperator, ParityBlocks, basis_column, k0_operator, su11_operator
 from phinv.model import (
     HamiltonianCoefficients,
     MetricState,
@@ -149,7 +149,7 @@ def test_ladder_exp_matches_series(ops64):
             for raising in (True, False):
                 gen = tau * (ops.k_plus if raising else ops.k_minus)
                 ref = nilpotent_exp(gen, 2)
-                fast = ladder_exp(tau, dim, raising)
+                fast = ladder_exp(tau, dim, raising).dense()
                 rel = np.linalg.norm(fast - ref) / max(1.0, np.linalg.norm(ref))
                 assert rel <= 1e-12
 
@@ -157,7 +157,7 @@ def test_ladder_exp_matches_series(ops64):
 def test_ladder_exp_transpose_symmetry():
     up = ladder_exp(0.45, 32, True)
     down = ladder_exp(0.45, 32, False)
-    assert np.array_equal(up, down.T)
+    assert np.array_equal(up.dense(), down.T.dense())
 
 
 def test_ladder_exp_matches_loop_oracle():
@@ -169,7 +169,7 @@ def test_ladder_exp_matches_loop_oracle():
         for tau in (0.0, 0.2, -0.2, 0.3, -0.5, 0.7, 1.2, -1.5):
             for raising in (True, False):
                 want = ladder_exp_loop(tau, dim, raising)
-                got = ladder_exp(tau, dim, raising)
+                got = ladder_exp(tau, dim, raising).dense()
                 assert got.shape == want.shape
                 assert np.count_nonzero(got) == np.count_nonzero(want)
                 big = np.abs(want) > 1e-250
@@ -229,12 +229,12 @@ def test_basis_state_and_apply():
 
 
 def test_basis_column_is_the_matvec_on_a_basis_state():
-    m = np.arange(25.0).reshape(5, 5)
-    m.setflags(write=False)
+    m = ParityBlocks.from_dense(np.arange(25.0).reshape(5, 5))
+    m.blocks.setflags(write=False)
     for n in range(5):
         col = basis_column(m, n)
         assert col.dtype == complex and col.flags.writeable
-        assert np.array_equal(col, m @ basis_state(5, n))
+        assert np.array_equal(col, m.dense() @ basis_state(5, n))
     for n in (-1, 5):
         with pytest.raises(ShapeError):
             basis_column(m, n)
@@ -356,3 +356,39 @@ def test_band_product_and_band_interior_norm_match_dense(dim, seed):
             assert np.array_equal(prod.dense(), a @ b.dense())
             norm = interior_norm(want)
             assert abs(interior_norm(prod) - norm) <= 1e-14 * max(norm, 1e-300)
+
+
+@pytest.mark.parametrize("dim", [8, 9, 64, 65])
+def test_parity_blocks_match_their_dense_matrix(dim):
+    rng = np.random.default_rng(dim)
+    a, b, c, d = (ParityBlocks.from_dense(rng.normal(size=(dim, dim))) for _ in range(4))
+    ad, bd, cd, dd = a.dense(), b.dense(), c.dense(), d.dense()
+    assert not ad[0::2, 1::2].any() and not ad[1::2, 0::2].any()
+    for v in (
+        rng.normal(size=dim),
+        _complex_normals(rng, dim),
+        rng.normal(size=(dim, 7)),
+        _complex_normals(rng, dim, 7),
+    ):
+        got, want = a @ v, ad @ v
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert _relative_gap(got, want) <= 1e-15
+    for rows in (1, 3):
+        for is_complex in (False, True):
+            band = _random_bands(rng, dim, rows, is_complex)
+            # Inside a block the band's +-2 rows are +-1 rows; the terms are
+            # added in the order of the band x dense products.
+            assert np.array_equal((a @ band).dense(), ad @ band)
+            assert np.array_equal((band @ a).dense(), band @ ad)
+    assert np.array_equal(a.T.dense(), ad.T)
+    h = 0.01
+    d_h = (-a + 8 * b - 8 * c + d) / (12 * h)
+    want_h = (-ad + 8 * bd - 8 * cd + dd) / (12 * h)
+    assert np.array_equal(d_h.dense(), want_h)
+    assert np.array_equal(((16 * d_h - a.T) / 15).dense(), (16 * want_h - ad.T) / 15)
+    for top in (3, 4):
+        want = interior_norm(ad, exclude_top=top)
+        assert abs(interior_norm(a, exclude_top=top) - want) <= 1e-15 * want
+    for n in range(dim):
+        assert np.array_equal(basis_column(a, n), ad[:, n].astype(complex))
+    assert np.array_equal(a.columns(7), ad[:, :7])

@@ -21,6 +21,7 @@ from support import (
 )
 
 from phinv import (
+    DomainError,
     MetricState,
     NumericsError,
     SingularMetricError,
@@ -115,20 +116,20 @@ def test_metric_state_factor_parameters():
 
 def test_build_rho_identity_params():
     g = gauss_params(0.0, 0.0)
-    assert np.allclose(build_rho(g, 16), np.eye(16), atol=1e-15)
-    assert np.allclose(build_rho_inverse(g, 16), np.eye(16), atol=1e-15)
-    assert np.allclose(build_eta(g, 16), np.eye(16), atol=1e-15)
+    assert np.allclose(build_rho(g, 16).dense(), np.eye(16), atol=1e-15)
+    assert np.allclose(build_rho_inverse(g, 16).dense(), np.eye(16), atol=1e-15)
+    assert np.allclose(build_eta(g, 16).dense(), np.eye(16), atol=1e-15)
 
 
 def test_build_rho_diagonal_small_dim():
     g = gauss_params(1.0, 0.0)
-    r = build_rho(g, 3)
+    r = build_rho(g, 3).dense()
     assert np.allclose(r, np.diag(np.exp([0.5, 1.5, 2.5])), rtol=1e-14)
 
 
 def test_rho_hermitian_relative_on_grid():
     for eps, mu in random_gauss_inputs(41, 25):
-        r = build_rho(gauss_params(eps, mu), 64)
+        r = build_rho(gauss_params(eps, mu), 64).dense()
         assert np.linalg.norm(r - r.conj().T) <= 1e-12 * np.linalg.norm(r)
 
 
@@ -137,7 +138,7 @@ def test_rho_hermitian_absolute_for_tame_factors():
     # itself stays at unit-thousands scale
     checked = 0
     for s in random_metric_states(42, 60):
-        r = build_rho(s, 64)
+        r = build_rho(s, 64).dense()
         if np.linalg.norm(r) <= 1e3:
             checked += 1
             assert np.linalg.norm(r - r.conj().T) <= 1e-12
@@ -146,36 +147,33 @@ def test_rho_hermitian_absolute_for_tame_factors():
 
 def test_rho_inverse_absolute_small_dim():
     g = gauss_params(0.0, 0.3)
-    res = np.linalg.norm(build_rho(g, 16) @ build_rho_inverse(g, 16) - np.eye(16))
-    assert res <= 1e-11
+    r, ri = build_rho(g, 16).dense(), build_rho_inverse(g, 16).dense()
+    assert np.linalg.norm(r @ ri - np.eye(16)) <= 1e-11
 
 
 def test_rho_inverse_backward_stable_product():
     # at 64 levels the factors reach 1e16 scales for strong squeezing, so
     # the meaningful float statement normalizes by the factor norms
     g = gauss_params(0.0, 0.3)
-    r, ri = build_rho(g, 64), build_rho_inverse(g, 64)
+    r, ri = build_rho(g, 64).dense(), build_rho_inverse(g, 64).dense()
     res = np.linalg.norm(r @ ri - np.eye(64))
     assert res / (np.linalg.norm(r) * np.linalg.norm(ri)) <= 1e-16
     for s in random_metric_states(43, 25):
-        r, ri = build_rho(s, 64), build_rho_inverse(s, 64)
+        r, ri = build_rho(s, 64).dense(), build_rho_inverse(s, 64).dense()
         res = np.linalg.norm(r @ ri - np.eye(64))
         assert res / (np.linalg.norm(r) * np.linalg.norm(ri)) <= 1e-14
 
 
 def test_rho_inverse_matches_dense_elimination():
-    for g in random_metric_states(12, 12):
-        dev = interior_norm(build_rho_inverse(g, 24) - dense_inverse(build_rho(g, 24)))
-        assert dev <= 1e-9
-    g = gauss_params(0.5, 0.2)
-    dev = interior_norm(build_rho_inverse(g, 24) - dense_inverse(build_rho(g, 24)))
-    assert dev <= 1e-9
+    for g in random_metric_states(12, 12) + [gauss_params(0.5, 0.2)]:
+        want = dense_inverse(build_rho(g, 24).dense())
+        assert interior_norm(build_rho_inverse(g, 24).dense() - want) <= 1e-9
 
 
 def test_eta_is_rho_squared_and_positive():
     g = gauss_params(0.5, 0.2)
-    eta = build_eta(g, 64)
-    r = build_rho(g, 64)
+    eta = build_eta(g, 64).dense()
+    r = build_rho(g, 64).dense()
     assert np.linalg.norm(eta - r @ r) <= 1e-12 * np.linalg.norm(eta)
     assert np.linalg.norm(eta - eta.conj().T) <= 1e-14 * np.linalg.norm(eta)
     rng = np.random.default_rng(7)
@@ -200,7 +198,7 @@ def test_conjugation_closed_form_minus():
     assert np.linalg.norm(conjugate_k(g, "minus", 64) - expected) <= 1e-13
     # multiplied-through identity rho K- = combo rho, which stays finite
     # where the direct triple product does not
-    r = build_rho(g, 64)
+    r = build_rho(g, 64).dense()
     lhs = r @ ops.k_minus
     rel = interior_norm(lhs - expected @ r) / max(1.0, interior_norm(lhs))
     assert rel <= 1e-12
@@ -209,7 +207,7 @@ def test_conjugation_closed_form_minus():
 def test_conjugation_multiplied_through_grid(ops64):
     for eps, mu in random_gauss_inputs(13, 20):
         g = gauss_params(eps, mu)
-        r = build_rho(g, 64)
+        r = build_rho(g, 64).dense()
         for which in ("minus", "zero", "plus"):
             lhs = r @ k_matrix(ops64, which)
             rel = interior_norm(lhs - conjugate_k(g, which, 64) @ r) / max(
@@ -224,7 +222,7 @@ def test_conjugation_direct_deep_interior(ops64):
     # below half depth and the direct comparison is clean
     for eps, mu in ((0.1, 0.02), (0.05, 0.02)):
         g = gauss_params(eps, mu)
-        r, ri = build_rho(g, 64), build_rho_inverse(g, 64)
+        r, ri = build_rho(g, 64).dense(), build_rho_inverse(g, 64).dense()
         for which in ("minus", "zero", "plus"):
             direct = r @ k_matrix(ops64, which) @ ri
             dev = frobenius_distance(direct, conjugate_k(g, which, 64), exclude_top=24)
@@ -236,7 +234,7 @@ def test_disentangle_against_frozen_reference(frozen_disentangle_reference):
     assert len(points) == 4
     for entry in points.values():
         g = gauss_params(entry["eps"], entry["mu"])
-        r = build_rho(g, 64)
+        r = build_rho(g, 64).dense()
         for n_str, col_strs in entry["cols"].items():
             n = int(n_str)
             ref = np.array([float(x) for x in col_strs])
@@ -252,7 +250,7 @@ def test_disentangle_reference_expm_deep_block(ops64):
     for (eps, mu), cut, tol in cases:
         g = gauss_params(eps, mu)
         gen = 2 * eps * ops64.k_zero + 2 * mu * (ops64.k_plus + ops64.k_minus)
-        dev = frobenius_distance(build_rho(g, 64), reference_expm(gen), exclude_top=cut)
+        dev = frobenius_distance(build_rho(g, 64).dense(), reference_expm(gen), exclude_top=cut)
         assert dev <= tol
 
 
@@ -261,8 +259,8 @@ def test_crop_stability():
     # the 96-level product cropped to 64 levels is the 64-level product
     for eps, mu in ((0.0, 0.3), (0.45, 0.4)):
         g = gauss_params(eps, mu)
-        big = build_rho(g, 96)[:64, :64]
-        small = build_rho(g, 64)
+        big = build_rho(g, 96).dense()[:64, :64]
+        small = build_rho(g, 64).dense()
         assert np.linalg.norm(big - small) <= 1e-13 * max(1.0, np.linalg.norm(small))
 
 
@@ -281,11 +279,26 @@ def test_rho_caching_returns_readonly():
     r2 = build_rho(g, 32)
     assert r1 is r2
     with pytest.raises(ValueError):
-        r1[0, 0] = 99.0
+        r1.blocks[0, 0, 0] = 99.0
+    # A dim-192 cache entry holds the two 96 x 96 blocks, half the dense matrix.
+    eta = build_eta(g, 192)
+    assert eta is build_eta(g, 192)
+    assert eta.blocks.nbytes == 2 * 96 * 96 * 8 == eta.dense().nbytes // 2
+    with pytest.raises(ValueError):
+        eta.blocks[1, 5, 5] = 1.0
+
+
+def test_eta_rejects_a_non_finite_rho():
+    # vtheta0^{K0} overflows on the top levels at dim 192.
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not np.all(np.isfinite(build_rho(MetricState(0.0, 1e7), 192).blocks))
+        with pytest.raises(DomainError, match="non-finite"):
+            build_eta(MetricState(0.0, 1e7), 192)
 
 
 @pytest.mark.parametrize("dim", [8, 9, 64, 65, 192])
 def test_parity_sector_builders_match_dense_gemm(dim):
+    m = (dim + 1) // 2
     for g in random_metric_states(29, 3) + [MetricState(0.45, 0.7)]:
         for build, oracle in (
             (build_rho, dense_gemm_rho),
@@ -293,6 +306,10 @@ def test_parity_sector_builders_match_dense_gemm(dim):
             (build_eta, dense_gemm_eta),
         ):
             got, want = build(g, dim), oracle(g, dim)
-            assert not got.flags.writeable
-            assert got.shape == want.shape and got.dtype == want.dtype
-            assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+            assert not got.blocks.flags.writeable
+            assert got.blocks.shape == (2, m, m)
+            if dim % 2:
+                assert not got.blocks[1, -1].any() and not got.blocks[1, :, -1].any()
+            dense = got.dense()
+            assert dense.shape == want.shape and dense.dtype == want.dtype
+            assert np.max(np.abs(dense - want)) <= 1e-15 * np.max(np.abs(want))

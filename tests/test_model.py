@@ -206,7 +206,7 @@ def test_invariant_eigencheck_strong_state_converges_with_dim():
 def test_invariant_image_under_metric_map(ops64):
     for s in random_metric_states(25, 10):
         inv = invariant_op(s, 64).dense()
-        r = build_rho(s, 64)
+        r = build_rho(s, 64).dense()
         lhs = r @ inv
         rhs = 2 * ops64.k_zero @ r
         assert interior_norm(lhs - rhs) / max(1.0, interior_norm(lhs)) <= 1e-12

@@ -1,0 +1,177 @@
+#!/usr/bin/env python3
+"""Alternating A/B of the benchmark: a base revision against the working tree.
+
+    python3 tools/ab.py --base HEAD~1 --pairs 10 --out BENCH_<n>.json
+
+Run it from the root of a checkout. It exports the base revision with
+`git archive` into a temporary directory and refuses to run unless that
+tree's perfbench/ is byte-identical to the working tree's, so both sides are
+measured by the same benchmark. For each workload it then runs
+`python3 perfbench/run.py --workload W --seed S --seconds T --trace 0` once
+in each tree per pair, alternating which side runs first, and writes one
+JSON file. Per workload and end-to-end metric (BENCHMARK.json) it holds both
+sides' runs, medians and quartiles, the pairs the change won, and two
+verdicts: `gain` (the change won at least nine tenths of the pairs, ties
+counting for neither, and the medians differ by more than the base's
+interquartile range) and `within_bound` (the change's median is not worse
+than the base's by more than the metric's relative bound).
+"""
+
+from __future__ import annotations
+
+import argparse
+import filecmp
+import io
+import json
+import math
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+# A gain needs the change to win at least 9 of every 10 pairs.
+GAIN_NUMERATOR, GAIN_DENOMINATOR = 9, 10
+
+
+def summarize(base: list[float], change: list[float], better: str, bound: float) -> dict:
+    """Compare paired runs of one metric; base[i] and change[i] are pair i.
+
+    better is "lower" or "higher". Quartiles are those of
+    statistics.quantiles(n=4), as perfbench/run.py reports them.
+    """
+    if len(base) != len(change) or len(base) < 2:
+        raise ValueError("need at least two pairs of runs, one base and one change run each")
+    sign = -1.0 if better == "lower" else 1.0
+    wins = sum(1 for b, c in zip(base, change) if sign * (c - b) > 0)
+    sides = {}
+    for name, runs in (("base", base), ("change", change)):
+        q1, _, q3 = statistics.quantiles(runs, n=4)
+        sides[name] = {"runs": runs, "median": statistics.median(runs), "q1": q1, "q3": q3}
+    gap = sign * (sides["change"]["median"] - sides["base"]["median"])
+    base_iqr = sides["base"]["q3"] - sides["base"]["q1"]
+    base_median = sides["base"]["median"]
+    if base_median:
+        worse_by = -gap / abs(base_median)
+    else:
+        worse_by = math.inf if gap < 0 else 0.0
+    return {
+        **sides,
+        "pairs": len(base),
+        "change_wins": wins,
+        "median_gain": gap,
+        "base_iqr": base_iqr,
+        "gain": wins * GAIN_DENOMINATOR >= GAIN_NUMERATOR * len(base) and gap > base_iqr,
+        "relative_worsening": worse_by,
+        "bound": bound,
+        "within_bound": worse_by <= bound,
+    }
+
+
+def _export(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                             capture_output=True, check=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        tar.extractall(dest, filter="data")
+
+
+def _rev_parse(rev: str) -> str:
+    return subprocess.run(["git", "rev-parse", rev], capture_output=True, text=True,
+                          check=True).stdout.strip()
+
+
+def _same_tree(a: Path, b: Path) -> bool:
+    """Whether two directories hold the same files with the same bytes,
+    bytecode caches aside."""
+    if not (a.is_dir() and b.is_dir()):
+        return False
+    cmp = filecmp.dircmp(a, b, ignore=["__pycache__"])
+    if cmp.left_only or cmp.right_only or cmp.funny_files:
+        return False
+    _, mismatch, errors = filecmp.cmpfiles(a, b, cmp.common_files, shallow=False)
+    return not mismatch and not errors and all(
+        _same_tree(a / d, b / d) for d in cmp.common_dirs
+    )
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=tree, capture_output=True, text=True,
+    )
+    if proc.returncode != 0:
+        raise RuntimeError(f"{tree}: {workload} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--out", required=True, type=Path, help="JSON file to write")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--workload", action="append",
+                        help="a workload to run (repeatable; default: every workload)")
+    args = parser.parse_args(argv)
+
+    root = Path.cwd()
+    bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    seconds = bench["run_seconds"]
+    with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
+        base_tree = Path(tmp)
+        _export(args.base, base_tree)
+        if not _same_tree(base_tree / "perfbench", root / "perfbench"):
+            print(f"perfbench/ differs between {args.base} and the working tree; "
+                  "an A/B needs the same benchmark on both sides", file=sys.stderr)
+            return 2
+        runs = {w: {"base": [], "change": []} for w in workloads}
+        for workload in workloads:
+            for i in range(args.pairs):
+                order = ("base", "change") if i % 2 == 0 else ("change", "base")
+                for side in order:
+                    tree = base_tree if side == "base" else root
+                    result = _run(tree, workload, args.seed, seconds)
+                    runs[workload][side].append(result)
+                    values = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
+                    print(f"{workload} pair {i} {side}: failed {result['failed']}/"
+                          f"{result['attempted']} {values}", flush=True)
+
+    out = {
+        "base": args.base,
+        "base_commit": _rev_parse(args.base),
+        "change": f"working tree on {_rev_parse('HEAD')}",
+        "seed": args.seed,
+        "seconds": seconds,
+        "pairs": args.pairs,
+        "workloads": {},
+    }
+    for workload, sides in runs.items():
+        entry = {
+            "failed": {s: sum(r["failed"] for r in rs) for s, rs in sides.items()},
+            "attempted": {s: sum(r["attempted"] for r in rs) for s, rs in sides.items()},
+            "metrics": {},
+        }
+        for metric in bench["end_to_end"]:
+            name = metric["name"]
+            entry["metrics"][name] = summarize(
+                [r["metrics"][name]["value"] for r in sides["base"]],
+                [r["metrics"][name]["value"] for r in sides["change"]],
+                metric["better"], metric["bound"],
+            )
+        out["workloads"][workload] = entry
+    args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    for workload, entry in out["workloads"].items():
+        for name, s in entry["metrics"].items():
+            print(f"{workload:16s} {name:12s} base {s['base']['median']:.4g} "
+                  f"[{s['base']['q1']:.4g}, {s['base']['q3']:.4g}] change "
+                  f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
+                  f"{s['change']['q3']:.4g}] wins {s['change_wins']}/{s['pairs']} "
+                  f"gain {s['gain']} within_bound {s['within_bound']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,9 +15,9 @@ import os
 import sys
 
 from ._version import __version__
-from .errors import InputError, NumericsError
+from .errors import ConfigError, InputError, NumericsError
 from .runner import run_scenario, verify_artifacts
-from .scenario import DEFAULT_TOLERANCES, demo_scenarios, parse_scenario
+from .scenario import DEFAULT_TOLERANCES, demo_scenarios, parse_scenario, tolerance_value
 
 
 def _tolerance_pair(text: str) -> tuple[str, float]:
@@ -74,12 +74,12 @@ def _cmd_run(args) -> int:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return 2
     cfg = parse_scenario(text)
-    overrides = dict(args.tolerance)
+    overrides = {}
+    for name, value in args.tolerance:
+        if name not in DEFAULT_TOLERANCES:
+            raise ConfigError(f"tolerances.{name}", "unknown tolerance name")
+        overrides[name] = tolerance_value(name, value)
     if overrides:
-        for name in overrides:
-            if name not in DEFAULT_TOLERANCES:
-                print(f"error: unknown tolerance name {name!r}", file=sys.stderr)
-                return 2
         cfg = dataclasses.replace(cfg, tolerances={**cfg.tolerances, **overrides})
     result = run_scenario(cfg)
     os.makedirs(args.out, exist_ok=True)

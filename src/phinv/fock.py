@@ -1,14 +1,15 @@
 """Truncated Fock-space operators and their interior-block norms.
 
 Operators live on the basis {|0>, ..., |N-1>}; states are complex N-vectors.
-The ladder and quadrature operators are dense complex numpy arrays. A
-combination of the su(1,1) generators K0, K- and K+ (the Hamiltonian, the
-invariant, 2 K0) is a BandOperator: it is nonzero only on the diagonals at
-offsets 0 and +-2, so it is stored as those three diagonals (a multiple of
-K0 as its main diagonal alone) and multiplies a vector in O(N) and a matrix
-in O(N^2). The product of two such operators, a commutator term, is again a
-BandOperator, on the diagonals at offsets 0, +-2 and +-4, formed in O(N).
-Its dense form holds the same entries as the sum of the dense generators.
+A combination of the su(1,1) generators K0 = a_dag a / 2 + 1/4,
+K- = a^2 / 2 and K+ = a_dag^2 / 2 (the Hamiltonian, the invariant, 2 K0) is
+a BandOperator: it is nonzero only on the diagonals at offsets 0 and +-2,
+so it is stored as those three diagonals, written from their closed form
+(a multiple of K0 as its main diagonal alone), and multiplies a vector in
+O(N) and a matrix in O(N^2). The product of two such operators, a
+commutator term, is again a BandOperator, on the diagonals at offsets 0,
++-2 and +-4, formed in O(N). Its dense form holds the same entries as the
+sum of the dense generators built from a[n-1, n] = sqrt(n).
 An operator that keeps the parity of n (the metric map rho, its inverse,
 eta) is a ParityBlocks: its even-level and odd-level blocks in one
 (2, m, m) array, m = ceil(N/2), so it stores and multiplies half the
@@ -22,7 +23,6 @@ on the parity blocks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -41,56 +41,18 @@ def ensure_state(v: np.ndarray) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class OperatorSet:
-    """The ladder, su(1,1), and quadrature operators at one dimension."""
-
-    dim: int
-    a: np.ndarray
-    a_dag: np.ndarray
-    k_plus: np.ndarray
-    k_minus: np.ndarray
-    k_zero: np.ndarray
-    x: np.ndarray
-    p: np.ndarray
-
-
-def build_operator_set(dim: int) -> OperatorSet:
-    """Populate a, a_dag, K_plus, K_minus, K_zero, x, p at the given dimension.
-
-    a[n-1, n] = sqrt(n); K_plus = a_dag^2/2, K_minus = a^2/2,
-    K_zero = diag(n/2 + 1/4); x = (a + a_dag)/sqrt(2), p = i(a_dag - a)/sqrt(2).
-    """
+@lru_cache(maxsize=8)
+def _su11_diagonals(dim: int) -> np.ndarray:
+    """K0's diagonal n/2 + 1/4, K-'s diagonal at +2 and K+'s at -2, both
+    sqrt(n+1) sqrt(n+2) / 2, as a read-only (3, dim) real stack (the last
+    two slots of rows 1 and 2 are zero). Each entry is the one the dense
+    products a a / 2 and a_dag a_dag / 2 hold, with a[n-1, n] = sqrt(n)."""
     if dim < 4:
         raise DimensionError(f"dim must be >= 4, got {dim}")
     n = np.arange(dim)
-    a = np.zeros((dim, dim), dtype=complex)
-    a[n[:-1], n[1:]] = np.sqrt(n[1:])
-    a_dag = a.conj().T.copy()
-    k_plus = a_dag @ a_dag / 2
-    k_minus = a @ a / 2
-    k_zero = np.diag((n / 2 + 0.25).astype(complex))
-    x = (a + a_dag) / math.sqrt(2)
-    p = 1j * (a_dag - a) / math.sqrt(2)
-    return OperatorSet(dim, a, a_dag, k_plus, k_minus, k_zero, x, p)
-
-
-@lru_cache(maxsize=8)
-def cached_operator_set(dim: int) -> OperatorSet:
-    """Shared read-only OperatorSet per dimension; callers must not mutate."""
-    return build_operator_set(dim)
-
-
-@lru_cache(maxsize=8)
-def _su11_diagonals(dim: int) -> np.ndarray:
-    """K0's diagonal, K-'s diagonal at +2 and K+'s at -2, read from the
-    cached dense operators into a read-only (3, dim) real stack (the last
-    two slots of rows 1 and 2 are zero)."""
-    ops = cached_operator_set(dim)
     out = np.zeros((3, dim))
-    out[0] = np.diagonal(ops.k_zero).real
-    out[1, :-2] = np.diagonal(ops.k_minus, 2).real
-    out[2, :-2] = np.diagonal(ops.k_plus, -2).real
+    out[0] = n / 2 + 0.25
+    out[1, :-2] = out[2, :-2] = np.sqrt(n[:-2] + 1) * np.sqrt(n[:-2] + 2) / 2
     out.setflags(write=False)
     return out
 
@@ -103,16 +65,15 @@ class BandOperator:
     diagonal sits in slot min(n, n + k) of its row, so a row at offset +-k
     fills its first dim - k slots and keeps the rest zero. The su(1,1)
     combinations have three rows; a diagonal operator may hold row 0 alone, a
-    (1, dim) array. `.adjoint()` swaps each +k row with its -k row and
-    conjugates. `op @ v`, `op @ M`, `M @ op` and `op @ other_op` skip the
+    (1, dim) array. `op @ v`, `op @ M` and `op @ other_op` skip the
     exact-zero terms of the dense product and add the remaining ones in the
     order `op @ M` does, row by row of the left operand; `op @ other_op` is
     a BandOperator again, and `op @ blocks` with a ParityBlocks is formed by
-    the ParityBlocks. `.dense()` and `np.asarray(op)` return the dense
-    matrix as a complex array; there is no other arithmetic with arrays.
+    the ParityBlocks. `.dense()` returns the dense matrix as a complex
+    array; there is no other arithmetic with arrays.
     """
 
-    # Makes ndarray @ op defer to __rmatmul__ instead of converting op.
+    # Makes ndarray @ op and ndarray + op raise instead of converting op.
     __array_ufunc__ = None
 
     def __init__(self, bands: np.ndarray):
@@ -128,16 +89,6 @@ class BandOperator:
             out[i[k:], i[:-k]] = b[k, :-k]
         return out
 
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = self.dense()
-        return out if dtype is None else out.astype(dtype, copy=False)
-
-    def adjoint(self) -> "BandOperator":
-        # Conjugate, and swap each +k row with its -k row; slots stay put.
-        b = self.bands.conj()
-        rows = [0] + [r for k in range(1, len(b), 2) for r in (k + 1, k)]
-        return BandOperator(b[rows])
-
     def __matmul__(self, other):
         if isinstance(other, BandOperator):
             return BandOperator(_band_product(self.bands, other.bands))
@@ -152,16 +103,6 @@ class BandOperator:
             tail += b[k, :-k] * other[:-k]
         return out
 
-    def __rmatmul__(self, other) -> np.ndarray:
-        other = np.asarray(other)
-        b = self.bands
-        out = other * b[0]
-        for k in range(2, len(b), 2):
-            left, right = out[..., :-k], out[..., k:]
-            right += other[..., :-k] * b[k - 1, :-k]
-            left += other[..., k:] * b[k, :-k]
-        return out
-
 
 class ParityBlocks:
     """A real or complex operator that keeps the parity of n, held as its
@@ -174,8 +115,8 @@ class ParityBlocks:
     order and returns one; `op @ band` and `band @ op` with a BandOperator,
     `.T`, `+` and `-` with another ParityBlocks, and `*` and `/` by a scalar
     return a ParityBlocks. Inside a block a band's rows at offsets +-2k are
-    the rows at +-k. `.dense()` and `np.asarray(op)` return the dense
-    matrix; there is no other arithmetic with arrays.
+    the rows at +-k. `.dense()` returns the dense matrix; there is no
+    other arithmetic with arrays.
     """
 
     # Makes ndarray @ op and ndarray + op raise instead of converting op.
@@ -202,10 +143,6 @@ class ParityBlocks:
         out[0::2, 0::2] = self.blocks[0]
         out[1::2, 1::2] = self.blocks[1, : dim // 2, : dim // 2]
         return out
-
-    def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        out = self.dense()
-        return out if dtype is None else out.astype(dtype, copy=False)
 
     @property
     def T(self) -> "ParityBlocks":
@@ -246,7 +183,8 @@ class ParityBlocks:
     def __matmul__(self, other):
         if isinstance(other, BandOperator):
             # Each column j of a block collects the block's columns j -+ k
-            # scaled by the band's +-k rows, in BandOperator.__rmatmul__'s order.
+            # scaled by the band's +-k rows: the diagonal term, then for each
+            # k the +k term and the -k term.
             b = _sector_bands(other.bands, self.dim)[:, :, None, :]
             a = self.blocks
             out = a * b[0]

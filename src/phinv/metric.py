@@ -108,6 +108,9 @@ def build_rho(g: MetricState, dim: int) -> ParityBlocks:
 
 
 def _readonly(blocks: np.ndarray, dim: int) -> ParityBlocks:
+    """A builder's cached result; a map that overflowed raises instead."""
+    if not np.all(np.isfinite(blocks)):
+        raise DomainError("operator has non-finite entries")
     blocks.setflags(write=False)
     return ParityBlocks(blocks, dim)
 
@@ -141,6 +144,4 @@ def build_eta(g: MetricState, dim: int) -> ParityBlocks:
 @lru_cache(maxsize=256)
 def _eta_cached(vp: float, vz: float, vm: float, dim: int) -> ParityBlocks:
     rho = _rho_cached(vp, vz, vm, dim).blocks
-    if not np.all(np.isfinite(rho)):
-        raise DomainError("operator has non-finite entries")
     return _readonly(np.matmul(rho.transpose(0, 2, 1), rho), dim)

@@ -83,23 +83,6 @@ class HamiltonianCoefficients:
     beta: complex
 
 
-@dataclass(frozen=True)
-class InvariantCoefficients:
-    delta1: float
-    delta2: float
-    delta3: float
-
-    @classmethod
-    def from_state(cls, s: MetricState) -> "InvariantCoefficients":
-        th0 = s.vtheta_zero
-        phi, chi = s.phi_cap, s.chi
-        return cls(
-            delta1=-(phi * phi + chi) / th0,
-            delta2=-chi * phi / th0,
-            delta3=-phi / th0,
-        )
-
-
 def hamiltonian_op(c: HamiltonianCoefficients, dim: int) -> BandOperator:
     """H = omega (a_dag a + 1/2) + alpha a^2 + beta a_dag^2
     = 2 omega K0 + 2 alpha K- + 2 beta K+."""
@@ -164,8 +147,9 @@ def metric_rhs(phi, vtheta0, im_omega, im_beta):
 def invariant_op(s: MetricState, dim: int) -> BandOperator:
     """I = -(2/vtheta0)[(Phi^2+chi) K0 + chi Phi K- + Phi K+]
     = 2 delta1 K0 + 2 delta2 K- + 2 delta3 K+, with real bands."""
-    d = InvariantCoefficients.from_state(s)
-    return su11_operator(dim, 2 * d.delta1, 2 * d.delta2, 2 * d.delta3)
+    th0, phi, chi = s.vtheta_zero, s.phi_cap, s.chi
+    deltas = (-(phi * phi + chi) / th0, -chi * phi / th0, -phi / th0)
+    return su11_operator(dim, *(2 * d for d in deltas))
 
 
 def transformed_frequency(phi, vtheta0, omega, alpha, beta, dphi, dvtheta0):

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .fock import basis_column, cached_operator_set, interior_norm
+from .fock import basis_column, interior_norm
 from .metric import build_rho_inverse
 from .model import MetricState, invariant_op
 
@@ -187,40 +188,35 @@ def eigenfunction(n: int, x, s: MetricState):
     return out if out.ndim else complex(out)
 
 
-@dataclass(frozen=True)
-class GramResult:
-    matrix: np.ndarray
-    max_off_diagonal: float
-    max_diagonal_deviation: float
-
-
-def orthonormality_matrix(
-    n_max: int,
-    s: MetricState,
-    grid: PositionGrid,
-    *,
-    include_weight: bool = True,
-) -> GramResult:
-    """Weighted Gram matrix of the first n_max+1 eigenfunctions by Simpson
-    quadrature. include_weight=False deliberately drops the metric weight
-    factor, which is how the meter's sensitivity is demonstrated."""
+def orthonormality_matrix(n_max: int, s: MetricState, grid: PositionGrid) -> float:
+    """max |G - 1| for the weighted Gram matrix G of the first n_max+1
+    eigenfunctions, by Simpson quadrature."""
     shape = GaussianShape.from_state(s)
     x = grid.points
     check_edge_decay(shape, n_max, grid)
     funcs = np.stack([np.asarray(eigenfunction(n, x, s)) for n in range(n_max + 1)])
-    weight = np.exp(shape.weight_coeff * x * x) if include_weight else np.ones_like(x)
+    weight = np.exp(shape.weight_coeff * x * x)
     gram = np.empty((n_max + 1, n_max + 1))
     for m in range(n_max + 1):
         for n in range(m, n_max + 1):
             integrand = np.real(np.conj(funcs[m]) * weight * funcs[n])
             val = float(simpson(integrand, x))
             gram[m, n] = gram[n, m] = val
-    off = gram - np.diag(np.diag(gram))
-    return GramResult(
-        matrix=gram,
-        max_off_diagonal=float(np.max(np.abs(off))) if n_max > 0 else 0.0,
-        max_diagonal_deviation=float(np.max(np.abs(np.diag(gram) - 1.0))),
-    )
+    return float(np.max(np.abs(gram - np.eye(n_max + 1))))
+
+
+@lru_cache(maxsize=8)
+def _quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Dense x = (a + a_dag)/sqrt(2) and p = i(a_dag - a)/sqrt(2), with
+    a[n-1, n] = sqrt(n): the one dense route to the invariant, independent
+    of the su(1,1) bands. Shared; callers must not mutate."""
+    n = np.arange(dim)
+    a = np.zeros((dim, dim), dtype=complex)
+    a[n[:-1], n[1:]] = np.sqrt(n[1:])
+    a_dag = a.conj().T.copy()
+    x = (a + a_dag) / math.sqrt(2)
+    p = 1j * (a_dag - a) / math.sqrt(2)
+    return x, p
 
 
 def canonical_invariant(s: MetricState, dim: int) -> np.ndarray:
@@ -230,9 +226,8 @@ def canonical_invariant(s: MetricState, dim: int) -> np.ndarray:
                       - (Phi+chi)(1+Phi) x^2 ].
     The px+xp coefficient vanishes exactly when Phi = 0 or chi = 1.
     """
-    ops = cached_operator_set(dim)
+    x, p = _quadratures(dim)
     phi, chi, th0 = s.phi_cap, s.chi, s.vtheta_zero
-    x, p = ops.x, ops.p
     quad = (
         (phi - chi) * (1.0 - phi) * (p @ p)
         - 1j * phi * (chi - 1.0) * (p @ x + x @ p)

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import InstabilityError, StencilError
+from .errors import DomainError, InstabilityError, StencilError
 from .fock import BandOperator, interior_norm, k0_operator
 from .metric import build_eta, build_rho
 from .model import (
@@ -280,7 +280,8 @@ def hermitian_side_check(traj: MetricTrajectory, assembled: np.ndarray, dim: int
     h(t) = -2 W(t) K0 (bounded and diagonal, so RK4 stays stable where the
     non-Hermitian frame blows up) with propagate's default substeps, and
     compares against rho(t) times the assembled state at every report
-    time. Returns the worst relative mismatch.
+    time. Returns the worst relative mismatch; a non-finite one raises
+    DomainError with its time.
     """
     if assembled.shape != (traj.n_times, dim):
         raise ValueError("assembled must hold one state per report time")
@@ -290,5 +291,8 @@ def hermitian_side_check(traj: MetricTrajectory, assembled: np.ndarray, dim: int
     for i in range(traj.n_times):
         mapped = build_rho(traj.state_at(i), dim) @ assembled[i]
         diff = float(np.linalg.norm(states[i] - mapped))
-        worst = max(worst, diff / max(1.0, float(np.linalg.norm(mapped))))
+        mismatch = diff / max(1.0, float(np.linalg.norm(mapped)))
+        if not math.isfinite(mismatch):
+            raise DomainError(f"t={traj.times[i]:.6g}: Hermitian-side mismatch is {mismatch}")
+        worst = max(worst, mismatch)
     return worst

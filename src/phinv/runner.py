@@ -49,7 +49,7 @@ from .propagator import (
     propagate,
     schrodinger_residual,
 )
-from .scenario import ScenarioConfig, canonical_hash
+from .scenario import ScenarioConfig, canonical_hash, tolerance_value
 
 FIXED_COLUMNS = [
     "t", "Phi", "vtheta0", "chi",
@@ -186,8 +186,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     width_vals = []
     for i, s_i, shape, grid in spots:
         width_vals.append(shape.width_coeff)
-        gres = orthonormality_matrix(GRAM_MAX_N, s_i, grid)
-        gram_dev.append(max(gres.max_off_diagonal, gres.max_diagonal_deviation))
+        gram_dev.append(orthonormality_matrix(GRAM_MAX_N, s_i, grid))
         canon_dev.append(canonical_agreement(s_i, dim))
         worst = 0.0
         for n in range(min(CROSS_REP_MAX_N, dim - 1) + 1):
@@ -375,10 +374,10 @@ def verify_artifacts(
     recomputed from their per-time CSV columns; the rest are taken from the
     report, im_w among them (the CSV holds W on the report grid only, and
     run takes its max over the dense grid). Tolerances default to the
-    recorded ones and can be overridden (typically tightened). The pair
-    must belong together: the report's recorded CSV digest must match the
-    given CSV, and its recorded effective config must hash to its recorded
-    config hash.
+    recorded ones and can be overridden (typically tightened) by finite
+    numbers >= 0. The pair must belong together: the report's recorded CSV
+    digest must match the given CSV, and its recorded effective config must
+    hash to its recorded config hash.
     """
     overrides = overrides or {}
     try:
@@ -417,6 +416,7 @@ def verify_artifacts(
     for name in overrides:
         if name not in known:
             raise FormatError(f"unknown check name in tolerance override: {name}")
+    overrides = {name: tolerance_value(name, v) for name, v in overrides.items()}
 
     lines = []
     ok = True

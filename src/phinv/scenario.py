@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -112,9 +113,7 @@ def _parse_profile(name: str, raw: Any) -> Profile:
             val = defaults[key]
         else:
             raise ConfigError(f"{where}.{key}", f"missing parameter for {kind} profile")
-        if not isinstance(val, (int, float)) or isinstance(val, bool):
-            raise ConfigError(f"{where}.{key}", "must be a number")
-        params.append((key, float(val)))
+        params.append((key, _require_number(val, f"{where}.{key}")))
     extra = set(raw) - {"kind", *wanted}
     if extra:
         raise ConfigError(where, f"unknown parameters {sorted(extra)} for {kind} profile")
@@ -164,7 +163,18 @@ def canonical_hash(doc: Any) -> str:
 def _require_number(raw: Any, where: str) -> float:
     if not isinstance(raw, (int, float)) or isinstance(raw, bool):
         raise ConfigError(where, "must be a number")
+    if not abs(raw) <= sys.float_info.max:
+        raise ConfigError(where, "must be a finite number")
     return float(raw)
+
+
+def tolerance_value(name: str, raw: Any) -> float:
+    """A tolerance as parsing, `phinv run --tolerance` and `phinv verify
+    --tolerance` accept it: a finite number >= 0."""
+    value = _require_number(raw, f"tolerances.{name}")
+    if value < 0:
+        raise ConfigError(f"tolerances.{name}", f"must be >= 0, got {value}")
+    return value
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -270,13 +280,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
         )
     coeffs = []
     for i, pair in enumerate(sp_raw):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(not isinstance(v, (int, float)) or isinstance(v, bool) for v in pair)
-        ):
+        if not isinstance(pair, list) or len(pair) != 2:
             raise ConfigError("superposition", f"entry {i} must be a [re, im] pair")
-        coeffs.append(complex(float(pair[0]), float(pair[1])))
+        coeffs.append(complex(*(_require_number(v, f"superposition[{i}]") for v in pair)))
     if all(c == 0 for c in coeffs):
         raise ConfigError("superposition", "at least one coefficient must be nonzero")
 
@@ -287,10 +293,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     for name, value in tol_raw.items():
         if name not in DEFAULT_TOLERANCES:
             raise ConfigError(f"tolerances.{name}", "unknown tolerance name")
-        v = _require_number(value, f"tolerances.{name}")
-        if v < 0:
-            raise ConfigError(f"tolerances.{name}", "must be >= 0")
-        tol[name] = v
+        tol[name] = tolerance_value(name, value)
 
     seed_raw = merged["seed"]
     if not isinstance(seed_raw, int) or isinstance(seed_raw, bool):

@@ -7,12 +7,13 @@ import pytest
 from phinv import (
     MetricState,
     assemble_solution,
-    cached_operator_set,
     demo_scenarios,
     integrate_metric,
     parse_scenario,
     run_scenario,
 )
+
+from support import cached_operator_set
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 

@@ -11,6 +11,13 @@ dense products, where phinv multiplies the factors' parity blocks. They
 exist so the factored/banded production routes are checked against
 algorithms that share none of their structure.
 
+build_operator_set (and its per-dim cache cached_operator_set) is the dense
+generator oracle: a, a_dag, K+-, K0, x and p as full complex matrices from
+a[n-1, n] = sqrt(n) and matrix products, where phinv writes the su(1,1)
+diagonals from their closed form. InvariantCoefficients holds the
+invariant's coefficients delta1, delta2, delta3, which phinv folds into its
+bands.
+
 ensure_operator, commutator, apply, adjoint, frobenius_distance,
 nilpotent_exp and diagonal_power are the small exact matrix toolkit the
 operator-algebra tests are written in, with phinv's input checks (square,
@@ -34,19 +41,20 @@ and check_gauss_identities the relations between them.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from phinv import (
+    DimensionError,
     DomainError,
-    InvariantCoefficients,
     MetricState,
     NumericsError,
     ShapeError,
     SingularMetricError,
     build_eta,
     build_rho,
-    cached_operator_set,
     interior_norm,
     ladder_exp,
 )
@@ -55,6 +63,66 @@ from phinv.fock import ensure_state
 
 class StructureError(NumericsError):
     """Matrix lacks the structure an algorithm requires (band, diagonal)."""
+
+
+@dataclass(frozen=True)
+class OperatorSet:
+    """The ladder, su(1,1), and quadrature operators at one dimension."""
+
+    dim: int
+    a: np.ndarray
+    a_dag: np.ndarray
+    k_plus: np.ndarray
+    k_minus: np.ndarray
+    k_zero: np.ndarray
+    x: np.ndarray
+    p: np.ndarray
+
+
+def build_operator_set(dim: int) -> OperatorSet:
+    """Populate a, a_dag, K_plus, K_minus, K_zero, x, p at the given dimension.
+
+    a[n-1, n] = sqrt(n); K_plus = a_dag^2/2, K_minus = a^2/2,
+    K_zero = diag(n/2 + 1/4); x = (a + a_dag)/sqrt(2), p = i(a_dag - a)/sqrt(2).
+    """
+    if dim < 4:
+        raise DimensionError(f"dim must be >= 4, got {dim}")
+    n = np.arange(dim)
+    a = np.zeros((dim, dim), dtype=complex)
+    a[n[:-1], n[1:]] = np.sqrt(n[1:])
+    a_dag = a.conj().T.copy()
+    k_plus = a_dag @ a_dag / 2
+    k_minus = a @ a / 2
+    k_zero = np.diag((n / 2 + 0.25).astype(complex))
+    x = (a + a_dag) / math.sqrt(2)
+    p = 1j * (a_dag - a) / math.sqrt(2)
+    return OperatorSet(dim, a, a_dag, k_plus, k_minus, k_zero, x, p)
+
+
+@lru_cache(maxsize=8)
+def cached_operator_set(dim: int) -> OperatorSet:
+    """Shared read-only OperatorSet per dimension; callers must not mutate."""
+    return build_operator_set(dim)
+
+
+@dataclass(frozen=True)
+class InvariantCoefficients:
+    """The invariant's K0, K- and K+ coefficients over 2, from the paper:
+    I = 2 delta1 K0 + 2 delta2 K- + 2 delta3 K+."""
+
+    delta1: float
+    delta2: float
+    delta3: float
+
+    @classmethod
+    def from_state(cls, s: MetricState) -> "InvariantCoefficients":
+        th0 = s.vtheta_zero
+        phi, chi = s.phi_cap, s.chi
+        return cls(
+            delta1=-(phi * phi + chi) / th0,
+            delta2=-chi * phi / th0,
+            delta3=-phi / th0,
+        )
 
 
 def ensure_operator(a: np.ndarray) -> np.ndarray:

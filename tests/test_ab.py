@@ -47,3 +47,23 @@ def test_higher_is_better_ties_and_the_bound():
     assert s["relative_worsening"] == pytest.approx(0.1) and not s["within_bound"]
     with pytest.raises(ValueError):
         ab.summarize([1.0, 2.0], [1.0], "lower", 0.1)
+
+
+def test_counters_compare_by_name_and_a_missing_one_is_unequal():
+    names = ["metric.build_calls", "position.grid_points"]
+    base = {
+        "metric.build_calls": {"value": 13526, "unit": "count"},
+        "position.grid_points": {"value": 22011, "unit": "count"},
+        "trace.run_s": {"value": 2.5, "unit": "s"},
+    }
+    change = {k: dict(v) for k, v in base.items()}
+    change["trace.run_s"]["value"] = 2.1  # timings are not counters
+    c = ab.compare_counters(base, change, names)
+    assert c["base"] == c["change"] == {"metric.build_calls": 13526, "position.grid_points": 22011}
+    assert c["counters_equal"]
+    change["metric.build_calls"]["value"] = 13527
+    assert not ab.compare_counters(base, change, names)["counters_equal"]
+    del change["metric.build_calls"]
+    c = ab.compare_counters(base, change, names)
+    assert c["change"]["metric.build_calls"] is None and not c["counters_equal"]
+    assert not ab.compare_counters(change, change, names)["counters_equal"]

@@ -1,4 +1,6 @@
+import copy
 import json
+import math
 import pathlib
 import shutil
 import subprocess
@@ -231,6 +233,56 @@ def test_run_invalid_config_value(tmp_path, capsys):
     rc = main(["run", "--config", str(bad)])
     assert rc == 2
     assert "dim" in capsys.readouterr().err
+
+
+def _set(doc: dict, path: str, value) -> dict:
+    """A deep copy of doc with the entry at a dotted path replaced."""
+    doc = copy.deepcopy(doc)
+    *parents, last = path.split(".")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node.setdefault(key, {})
+    node[int(last) if isinstance(node, list) else last] = value
+    return doc
+
+
+@pytest.mark.parametrize(
+    "path, value, field",
+    [
+        ("t_max", math.nan, "t_max"),
+        ("t_max", math.inf, "t_max"),
+        ("tolerances.schrodinger", math.nan, "tolerances.schrodinger"),
+        ("initial_metric.phi_cap", math.nan, "initial_metric.phi_cap"),
+        ("initial_metric.vtheta_zero", math.inf, "initial_metric.vtheta_zero"),
+        ("profiles.re_omega.value", math.nan, "profiles.re_omega.value"),
+        ("superposition.1.0", math.nan, "superposition[1]"),
+    ],
+)
+def test_run_rejects_a_non_finite_config_number(tmp_path, capsys, path, value, field):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_set(SHORT_GENTLE, path, value)))
+    rc = main(["run", "--config", str(config), "--out", str(tmp_path), "--quiet"])
+    assert rc == 2
+    assert f"error: {field}: must be a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_run_rejects_a_tolerance_override_outside_its_range(artifact_dir, tmp_path, capsys, value):
+    rc = main([
+        "run", "--config", str(artifact_dir / "config.json"), "--out", str(tmp_path),
+        "--tolerance", f"schrodinger={value}",
+    ])
+    assert rc == 2
+    assert "error: tolerances.schrodinger: must be" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+def test_verify_rejects_a_tolerance_override_outside_its_range(artifact_dir, capsys, value):
+    rc = main(["verify", "--out", str(artifact_dir), "--tolerance", f"dyson={value}"])
+    assert rc == 2
+    assert "error: tolerances.dyson: must be" in capsys.readouterr().err
 
 
 def test_run_guard_abort_exits_three(tmp_path, capsys):

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from support import (
     StructureError,
     adjoint,
     apply,
     basis_state,
+    build_operator_set,
+    cached_operator_set,
     commutator,
     dense_hamiltonian,
     dense_invariant,
@@ -21,8 +23,6 @@ from phinv import (
     DimensionError,
     DomainError,
     ShapeError,
-    build_operator_set,
-    cached_operator_set,
     interior_norm,
     ladder_exp,
     propagate,
@@ -39,9 +39,8 @@ from phinv.model import (
 
 def test_minimum_dimension_enforced():
     with pytest.raises(DimensionError):
-        build_operator_set(3)
-    ops = build_operator_set(4)
-    assert ops.a.shape == (4, 4)
+        su11_operator(3, 1.0, 1.0, 1.0)
+    assert su11_operator(4, 1.0, 1.0, 1.0).dense().shape == (4, 4)
 
 
 def test_number_operator_diagonal():
@@ -282,12 +281,12 @@ def test_band_operator_products_match_dense(dim, seed):
         dense = op.dense()
         assert _relative_gap(op @ v, dense @ v) <= 1e-14
         assert _relative_gap(op @ m, dense @ m) <= 1e-14
-        assert _relative_gap(m @ op, m @ dense) <= 1e-14
-        assert _relative_gap(rows @ op, rows @ dense) <= 1e-14
-        assert _relative_gap(op.adjoint() @ m, dense.conj().T @ m) <= 1e-14
-        assert np.array_equal(op.adjoint().dense(), dense.conj().T)
-        assert np.array_equal(np.asarray(op), dense)
-        # Sums with arrays are not defined: a caller densifies on purpose.
+        # Products from the right and sums with arrays are not defined: a
+        # caller densifies on purpose.
+        with pytest.raises(TypeError):
+            m @ op
+        with pytest.raises(TypeError):
+            rows @ op
         with pytest.raises(TypeError):
             op + m
         with pytest.raises(TypeError):
@@ -295,6 +294,11 @@ def test_band_operator_products_match_dense(dim, seed):
 
 
 @given(st.integers(min_value=4, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
+@example(8, 0)
+@example(9, 1)
+@example(192, 2)
+@example(255, 3)
+@example(256, 4)
 @settings(max_examples=60, deadline=None)
 def test_band_operator_dense_form_is_the_dense_sum(dim, seed):
     rng = np.random.default_rng(seed)
@@ -358,6 +362,18 @@ def test_band_product_and_band_interior_norm_match_dense(dim, seed):
             assert abs(interior_norm(prod) - norm) <= 1e-14 * max(norm, 1e-300)
 
 
+def _dense_times_band(m: np.ndarray, band: BandOperator) -> np.ndarray:
+    """m @ band.dense() with each entry's nonzero terms added in the order
+    ParityBlocks @ band adds them: the diagonal term, then for each offset k
+    the term through the +k row and the one through the -k row."""
+    b = band.bands
+    out = m * b[0]
+    for k in range(2, len(b), 2):
+        out[:, k:] += m[:, :-k] * b[k - 1, :-k]
+        out[:, :-k] += m[:, k:] * b[k, :-k]
+    return out
+
+
 @pytest.mark.parametrize("dim", [8, 9, 64, 65])
 def test_parity_blocks_match_their_dense_matrix(dim):
     rng = np.random.default_rng(dim)
@@ -377,8 +393,9 @@ def test_parity_blocks_match_their_dense_matrix(dim):
         for is_complex in (False, True):
             band = _random_bands(rng, dim, rows, is_complex)
             # Inside a block the band's +-2 rows are +-1 rows; the terms are
-            # added in the order of the band x dense products.
-            assert np.array_equal((a @ band).dense(), ad @ band)
+            # added in the order of the dense x band and band x dense sums.
+            assert np.array_equal((a @ band).dense(), _dense_times_band(ad, band))
+            assert _relative_gap((a @ band).dense(), ad @ band.dense()) <= 1e-15
             assert np.array_equal((band @ a).dense(), band @ ad)
     assert np.array_equal(a.T.dense(), ad.T)
     h = 0.01

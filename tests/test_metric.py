@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 from support import (
     _even_cosh,
     _even_sinhc,
+    cached_operator_set,
     check_gauss_identities,
     conjugate_k,
     dense_gemm_eta,
@@ -28,7 +29,6 @@ from phinv import (
     build_eta,
     build_rho,
     build_rho_inverse,
-    cached_operator_set,
     interior_norm,
 )
 
@@ -291,9 +291,22 @@ def test_rho_caching_returns_readonly():
 def test_eta_rejects_a_non_finite_rho():
     # vtheta0^{K0} overflows on the top levels at dim 192.
     with np.errstate(over="ignore", invalid="ignore"):
-        assert not np.all(np.isfinite(build_rho(MetricState(0.0, 1e7), 192).blocks))
+        assert not np.all(np.isfinite(np.power(1e7, np.arange(192) / 2 + 0.25)))
         with pytest.raises(DomainError, match="non-finite"):
             build_eta(MetricState(0.0, 1e7), 192)
+
+
+@pytest.mark.parametrize(
+    "build, g",
+    [(build_rho, MetricState(0.0, 1e7)), (build_rho_inverse, MetricState(0.0, 1e-7))],
+    ids=["rho", "rho_inverse"],
+)
+def test_rho_and_its_inverse_reject_non_finite_blocks(build, g):
+    # vtheta0^{K0} (rho) and vtheta0^{-K0} (rho^-1) overflow at dim 192.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="non-finite"):
+            build(g, 192)
+        assert np.all(np.isfinite(build(g, 16).blocks))
 
 
 @pytest.mark.parametrize("dim", [8, 9, 64, 65, 192])

@@ -4,14 +4,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from support import basis_state, random_metric_states, raw_metric_rates, uv_coefficients
+from support import (
+    InvariantCoefficients,
+    basis_state,
+    cached_operator_set,
+    random_metric_states,
+    raw_metric_rates,
+    uv_coefficients,
+)
 
 from phinv import (
     ConstraintSingularityError,
     DomainError,
     GuardError,
     HamiltonianCoefficients,
-    InvariantCoefficients,
     MetricState,
     NonRealPhaseError,
     SingularMetricError,
@@ -19,7 +25,6 @@ from phinv import (
     build_eta,
     build_rho,
     build_rho_inverse,
-    cached_operator_set,
     constraint_residuals,
     derive_constrained_coeffs,
     integrate_metric,

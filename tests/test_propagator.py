@@ -8,18 +8,19 @@ from scipy.interpolate import CubicSpline
 
 from support import (
     basis_state,
+    cached_operator_set,
     dense_dyson_residual,
     dense_hermitian_image_check,
     dense_invariant_residual,
 )
 
 from phinv import (
+    DomainError,
     InstabilityError,
     MetricState,
     StencilError,
     assemble_solution,
     build_eta,
-    cached_operator_set,
     convergence_probe,
     demo_scenarios,
     dyson_residual,
@@ -212,6 +213,26 @@ def test_hermitian_side_transport(gentle_traj, gentle_states, harmonic_traj):
         [assemble_solution(harmonic_traj, i, 64) for i in range(harmonic_traj.n_times)]
     )
     assert hermitian_side_check(harmonic_traj, states, 64) <= 1e-10
+
+
+def test_hermitian_side_check_names_the_time_of_a_non_finite_mismatch():
+    cfg = parse_scenario(json.dumps(dict(demo_scenarios()["demo_td"], dim=16, t_max=0.05)))
+    re_omega, im_omega = cfg.profiles["re_omega"], cfg.profiles["im_omega"]
+    traj = integrate_metric(
+        MetricState(cfg.phi0, cfg.vtheta0),
+        lambda t: complex(re_omega(t), im_omega(t)),
+        cfg.t_max,
+        cfg.dt,
+        im_beta=cfg.profiles["im_beta"],
+        quantum_numbers=cfg.quantum_numbers,
+        superposition=dict(zip(cfg.quantum_numbers, cfg.superposition)),
+    )
+    states = np.array([assemble_solution(traj, i, 16) for i in range(traj.n_times)])
+    assert hermitian_side_check(traj, states, 16) <= 1e-12
+    # max() would keep the clean value past a NaN mismatch.
+    states[30, 5] = np.nan
+    with pytest.raises(DomainError, match="t=0.03:"):
+        hermitian_side_check(traj, states, 16)
 
 
 def test_transformed_generator_is_scaled_number_operator(gentle_traj, ops64):

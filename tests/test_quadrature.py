@@ -16,13 +16,12 @@ from phinv import (
     ShapeError,
     demo_scenarios,
     eigenfunction,
-    fock_to_position,
     integrate_metric,
     parse_scenario,
     phase,
 )
 from phinv.model import cumulative_simpson
-from phinv.position import simpson
+from phinv.position import fock_to_position, simpson
 from phinv.runner import GRAM_MAX_N
 
 

@@ -14,7 +14,10 @@ sides' runs, medians and quartiles, the pairs the change won, and two
 verdicts: `gain` (the change won at least nine tenths of the pairs, ties
 counting for neither, and the medians differ by more than the base's
 interquartile range) and `within_bound` (the change's median is not worse
-than the base's by more than the metric's relative bound).
+than the base's by more than the metric's relative bound). After the pairs
+it runs `--seconds 0 --trace 1` once in each tree and records both sides'
+exact counters (the per-layer metrics of unit `count` in BENCHMARK.json)
+and whether they are all equal.
 """
 
 from __future__ import annotations
@@ -69,6 +72,18 @@ def summarize(base: list[float], change: list[float], better: str, bound: float)
     }
 
 
+def compare_counters(base: dict, change: dict, names: list[str]) -> dict:
+    """Both sides' counters by name from perfbench's printed metrics
+    ({name: {"value": v, "unit": u}}); a counter one side lacks reads None,
+    and makes the sides unequal."""
+    sides = {
+        side: {name: metrics[name]["value"] if name in metrics else None for name in names}
+        for side, metrics in (("base", base), ("change", change))
+    }
+    equal = sides["base"] == sides["change"] and None not in sides["base"].values()
+    return {**sides, "counters_equal": equal}
+
+
 def _export(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", "--format=tar", rev],
                              capture_output=True, check=True).stdout
@@ -95,10 +110,10 @@ def _same_tree(a: Path, b: Path) -> bool:
     )
 
 
-def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def _run(tree: Path, workload: str, seed: int, seconds: float, trace: int = 0) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode != 0:
@@ -120,6 +135,7 @@ def main(argv: list[str] | None = None) -> int:
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
+    counter_names = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
         base_tree = Path(tmp)
         _export(args.base, base_tree)
@@ -128,6 +144,7 @@ def main(argv: list[str] | None = None) -> int:
                   "an A/B needs the same benchmark on both sides", file=sys.stderr)
             return 2
         runs = {w: {"base": [], "change": []} for w in workloads}
+        traced = {}
         for workload in workloads:
             for i in range(args.pairs):
                 order = ("base", "change") if i % 2 == 0 else ("change", "base")
@@ -138,6 +155,8 @@ def main(argv: list[str] | None = None) -> int:
                     values = {k: round(v["value"], 4) for k, v in result["metrics"].items()}
                     print(f"{workload} pair {i} {side}: failed {result['failed']}/"
                           f"{result['attempted']} {values}", flush=True)
+            traced[workload] = {side: _run(tree, workload, args.seed, 0, trace=1)
+                                for side, tree in (("base", base_tree), ("change", root))}
 
     out = {
         "base": args.base,
@@ -153,6 +172,11 @@ def main(argv: list[str] | None = None) -> int:
             "failed": {s: sum(r["failed"] for r in rs) for s, rs in sides.items()},
             "attempted": {s: sum(r["attempted"] for r in rs) for s, rs in sides.items()},
             "metrics": {},
+            "counters": {
+                **compare_counters(traced[workload]["base"]["metrics"],
+                                   traced[workload]["change"]["metrics"], counter_names),
+                "traced_failed": {s: r["failed"] for s, r in traced[workload].items()},
+            },
         }
         for metric in bench["end_to_end"]:
             name = metric["name"]
@@ -170,6 +194,9 @@ def main(argv: list[str] | None = None) -> int:
                   f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
                   f"{s['change']['q3']:.4g}] wins {s['change_wins']}/{s['pairs']} "
                   f"gain {s['gain']} within_bound {s['within_bound']}")
+        c = entry["counters"]
+        print(f"{workload:16s} counters base {c['base']} change {c['change']} "
+              f"counters_equal {c['counters_equal']} traced_failed {c['traced_failed']}")
     return 0
 
 

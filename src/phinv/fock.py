@@ -9,7 +9,9 @@ so it is stored as those three diagonals, written from their closed form
 O(N) and a matrix in O(N^2). The product of two such operators, a
 commutator term, is again a BandOperator, on the diagonals at offsets 0,
 +-2 and +-4, formed in O(N). Its dense form holds the same entries as the
-sum of the dense generators built from a[n-1, n] = sqrt(n).
+sum of the dense generators built from a[n-1, n] = sqrt(n). Band products
+and interior norms also run over a stack of operators along a leading time
+axis, each time as it would alone.
 An operator that keeps the parity of n (the metric map rho, its inverse,
 eta) is a ParityBlocks: its even-level and odd-level blocks in one
 (2, m, m) array, m = ceil(N/2), so it stores and multiplies half the
@@ -70,7 +72,9 @@ class BandOperator:
     order `op @ M` does, row by row of the left operand; `op @ other_op` is
     a BandOperator again, and `op @ blocks` with a ParityBlocks is formed by
     the ParityBlocks. `.dense()` returns the dense matrix as a complex
-    array; there is no other arithmetic with arrays.
+    array; there is no other arithmetic with arrays. A stack of operators
+    over time, bands of shape (T, rows, dim), is taken by `interior_norm`
+    alone.
     """
 
     # Makes ndarray @ op and ndarray + op raise instead of converting op.
@@ -113,8 +117,7 @@ class ParityBlocks:
     odd dim the odd block has m - 1 levels and is zero-padded in its last
     row and column. `op @ v` takes a state or a (dim, k) matrix in natural
     order and returns one; `op @ band` and `band @ op` with a BandOperator,
-    `.T`, `+` and `-` with another ParityBlocks, and `*` and `/` by a scalar
-    return a ParityBlocks. Inside a block a band's rows at offsets +-2k are
+    `.T`, and `+` and `-` with another ParityBlocks return a ParityBlocks. Inside a block a band's rows at offsets +-2k are
     the rows at +-k. `.dense()` returns the dense matrix; there is no
     other arithmetic with arrays.
     """
@@ -163,21 +166,6 @@ class ParityBlocks:
     def __sub__(self, other):
         if isinstance(other, ParityBlocks):
             return ParityBlocks(self.blocks - other.blocks, self.dim)
-        return NotImplemented
-
-    def __neg__(self) -> "ParityBlocks":
-        return ParityBlocks(-self.blocks, self.dim)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return ParityBlocks(self.blocks * other, self.dim)
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float, complex)):
-            return ParityBlocks(self.blocks / other, self.dim)
         return NotImplemented
 
     def __matmul__(self, other):
@@ -244,18 +232,20 @@ def _band_offset(row: int) -> int:
 
 
 def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Bands of the product of two band stacks.
+    """Bands of the product of two band stacks, (rows, dim) arrays or stacks
+    of them over a leading time axis, (T, rows, dim).
 
     The entry [n, n + d] collects a[n, n + p] * b[n + p, n + d] over the
     rows p of a in their stored order, starting from zero, which is the sum
     `BandOperator(a) @ dense(b)` forms entry by entry once its exact zeros
-    are dropped.
+    are dropped; each time of a stack is formed as that time alone would be.
     """
-    dim = a.shape[1]
-    out = np.zeros((len(a) + len(b) - 1, dim), dtype=np.result_type(a, b))
-    for i, row_a in enumerate(a):
+    rows_a, rows_b, dim = a.shape[-2], b.shape[-2], a.shape[-1]
+    lead = np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    out = np.zeros(lead + (rows_a + rows_b - 1, dim), dtype=np.result_type(a, b))
+    for i in range(rows_a):
         p = _band_offset(i)
-        for j, row_b in enumerate(b):
+        for j in range(rows_b):
             q = _band_offset(j)
             d = p + q
             # n runs over lo <= n < hi, where n, n + p and n + d are levels;
@@ -264,19 +254,18 @@ def _band_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
             if hi <= lo:
                 continue
             sa, sb, so = min(0, p), p + min(0, q), min(0, d)
-            target = out[d - 1 if d > 0 else -d, lo + so : hi + so]
-            target += row_a[lo + sa : hi + sa] * row_b[lo + sb : hi + sb]
+            target = out[..., d - 1 if d > 0 else -d, lo + so : hi + so]
+            target += a[..., i, lo + sa : hi + sa] * b[..., j, lo + sb : hi + sb]
     return out
 
 
-def su11_operator(dim: int, zero: complex, minus: complex, plus: complex) -> BandOperator:
-    """zero K0 + minus K- + plus K+ as a BandOperator.
-
-    Each stored entry is the coefficient times the dense generator's entry,
-    so `.dense()` equals the sum of the scaled dense generators. Real
-    coefficients give real bands.
-    """
-    return BandOperator(np.array([zero, minus, plus])[:, None] * _su11_diagonals(dim))
+def su11_bands(coeffs: np.ndarray, dim: int) -> np.ndarray:
+    """Bands of zero K0 + minus K- + plus K+ from the coefficients
+    (zero, minus, plus) on a last axis: a (3, dim) array for one operator, a
+    (T, 3, dim) stack for a run of times. Each stored entry is the
+    coefficient times the dense generator's entry; real coefficients give
+    real bands."""
+    return coeffs[..., None] * _su11_diagonals(dim)
 
 
 def k0_operator(dim: int, coeff: float) -> BandOperator:
@@ -287,10 +276,11 @@ def k0_operator(dim: int, coeff: float) -> BandOperator:
 
 def interior_norm(
     a: np.ndarray | BandOperator | ParityBlocks, exclude_top: int = 3
-) -> float:
+) -> float | np.ndarray:
     """Frobenius norm of the block that drops the top `exclude_top` levels
     from both rows and columns, of a dense array, a BandOperator or a
-    ParityBlocks.
+    ParityBlocks. A BandOperator whose bands are a (T, rows, dim) stack over
+    time gives the T norms, each the norm of that time's operator.
 
     A dense block is summed where it lies (np.linalg.norm would first copy
     the non-contiguous slice); a band row at offset +-k keeps its first
@@ -298,9 +288,11 @@ def interior_norm(
     block keeps its first ceil(keep / 2) and the odd block floor(keep / 2).
     """
     if isinstance(a, BandOperator):
-        keep = a.bands.shape[1] - exclude_top
-        parts = [row[: max(keep - abs(_band_offset(r)), 0)] for r, row in enumerate(a.bands)]
-        return float(np.linalg.norm(np.concatenate(parts)))
+        b = a.bands
+        keep = b.shape[-1] - exclude_top
+        parts = [b[..., r, : max(keep - abs(_band_offset(r)), 0)] for r in range(b.shape[-2])]
+        norms = np.linalg.norm(np.concatenate(parts, axis=-1), axis=-1)
+        return float(norms) if norms.ndim == 0 else norms
     if isinstance(a, ParityBlocks):
         keep = a.dim - exclude_top
         even, odd = (keep + 1) // 2, keep // 2

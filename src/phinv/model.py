@@ -26,7 +26,7 @@ from .errors import (
     SingularMetricError,
     TruncationWarning,
 )
-from .fock import BandOperator, basis_column, su11_operator, tail_support
+from .fock import BandOperator, basis_column, su11_bands, tail_support
 from .metric import build_rho_inverse
 
 # Dense flow steps per report interval. The propagation oracles read H(t)
@@ -83,10 +83,16 @@ class HamiltonianCoefficients:
     beta: complex
 
 
+def hamiltonian_coeffs(omega, alpha, beta) -> np.ndarray:
+    """H's coefficients of K0, K- and K+, (2 omega, 2 alpha, 2 beta), on a
+    last axis: shape (3,) at one time, (T, 3) over arrays of T times."""
+    return 2 * np.array([omega, alpha, beta]).T
+
+
 def hamiltonian_op(c: HamiltonianCoefficients, dim: int) -> BandOperator:
     """H = omega (a_dag a + 1/2) + alpha a^2 + beta a_dag^2
     = 2 omega K0 + 2 alpha K- + 2 beta K+."""
-    return su11_operator(dim, 2 * c.omega, 2 * c.alpha, 2 * c.beta)
+    return BandOperator(su11_bands(hamiltonian_coeffs(c.omega, c.alpha, c.beta), dim))
 
 
 def constraint_denominator(phi, vtheta0):
@@ -121,15 +127,16 @@ def derive_constrained_coeffs(phi, vtheta0, re_omega, im_omega, im_beta):
     )
 
 
-def constraint_residuals(s: MetricState, c: HamiltonianCoefficients) -> dict[str, float]:
+def constraint_residuals(phi, vtheta0, omega, alpha, beta) -> dict:
     """Absolute residuals of the three coefficient relations, multiplied
-    through by the constraint denominator (no division)."""
-    phi, chi = s.phi_cap, s.chi
-    denom = s.constraint_denominator
+    through by the constraint denominator (no division), for floats or
+    arrays of one shape."""
+    chi = phi * phi - vtheta0
+    denom = constraint_denominator(phi, vtheta0)
     return {
-        "re_beta": abs(c.beta.real * denom - phi * c.omega.real),
-        "re_alpha": abs(c.alpha.real * denom - chi * phi * c.omega.real),
-        "im_alpha": abs(c.alpha.imag - phi * c.omega.imag + chi * c.beta.imag),
+        "re_beta": abs(beta.real * denom - phi * omega.real),
+        "re_alpha": abs(alpha.real * denom - chi * phi * omega.real),
+        "im_alpha": abs(alpha.imag - phi * omega.imag + chi * beta.imag),
     }
 
 
@@ -144,12 +151,19 @@ def metric_rhs(phi, vtheta0, im_omega, im_beta):
     return 2 * vtheta0 * im_beta, 2 * vtheta0 * (-im_omega + 2 * phi * im_beta)
 
 
+def invariant_coeffs(phi, vtheta0) -> np.ndarray:
+    """I's coefficients of K0, K- and K+, 2 (delta1, delta2, delta3) with
+    delta1 = -(Phi^2+chi)/vtheta0, delta2 = -chi Phi/vtheta0 and
+    delta3 = -Phi/vtheta0, on a last axis: shape (3,) at one time, (T, 3)
+    over arrays of T times."""
+    chi = phi * phi - vtheta0
+    return 2 * np.array([-(phi * phi + chi) / vtheta0, -chi * phi / vtheta0, -phi / vtheta0]).T
+
+
 def invariant_op(s: MetricState, dim: int) -> BandOperator:
     """I = -(2/vtheta0)[(Phi^2+chi) K0 + chi Phi K- + Phi K+]
     = 2 delta1 K0 + 2 delta2 K- + 2 delta3 K+, with real bands."""
-    th0, phi, chi = s.vtheta_zero, s.phi_cap, s.chi
-    deltas = (-(phi * phi + chi) / th0, -chi * phi / th0, -phi / th0)
-    return su11_operator(dim, *(2 * d for d in deltas))
+    return BandOperator(su11_bands(invariant_coeffs(s.phi_cap, s.vtheta_zero), dim))
 
 
 def transformed_frequency(phi, vtheta0, omega, alpha, beta, dphi, dvtheta0):
@@ -226,17 +240,23 @@ class MetricTrajectory:
     def w_at(self, t_index: int) -> complex:
         return complex(self.w[self._dense_index(t_index)])
 
-    def half_step_index(self, t: float) -> int:
-        """Index of t on the half-step grid; ValueError, naming t, for a time
-        that is not on it up to rounding."""
+    def half_step_indexer(self) -> Callable[[float], int]:
+        """A function from a time to its index on the half-step grid; it
+        raises ValueError, naming t, for a time that is not on it up to
+        rounding. It reads the grid as a Python list, built once here."""
         spacing = self.dt / (2 * self.stride)
-        j = round(t / spacing)
-        if not (0 <= j < len(self.half_times) and abs(self.half_times[j] - t) <= 1e-6 * spacing):
-            raise ValueError(
-                f"t={t!r} is not on the half-step grid (dense nodes and substep "
-                f"midpoints, spacing {spacing:.6g})"
-            )
-        return j
+        half = self.half_times.tolist()
+
+        def index(t: float) -> int:
+            j = round(t / spacing)
+            if not (0 <= j < len(half) and abs(half[j] - t) <= 1e-6 * spacing):
+                raise ValueError(
+                    f"t={t!r} is not on the half-step grid (dense nodes and substep "
+                    f"midpoints, spacing {spacing:.6g})"
+                )
+            return j
+
+        return index
 
     def max_im_w(self) -> float:
         return float(np.max(np.abs(self.w.imag)))

@@ -20,23 +20,37 @@ with one Richardson extrapolation (stencils at +-h and +-2h), so meters near
 the grid boundary raise a stencil error instead of degrading silently.
 Residual norms are taken on the interior block (the top three levels are
 excluded) and normalized by max(1, scale of the compared term).
+
+The Schrödinger and invariant meters, which build no metric, take one report
+index or an array of them. An array is swept in windows of up to WINDOW
+report times: the stencils are slices of a window's stack along time (I's
+bands built from Phi and vtheta0 there, with a 4-point halo), and the band
+products and interior norms run over the window's leading time axis. A
+single index is the one-row case of the same code. The Dyson and
+Hermitian-image meters build eta and rho and stay per report time.
+
+propagate steps a diagonal generator (the Hermitian side's -2 W K0) a block
+of steps at a time: a step multiplies level n by RK4's stage formula applied
+to 1, so the states are a running product of those per-level factors,
+which agrees with the step-by-step loop to rounding. Any other generator is
+stepped one step at a time. Both call H(t) at every RK4 stage time.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, InstabilityError, StencilError
-from .fock import BandOperator, interior_norm, k0_operator
+from .fock import BandOperator, ParityBlocks, _band_product, interior_norm, k0_operator, su11_bands
 from .metric import build_eta, build_rho
 from .model import (
-    HamiltonianCoefficients,
     MetricTrajectory,
+    hamiltonian_coeffs,
     hamiltonian_op,
+    invariant_coeffs,
     invariant_op,
 )
 
@@ -63,44 +77,113 @@ def propagate(
     """Integrate i d/dt psi = H(t) psi with classic RK4 and return the
     states at the given times, an (n_times, dim) complex array.
 
-    Each report interval is split into `substeps` RK4 steps. The run aborts
-    with an instability error, carrying the offending time, as soon as the
-    state stops being finite or its norm exceeds 1e6 times the initial norm
+    Each report interval is split into `substeps` RK4 steps, and h_of_t is
+    called at the four stage times of every step. The run aborts with an
+    instability error, carrying the offending time, as soon as the state
+    stops being finite or its norm exceeds 1e6 times the initial norm
     (truncated non-normal generators can blow up; silence would poison every
     downstream meter).
+
+    When H(t) is a diagonal BandOperator (one row, as -2 W(t) K0 is), each
+    step multiplies level n by the same RK4 stage formula applied to 1, so
+    the steps are taken a block at a time as a running product of those
+    factors; it agrees with the step-by-step loop to rounding.
     """
     _check_uniform(times)
     psi0 = np.asarray(psi0, dtype=complex)
     norm0 = float(np.linalg.norm(psi0))
     cap = INSTABILITY_FACTOR * max(norm0, 1e-300)
 
+    # The start time and size of every step, as t0 + k h with h the report
+    # interval over substeps.
+    starts, sizes = [], []
+    grid = [float(t) for t in times]
+    for t0, t1 in zip(grid, grid[1:]):
+        h = (t1 - t0) / substeps
+        starts += [t0 + k * h for k in range(substeps)]
+        sizes += [h] * substeps
+
     states = np.empty((len(times), len(psi0)), dtype=complex)
     states[0] = psi0
+    h_first = h_of_t(starts[0])
+    if isinstance(h_first, BandOperator) and h_first.bands.shape[0] == 1:
+        _propagate_diagonal(h_of_t, h_first, starts, sizes, substeps, cap, states)
+        return states
+
     psi = psi0.copy()
-    for i in range(len(times) - 1):
-        t0, t1 = float(times[i]), float(times[i + 1])
-        h = (t1 - t0) / substeps
-        for k in range(substeps):
-            t = t0 + k * h
-            psi = _rk4_schrodinger(h_of_t, psi, t, h)
-            norm = float(np.linalg.norm(psi))
-            if not np.isfinite(norm) or norm > cap:
-                raise InstabilityError(
-                    t + h, f"state norm {norm:.3e} at t={t + h:.4f} (cap {cap:.1e})"
-                )
-        states[i + 1] = psi
+    for k, (t, h) in enumerate(zip(starts, sizes)):
+        ops = _stage_operators(h_of_t, t, h, h_first if k == 0 else None)
+        psi = _rk4_step(lambda stage, v: ops[stage] @ v, psi, h)
+        norm = float(np.linalg.norm(psi))
+        if not np.isfinite(norm) or norm > cap:
+            raise InstabilityError(t + h, _instability_message(norm, t + h, cap))
+        if (k + 1) % substeps == 0:
+            states[(k + 1) // substeps] = psi
     return states
 
 
-def _rk4_schrodinger(h_of_t, psi: np.ndarray, t: float, h: float) -> np.ndarray:
-    def f(v, tv):
-        return -1j * (h_of_t(tv) @ v)
+def _instability_message(norm: float, t: float, cap: float) -> str:
+    return f"state norm {norm:.3e} at t={t:.4f} (cap {cap:.1e})"
 
-    k1 = f(psi, t)
-    k2 = f(psi + 0.5 * h * k1, t + 0.5 * h)
-    k3 = f(psi + 0.5 * h * k2, t + 0.5 * h)
-    k4 = f(psi + h * k3, t + h)
+
+def _stage_operators(h_of_t, t: float, h: float, h_t=None) -> tuple:
+    """H at the stage times of the RK4 step from t: t, t + h/2 (once for
+    each of the two stages there) and t + h; h_t, when given, is H(t)."""
+    return (
+        h_of_t(t) if h_t is None else h_t,
+        h_of_t(t + 0.5 * h),
+        h_of_t(t + 0.5 * h),
+        h_of_t(t + h),
+    )
+
+
+def _rk4_step(apply, psi, h):
+    """One classic RK4 step of i d/dt psi = H psi, where apply(stage, v) is
+    H at that stage's time (0 .. 3, as _stage_operators orders them) times v."""
+    k1 = -1j * apply(0, psi)
+    k2 = -1j * apply(1, psi + 0.5 * h * k1)
+    k3 = -1j * apply(2, psi + 0.5 * h * k2)
+    k4 = -1j * apply(3, psi + h * k3)
     return psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+# Steps per block of the diagonal path: the block's arrays are a few
+# (DIAGONAL_BLOCK, dim) stacks, so memory stays flat at any horizon.
+DIAGONAL_BLOCK = 32
+
+
+def _propagate_diagonal(h_of_t, h_first, starts, sizes, substeps, cap, states) -> None:
+    """propagate's steps under a diagonal H(t), DIAGONAL_BLOCK at a time.
+
+    Each step's per-level factor is _rk4_step on a state of ones, with H
+    acting as its diagonal, and the states are the running product of the
+    factors from the state carried into the block. h_of_t is called at every
+    stage time, as the step-by-step loop calls it.
+    """
+    psi = states[0]
+    for b in range(0, len(starts), DIAGONAL_BLOCK):
+        t = starts[b : b + DIAGONAL_BLOCK]
+        h = sizes[b : b + DIAGONAL_BLOCK]
+        # (steps, stages, dim); every operator must hold one row.
+        g = np.array([
+            [op.bands for op in _stage_operators(h_of_t, tk, hk, h_first if b + k == 0 else None)]
+            for k, (tk, hk) in enumerate(zip(t, h))
+        ])[:, :, 0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            ones = np.ones((len(t), g.shape[2]))
+            factors = _rk4_step(lambda stage, v: g[:, stage] * v, ones, np.array(h)[:, None])
+            block = np.multiply.accumulate(np.concatenate([psi[None], factors]), axis=0)[1:]
+            norms = np.linalg.norm(block, axis=1)
+        bad = np.flatnonzero(~np.isfinite(norms) | (norms > cap))
+        if len(bad):
+            k = int(bad[0])
+            raise InstabilityError(
+                t[k] + h[k], _instability_message(float(norms[k]), t[k] + h[k], cap)
+            )
+        ends = np.arange(b + 1, b + 1 + len(t))
+        at_report = ends % substeps == 0
+        states[ends[at_report] // substeps] = block[at_report]
+        psi = block[-1]
 
 
 def convergence_probe(
@@ -127,45 +210,84 @@ def convergence_probe(
     return ratio, float(np.log2(ratio)) if ratio > 0 else float("-inf")
 
 
-def _require_stencil(t_index: int, n_times: int, margin: int) -> None:
-    if t_index < margin or t_index > n_times - 1 - margin:
+# Report times per window of the stacked meters: a window holds a few
+# (WINDOW + 8, rows, dim) band stacks, never one over the whole grid.
+WINDOW = 128
+
+
+def _require_stencil(t_index, n_times: int, margin: int) -> None:
+    """StencilError, naming the first offending index, unless every index
+    has margin grid points on either side."""
+    t_index = np.asarray(t_index)
+    bad = t_index[(t_index < margin) | (t_index > n_times - 1 - margin)]
+    if bad.size:
         raise StencilError(
-            f"time index {t_index} needs +-{margin} grid points inside [0, {n_times - 1}]"
+            f"time index {bad.flat[0]} needs +-{margin} grid points inside [0, {n_times - 1}]"
         )
 
 
-def _fd4(v: Callable[[int], np.ndarray], i: int, h: float):
-    """4th-order central difference over v(i-2) .. v(i+2), with v(j) the
-    value at grid index j; v is called in the order i+2, i+1, i-1, i-2."""
-    return (-v(i + 2) + 8 * v(i + 1) - 8 * v(i - 1) + v(i - 2)) / (12 * h)
+def _per_report_time(t_index, n_times: int, margin: int, window) -> float | np.ndarray:
+    """A meter at one report index (a float) or at an array of them (an
+    array of that shape), from window(lo, n), the meter's values at report
+    times lo .. lo + n - 1 with n <= WINDOW.
 
-
-def _fd4_richardson(value_at: Callable[[int], np.ndarray], i: int, h: float) -> np.ndarray:
-    """Richardson combination of the 4th-order stencil at spacings h and 2h.
-
-    Uses indices i-4 .. i+4 of the underlying grid and evaluates each of the
-    six it needs once: i+2, i+1, i-1, i-2, then i+4 and i-4.
+    The requested indices, sorted, are cut into windows of at most WINDOW
+    report times, so a contiguous run costs one window per WINDOW times.
     """
-    v = lru_cache(maxsize=None)(value_at)
-    d_h = _fd4(v, i, h)
-    # The stencil at spacing 2h reads index i + 2k where _fd4 asks for i + k.
-    d_2h = _fd4(lambda j: v(2 * j - i), i, 2 * h)
-    return (16 * d_h - d_2h) / 15
+    idx = np.asarray(t_index)
+    _require_stencil(idx, n_times, margin)
+    wanted = np.unique(idx)
+    values = np.empty(len(wanted))
+    start = 0
+    while start < len(wanted):
+        lo = int(wanted[start])
+        stop = int(np.searchsorted(wanted, lo + WINDOW))
+        values[start:stop] = window(lo, int(wanted[stop - 1]) - lo + 1)[wanted[start:stop] - lo]
+        start = stop
+    out = values[np.searchsorted(wanted, idx)]
+    return float(out) if idx.ndim == 0 else out
+
+
+def _fd4(v: np.ndarray, h: float, step: int = 1) -> np.ndarray:
+    """4th-order central difference along axis 0 of v over points `step`
+    rows apart and h apart in time: at row i it is (-v[i + 2 step] +
+    8 v[i + step] - 8 v[i - step] + v[i - 2 step]) / (12 h), for every row
+    from 2 step to len(v) - 1 - 2 step."""
+    n = len(v) - 4 * step
+    return (-v[4 * step :] + 8 * v[3 * step : 3 * step + n] - 8 * v[step : step + n] + v[:n]) / (
+        12 * h
+    )
+
+
+def _fd4_richardson(v: np.ndarray, h: float) -> np.ndarray:
+    """Richardson combination of the 4th-order stencil at spacings h and 2h,
+    along axis 0 of v, at every row 4 .. len(v) - 5."""
+    return (16 * _fd4(v[2:-2], h) - _fd4(v, 2 * h, step=2)) / 15
 
 
 def schrodinger_residual(
     states: np.ndarray,
     times: np.ndarray,
     h_of_t: Callable[[float], np.ndarray],
-    t_index: int,
-) -> float:
-    """|i D_t psi - H psi| / max(1, |H psi|) with a 4th-order stencil."""
+    t_index,
+) -> float | np.ndarray:
+    """|i D_t psi - H psi| / max(1, |H psi|) with a 4th-order stencil, at
+    one report index or at each of an array of them.
+
+    The time derivative is a slice along time over each window; H(t) @ psi
+    is formed one time at a time, so h_of_t may return any operator.
+    """
     dt = _check_uniform(times)
-    _require_stencil(t_index, len(times), 2)
-    dpsi = _fd4(states.__getitem__, t_index, dt)
-    h_psi = h_of_t(float(times[t_index])) @ states[t_index]
-    num = float(np.linalg.norm(1j * dpsi - h_psi))
-    return num / max(1.0, float(np.linalg.norm(h_psi)))
+
+    def window(lo: int, n: int) -> np.ndarray:
+        dpsi = _fd4(states[lo - 2 : lo + n + 2], dt)
+        h_psi = np.array([
+            h_of_t(t) @ psi for t, psi in zip(times[lo : lo + n].tolist(), states[lo : lo + n])
+        ])
+        num = np.linalg.norm(1j * dpsi - h_psi, axis=-1)
+        return num / np.maximum(1.0, np.linalg.norm(h_psi, axis=-1))
+
+    return _per_report_time(t_index, len(times), 2, window)
 
 
 def dyson_residual(traj: MetricTrajectory, t_index: int, dim: int) -> float:
@@ -177,13 +299,18 @@ def dyson_residual(traj: MetricTrajectory, t_index: int, dim: int) -> float:
     the meter finite where eta^{-1} is violently ill-conditioned.
     """
     _require_stencil(t_index, traj.n_times, 4)
-    dt = traj.dt
 
-    def eta_at(j: int) -> np.ndarray:
-        return build_eta(traj.state_at(j), dim)
+    def eta_at(j: int) -> ParityBlocks:
+        return build_eta(traj.state_at(t_index + j), dim)
 
-    eta_dot = _fd4_richardson(eta_at, t_index, dt)
-    eta = eta_at(t_index)
+    # The stencil reads the rows at offsets +-1, +-2 and +-4 only; they are
+    # built in this order, the one the metric caches' hits depend on.
+    rows = {j: eta_at(j).blocks for j in (2, 1, -1, -2, 4, -4)}
+    stencil = np.zeros((9,) + rows[1].shape, dtype=rows[1].dtype)
+    for j, blocks in rows.items():
+        stencil[4 + j] = blocks
+    eta_dot = ParityBlocks(_fd4_richardson(stencil, traj.dt)[0], dim)
+    eta = eta_at(0)
     h = hamiltonian_op(traj.coeffs_at(t_index), dim).bands
     # eta H = x + i y with real x, y. eta is real symmetric, so H_adj eta is
     # x^T - i y^T and the residual is (eta_dot + y + y^T) + i (x^T - x).
@@ -195,25 +322,34 @@ def dyson_residual(traj: MetricTrajectory, t_index: int, dim: int) -> float:
     return math.hypot(interior_norm(re), interior_norm(im)) / scale
 
 
-def invariant_residual(traj: MetricTrajectory, t_index: int, dim: int) -> float:
-    """Residual of d I/dt = i [I, H] over the interior block."""
-    _require_stencil(t_index, traj.n_times, 4)
+def invariant_residual(traj: MetricTrajectory, t_index, dim: int) -> float | np.ndarray:
+    """Residual of d I/dt = i [I, H] over the interior block, at one report
+    index or at each of an array of them.
 
-    def bands_at(j: int) -> np.ndarray:
+    I's and H's bands are built over a window of report times from the
+    trajectory's arrays, with a 4-point halo for I's stencil.
+    """
+    phi, vtheta0 = traj.phi[:: traj.stride], traj.vtheta0[:: traj.stride]
+    omega, alpha, beta = (a[:: traj.stride] for a in (traj.omega, traj.alpha, traj.beta))
+
+    def window(lo: int, n: int) -> np.ndarray:
+        span = slice(lo - 4, lo + n + 4)
+        inv = su11_bands(invariant_coeffs(phi[span], vtheta0[span]), dim)
         # Complex, as the dense I: numpy divides a complex array by a real
         # through its reciprocal, so the stencil then rounds dI/dt entrywise
         # as it rounds the dense matrix.
-        return invariant_op(traj.state_at(j), dim).bands.astype(complex)
+        di = _fd4_richardson(inv.astype(complex), traj.dt)
+        inv = inv[4:-4]
+        at = slice(lo, lo + n)
+        h = su11_bands(hamiltonian_coeffs(omega[at], alpha[at], beta[at]), dim)
+        comm = 1j * (_band_product(inv, h) - _band_product(h, inv))
+        residual = np.zeros_like(comm)
+        residual[:, : di.shape[1]] = di
+        residual -= comm
+        scale = np.maximum(1.0, interior_norm(BandOperator(comm)))
+        return interior_norm(BandOperator(residual)) / scale
 
-    di = _fd4_richardson(bands_at, t_index, traj.dt)
-    inv = invariant_op(traj.state_at(t_index), dim)
-    h = hamiltonian_op(traj.coeffs_at(t_index), dim)
-    comm = 1j * ((inv @ h).bands - (h @ inv).bands)
-    residual = np.zeros_like(comm)
-    residual[: len(di)] = di
-    residual -= comm
-    scale = max(1.0, interior_norm(BandOperator(comm)))
-    return interior_norm(BandOperator(residual)) / scale
+    return _per_report_time(t_index, traj.n_times, 4, window)
 
 
 def hermitian_image_check(traj: MetricTrajectory, t_index: int, dim: int) -> float:
@@ -247,11 +383,11 @@ def hamiltonian_source(traj: MetricTrajectory, dim: int) -> Callable[[float], Ba
     report interval (at the flow's STRIDE of 8); any other t raises a
     ValueError naming it.
     """
-    om, al, be = traj.half_omega.tolist(), traj.half_alpha.tolist(), traj.half_beta.tolist()
+    coeffs = hamiltonian_coeffs(traj.half_omega, traj.half_alpha, traj.half_beta)
+    index = traj.half_step_indexer()
 
     def h_of_t(t: float) -> BandOperator:
-        j = traj.half_step_index(t)
-        return hamiltonian_op(HamiltonianCoefficients(om[j], al[j], be[j]), dim)
+        return BandOperator(su11_bands(coeffs[index(t)], dim))
 
     return h_of_t
 
@@ -266,9 +402,10 @@ def transformed_generator_source(
     the half-step grid, like H in hamiltonian_source.
     """
     w_re = traj.half_w.real.tolist()
+    index = traj.half_step_indexer()
 
     def h_of_t(t: float) -> BandOperator:
-        return k0_operator(dim, -2.0 * w_re[traj.half_step_index(t)])
+        return k0_operator(dim, -2.0 * w_re[index(t)])
 
     return h_of_t
 

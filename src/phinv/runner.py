@@ -49,7 +49,7 @@ from .propagator import (
     propagate,
     schrodinger_residual,
 )
-from .scenario import ScenarioConfig, canonical_hash, tolerance_value
+from .scenario import DEFAULT_TOLERANCES, ScenarioConfig, canonical_hash, tolerance_value
 
 FIXED_COLUMNS = [
     "t", "Phi", "vtheta0", "chi",
@@ -151,23 +151,28 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         idx = int(round(t / cfg.dt))
         return hamiltonian_op(traj.coeffs_at(idx), dim)
 
-    eta_norms = np.empty(n_times)
+    # The band-only meters run once over the report grid; the meters that
+    # build the metric run per report time below.
     schro = np.full(n_times, math.nan)
+    schro[2:-2] = schrodinger_residual(states, times, h_report, np.arange(2, n_times - 2))
     inv_res = np.full(n_times, math.nan)
+    inv_res[4:-4] = invariant_residual(traj, np.arange(4, n_times - 4), dim)
+    at_reports = slice(None, None, traj.stride)
+    constraint_dev = np.maximum.reduce(list(constraint_residuals(
+        traj.phi[at_reports], traj.vtheta0[at_reports],
+        traj.omega[at_reports], traj.alpha[at_reports], traj.beta[at_reports],
+    ).values()))
+
+    eta_norms = np.empty(n_times)
     dys_res = np.full(n_times, math.nan)
     rayleigh_dev = np.empty(n_times)
     image_dev = np.empty(n_times)
-    constraint_dev = np.empty(n_times)
     levels = np.arange(min(RAYLEIGH_MAX_N, dim // 4) + 1) + 0.5
     for i in range(n_times):
         s_i = traj.state_at(i)
-        c_i = traj.coeffs_at(i)
         eta = build_eta(s_i, dim)
         eta_norms[i] = float(np.real(np.vdot(states[i], eta @ states[i])))
-        if 2 <= i <= n_times - 3:
-            schro[i] = schrodinger_residual(states, times, h_report, i)
         if 4 <= i <= n_times - 5:
-            inv_res[i] = invariant_residual(traj, i, dim)
             dys_res[i] = dyson_residual(traj, i, dim)
         inv_op = invariant_op(s_i, dim)
         # The columns rho^{-1}|n> are real, as are eta and I.
@@ -176,7 +181,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         num = np.sum(v * (eta @ (inv_op @ v)), axis=0)
         rayleigh_dev[i] = float(np.max(np.abs(num / den - levels)))
         image_dev[i] = hermitian_image_check(traj, i, dim)
-        constraint_dev[i] = max(constraint_residuals(s_i, c_i).values())
 
     rng = np.random.default_rng(cfg.seed)
     gram_dev = []
@@ -377,7 +381,8 @@ def verify_artifacts(
     recorded ones and can be overridden (typically tightened) by finite
     numbers >= 0. The pair must belong together: the report's recorded CSV
     digest must match the given CSV, and its recorded effective config must
-    hash to its recorded config hash.
+    hash to its recorded config hash. Its check rows must be the ones run
+    emits, each once, so a deleted or repeated row is a format error.
     """
     overrides = overrides or {}
     try:
@@ -386,12 +391,22 @@ def verify_artifacts(
         raise FormatError(f"invalid report JSON at line {e.lineno}: {e.msg}") from e
     try:
         checks = report["checks"]
+        names = [str(c["name"]) for c in checks]
         prov = report["provenance"]
         recorded_digest = prov["csv_sha256"]
         recorded_hash = prov["config_hash"]
         eff = prov["effective_config"]
     except (KeyError, TypeError) as e:
         raise FormatError(f"report is missing required field: {e}") from e
+    # run emits one row per tolerance but local_error, a flow threshold.
+    emitted = set(DEFAULT_TOLERANCES) - {"local_error"}
+    if len(names) != len(set(names)) or set(names) != emitted:
+        repeated = sorted({n for n in names if names.count(n) > 1})
+        raise FormatError(
+            "the report's check rows are not the emitted set, each once: "
+            f"missing {sorted(emitted - set(names))}, unknown "
+            f"{sorted(set(names) - emitted)}, repeated {repeated}"
+        )
     if canonical_hash(eff) != recorded_hash:
         raise FormatError(
             "the report's effective_config does not hash to its config_hash; "
@@ -412,9 +427,8 @@ def verify_artifacts(
             f"CSV has {n_rows} data rows but the config implies {expected_rows}"
         )
 
-    known = {c["name"] for c in checks}
     for name in overrides:
-        if name not in known:
+        if name not in emitted:
             raise FormatError(f"unknown check name in tolerance override: {name}")
     overrides = {name: tolerance_value(name, v) for name, v in overrides.items()}
 

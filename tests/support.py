@@ -16,7 +16,8 @@ generator oracle: a, a_dag, K+-, K0, x and p as full complex matrices from
 a[n-1, n] = sqrt(n) and matrix products, where phinv writes the su(1,1)
 diagonals from their closed form. InvariantCoefficients holds the
 invariant's coefficients delta1, delta2, delta3, which phinv folds into its
-bands.
+bands. su11_operator is one su(1,1) combination as a BandOperator, from
+phinv's band formula; the package itself builds bands only.
 
 ensure_operator, commutator, apply, adjoint, frobenius_distance,
 nilpotent_exp and diagonal_power are the small exact matrix toolkit the
@@ -30,6 +31,11 @@ generators, the unreduced metric-flow rates, and the K- and K+ coefficients
 U and V of the transformed generator. The tests check the first against
 phinv's metric, the second against its reduced flow, and that the last two
 vanish along its constrained trajectories.
+
+propagate_loop is the RK4 integrator as a plain loop, one step and one
+state at a time with a norm check after each step: the reference for
+propagate, which takes a diagonal generator's steps a block at a time as a
+running product of per-level factors.
 
 gauss_params is the other route to the metric factors: it disentangles
 exp(epsilon 2 K0 + mu 2 (K+ + K-)) from the generator pair, where phinv
@@ -49,6 +55,7 @@ import numpy as np
 from phinv import (
     DimensionError,
     DomainError,
+    InstabilityError,
     MetricState,
     NumericsError,
     ShapeError,
@@ -58,7 +65,8 @@ from phinv import (
     interior_norm,
     ladder_exp,
 )
-from phinv.fock import ensure_state
+from phinv.fock import BandOperator, ensure_state, su11_bands
+from phinv.propagator import INSTABILITY_FACTOR
 
 
 class StructureError(NumericsError):
@@ -123,6 +131,12 @@ class InvariantCoefficients:
             delta2=-chi * phi / th0,
             delta3=-phi / th0,
         )
+
+
+def su11_operator(dim: int, zero: complex, minus: complex, plus: complex) -> BandOperator:
+    """zero K0 + minus K- + plus K+ as a BandOperator, one operator's case of
+    phinv's su11_bands."""
+    return BandOperator(su11_bands(np.array([zero, minus, plus]), dim))
 
 
 def ensure_operator(a: np.ndarray) -> np.ndarray:
@@ -525,3 +539,31 @@ def uv_coefficients(s: MetricState, c, dphi: float, dvtheta0: float) -> tuple[co
     v = (om * chi * phi - al * phi * phi - be * chi * chi
          + 0.5j * (th0 * dphi + phi * phi * dphi - phi * dvtheta0)) / th0
     return u, v
+
+
+def propagate_loop(h_of_t, psi0: np.ndarray, times: np.ndarray, *, substeps: int = 8):
+    """Classic RK4 for i d/dt psi = H(t) psi, step by step: each report
+    interval in `substeps` steps, InstabilityError at the first step whose
+    state is not finite or whose norm exceeds INSTABILITY_FACTOR times the
+    initial norm. Returns the states at the given times."""
+    psi0 = np.asarray(psi0, dtype=complex)
+    cap = INSTABILITY_FACTOR * max(float(np.linalg.norm(psi0)), 1e-300)
+    states = np.empty((len(times), len(psi0)), dtype=complex)
+    states[0] = psi = psi0.copy()
+    for i in range(len(times) - 1):
+        t0, t1 = float(times[i]), float(times[i + 1])
+        h = (t1 - t0) / substeps
+        for k in range(substeps):
+            t = t0 + k * h
+            k1 = -1j * (h_of_t(t) @ psi)
+            k2 = -1j * (h_of_t(t + 0.5 * h) @ (psi + 0.5 * h * k1))
+            k3 = -1j * (h_of_t(t + 0.5 * h) @ (psi + 0.5 * h * k2))
+            k4 = -1j * (h_of_t(t + h) @ (psi + h * k3))
+            psi = psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            norm = float(np.linalg.norm(psi))
+            if not np.isfinite(norm) or norm > cap:
+                raise InstabilityError(
+                    t + h, f"state norm {norm:.3e} at t={t + h:.4f} (cap {cap:.1e})"
+                )
+        states[i + 1] = psi
+    return states

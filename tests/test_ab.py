@@ -67,3 +67,23 @@ def test_counters_compare_by_name_and_a_missing_one_is_unequal():
     c = ab.compare_counters(base, change, names)
     assert c["change"]["metric.build_calls"] is None and not c["counters_equal"]
     assert not ab.compare_counters(change, change, names)["counters_equal"]
+
+
+def test_a_base_spread_wider_than_the_bound_is_unresolved():
+    # Base quartiles 1.625 and 2.375 around a median of 2.0: a relative
+    # spread of 0.375.
+    base = [1.5, 2.0, 2.0, 2.5, 1.5, 2.0, 2.0, 2.5]
+    s = ab.summarize(base, [b + 0.01 for b in base], "lower", 0.2)
+    assert s["base_relative_spread"] == pytest.approx(0.375)
+    assert s["within_bound"] and s["unresolved"]
+    # The same spread against a bound that covers it is resolved.
+    assert not ab.summarize(base, base, "lower", 0.4)["unresolved"]
+    # Every change run beating every base run resolves it at any spread.
+    s = ab.summarize(base, [1.4] * len(base), "lower", 0.2)
+    assert not s["unresolved"] and s["change_wins"] == len(base)
+    # One change run inside the base's range leaves it unresolved.
+    s = ab.summarize(base, [1.4] * (len(base) - 1) + [1.6], "lower", 0.2)
+    assert s["unresolved"]
+    # Higher is better: every change run must read above every base run.
+    s = ab.summarize(base, [2.6] * len(base), "higher", 0.2)
+    assert not s["unresolved"]

@@ -99,6 +99,60 @@ def test_verify_rejects_an_edited_effective_config(artifact_dir, tmp_path, capsy
     assert "does not hash to its config_hash" in capsys.readouterr().err
 
 
+
+@pytest.fixture(scope="module")
+def failing_td_dir(tmp_path_factory):
+    """demo_td at dim 16 to t_max 0.05, run with dyson tightened to 1e-30:
+    schrodinger, dyson, rayleigh and cross_representation fail."""
+    from phinv import demo_scenarios
+
+    out = tmp_path_factory.mktemp("failing")
+    config = out / "config.json"
+    config.write_text(json.dumps(dict(demo_scenarios()["demo_td"], dim=16, t_max=0.05)))
+    rc = main(["run", "--config", str(config), "--out", str(out), "--quiet",
+               "--tolerance", "dyson=1e-30"])
+    assert rc == 1
+    return out
+
+
+FAILING_ROWS = {"schrodinger", "dyson", "rayleigh", "cross_representation"}
+
+
+def _drop_failing_rows(checks):
+    return [c for c in checks if c["name"] not in FAILING_ROWS]
+
+
+def _repeat_a_row(checks):
+    return checks + [dict(checks[-1])]
+
+
+def _rename_a_failing_row(checks):
+    return [dict(c, name="frobulation") if c["name"] == "dyson" else c for c in checks]
+
+
+@pytest.mark.parametrize(
+    "edit, says",
+    [
+        (_drop_failing_rows,
+         "missing ['cross_representation', 'dyson', 'rayleigh', 'schrodinger']"),
+        (_repeat_a_row, "repeated ['hermitian_side']"),
+        (_rename_a_failing_row, "missing ['dyson'], unknown ['frobulation']"),
+    ],
+)
+def test_verify_rejects_a_report_whose_check_rows_were_edited(
+    failing_td_dir, tmp_path, capsys, edit, says
+):
+    report = json.loads((failing_td_dir / "report.json").read_text())
+    assert {c["name"] for c in report["checks"] if not c["passed"]} == FAILING_ROWS
+    report["checks"] = edit(report["checks"])
+    report["overall_pass"] = True
+    shutil.copy(failing_td_dir / "series.csv", tmp_path / "series.csv")
+    (tmp_path / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    rc = main(["verify", "--out", str(tmp_path)])
+    assert rc == 2
+    assert says in capsys.readouterr().err
+
+
 def test_verify_missing_artifacts(tmp_path, capsys):
     rc = main(["verify", "--out", str(tmp_path)])
     assert rc == 2

@@ -92,7 +92,7 @@ def test_constraint_residuals_vanish_on_derived_coeffs():
     rng = np.random.default_rng(3)
     for s in random_metric_states(23, 100):
         c = _constrained(s, *_random_drive(rng))
-        res = constraint_residuals(s, c)
+        res = constraint_residuals(s.phi_cap, s.vtheta_zero, c.omega, c.alpha, c.beta)
         assert set(res) == {"re_beta", "re_alpha", "im_alpha"}
         assert max(abs(v) for v in res.values()) <= 1e-12
 
@@ -100,9 +100,10 @@ def test_constraint_residuals_vanish_on_derived_coeffs():
 def test_constraint_residuals_flag_inconsistency():
     s = MetricState(0.2, 1.0)
     c = _constrained(s, 1.0, 0.1, -0.02)
-    res0 = max(abs(v) for v in constraint_residuals(s, c).values())
-    shifted = HamiltonianCoefficients(c.omega, c.alpha + 0.01, c.beta)
-    res1 = max(abs(v) for v in constraint_residuals(s, shifted).values())
+    res0 = max(abs(v) for v in constraint_residuals(0.2, 1.0, c.omega, c.alpha, c.beta).values())
+    res1 = max(
+        abs(v) for v in constraint_residuals(0.2, 1.0, c.omega, c.alpha + 0.01, c.beta).values()
+    )
     assert res1 > 1e-4
     assert res1 > 1e6 * max(res0, 1e-300)
 

@@ -12,6 +12,7 @@ from support import (
     dense_dyson_residual,
     dense_hermitian_image_check,
     dense_invariant_residual,
+    propagate_loop,
 )
 
 from phinv import (
@@ -21,6 +22,7 @@ from phinv import (
     StencilError,
     assemble_solution,
     build_eta,
+    build_rho,
     convergence_probe,
     demo_scenarios,
     dyson_residual,
@@ -94,6 +96,35 @@ def test_instability_detected():
     with pytest.raises(InstabilityError) as info:
         propagate(h, psi0, np.linspace(0.0, 1.0, 101))
     assert 0.1 <= info.value.time <= 0.35
+    # The same gain as a diagonal BandOperator takes the block path, and
+    # stops at the same step with the same message.
+    with pytest.raises(InstabilityError) as banded:
+        propagate(lambda t: k0_operator(64, 2j), psi0, np.linspace(0.0, 1.0, 101))
+    assert banded.value.time == info.value.time
+    assert str(banded.value) == str(info.value)
+
+
+def test_banded_path_is_the_step_by_step_loop(gentle_traj):
+    h = hamiltonian_source(gentle_traj, 64)
+    psi0 = assemble_solution(gentle_traj, 0, 64)
+    times = gentle_traj.times[:201]
+    assert np.array_equal(propagate(h, psi0, times), propagate_loop(h, psi0, times))
+
+
+def test_diagonal_path_agrees_with_the_step_by_step_loop(gentle_traj):
+    """The running product of per-level factors rounds differently from the
+    loop's stage sums; over the 40,000 steps of the full horizon the two
+    stay within 1e-13 of each other, relative to the state."""
+    h = transformed_generator_source(gentle_traj, 64)
+    psi0 = build_rho(gentle_traj.state_at(0), 64) @ assemble_solution(gentle_traj, 0, 64)
+    got = propagate(h, psi0, gentle_traj.times)
+    want = propagate_loop(h, psi0, gentle_traj.times)
+    rel = np.linalg.norm(got - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert np.max(rel) <= 1e-13
+    # The same number of H(t) calls: four per RK4 step.
+    calls = []
+    propagate(lambda t: calls.append(t) or h(t), psi0, gentle_traj.times[:11])
+    assert len(calls) == 4 * 8 * 10
 
 
 def test_convergence_probe_fourth_order(gentle_traj):
@@ -267,6 +298,33 @@ def test_band_meters_match_dense_oracles(demo_td_traj, dim):
         ):
             got, want = meter(demo_td_traj, i, dim), oracle(demo_td_traj, i, dim)
             assert abs(got - want) <= 1e-14, f"{meter.__name__} at {i}: {got:.3e} vs {want:.3e}"
+
+
+@pytest.mark.parametrize("dim", [16, 17, 64])
+def test_stacked_meters_match_their_per_index_calls(gentle_traj, dim):
+    """An index array spanning several windows, with sparse, unordered and
+    repeated entries, gives each index's single-call value."""
+    n = 401
+    states = np.array([assemble_solution(gentle_traj, i, dim) for i in range(n)])
+    times = gentle_traj.times[:n]
+    h = hamiltonian_source(gentle_traj, dim)
+    cases = (
+        (lambda i: schrodinger_residual(states, times, h, i),
+         np.r_[np.arange(2, n - 2), 398, 2, 250, 250]),
+        (lambda i: invariant_residual(gentle_traj, i, dim),
+         np.r_[np.arange(4, n - 4), 4996, 2500, 1000, 4, 1000]),
+    )
+    for meter, idx in cases:
+        got = meter(idx)
+        assert got.shape == idx.shape
+        want = np.array([meter(int(i)) for i in idx])
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), meter
+        assert isinstance(meter(int(idx[0])), float)
+        assert np.array_equal(meter(idx.reshape(1, -1)), got.reshape(1, -1))
+    with pytest.raises(StencilError, match="time index 1 "):
+        schrodinger_residual(states, times, h, np.array([5, 1, 0]))
+    with pytest.raises(StencilError, match="time index 4997 "):
+        invariant_residual(gentle_traj, np.array([4, 4997]), dim)
 
 
 @pytest.fixture(scope="module")

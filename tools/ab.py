@@ -14,7 +14,10 @@ sides' runs, medians and quartiles, the pairs the change won, and two
 verdicts: `gain` (the change won at least nine tenths of the pairs, ties
 counting for neither, and the medians differ by more than the base's
 interquartile range) and `within_bound` (the change's median is not worse
-than the base's by more than the metric's relative bound). After the pairs
+than the base's by more than the metric's relative bound), and the flag
+`unresolved`: the base's interquartile range is wider, relative to its
+median, than the metric's bound, so `within_bound` cannot tell a change
+from noise, and not every change run beats every base run. After the pairs
 it runs `--seconds 0 --trace 1` once in each tree and records both sides'
 exact counters (the per-layer metrics of unit `count` in BENCHMARK.json)
 and whether they are all equal.
@@ -57,8 +60,11 @@ def summarize(base: list[float], change: list[float], better: str, bound: float)
     base_median = sides["base"]["median"]
     if base_median:
         worse_by = -gap / abs(base_median)
+        spread = base_iqr / abs(base_median)
     else:
         worse_by = math.inf if gap < 0 else 0.0
+        spread = math.inf if base_iqr else 0.0
+    every_run_better = all(sign * (c - b) > 0 for c in change for b in base)
     return {
         **sides,
         "pairs": len(base),
@@ -69,6 +75,8 @@ def summarize(base: list[float], change: list[float], better: str, bound: float)
         "relative_worsening": worse_by,
         "bound": bound,
         "within_bound": worse_by <= bound,
+        "base_relative_spread": spread,
+        "unresolved": spread > bound and not every_run_better,
     }
 
 
@@ -193,7 +201,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"[{s['base']['q1']:.4g}, {s['base']['q3']:.4g}] change "
                   f"{s['change']['median']:.4g} [{s['change']['q1']:.4g}, "
                   f"{s['change']['q3']:.4g}] wins {s['change_wins']}/{s['pairs']} "
-                  f"gain {s['gain']} within_bound {s['within_bound']}")
+                  f"gain {s['gain']} within_bound {s['within_bound']} "
+                  f"unresolved {s['unresolved']}")
         c = entry["counters"]
         print(f"{workload:16s} counters base {c['base']} change {c['change']} "
               f"counters_equal {c['counters_equal']} traced_failed {c['traced_failed']}")

@@ -15,9 +15,9 @@ import os
 import sys
 
 from ._version import __version__
-from .errors import ConfigError, InputError, NumericsError
+from .errors import InputError, NumericsError
 from .runner import run_scenario, verify_artifacts
-from .scenario import DEFAULT_TOLERANCES, demo_scenarios, parse_scenario, tolerance_value
+from .scenario import demo_scenarios, parse_scenario, tolerance_overrides
 
 
 def _tolerance_pair(text: str) -> tuple[str, float]:
@@ -46,19 +46,14 @@ def build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run a scenario config, write CSV and report")
     run_p.add_argument("--config", required=True, help="path to a scenario JSON file")
     run_p.add_argument("--out", default=".", help="output directory")
-    run_p.add_argument(
-        "--tolerance", action="append", default=[], type=_tolerance_pair,
-        metavar="NAME=VALUE", help="override a tolerance (repeatable)",
-    )
-    run_p.add_argument("--quiet", action="store_true", help="suppress per-check lines")
-
     ver_p = sub.add_parser("verify", help="re-judge series.csv + report.json in a directory")
     ver_p.add_argument("--out", default=".", help="directory holding the artifacts")
-    ver_p.add_argument(
-        "--tolerance", action="append", default=[], type=_tolerance_pair,
-        metavar="NAME=VALUE", help="override a tolerance (repeatable)",
-    )
-    ver_p.add_argument("--quiet", action="store_true", help="suppress per-check lines")
+    for p in (run_p, ver_p):
+        p.add_argument(
+            "--tolerance", action="append", default=[], type=_tolerance_pair,
+            metavar="NAME=VALUE", help="override a tolerance (repeatable)",
+        )
+        p.add_argument("--quiet", action="store_true", help="suppress per-check lines")
 
     demo_p = sub.add_parser("demo", help="write the built-in scenario configs")
     demo_p.add_argument("--out", default=".", help="output directory")
@@ -74,13 +69,8 @@ def _cmd_run(args) -> int:
         print(f"error: cannot read config: {e}", file=sys.stderr)
         return 2
     cfg = parse_scenario(text)
-    overrides = {}
-    for name, value in args.tolerance:
-        if name not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"tolerances.{name}", "unknown tolerance name")
-        overrides[name] = tolerance_value(name, value)
-    if overrides:
-        cfg = dataclasses.replace(cfg, tolerances={**cfg.tolerances, **overrides})
+    overrides = tolerance_overrides(args.tolerance)
+    cfg = dataclasses.replace(cfg, tolerances={**cfg.tolerances, **overrides})
     result = run_scenario(cfg)
     os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "series.csv")

@@ -49,7 +49,7 @@ from .propagator import (
     propagate,
     schrodinger_residual,
 )
-from .scenario import DEFAULT_TOLERANCES, ScenarioConfig, canonical_hash, tolerance_value
+from .scenario import CHECKS, Check, ScenarioConfig, canonical_hash, tolerance_overrides
 
 FIXED_COLUMNS = [
     "t", "Phi", "vtheta0", "chi",
@@ -70,6 +70,31 @@ ORACLE_HORIZON = 0.5
 
 def _fmt(x: float) -> str:
     return f"{x:.16e}"
+
+
+def _verdict(name: str, residual: float, tolerance: float) -> tuple[bool, str]:
+    """Whether a row passes, and its PASS/FAIL line as run and verify print it."""
+    passed = residual <= tolerance
+    return passed, (
+        f"{'PASS' if passed else 'FAIL'} {name}: max={residual:.3e} tol={tolerance:.1e}"
+    )
+
+
+def _worst(check: Check, values, times) -> tuple[float, float | None]:
+    """The largest |value| of a measured series (of its change from the
+    first value, for a drift check) and its time, over the rows where the
+    check applies: all but its margin at each end. A non-finite value there
+    stops the run: no verdict can be read from it."""
+    vals = np.asarray(values, dtype=float)[check.margin : len(values) - check.margin]
+    vals = np.abs(vals - vals[0] if check.drift else vals)
+    times = times[check.margin : len(values) - check.margin]
+    bad = np.flatnonzero(~np.isfinite(vals))
+    if bad.size:
+        t = times[bad[0]]
+        at = "" if t is None else f"t={t:.6g}: "
+        raise DomainError(f"{at}check '{check.name}' residual is {vals[bad[0]]}")
+    j = int(np.argmax(vals))
+    return float(vals[j]), None if times[j] is None else float(times[j])
 
 
 @dataclass
@@ -99,10 +124,6 @@ def _profile_callables(cfg: ScenarioConfig) -> dict:
     return {"omega": pair("omega"), "alpha": pair("alpha"), "beta": pair("beta")}
 
 
-def _sample_indices(n_times: int) -> np.ndarray:
-    return np.unique(np.round(np.linspace(0, n_times - 1, N_SAMPLE_TIMES)).astype(int))
-
-
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     dim = cfg.dim
     tol = cfg.tolerances
@@ -123,7 +144,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     # The position spot checks need normalizable eigenfunctions that decay
     # inside their grid. Both are known from the trajectory alone, so a
     # failure stops the run here, with its time, before any meter runs.
-    sample_idx = _sample_indices(n_times)
+    sample_idx = np.unique(np.round(np.linspace(0, n_times - 1, N_SAMPLE_TIMES)).astype(int))
     spots = []
     for i in sample_idx:
         s_i = traj.state_at(int(i))
@@ -153,10 +174,15 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
     # The band-only meters run once over the report grid; the meters that
     # build the metric run per report time below.
+    margin = {c.name: c.margin for c in CHECKS}
+    m = margin["schrodinger"]
     schro = np.full(n_times, math.nan)
-    schro[2:-2] = schrodinger_residual(states, times, h_report, np.arange(2, n_times - 2))
+    schro[m : n_times - m] = schrodinger_residual(
+        states, times, h_report, np.arange(m, n_times - m)
+    )
+    m = margin["invariant"]
     inv_res = np.full(n_times, math.nan)
-    inv_res[4:-4] = invariant_residual(traj, np.arange(4, n_times - 4), dim)
+    inv_res[m : n_times - m] = invariant_residual(traj, np.arange(m, n_times - m), dim)
     at_reports = slice(None, None, traj.stride)
     constraint_dev = np.maximum.reduce(list(constraint_residuals(
         traj.phi[at_reports], traj.vtheta0[at_reports],
@@ -172,7 +198,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         s_i = traj.state_at(i)
         eta = build_eta(s_i, dim)
         eta_norms[i] = float(np.real(np.vdot(states[i], eta @ states[i])))
-        if 4 <= i <= n_times - 5:
+        if margin["dyson"] <= i < n_times - margin["dyson"]:
             dys_res[i] = dyson_residual(traj, i, dim)
         inv_op = invariant_op(s_i, dim)
         # The columns rho^{-1}|n> are real, as are eta and I.
@@ -186,21 +212,20 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     gram_dev = []
     canon_dev = []
     cross_dev = []
-    positivity_min = math.inf
+    positivity = []
     width_vals = []
     for i, s_i, shape, grid in spots:
         width_vals.append(shape.width_coeff)
         gram_dev.append(orthonormality_matrix(GRAM_MAX_N, s_i, grid))
         canon_dev.append(canonical_agreement(s_i, dim))
-        worst = 0.0
-        for n in range(min(CROSS_REP_MAX_N, dim - 1) + 1):
-            worst = max(worst, cross_representation_residual(s_i, n, dim))
-        cross_dev.append(worst)
+        cross_dev.append(float(np.max([
+            cross_representation_residual(s_i, n, dim)
+            for n in range(min(CROSS_REP_MAX_N, dim - 1) + 1)
+        ])))
         eta = build_eta(s_i, dim)
         for _ in range(4):
             z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            val = float(np.real(np.vdot(z, eta @ z)) / np.real(np.vdot(z, z)))
-            positivity_min = min(positivity_min, val)
+            positivity.append(float(np.real(np.vdot(z, eta @ z)) / np.real(np.vdot(z, z))))
 
     n_short = min(n_times - 1, int(round(ORACLE_HORIZON / cfg.dt)))
     short_times = times[: n_short + 1]
@@ -227,63 +252,43 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
     herm_side = hermitian_side_check(traj, states, dim)
 
-    def _max_at(arr: np.ndarray) -> tuple[float, float | None]:
-        finite = np.isfinite(arr)
-        if not finite.any():
-            return 0.0, None
-        vals = np.where(finite, np.abs(arr), -math.inf)
-        j = int(np.argmax(vals))
-        return float(vals[j]), float(times[j])
-
-    im_w_dense = np.abs(traj.w.imag)
-    j_imw = int(np.argmax(im_w_dense))
-    drift = np.abs(eta_norms - eta_norms[0])
-
     sample_times = times[sample_idx]
-
-    def _sample_max(vals: list[float]) -> tuple[float, float]:
-        j = int(np.argmax(vals))
-        return float(vals[j]), float(sample_times[j])
-
-    checks: list[dict] = []
-
-    def add(name: str, residual: float, worst_time: float | None):
-        checks.append(
-            {
-                "name": name,
-                "max_residual": float(residual),
-                "tolerance": float(tol[name]),
-                "passed": bool(residual <= tol[name]),
-                "worst_time": worst_time,
-            }
-        )
-
-    add("schrodinger", *_max_at(schro))
-    add("invariant", *_max_at(inv_res))
-    add("dyson", *_max_at(dys_res))
-    add("eta_norm_drift", *_max_at(drift))
-    add("im_w", float(im_w_dense[j_imw]), float(traj.dense_times[j_imw]))
-    add("rayleigh", *_max_at(rayleigh_dev))
-    add("hermitian_image", *_max_at(image_dev))
-    add("constraint", *_max_at(constraint_dev))
-    add("eta_positivity", max(0.0, -positivity_min), None)
-    add("tail_support", *_max_at(tails))
-    g, gt = _sample_max(gram_dev)
-    add("gram", g, gt)
-    c, ct = _sample_max(canon_dev)
-    add("canonical", c, ct)
-    x, xt = _sample_max(cross_dev)
-    add("cross_representation", x, xt)
-    add("oracle_overlap", overlap_deficit, float(times[n_short]))
-    add("oracle_vector", vector_diff, float(times[n_short]))
-    add("oracle_eta_drift", oracle_drift, None)
-    add("hermitian_side", herm_side, None)
+    at_oracle_end = [float(times[n_short])]
+    no_time = [None]
+    # Each row's measured series and the times of its values.
+    measured = {
+        "schrodinger": (schro, times),
+        "invariant": (inv_res, times),
+        "dyson": (dys_res, times),
+        "eta_norm_drift": (eta_norms, times),
+        "im_w": (traj.w.imag, traj.dense_times),
+        "rayleigh": (rayleigh_dev, times),
+        "hermitian_image": (image_dev, times),
+        "constraint": (constraint_dev, times),
+        "eta_positivity": (np.maximum(0.0, -np.array(positivity)), no_time * len(positivity)),
+        "tail_support": (tails, times),
+        "gram": (gram_dev, sample_times),
+        "canonical": (canon_dev, sample_times),
+        "cross_representation": (cross_dev, sample_times),
+        "oracle_overlap": ([overlap_deficit], at_oracle_end),
+        "oracle_vector": ([vector_diff], at_oracle_end),
+        "oracle_eta_drift": ([oracle_drift], no_time),
+        "hermitian_side": ([herm_side], no_time),
+    }
+    checks = []
+    summary = []
+    for check in CHECKS:
+        residual, worst_time = _worst(check, *measured[check.name])
+        tolerance = float(tol[check.name])
+        passed, line = _verdict(check.name, residual, tolerance)
+        checks.append({"name": check.name, "max_residual": residual, "tolerance": tolerance,
+                       "passed": passed, "worst_time": worst_time})
+        summary.append(line)
 
     csv_text = _emit_csv(cfg, traj, eta_norms, schro, inv_res, dys_res, tails)
-    overall = all(c["passed"] for c in checks)
     report = {
         "checks": checks,
-        "overall_pass": overall,
+        "overall_pass": all(c["passed"] for c in checks),
         "provenance": {
             "config_hash": cfg.config_hash(),
             "csv_sha256": hashlib.sha256(csv_text.encode()).hexdigest(),
@@ -302,11 +307,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         },
     }
     report_text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    summary = [
-        f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: "
-        f"max={c['max_residual']:.3e} tol={c['tolerance']:.1e}"
-        for c in checks
-    ]
     return RunResult(
         config=cfg,
         csv_text=csv_text,
@@ -333,14 +333,6 @@ def _emit_csv(cfg, traj, eta_norms, schro, inv_res, dys_res, tails) -> str:
         row += [eta_norms[i], schro[i], inv_res[i], dys_res[i], tails[i]]
         lines.append(",".join(_fmt(float(v)) for v in row))
     return CSV_EOL.join(lines) + CSV_EOL
-
-
-CSV_RECOMPUTED = {
-    "schrodinger": "schrodinger_residual",
-    "invariant": "invariant_residual",
-    "dyson": "dyson_residual",
-    "tail_support": "tail_support",
-}
 
 
 def _parse_csv(csv_text: str) -> dict[str, np.ndarray]:
@@ -374,32 +366,30 @@ def verify_artifacts(
 ) -> tuple[int, list[str]]:
     """Re-judge a (CSV, report) pair; returns (exit_code, summary lines).
 
-    The residuals of the rows in CSV_RECOMPUTED and eta_norm_drift are
-    recomputed from their per-time CSV columns; the rest are taken from the
-    report, im_w among them (the CSV holds W on the report grid only, and
-    run takes its max over the dense grid). Tolerances default to the
-    recorded ones and can be overridden (typically tightened) by finite
-    numbers >= 0. The pair must belong together: the report's recorded CSV
-    digest must match the given CSV, and its recorded effective config must
-    hash to its recorded config hash. Its check rows must be the ones run
-    emits, each once, so a deleted or repeated row is a format error.
+    A row whose CHECKS entry names a CSV column is recomputed from it, over
+    every row but the check's margin at each end; a non-finite value there
+    is a format error. The other rows keep the report's residual, im_w among
+    them (run takes its max over the dense grid, the CSV holds W on the
+    report grid only). Each row is judged against the effective config's
+    tolerance, which its recorded tolerance must equal, or against an
+    override (a finite number >= 0). The pair must belong together (CSV
+    digest, config hash), and its rows must be the ones run emits, each once.
     """
-    overrides = overrides or {}
     try:
         report = json.loads(report_text)
     except json.JSONDecodeError as e:
         raise FormatError(f"invalid report JSON at line {e.lineno}: {e.msg}") from e
     try:
-        checks = report["checks"]
-        names = [str(c["name"]) for c in checks]
+        rows = report["checks"]
+        names = [str(c["name"]) for c in rows]
         prov = report["provenance"]
         recorded_digest = prov["csv_sha256"]
         recorded_hash = prov["config_hash"]
         eff = prov["effective_config"]
+        tolerances = eff["tolerances"]
     except (KeyError, TypeError) as e:
         raise FormatError(f"report is missing required field: {e}") from e
-    # run emits one row per tolerance but local_error, a flow threshold.
-    emitted = set(DEFAULT_TOLERANCES) - {"local_error"}
+    emitted = {c.name for c in CHECKS}
     if len(names) != len(set(names)) or set(names) != emitted:
         repeated = sorted({n for n in names if names.count(n) > 1})
         raise FormatError(
@@ -426,30 +416,29 @@ def verify_artifacts(
         raise FormatError(
             f"CSV has {n_rows} data rows but the config implies {expected_rows}"
         )
-
-    for name in overrides:
+    for name in overrides or {}:
         if name not in emitted:
             raise FormatError(f"unknown check name in tolerance override: {name}")
-    overrides = {name: tolerance_value(name, v) for name, v in overrides.items()}
+    overrides = tolerance_overrides((overrides or {}).items())
 
     lines = []
     ok = True
-    for c in checks:
-        name = c["name"]
-        tolerance = float(overrides.get(name, c["tolerance"]))
-        if name in CSV_RECOMPUTED:
-            col = cols[CSV_RECOMPUTED[name]]
-            finite = col[np.isfinite(col)]
-            residual = float(np.max(np.abs(finite))) if len(finite) else 0.0
-        elif name == "eta_norm_drift":
-            col = cols["eta_norm"]
-            residual = float(np.max(np.abs(col - col[0])))
+    row_of = dict(zip(names, rows))
+    for check in CHECKS:
+        row, tolerance = row_of[check.name], tolerances.get(check.name)
+        if row.get("tolerance") != tolerance:
+            raise FormatError(
+                f"check row '{check.name}' records tolerance {row.get('tolerance')!r}, but "
+                f"effective_config.tolerances gives {tolerance!r}; the report was edited"
+            )
+        if check.column is None:
+            residual = float(row["max_residual"])
         else:
-            residual = float(c["max_residual"])
-        passed = residual <= tolerance
+            try:
+                residual, _ = _worst(check, cols[check.column], cols["t"])
+            except DomainError as e:
+                raise FormatError(f"series.csv column {check.column}: {e}") from e
+        passed, line = _verdict(check.name, residual, float(overrides.get(check.name, tolerance)))
         ok = ok and passed
-        lines.append(
-            f"{'PASS' if passed else 'FAIL'} {name}: "
-            f"max={residual:.3e} tol={tolerance:.1e}"
-        )
+        lines.append(line)
     return (0 if ok else 1), lines

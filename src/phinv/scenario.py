@@ -14,8 +14,9 @@ import hashlib
 import json
 import math
 import sys
+from collections.abc import Iterable
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 from .errors import ConfigError, FormatError
 
@@ -24,26 +25,43 @@ CHECK_PROFILES = (
     "re_omega", "im_omega", "re_alpha", "im_alpha", "re_beta", "im_beta"
 )
 
-DEFAULT_TOLERANCES: dict[str, float] = {
-    "schrodinger": 1e-6,
-    "invariant": 5e-6,
-    "dyson": 5e-6,
-    "eta_norm_drift": 1e-7,
-    "im_w": 1e-10,
-    "rayleigh": 1e-8,
-    "hermitian_image": 1e-9,
-    "constraint": 1e-12,
-    "eta_positivity": 0.0,
-    "tail_support": 1e-6,
-    "gram": 1e-6,
-    "canonical": 1e-9,
-    "cross_representation": 1e-6,
-    "oracle_overlap": 1e-6,
-    "oracle_vector": 1e-5,
-    "oracle_eta_drift": 1e-7,
-    "hermitian_side": 1e-6,
-    "local_error": 1e-8,
-}
+
+class Check(NamedTuple):
+    """A row of report.json: name, default tolerance and, where verify
+    recomputes it from series.csv, the column and the margin (the rows at
+    each end of the report grid where the meter does not apply). A drift
+    check judges its series' change from the first value."""
+
+    name: str
+    tolerance: float
+    column: str | None = None
+    margin: int = 0
+    drift: bool = False
+
+
+# The one list of check rows, in report order; run and verify read it.
+CHECKS = (
+    Check("schrodinger", 1e-6, "schrodinger_residual", 2),
+    Check("invariant", 5e-6, "invariant_residual", 4),
+    Check("dyson", 5e-6, "dyson_residual", 4),
+    Check("eta_norm_drift", 1e-7, "eta_norm", 0, drift=True),
+    Check("im_w", 1e-10),
+    Check("rayleigh", 1e-8),
+    Check("hermitian_image", 1e-9),
+    Check("constraint", 1e-12),
+    Check("eta_positivity", 0.0),
+    Check("tail_support", 1e-6, "tail_support", 0),
+    Check("gram", 1e-6),
+    Check("canonical", 1e-9),
+    Check("cross_representation", 1e-6),
+    Check("oracle_overlap", 1e-6),
+    Check("oracle_vector", 1e-5),
+    Check("oracle_eta_drift", 1e-7),
+    Check("hermitian_side", 1e-6),
+)
+
+# local_error is a flow-guard threshold, not a check: it has no row.
+DEFAULT_TOLERANCES = {**{c.name: c.tolerance for c in CHECKS}, "local_error": 1e-8}
 
 _DEFAULTS = {
     "dim": 64,
@@ -168,13 +186,18 @@ def _require_number(raw: Any, where: str) -> float:
     return float(raw)
 
 
-def tolerance_value(name: str, raw: Any) -> float:
-    """A tolerance as parsing, `phinv run --tolerance` and `phinv verify
-    --tolerance` accept it: a finite number >= 0."""
-    value = _require_number(raw, f"tolerances.{name}")
-    if value < 0:
-        raise ConfigError(f"tolerances.{name}", f"must be >= 0, got {value}")
-    return value
+def tolerance_overrides(pairs: Iterable[tuple[str, Any]]) -> dict[str, float]:
+    """(name, value) pairs as a config's `tolerances`, `phinv run --tolerance`
+    and `phinv verify --tolerance` accept them: known names, finite numbers
+    >= 0. A later pair for a name replaces an earlier one."""
+    out = {}
+    for name, value in pairs:
+        if name not in DEFAULT_TOLERANCES:
+            raise ConfigError(f"tolerances.{name}", "unknown tolerance name")
+        out[name] = _require_number(value, f"tolerances.{name}")
+        if out[name] < 0:
+            raise ConfigError(f"tolerances.{name}", f"must be >= 0, got {out[name]}")
+    return out
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
@@ -286,14 +309,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if all(c == 0 for c in coeffs):
         raise ConfigError("superposition", "at least one coefficient must be nonzero")
 
-    tol = dict(DEFAULT_TOLERANCES)
     tol_raw = merged.get("tolerances", {})
     if not isinstance(tol_raw, dict):
         raise ConfigError("tolerances", "must be an object")
-    for name, value in tol_raw.items():
-        if name not in DEFAULT_TOLERANCES:
-            raise ConfigError(f"tolerances.{name}", "unknown tolerance name")
-        tol[name] = tolerance_value(name, value)
+    tol = {**DEFAULT_TOLERANCES, **tolerance_overrides(tol_raw.items())}
 
     seed_raw = merged["seed"]
     if not isinstance(seed_raw, int) or isinstance(seed_raw, bool):

@@ -1,7 +1,9 @@
-"""The A/B script's summary: pair wins, quartiles and the gain rule, on
-synthetic runs (running the benchmark itself is not a unit test)."""
+"""The A/B script's summary: pair wins, quartiles and the gain rule, and its
+artifact comparison, on synthetic runs (running the benchmark itself is not
+a unit test)."""
 
 import importlib.util
+import json
 import pathlib
 
 import pytest
@@ -87,3 +89,39 @@ def test_a_base_spread_wider_than_the_bound_is_unresolved():
     # Higher is better: every change run must read above every base run.
     s = ab.summarize(base, [2.6] * len(base), "higher", 0.2)
     assert not s["unresolved"]
+
+
+def _artifacts(rows, cells, report_extra=None):
+    """A series.csv and report.json as phinv writes them: CRLF CSV lines,
+    check rows by name."""
+    csv = "\r\n".join(["t,Phi,dyson_residual"] + [",".join(r) for r in cells]) + "\r\n"
+    report = {"checks": [{"name": n, "max_residual": v} for n, v in rows],
+              "overall_pass": True, **(report_extra or {})}
+    return {"series.csv": csv, "report.json": json.dumps(report)}
+
+
+def test_artifacts_compare_byte_for_byte_and_name_what_differs():
+    rows = [("schrodinger", 1e-9), ("dyson", 2e-9)]
+    cells = [["0.0", "0.2", "nan"], ["1.0", "0.3", "4.0e-10"]]
+    base = _artifacts(rows, cells)
+    same = ab.compare_artifacts(base, _artifacts(rows, cells))
+    assert same == {"artifacts_identical": True, "report_rows": [], "report_fields": [],
+                    "csv_columns": []}
+    # One CSV cell and one check row moved, and a top-level field changed.
+    moved = _artifacts([("schrodinger", 1e-9), ("dyson", 3e-9)],
+                       [["0.0", "0.2", "nan"], ["1.0", "0.3", "4.1e-10"]],
+                       {"overall_pass": False})
+    c = ab.compare_artifacts(base, moved)
+    assert not c["artifacts_identical"]
+    assert c["report_rows"] == ["dyson"]
+    assert c["report_fields"] == ["overall_pass"]
+    assert c["csv_columns"] == ["dyson_residual"]
+    # A row or column only one side has differs too; so do bytes that
+    # parse the same (here the CSV's line ends).
+    dropped = _artifacts(rows[:1], [r[:2] for r in cells])
+    dropped["series.csv"] = dropped["series.csv"].replace("t,Phi,dyson_residual", "t,Phi")
+    c = ab.compare_artifacts(base, dropped)
+    assert c["report_rows"] == ["dyson"] and c["csv_columns"] == ["dyson_residual"]
+    lf = dict(base, **{"series.csv": base["series.csv"].replace("\r\n", "\n")})
+    c = ab.compare_artifacts(base, lf)
+    assert not c["artifacts_identical"]

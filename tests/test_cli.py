@@ -130,6 +130,12 @@ def _rename_a_failing_row(checks):
     return [dict(c, name="frobulation") if c["name"] == "dyson" else c for c in checks]
 
 
+def _loosen_failing_rows(checks):
+    return [
+        dict(c, tolerance=10, passed=True) if c["name"] in FAILING_ROWS else c for c in checks
+    ]
+
+
 @pytest.mark.parametrize(
     "edit, says",
     [
@@ -137,6 +143,8 @@ def _rename_a_failing_row(checks):
          "missing ['cross_representation', 'dyson', 'rayleigh', 'schrodinger']"),
         (_repeat_a_row, "repeated ['hermitian_side']"),
         (_rename_a_failing_row, "missing ['dyson'], unknown ['frobulation']"),
+        # effective_config.tolerances.dyson still reads 1e-30
+        (_loosen_failing_rows, "check row 'schrodinger' records tolerance 10, but "),
     ],
 )
 def test_verify_rejects_a_report_whose_check_rows_were_edited(
@@ -151,6 +159,39 @@ def test_verify_rejects_a_report_whose_check_rows_were_edited(
     rc = main(["verify", "--out", str(tmp_path)])
     assert rc == 2
     assert says in capsys.readouterr().err
+
+
+def _nan_at(original, index):
+    def patched(traj, t_index, *args):
+        return math.nan if t_index == index else original(traj, t_index, *args)
+    return patched
+
+
+@pytest.mark.parametrize(
+    "meter, patch, says",
+    [
+        ("dyson_residual", lambda f: _nan_at(f, 20), "t=0.02: check 'dyson' residual is nan"),
+        ("canonical_agreement", lambda f: lambda *a: math.nan,
+         "t=0: check 'canonical' residual is nan"),
+    ],
+    ids=["dyson", "canonical"],
+)
+def test_a_non_finite_residual_stops_run_with_exit_three(
+    tmp_path, capsys, monkeypatch, meter, patch, says
+):
+    # demo_td at dim 32 to t_max 0.05 passes every check unpatched.
+    import phinv.runner
+    from phinv import demo_scenarios
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(demo_scenarios()["demo_td"], dim=32, t_max=0.05)))
+    args = ["run", "--config", str(config), "--out", str(tmp_path), "--quiet"]
+    assert main(args) == 0
+    (tmp_path / "report.json").unlink()
+    monkeypatch.setattr(phinv.runner, meter, patch(getattr(phinv.runner, meter)))
+    assert main(args) == 3
+    assert f"numerical guard: {says}" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_verify_missing_artifacts(tmp_path, capsys):

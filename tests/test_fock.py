@@ -347,6 +347,10 @@ def _random_bands(rng, dim: int, rows: int, is_complex: bool) -> BandOperator:
 
 @given(st.integers(min_value=4, max_value=64), st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=60, deadline=None)
+# At dim 4 the kept interior is the single entry [0, 0]; for this seed it is
+# a00^2 + a02 a20 of a real 3-row band, about -0.0032 from terms of order 1,
+# so the two summation orders round it apart by more than 1e-14 of itself.
+@example(dim=4, seed=1485)
 def test_band_product_and_band_interior_norm_match_dense(dim, seed):
     rng = np.random.default_rng(seed)
     ops = [_random_bands(rng, dim, rows, c) for rows in (1, 3) for c in (False, True)]
@@ -360,8 +364,10 @@ def test_band_product_and_band_interior_norm_match_dense(dim, seed):
             assert _relative_gap(prod.dense(), want) <= 1e-14
             # The terms are added in the order of the band x dense product.
             assert np.array_equal(prod.dense(), a @ b.dense())
+            # Rounding scales with the summed terms, not with their sum.
+            terms = interior_norm(np.abs(a.dense()) @ np.abs(b.dense()))
             norm = interior_norm(want)
-            assert abs(interior_norm(prod) - norm) <= 1e-14 * max(norm, 1e-300)
+            assert abs(interior_norm(prod) - norm) <= 1e-14 * max(terms, 1e-300)
 
 
 def _dense_times_band(m: np.ndarray, band: BandOperator) -> np.ndarray:

@@ -1,6 +1,8 @@
+import ast
 import hashlib
 import inspect
 import json
+import pathlib
 import sys
 import time
 from collections import Counter
@@ -12,12 +14,16 @@ from phinv import (
     DomainError,
     FormatError,
     GuardError,
+    StencilError,
     TruncationWarning,
     demo_scenarios,
+    dyson_residual,
+    invariant_residual,
     orthonormality_matrix,
     parse_scenario,
     propagate,
     run_scenario,
+    schrodinger_residual,
     verify_artifacts,
 )
 import phinv.metric
@@ -25,7 +31,11 @@ import phinv.position
 import phinv.propagator
 import phinv.runner
 from phinv._version import __version__
+from phinv.propagator import hamiltonian_source
 from phinv.runner import CSV_EOL, _fmt, _parse_csv
+from phinv.scenario import CHECKS
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 CHECK_NAMES = [
     "schrodinger", "invariant", "dyson", "eta_norm_drift", "im_w",
@@ -143,6 +153,30 @@ def test_verify_recomputes_from_csv(td_run):
     code, lines = verify_artifacts(csv_text, report_text)
     assert code == 1
     assert any(line.startswith("FAIL tail_support") for line in lines)
+
+
+@pytest.mark.parametrize(
+    "column, row, says",
+    [
+        ("dyson_residual", 5, "column dyson_residual: t=0.004: check 'dyson' residual is nan"),
+        ("schrodinger_residual", 4998, "t=4.997: check 'schrodinger' residual is nan"),
+        ("eta_norm", 1, "column eta_norm: t=0: check 'eta_norm_drift' residual is nan"),
+        ("tail_support", 3000, "column tail_support: t=2.999: check 'tail_support' residual is inf"),
+    ],
+)
+def test_verify_rejects_a_non_finite_value_where_a_check_applies(td_run, column, row, says):
+    # rows[row] is CSV line row + 1; the margin rows (nan by design) are
+    # the only ones verify skips.
+    j = td_run.csv_text.split(CSV_EOL)[0].split(",").index(column)
+
+    def poison(rows):
+        cells = rows[row].split(",")
+        cells[j] = "inf" if column == "tail_support" else "nan"
+        rows[row] = ",".join(cells)
+
+    csv_text, report_text = tamper(td_run, poison)
+    with pytest.raises(FormatError, match=says):
+        verify_artifacts(csv_text, report_text)
 
 
 def test_verify_rejects_truncated_csv(td_run):
@@ -363,3 +397,46 @@ def test_short_run_makes_the_pinned_ladder_exp_calls(dim, monkeypatch):
         "h_evals": 6624,
         "grid_points": 22011,
     }
+
+
+def _readme_check_table() -> list[tuple[str, float]]:
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Checks and default tolerances\n", 1)[1]
+    table = next(block for block in section.split("\n\n") if block.startswith("| check |"))
+    rows = [line.split("|") for line in table.splitlines()[2:]]
+    return [(cells[1].strip(" `"), float(cells[-2].strip(" `"))) for cells in rows]
+
+
+def test_the_checks_table_is_the_one_list_of_rows():
+    """scenario.CHECKS against its outside copies: this file's CHECK_NAMES,
+    README's table and the benchmark gate's EMITTED_CHECKS (read from the
+    file's syntax tree, so the test imports nothing of the benchmark)."""
+    assert [c.name for c in CHECKS] == CHECK_NAMES
+    assert _readme_check_table() == [(c.name, c.tolerance) for c in CHECKS]
+    tree = ast.parse((ROOT / "perfbench" / "check.py").read_text(encoding="utf-8"))
+    (emitted,) = [
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "EMITTED_CHECKS"
+    ]
+    assert list(emitted) == CHECK_NAMES
+    assert {c.column for c in CHECKS if c.column} <= set(phinv.runner.TRAILING_COLUMNS)
+
+
+def test_each_check_margin_is_where_its_meter_stops_applying(gentle_traj, gentle_states):
+    h = hamiltonian_source(gentle_traj, 64)
+    meters = {
+        "schrodinger": lambda i: schrodinger_residual(gentle_states, gentle_traj.times, h, i),
+        "invariant": lambda i: invariant_residual(gentle_traj, i, 64),
+        "dyson": lambda i: dyson_residual(gentle_traj, i, 64),
+    }
+    assert {c.name for c in CHECKS if c.margin} == set(meters)
+    last = gentle_traj.n_times - 1
+    for check in CHECKS:
+        if check.name not in meters:
+            continue
+        m = check.margin
+        for inside in (m, last - m):
+            assert np.isfinite(meters[check.name](inside)), check.name
+        for outside in (m - 1, last - m + 1):
+            with pytest.raises(StencilError):
+                meters[check.name](outside)

@@ -20,16 +20,23 @@ median, than the metric's bound, so `within_bound` cannot tell a change
 from noise, and not every change run beats every base run. After the pairs
 it runs `--seconds 0 --trace 1` once in each tree and records both sides'
 exact counters (the per-layer metrics of unit `count` in BENCHMARK.json)
-and whether they are all equal.
+and whether they are all equal. Last, for each workload, it runs
+`python3 -m phinv.cli run` in each tree (PYTHONPATH=<tree>/src) on the
+workload's seed-0 scenario (perfbench/workloads.make_scenario) and records
+`artifacts_identical`: whether both trees wrote the same series.csv and
+report.json, byte for byte, and where not, the report rows and CSV columns
+that differ.
 """
 
 from __future__ import annotations
 
 import argparse
 import filecmp
+import importlib.util
 import io
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
@@ -90,6 +97,68 @@ def compare_counters(base: dict, change: dict, names: list[str]) -> dict:
     }
     equal = sides["base"] == sides["change"] and None not in sides["base"].values()
     return {**sides, "counters_equal": equal}
+
+
+ARTIFACTS = ("series.csv", "report.json")
+
+
+def _csv_columns(text: str) -> dict[str, list[str]]:
+    rows = [row.split(",") for row in text.split("\r\n") if row]
+    if not rows:
+        return {}
+    return {name: [row[j] if j < len(row) else "" for row in rows[1:]]
+            for j, name in enumerate(rows[0])}
+
+
+def _report_parts(text: str) -> tuple[dict, dict]:
+    """A report's check rows by name, and its other top-level fields."""
+    doc = json.loads(text)
+    rows = {row["name"]: row for row in doc.get("checks", [])}
+    return rows, {k: v for k, v in doc.items() if k != "checks"}
+
+
+def _differing(a: dict, b: dict) -> list[str]:
+    return sorted(k for k in set(a) | set(b) if a.get(k) != b.get(k))
+
+
+def compare_artifacts(base: dict[str, str], change: dict[str, str]) -> dict:
+    """Whether two runs wrote the same artifacts ({file name: text}), byte
+    for byte; where not, the report's check rows (by name) and other
+    top-level fields, and the CSV columns (by header name), that differ."""
+    identical = all(base[name] == change[name] for name in ARTIFACTS)
+    base_rows, base_fields = _report_parts(base["report.json"])
+    change_rows, change_fields = _report_parts(change["report.json"])
+    return {
+        "artifacts_identical": identical,
+        "report_rows": _differing(base_rows, change_rows),
+        "report_fields": _differing(base_fields, change_fields),
+        "csv_columns": _differing(_csv_columns(base["series.csv"]),
+                                  _csv_columns(change["series.csv"])),
+    }
+
+
+def _write_artifacts(tree: Path, scenario: dict, out: Path) -> dict[str, str]:
+    """Run `phinv run` from tree's source on scenario; its artifacts' texts.
+    A run whose checks fail (exit 1) still writes them."""
+    out.mkdir(parents=True)
+    config = out / "config.json"
+    config.write_text(json.dumps(scenario), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "phinv.cli", "run", "--config", str(config),
+         "--out", str(out), "--quiet"],
+        cwd=out, env={**os.environ, "PYTHONPATH": str(tree / "src")},
+        capture_output=True, text=True,
+    )
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"{tree}: phinv run exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return {name: (out / name).read_bytes().decode("utf-8") for name in ARTIFACTS}
+
+
+def _make_scenario(root: Path):
+    spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.make_scenario
 
 
 def _export(rev: str, dest: Path) -> None:
@@ -165,6 +234,16 @@ def main(argv: list[str] | None = None) -> int:
                           f"{result['attempted']} {values}", flush=True)
             traced[workload] = {side: _run(tree, workload, args.seed, 0, trace=1)
                                 for side, tree in (("base", base_tree), ("change", root))}
+        make_scenario = _make_scenario(root)
+        artifacts = {}
+        with tempfile.TemporaryDirectory(prefix="ab-artifacts-") as out_dir:
+            for workload in workloads:
+                written = {
+                    side: _write_artifacts(tree, make_scenario(workload, 0),
+                                           Path(out_dir) / workload / side)
+                    for side, tree in (("base", base_tree), ("change", root))
+                }
+                artifacts[workload] = compare_artifacts(written["base"], written["change"])
 
     out = {
         "base": args.base,
@@ -185,6 +264,7 @@ def main(argv: list[str] | None = None) -> int:
                                    traced[workload]["change"]["metrics"], counter_names),
                 "traced_failed": {s: r["failed"] for s, r in traced[workload].items()},
             },
+            "artifacts": artifacts[workload],
         }
         for metric in bench["end_to_end"]:
             name = metric["name"]
@@ -206,6 +286,10 @@ def main(argv: list[str] | None = None) -> int:
         c = entry["counters"]
         print(f"{workload:16s} counters base {c['base']} change {c['change']} "
               f"counters_equal {c['counters_equal']} traced_failed {c['traced_failed']}")
+        a = entry["artifacts"]
+        print(f"{workload:16s} artifacts_identical {a['artifacts_identical']} report_rows "
+              f"{a['report_rows']} report_fields {a['report_fields']} "
+              f"csv_columns {a['csv_columns']}")
     return 0
 
 

@@ -5,7 +5,9 @@ of the state columns (Phi, vtheta0, W_re, gamma_n) and every check's
 max_residual and verdict. It was written by this module's ``snapshot``
 before the per-dim ladder_exp table and the float-scalar metric flow, so a
 refactor that shifts the physics fails here even where criterion 11 (two
-runs of one build agree) cannot see it. Rewrite it only for an intended
+runs of one build agree) cannot see it. Its check_drives entries hold the
+same view of two check-mode drives with linear profiles, frozen before the
+metric flow sampled its drive as arrays. Rewrite it only for an intended
 change of the physics:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -19,6 +21,7 @@ import pytest
 
 from phinv import demo_scenarios, parse_scenario, run_scenario
 from phinv.runner import _parse_csv
+from phinv.scenario import CHECK_PROFILES
 
 GOLDEN = pathlib.Path(__file__).parent / "data" / "golden_demos.json"
 T_MAX = 0.5
@@ -28,10 +31,39 @@ RESIDUAL_FACTOR = 10.0
 RESIDUAL_FLOOR = 1e-14
 
 
-def snapshot(name: str) -> dict:
-    """The frozen view of one demo run at t_max = T_MAX."""
-    doc = dict(demo_scenarios()[name], t_max=T_MAX)
-    run = run_scenario(parse_scenario(json.dumps(doc)))
+
+def _check_drive(phi0: float, **linear) -> dict:
+    """A check-mode scenario: the named profiles linear, the rest zero."""
+    profiles = {name: {"kind": "constant", "value": 0.0} for name in CHECK_PROFILES}
+    for name, (intercept, slope) in linear.items():
+        profiles[name] = {"kind": "linear", "intercept": intercept, "slope": slope}
+    return {
+        "dim": 32, "dt": 1e-3, "mode": "check",
+        "initial_metric": {"phi_cap": phi0, "vtheta_zero": 1.0},
+        "profiles": profiles,
+        "quantum_numbers": [0, 1], "superposition": [[0.6, 0.0], [0.0, 0.8]],
+    }
+
+
+# Two check-mode drives on which every coefficient relation holds. In
+# supplied_coeffs, Im omega = Im beta = 0 hold the metric at Phi = 0.2,
+# vtheta0 = 1, so the constrained alpha and beta are Re omega = 1 + 0.2 t
+# times 0.96 Phi / 0.92 and -Phi / 0.92. In moving_metric, Phi = 0 makes
+# alpha = beta = 0 the constrained values, and Im omega moves vtheta0.
+CHECK_DRIVES = {
+    "supplied_coeffs": _check_drive(
+        0.2,
+        re_omega=(1.0, 0.2),
+        re_alpha=(0.20869565217391306, 0.04173913043478262),
+        re_beta=(-0.2173913043478261, -0.04347826086956523),
+    ),
+    "moving_metric": _check_drive(0.0, re_omega=(1.0, -0.4), im_omega=(0.05, -0.3)),
+}
+
+
+def snapshot(doc: dict) -> dict:
+    """The frozen view of one scenario run at t_max = T_MAX."""
+    run = run_scenario(parse_scenario(json.dumps(dict(doc, t_max=T_MAX))))
     cols = _parse_csv(run.csv_text)
     names = ["Phi", "vtheta0", "W_re"] + sorted(c for c in cols if c.startswith("gamma_"))
     return {
@@ -51,10 +83,16 @@ def golden():
 
 @pytest.mark.parametrize("name", ["demo_td", "demo_harmonic"])
 def test_demo_matches_golden(golden, name):
+    assert_matches(name, snapshot(demo_scenarios()[name]), golden["demos"][name])
     assert golden["t_max"] == T_MAX and golden["every"] == EVERY
-    want = golden["demos"][name]
-    got = snapshot(name)
 
+
+@pytest.mark.parametrize("name", sorted(CHECK_DRIVES))
+def test_check_drive_matches_golden(golden, name):
+    assert_matches(name, snapshot(CHECK_DRIVES[name]), golden["check_drives"][name])
+
+
+def assert_matches(name: str, got: dict, want: dict) -> None:
     assert sorted(got["columns"]) == sorted(want["columns"])
     for col, frozen in want["columns"].items():
         frozen = np.array(frozen)
@@ -75,6 +113,8 @@ def test_demo_matches_golden(golden, name):
 
 
 if __name__ == "__main__":
+    demos = demo_scenarios()
     out = {"t_max": T_MAX, "every": EVERY,
-           "demos": {name: snapshot(name) for name in ("demo_td", "demo_harmonic")}}
+           "demos": {name: snapshot(demos[name]) for name in ("demo_td", "demo_harmonic")},
+           "check_drives": {name: snapshot(doc) for name, doc in CHECK_DRIVES.items()}}
     GOLDEN.write_text(json.dumps(out, indent=1) + "\n", encoding="utf-8")

@@ -129,9 +129,5 @@ def main(argv=None) -> int:
         return 3
 
 
-def console_entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_entry()
+    sys.exit(main())

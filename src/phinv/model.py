@@ -28,6 +28,7 @@ from .errors import (
 )
 from .fock import BandOperator, basis_column, su11_bands, tail_support
 from .metric import build_rho_inverse
+from .scenario import CHECK_PROFILES, GENERATOR_PROFILES
 
 # Dense flow steps per report interval. The propagation oracles read H(t)
 # and W(t) at their RK4 stage times off the half-step grid, which holds the
@@ -264,13 +265,10 @@ class MetricTrajectory:
 
 def integrate_metric(
     initial: MetricState,
-    omega: Callable[[float], complex],
+    drive: Mapping[str, Callable[[np.ndarray], np.ndarray]],
     t_max: float,
     dt: float,
     *,
-    im_beta: Callable[[float], float] | None = None,
-    alpha: Callable[[float], complex] | None = None,
-    beta: Callable[[float], complex] | None = None,
     quantum_numbers: Sequence[int] = (0,),
     superposition: Mapping[int, complex] | None = None,
     local_error_tol: float = 1e-8,
@@ -278,28 +276,31 @@ def integrate_metric(
 ) -> MetricTrajectory:
     """Integrate the reduced metric flow and derive everything on the grid.
 
-    Generator mode (im_beta given): alpha and Re beta are filled from the
-    constraints at every step, so all relations hold by construction.
-    Check mode (alpha and beta given): the supplied coefficients are recorded
-    as-is and only the flow uses their imaginary parts; residuals are the
-    caller's to inspect.
+    drive maps a scenario's profile names to functions of an array of
+    times; its key set picks the mode. Generator mode (GENERATOR_PROFILES):
+    alpha and Re beta are filled from the constraints at every step, so all
+    relations hold by construction. Check mode (CHECK_PROFILES): the
+    supplied coefficients are recorded as-is and only the flow uses their
+    imaginary parts; residuals are the caller's to inspect.
 
     Classic RK4 at dt/STRIDE substeps; every substep is re-run as two half
     steps for a local error estimate (abort above local_error_tol). The flow
     stops with a structured guard error if vtheta0 falls to its floor or the
     constraint denominator 2 Phi^2 - vtheta0 reaches or crosses zero.
 
-    The steps run on (Phi, vtheta0) as Python floats, and the drive is
-    sampled once per distinct stage time of a substep (six, not twelve);
-    the arithmetic is that of RK4 on the 2-vector, operation for operation.
-    The samples at the dense nodes and the substep midpoints also give the
-    coefficients recorded there, so no time is sampled twice.
+    The steps run on (Phi, vtheta0) as Python floats, on Im omega and
+    Im beta sampled once, as arrays, at the six distinct stage times of
+    every substep; the arithmetic is that of RK4 on the 2-vector, operation
+    for operation. The coefficients are recorded from one sample of each
+    profile on the half-step grid.
     """
-    generator = im_beta is not None
-    if generator and (alpha is not None or beta is not None):
-        raise ValueError("give either im_beta (generator) or alpha+beta (check)")
-    if not generator and (alpha is None or beta is None):
-        raise ValueError("check mode needs both alpha and beta")
+    keys = set(drive)
+    if keys not in (set(GENERATOR_PROFILES), set(CHECK_PROFILES)):
+        raise ValueError(
+            f"drive keys {sorted(keys)} are neither the generator-mode profiles "
+            f"{list(GENERATOR_PROFILES)} nor the check-mode profiles {list(CHECK_PROFILES)}"
+        )
+    generator = keys == set(GENERATOR_PROFILES)
 
     steps = round(t_max / dt)
     if steps < 1 or abs(steps * dt - t_max) > 1e-9 * max(1.0, t_max):
@@ -308,24 +309,17 @@ def integrate_metric(
     n_dense = steps * STRIDE
     dense_times = np.linspace(0.0, t_max, n_dense + 1)
 
-    def drive(t: float) -> tuple:
-        """(Im beta, Im omega, omega, alpha, beta) at time t; alpha and beta
-        are None in generator mode."""
-        om = omega(t)
-        if generator:
-            return im_beta(t), om.imag, om, None, None
-        b = beta(t)
-        return b.imag, om.imag, om, alpha(t), b
+    def sample(name: str, times: np.ndarray) -> np.ndarray:
+        return np.broadcast_to(np.asarray(drive[name](times), dtype=float), times.shape)
 
     def rates(p: float, q: float, t: float, d: tuple) -> tuple[float, float]:
         if q <= 0:
             raise GuardError("vtheta-zero-floor", t, f"vtheta0={q:.3e}")
-        ib, io, _, _, _ = d
-        return metric_rhs(p, q, io, ib)
+        return metric_rhs(p, q, *d)
 
     def rk4(p, q, t, h, d0, d_mid, d_end):
-        """One classic RK4 step on floats, given the drive at t, t + h/2 and
-        t + h, so the caller samples a time shared by several stages once."""
+        """One classic RK4 step on floats, given (Im omega, Im beta) at t,
+        t + h/2 and t + h, so a time shared by several stages is read once."""
         t_mid, t_end = t + 0.5 * h, t + h
         a1, b1 = rates(p, q, t, d0)
         a2, b2 = rates(p + 0.5 * h * a1, q + 0.5 * h * b1, t_mid, d_mid)
@@ -336,33 +330,35 @@ def integrate_metric(
             q + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4),
         )
 
+    # The stage times of every substep: its start, midpoint and end for the
+    # full step, and the quarter points and end of its two half steps (the
+    # second half step's end may round apart from t + h).
+    h2 = h / 2
+    t = dense_times[:-1]
+    t_mid = t + 0.5 * h
+    stage_times = np.stack([t, t_mid, t + h, t + 0.5 * h2, t_mid + 0.5 * h2, t_mid + h2])
+    d0, d_mid, d_end, d_q1, d_q3, d_end2 = (
+        list(zip(io, ib)) for io, ib in zip(
+            sample("im_omega", stage_times).tolist(), sample("im_beta", stage_times).tolist()
+        )
+    )
+    starts, mids = stage_times[:2].tolist()
+
     # The half-step grid: dense node i at 2i, the midpoint of substep i,
     # where its first half step ends, at 2i + 1.
     half_times = np.empty(2 * n_dense + 1)
     half_times[::2] = dense_times
-    half_times[1::2] = dense_times[:-1] + 0.5 * h
+    half_times[1::2] = stage_times[1]
     p, q = initial.phi_cap, initial.vtheta_zero
     phi = np.empty(2 * n_dense + 1)
     th0 = np.empty(2 * n_dense + 1)
     phi[0], th0[0] = p, q
-    # The drive at each half-step time, as the flow sampled it.
-    samples: list[tuple] = []
     denom_prev = initial.constraint_denominator
     _check_flow_guards(q, 0.0, denom_prev)
-    h2 = h / 2
-    for i in range(n_dense):
-        t = float(dense_times[i])
-        # The full step and the first half step share t and t + h/2; the
-        # second half step ends at t + h/2 + h/2, which may round apart
-        # from t + h.
-        t_mid = t + 0.5 * h
-        t_end = t + h
-        t_end2 = t_mid + h2
-        d0, d_mid, d_end = drive(t), drive(t_mid), drive(t_end)
-        d_end2 = d_end if t_end2 == t_end else drive(t_end2)
-        full = rk4(p, q, t, h, d0, d_mid, d_end)
-        mid = rk4(p, q, t, h2, d0, drive(t + 0.5 * h2), d_mid)
-        half = rk4(*mid, t_mid, h2, d_mid, drive(t_mid + 0.5 * h2), d_end2)
+    for i, t in enumerate(starts):
+        full = rk4(p, q, t, h, d0[i], d_mid[i], d_end[i])
+        mid = rk4(p, q, t, h2, d0[i], d_q1[i], d_mid[i])
+        half = rk4(*mid, mids[i], h2, d_mid[i], d_q3[i], d_end2[i])
         err = max(abs(full[0] - half[0]), abs(full[1] - half[1])) / 15.0
         if err > local_error_tol:
             raise GuardError("local-error", t, f"estimate {err:.3e} > {local_error_tol:.1e}")
@@ -378,15 +374,20 @@ def integrate_metric(
         denom_prev = denom
         phi[2 * i + 1], th0[2 * i + 1] = mid
         phi[2 * i + 2], th0[2 * i + 2] = p, q
-        samples += (d0, d_mid)
-    # The last step ends at t + h, which may round apart from t_max.
-    t_last = float(dense_times[-1])
-    samples.append(d_end if t_end == t_last else drive(t_last))
 
-    ib, _, om, a, b = zip(*samples)
-    omega_arr, alpha_arr, beta_arr, dphi_arr, dth0_arr, w_arr = _coefficients_on(
-        phi, th0, om, ib if generator else None, a, b
-    )
+    coeffs = {name: sample(name, half_times) for name in drive}
+    if generator:
+        omega, alpha, beta = derive_constrained_coeffs(
+            phi, th0, coeffs["re_omega"], coeffs["im_omega"], coeffs["im_beta"]
+        )
+    else:
+        # One component at a time: re + 1j * im would turn an imaginary
+        # -0.0 into 0.0.
+        omega, alpha, beta = (np.empty(len(half_times), dtype=complex) for _ in range(3))
+        for z, name in ((omega, "omega"), (alpha, "alpha"), (beta, "beta")):
+            z.real, z.imag = coeffs[f"re_{name}"], coeffs[f"im_{name}"]
+    dphi, dth0 = metric_rhs(phi, th0, omega.imag, beta.imag)
+    w = transformed_frequency(phi, th0, omega, alpha, beta, dphi, dth0)
     traj = MetricTrajectory(
         times=dense_times[::STRIDE].copy(),
         dt=dt,
@@ -394,48 +395,30 @@ def integrate_metric(
         dense_times=dense_times,
         phi=phi[::2],
         vtheta0=th0[::2],
-        omega=omega_arr[::2],
-        alpha=alpha_arr[::2],
-        beta=beta_arr[::2],
-        dphi=dphi_arr[::2],
-        dvtheta0=dth0_arr[::2],
-        w=w_arr[::2],
+        omega=omega[::2],
+        alpha=alpha[::2],
+        beta=beta[::2],
+        dphi=dphi[::2],
+        dvtheta0=dth0[::2],
+        w=w[::2],
         half_times=half_times,
-        half_omega=omega_arr,
-        half_alpha=alpha_arr,
-        half_beta=beta_arr,
-        half_w=w_arr,
+        half_omega=omega,
+        half_alpha=alpha,
+        half_beta=beta,
+        half_w=w,
         mode="generator" if generator else "check",
         quantum_numbers=tuple(sorted(set(int(n) for n in quantum_numbers))),
         superposition=dict(superposition or {}),
     )
     if generator and traj.max_im_w() > im_w_tol:
+        j = int(np.argmax(np.abs(traj.w.imag)))
         raise NonRealPhaseError(
-            f"max |Im W| = {traj.max_im_w():.3e} exceeds {im_w_tol:.1e}"
+            f"t={dense_times[j]:.6g}: max |Im W| = {traj.max_im_w():.3e} "
+            f"exceeds {im_w_tol:.1e}"
         )
     for n in traj.quantum_numbers:
         traj.phases[n] = phase(n, traj)
     return traj
-
-
-def _coefficients_on(phi, th0, omega, im_beta, alpha, beta):
-    """omega, alpha, beta, dPhi, dvtheta0 and W at a run of times, from the
-    flow state (Phi, vtheta0) and the drive sampled there.
-
-    Generator mode (im_beta given) fills alpha and Re beta from the
-    constraints; check mode records the sampled alpha and beta.
-    """
-    om = np.array(omega, dtype=complex)
-    if im_beta is not None:
-        om, alpha_arr, beta_arr = derive_constrained_coeffs(
-            phi, th0, om.real, om.imag, np.array(im_beta)
-        )
-    else:
-        alpha_arr = np.array(alpha, dtype=complex)
-        beta_arr = np.array(beta, dtype=complex)
-    dphi, dth0 = metric_rhs(phi, th0, om.imag, beta_arr.imag)
-    w = transformed_frequency(phi, th0, om, alpha_arr, beta_arr, dphi, dth0)
-    return om, alpha_arr, beta_arr, dphi, dth0, w
 
 
 def _check_flow_guards(vtheta0: float, t: float, denom: float) -> None:

@@ -110,28 +110,14 @@ class RunResult:
         return bool(self.report["overall_pass"])
 
 
-def _profile_callables(cfg: ScenarioConfig) -> dict:
-    """The drive keywords of integrate_metric: omega, and im_beta in
-    generator mode or alpha and beta in check mode."""
-    p = cfg.profiles
-
-    def pair(name: str):
-        re_f, im_f = p[f"re_{name}"], p[f"im_{name}"]
-        return lambda t: complex(re_f(t), im_f(t))
-
-    if cfg.mode == "generator":
-        return {"omega": pair("omega"), "im_beta": p["im_beta"]}
-    return {"omega": pair("omega"), "alpha": pair("alpha"), "beta": pair("beta")}
-
-
 def run_scenario(cfg: ScenarioConfig) -> RunResult:
     dim = cfg.dim
     tol = cfg.tolerances
     traj = integrate_metric(
         MetricState(cfg.phi0, cfg.vtheta0),
-        **_profile_callables(cfg),
-        t_max=cfg.t_max,
-        dt=cfg.dt,
+        cfg.profiles,
+        cfg.t_max,
+        cfg.dt,
         quantum_numbers=cfg.quantum_numbers,
         superposition=dict(zip(cfg.quantum_numbers, cfg.superposition)),
         local_error_tol=tol["local_error"],
@@ -432,7 +418,12 @@ def verify_artifacts(
                 f"effective_config.tolerances gives {tolerance!r}; the report was edited"
             )
         if check.column is None:
-            residual = float(row["max_residual"])
+            residual = row.get("max_residual")
+            if type(residual) not in (int, float) or not 0 <= residual < math.inf:
+                raise FormatError(
+                    f"check row '{check.name}' records max_residual {residual!r}, "
+                    "not a finite number >= 0"
+                )
         else:
             try:
                 residual, _ = _worst(check, cols[check.column], cols["t"])

@@ -18,6 +18,8 @@ from collections.abc import Iterable
 from dataclasses import dataclass, field
 from typing import Any, NamedTuple
 
+import numpy as np
+
 from .errors import ConfigError, FormatError
 
 GENERATOR_PROFILES = ("re_omega", "im_omega", "im_beta")
@@ -80,23 +82,15 @@ class Profile:
 
     kind: str
     params: tuple[tuple[str, float], ...]
-    _values: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        # Read the parameters once, in evaluation order: the metric flow
-        # evaluates every profile several times per RK4 step.
+    def __call__(self, t):
+        """The profile at a time, or elementwise at an array of times."""
         p = dict(self.params)
-        names = _PROFILE_PARAMS.get(self.kind, _PROFILE_PARAMS["sinusoid"])
-        object.__setattr__(self, "_values", tuple(p[k] for k in names))
-
-    def __call__(self, t: float) -> float:
         if self.kind == "constant":
-            return self._values[0]
+            return np.full(np.shape(t), p["value"])
         if self.kind == "linear":
-            intercept, slope = self._values
-            return intercept + slope * t
-        offset, amplitude, frequency, phase = self._values
-        return offset + amplitude * math.sin(frequency * t + phase)
+            return p["intercept"] + p["slope"] * t
+        return p["offset"] + p["amplitude"] * np.sin(p["frequency"] * t + p["phase"])
 
     def to_json(self) -> dict[str, float | str]:
         out: dict[str, float | str] = {"kind": self.kind}

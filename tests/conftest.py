@@ -13,7 +13,7 @@ from phinv import (
     run_scenario,
 )
 
-from support import cached_operator_set
+from support import HARMONIC_DRIVE, cached_operator_set
 
 DATA_DIR = pathlib.Path(__file__).parent / "data"
 
@@ -21,14 +21,11 @@ DATA_DIR = pathlib.Path(__file__).parent / "data"
 # from the constraint-denominator zero for the whole horizon.
 GENTLE_PHI0 = 0.2
 GENTLE_VTHETA0 = 1.0
-
-
-def gentle_omega(t: float) -> complex:
-    return 1.0 + 0.1j * np.sin(t)
-
-
-def gentle_im_beta(t: float) -> float:
-    return -0.02
+GENTLE_DRIVE = {
+    "re_omega": lambda t: 1.0,
+    "im_omega": lambda t: 0.1 * np.sin(t),
+    "im_beta": lambda t: -0.02,
+}
 
 
 @pytest.fixture(scope="session")
@@ -40,10 +37,9 @@ def ops64():
 def gentle_traj():
     return integrate_metric(
         MetricState(GENTLE_PHI0, GENTLE_VTHETA0),
-        gentle_omega,
+        GENTLE_DRIVE,
         5.0,
         1e-3,
-        im_beta=gentle_im_beta,
         quantum_numbers=(0, 1),
         superposition={0: 1 / np.sqrt(2), 1: 1 / np.sqrt(2)},
     )
@@ -60,10 +56,9 @@ def gentle_states(gentle_traj):
 def harmonic_traj():
     return integrate_metric(
         MetricState(0.0, 1.0),
-        lambda t: 1.0 + 0.0j,
+        HARMONIC_DRIVE,
         5.0,
         1e-3,
-        im_beta=lambda t: 0.0,
         quantum_numbers=(0, 1, 2, 3, 4, 5, 6),
         superposition={0: 1 / np.sqrt(2), 1: 1 / np.sqrt(2), 2: 0, 3: 0, 4: 0, 5: 0, 6: 0},
     )
@@ -75,10 +70,9 @@ def harmonic_pi_traj():
     dt = np.pi / 800
     return integrate_metric(
         MetricState(0.0, 1.0),
-        lambda t: 1.0 + 0.0j,
+        HARMONIC_DRIVE,
         float(np.pi),
         dt,
-        im_beta=lambda t: 0.0,
         quantum_numbers=(0,),
         superposition={0: 1.0},
     )

@@ -42,6 +42,9 @@ exp(epsilon 2 K0 + mu 2 (K+ + K-)) from the generator pair, where phinv
 reads the factors off the flow state (Phi, vtheta0). gauss_factors gives
 its three numbers, chi computed on its own rather than as Phi^2 - vtheta0,
 and check_gauss_identities the relations between them.
+
+HARMONIC_DRIVE is the generator-mode drive of integrate_metric for the
+harmonic oscillator at omega = 1.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ from phinv import (
 )
 from phinv.fock import BandOperator, ensure_state, su11_bands
 from phinv.propagator import INSTABILITY_FACTOR
+
+HARMONIC_DRIVE = {"re_omega": lambda t: 1.0, "im_omega": lambda t: 0.0, "im_beta": lambda t: 0.0}
 
 
 class StructureError(NumericsError):

@@ -56,6 +56,7 @@ from phinv.propagator import (
 from phinv.runner import ORACLE_HORIZON, _parse_csv
 
 from support import (
+    HARMONIC_DRIVE,
     basis_state,
     cached_operator_set,
     conjugate_k,
@@ -91,7 +92,13 @@ def steep_traj():
     """STEEP_TD integrated up to t=1.9, short of its pole."""
     return integrate_metric(
         MetricState(0.5, 1.0),
-        lambda t: 1.0 + 0.1j * np.sin(t), 1.9, 1e-3, im_beta=lambda t: 0.05,
+        {
+            "re_omega": lambda t: 1.0,
+            "im_omega": lambda t: 0.1 * np.sin(t),
+            "im_beta": lambda t: 0.05,
+        },
+        1.9,
+        1e-3,
         quantum_numbers=(0, 1),
         superposition={0: 1 / np.sqrt(2), 1: 1 / np.sqrt(2)},
     )
@@ -101,8 +108,7 @@ def steep_traj():
 def static_traj():
     """Harmonic drive held at the diagonal metric point Phi=0, vtheta0=e^2."""
     return integrate_metric(
-        MetricState(0.0, float(np.exp(2.0))),
-        lambda t: 1.0 + 0.0j, 1.0, 1e-3, im_beta=lambda t: 0.0,
+        MetricState(0.0, float(np.exp(2.0))), HARMONIC_DRIVE, 1.0, 1e-3,
     )
 
 

@@ -161,6 +161,21 @@ def test_verify_rejects_a_report_whose_check_rows_were_edited(
     assert says in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["abc", None, [1], True, "0.0"])
+def test_verify_rejects_a_recorded_max_residual_that_is_not_a_number(
+    failing_td_dir, tmp_path, capsys, value
+):
+    # gram is one of the rows verify takes from the report as recorded
+    report = json.loads((failing_td_dir / "report.json").read_text())
+    report["checks"] = [
+        dict(c, max_residual=value) if c["name"] == "gram" else c for c in report["checks"]
+    ]
+    shutil.copy(failing_td_dir / "series.csv", tmp_path / "series.csv")
+    (tmp_path / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    assert main(["verify", "--out", str(tmp_path)]) == 2
+    assert f"check row 'gram' records max_residual {value!r}" in capsys.readouterr().err
+
+
 def _nan_at(original, index):
     def patched(traj, t_index, *args):
         return math.nan if t_index == index else original(traj, t_index, *args)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from support import (
+    HARMONIC_DRIVE,
     InvariantCoefficients,
     basis_state,
     cached_operator_set,
@@ -134,10 +135,9 @@ def test_diagonal_metric_decay_rate():
     c = 0.15
     traj = integrate_metric(
         MetricState(0.0, 1.0),
-        lambda t: 1.0 + 1j * c,
+        {"re_omega": lambda t: 1.0, "im_omega": lambda t: c, "im_beta": lambda t: 0.0},
         1.0,
         1e-3,
-        im_beta=lambda t: 0.0,
         quantum_numbers=(0, 1, 2),
     )
     assert np.max(np.abs(traj.phi)) <= 1e-14
@@ -329,10 +329,13 @@ def test_integrate_guard_constraint_denominator():
     with pytest.raises(GuardError) as info:
         integrate_metric(
             MetricState(0.5, 1.0),
-            lambda t: 1.0 + 0.2j * np.sin(t),
+            {
+                "re_omega": lambda t: 1.0,
+                "im_omega": lambda t: 0.2 * np.sin(t),
+                "im_beta": lambda t: 0.05,
+            },
             5.0,
             1e-3,
-            im_beta=lambda t: 0.05,
         )
     assert info.value.guard == "constraint-denominator"
     assert info.value.time == pytest.approx(1.4834, abs=0.01)
@@ -342,10 +345,9 @@ def test_integrate_guard_vtheta_floor():
     with pytest.raises(GuardError) as info:
         integrate_metric(
             MetricState(0.0, 1.0),
-            lambda t: 1.0 + 2.0j,
+            {"re_omega": lambda t: 1.0, "im_omega": lambda t: 2.0, "im_beta": lambda t: 0.0},
             5.0,
             1e-3,
-            im_beta=lambda t: 0.0,
         )
     assert info.value.guard == "vtheta-zero-floor"
     assert info.value.time == pytest.approx(np.log(1e8) / 4.0, abs=0.05)
@@ -355,38 +357,39 @@ def test_integrate_guard_local_error_on_coarse_steps():
     with pytest.raises(GuardError) as info:
         integrate_metric(
             MetricState(0.2, 1.0),
-            lambda t: 1.0 + 2.0j * np.sin(4 * t),
+            {
+                "re_omega": lambda t: 1.0,
+                "im_omega": lambda t: 2.0 * np.sin(4 * t),
+                "im_beta": lambda t: 0.0,
+            },
             5.0,
             0.5,
-            im_beta=lambda t: 0.0,
         )
     assert info.value.guard == "local-error"
 
 
 def test_integrate_rejects_mixed_modes():
-    om = lambda t: 1.0 + 0.0j
-    with pytest.raises(ValueError):
-        integrate_metric(MetricState(0.0, 1.0), om, 1.0, 1e-3)
-    with pytest.raises(ValueError):
-        integrate_metric(
-            MetricState(0.0, 1.0), om, 1.0, 1e-3,
-            im_beta=lambda t: 0.0, alpha=lambda t: 0j, beta=lambda t: 0j,
-        )
-    with pytest.raises(ValueError):
-        integrate_metric(
-            MetricState(0.0, 1.0), om, 1.0, 1e-3,
-            im_beta=lambda t: 0.0, alpha=lambda t: 0j,
-        )
-    with pytest.raises(ValueError):
-        integrate_metric(MetricState(0.0, 1.0), om, 1.0005, 1e-3, im_beta=lambda t: 0.0)
+    zero = lambda t: 0.0
+    omega = {"re_omega": lambda t: 1.0, "im_omega": zero}
+    check = {**omega, "re_alpha": zero, "im_alpha": zero, "re_beta": zero, "im_beta": zero}
+    both = r"generator-mode profiles.*im_beta.*check-mode profiles.*re_alpha"
+    # no im_beta, generator keys with alpha, check keys without re_beta
+    for drive in (omega, {**omega, "im_beta": zero, "re_alpha": zero, "im_alpha": zero},
+                  {k: f for k, f in check.items() if k != "re_beta"}):
+        with pytest.raises(ValueError, match=both):
+            integrate_metric(MetricState(0.0, 1.0), drive, 1.0, 1e-3)
+    with pytest.raises(ValueError, match="not a positive multiple"):
+        integrate_metric(MetricState(0.0, 1.0), HARMONIC_DRIVE, 1.0005, 1e-3)
 
 
 def test_integrate_check_mode_matches_generator_mode():
-    om = lambda t: 1.0 + 0.0j
-    gen = integrate_metric(MetricState(0.0, 1.0), om, 1.0, 1e-3, im_beta=lambda t: 0.0)
+    zero = lambda t: 0.0
+    gen = integrate_metric(MetricState(0.0, 1.0), HARMONIC_DRIVE, 1.0, 1e-3)
     chk = integrate_metric(
-        MetricState(0.0, 1.0), om, 1.0, 1e-3,
-        alpha=lambda t: 0.0 + 0.0j, beta=lambda t: 0.0 + 0.0j,
+        MetricState(0.0, 1.0),
+        {**HARMONIC_DRIVE, "re_alpha": zero, "im_alpha": zero, "re_beta": zero},
+        1.0,
+        1e-3,
     )
     assert chk.mode == "check"
     assert gen.mode == "generator"
@@ -397,25 +400,32 @@ def test_integrate_check_mode_matches_generator_mode():
 def test_check_mode_reports_complex_frequency_without_raising():
     traj = integrate_metric(
         MetricState(0.2, 1.0),
-        lambda t: 1.0 + 0.1j * np.sin(t),
+        {
+            "re_omega": lambda t: 1.0,
+            "im_omega": lambda t: 0.1 * np.sin(t),
+            "re_alpha": lambda t: 0.1,
+            "im_alpha": lambda t: 0.05,
+            "re_beta": lambda t: -0.3,
+            "im_beta": lambda t: 0.0,
+        },
         1.0,
         1e-3,
-        alpha=lambda t: 0.1 + 0.05j,
-        beta=lambda t: -0.3 + 0.0j,
     )
     assert traj.max_im_w() > 1e-3
 
 
 def test_generator_mode_rejects_complex_frequency_beyond_tolerance():
-    with pytest.raises(NonRealPhaseError):
-        integrate_metric(
-            MetricState(0.2, 1.0),
-            lambda t: 1.0 + 0.1j * np.sin(t),
-            1.0,
-            1e-3,
-            im_beta=lambda t: -0.02,
-            im_w_tol=1e-18,
-        )
+    drive = {
+        "re_omega": lambda t: 1.0,
+        "im_omega": lambda t: 0.1 * np.sin(t),
+        "im_beta": lambda t: -0.02,
+    }
+    with pytest.raises(NonRealPhaseError) as info:
+        integrate_metric(MetricState(0.2, 1.0), drive, 1.0, 1e-3, im_w_tol=1e-18)
+    # the message names the time of the worst |Im W| on the dense grid
+    traj = integrate_metric(MetricState(0.2, 1.0), drive, 1.0, 1e-3, im_w_tol=1.0)
+    worst = traj.dense_times[np.argmax(np.abs(traj.w.imag))]
+    assert str(info.value).startswith(f"t={worst:.6g}: max |Im W| = ")
 
 
 def test_trajectory_accessors(gentle_traj):

@@ -7,6 +7,7 @@ import pytest
 from scipy.interpolate import CubicSpline
 
 from support import (
+    HARMONIC_DRIVE,
     basis_state,
     cached_operator_set,
     dense_dyson_residual,
@@ -164,8 +165,7 @@ def test_schrodinger_residual_catches_scaled_phases(gentle_traj, gentle_states):
 
 def test_dyson_residual_static_and_driven(gentle_traj, harmonic_traj):
     static = integrate_metric(
-        MetricState(0.0, float(np.exp(2.0))),
-        lambda t: 1.0 + 0.0j, 1.0, 1e-3, im_beta=lambda t: 0.0,
+        MetricState(0.0, float(np.exp(2.0))), HARMONIC_DRIVE, 1.0, 1e-3,
     )
     assert dyson_residual(static, 500, 64) <= 1e-12
     assert dyson_residual(harmonic_traj, 2500, 64) <= 1e-12
@@ -194,8 +194,7 @@ def test_invariant_residual_catches_corrupted_metric(gentle_traj):
 def test_hermitian_image_of_invariant(gentle_traj, harmonic_traj):
     assert hermitian_image_check(harmonic_traj, 1000, 64) <= 1e-13
     static = integrate_metric(
-        MetricState(0.0, float(np.exp(2.0))),
-        lambda t: 1.0 + 0.0j, 1.0, 1e-3, im_beta=lambda t: 0.0,
+        MetricState(0.0, float(np.exp(2.0))), HARMONIC_DRIVE, 1.0, 1e-3,
     )
     assert hermitian_image_check(static, 500, 64) <= 1e-12
     worst = max(hermitian_image_check(gentle_traj, i, 64) for i in (0, 1000, 2500, 5000))
@@ -248,13 +247,11 @@ def test_hermitian_side_transport(gentle_traj, gentle_states, harmonic_traj):
 
 def test_hermitian_side_check_names_the_time_of_a_non_finite_mismatch():
     cfg = parse_scenario(json.dumps(dict(demo_scenarios()["demo_td"], dim=16, t_max=0.05)))
-    re_omega, im_omega = cfg.profiles["re_omega"], cfg.profiles["im_omega"]
     traj = integrate_metric(
         MetricState(cfg.phi0, cfg.vtheta0),
-        lambda t: complex(re_omega(t), im_omega(t)),
+        cfg.profiles,
         cfg.t_max,
         cfg.dt,
-        im_beta=cfg.profiles["im_beta"],
         quantum_numbers=cfg.quantum_numbers,
         superposition=dict(zip(cfg.quantum_numbers, cfg.superposition)),
     )
@@ -278,14 +275,7 @@ def demo_td_traj():
     """demo_td's metric flow to t_max = 1.0 (1001 report times)."""
     doc = demo_scenarios()["demo_td"]
     cfg = parse_scenario(json.dumps(dict(doc, t_max=1.0)))
-    re_omega, im_omega = cfg.profiles["re_omega"], cfg.profiles["im_omega"]
-    return integrate_metric(
-        MetricState(cfg.phi0, cfg.vtheta0),
-        lambda t: complex(re_omega(t), im_omega(t)),
-        cfg.t_max,
-        cfg.dt,
-        im_beta=cfg.profiles["im_beta"],
-    )
+    return integrate_metric(MetricState(cfg.phi0, cfg.vtheta0), cfg.profiles, cfg.t_max, cfg.dt)
 
 
 @pytest.mark.parametrize("dim", [64, 192])
@@ -332,11 +322,16 @@ def check_traj():
     """A check-mode flow whose alpha and beta vary in time."""
     return integrate_metric(
         MetricState(0.2, 1.0),
-        lambda t: 1.0 + 0.1j * np.sin(t),
+        {
+            "re_omega": lambda t: 1.0,
+            "im_omega": lambda t: 0.1 * np.sin(t),
+            "re_alpha": lambda t: 0.1 * np.cos(t),
+            "im_alpha": lambda t: 0.05,
+            "re_beta": lambda t: -0.3 + 0.2 * t,
+            "im_beta": lambda t: -0.02 * np.cos(2 * t),
+        },
         0.5,
         1e-3,
-        alpha=lambda t: 0.1 * np.cos(t) + 0.05j,
-        beta=lambda t: -0.3 + 0.2 * t - 0.02j * np.cos(2 * t),
     )
 
 

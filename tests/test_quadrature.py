@@ -29,14 +29,7 @@ from phinv.runner import GRAM_MAX_N
 def demo(request):
     """A demo's config and its metric flow to t_max = 1.0."""
     cfg = parse_scenario(json.dumps(dict(demo_scenarios()[request.param], t_max=1.0)))
-    re_omega, im_omega = cfg.profiles["re_omega"], cfg.profiles["im_omega"]
-    traj = integrate_metric(
-        MetricState(cfg.phi0, cfg.vtheta0),
-        lambda t: complex(re_omega(t), im_omega(t)),
-        cfg.t_max,
-        cfg.dt,
-        im_beta=cfg.profiles["im_beta"],
-    )
+    traj = integrate_metric(MetricState(cfg.phi0, cfg.vtheta0), cfg.profiles, cfg.t_max, cfg.dt)
     return cfg, traj
 
 

@@ -1,10 +1,15 @@
+import importlib.util
 import json
 import math
+import pathlib
 
+import numpy as np
 import pytest
 
-from phinv import ConfigError, FormatError, parse_scenario
+from phinv import ConfigError, FormatError, MetricState, integrate_metric, parse_scenario
 from phinv.scenario import DEFAULT_TOLERANCES, Profile, demo_scenarios
+
+WORKLOADS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
 
 def minimal_doc(**overrides):
@@ -159,6 +164,50 @@ def test_profile_call_reads_each_parameter_by_name():
         assert const(t) == 0.125
     assert sin == Profile(kind="sinusoid", params=sin.params)
     assert hash(lin) == hash(Profile(kind="linear", params=lin.params))
+
+
+class _Sampled(Exception):
+    pass
+
+
+def _stage_times(doc: dict) -> np.ndarray:
+    """The array of stage times on which the metric flow samples im_omega
+    first, caught at that call before any step is taken."""
+    cfg = parse(doc)
+
+    def record(t):
+        raise _Sampled(t)
+
+    with pytest.raises(_Sampled) as info:
+        integrate_metric(
+            MetricState(cfg.phi0, cfg.vtheta0),
+            {**cfg.profiles, "im_omega": record},
+            cfg.t_max,
+            cfg.dt,
+        )
+    return info.value.args[0]
+
+
+def test_sinusoid_on_the_flow_stage_times_is_the_scalar_formula_bit_for_bit():
+    # The flow reads its drive from np.sin over arrays of stage times; the
+    # scalar closed form with math.sin is the reference, at demo_td's
+    # horizon and at the seeds of the benchmark's time-dependent workloads.
+    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    docs = [demo_scenarios()["demo_td"]] + [
+        workloads.make_scenario(name, seed)
+        for name in ("td_gentle", "td_dim192")
+        for seed in [*range(13), *range(100, 112)]
+    ]
+    for doc in docs:
+        times = _stage_times(doc)
+        assert times.shape == (6, round(doc["t_max"] / doc["dt"]) * 8)
+        p = doc["profiles"]["im_omega"]
+        got = parse(doc).profiles["im_omega"](times)
+        want = [p["offset"] + p["amplitude"] * math.sin(p["frequency"] * t + p["phase"])
+                for t in times.ravel().tolist()]
+        assert got.ravel().tolist() == want
 
 
 def test_profile_validation():

@@ -9,9 +9,9 @@ so it is stored as those three diagonals, written from their closed form
 O(N) and a matrix in O(N^2). The product of two such operators, a
 commutator term, is again a BandOperator, on the diagonals at offsets 0,
 +-2 and +-4, formed in O(N). Its dense form holds the same entries as the
-sum of the dense generators built from a[n-1, n] = sqrt(n). Band products
-and interior norms also run over a stack of operators along a leading time
-axis, each time as it would alone.
+sum of the dense generators built from a[n-1, n] = sqrt(n). Band products,
+products with states and interior norms also run over a stack of operators
+along a leading time axis, each time as it would alone.
 An operator that keeps the parity of n (the metric map rho, its inverse,
 eta) is a ParityBlocks: its even-level and odd-level blocks in one
 (2, m, m) array, m = ceil(N/2), so it stores and multiplies half the
@@ -73,8 +73,8 @@ class BandOperator:
     a BandOperator again, and `op @ blocks` with a ParityBlocks is formed by
     the ParityBlocks. `.dense()` returns the dense matrix as a complex
     array; there is no other arithmetic with arrays. A stack of operators
-    over time, bands of shape (T, rows, dim), is taken by `interior_norm`
-    alone.
+    over time, bands of shape (T, rows, dim), multiplies a (T, dim) stack of
+    states, one state per time, and is taken by `interior_norm`.
     """
 
     # Makes ndarray @ op and ndarray + op raise instead of converting op.
@@ -99,13 +99,17 @@ class BandOperator:
         if isinstance(other, ParityBlocks):
             return NotImplemented
         other = np.asarray(other)
-        b = self.bands if other.ndim == 1 else self.bands[:, :, None]
-        out = b[0] * other
-        for k in range(2, len(b), 2):
-            head, tail = out[:-k], out[k:]
-            head += b[k - 1, :-k] * other[k:]
-            tail += b[k, :-k] * other[:-k]
-        return out
+        # Levels run along the last axis of the bands and of the states: a
+        # matrix's columns are states, and a stack takes one state per time.
+        b = self.bands
+        matrix = other.ndim == 2 and b.ndim == 2
+        v = other.T if matrix else other
+        out = b[..., 0, :] * v
+        for k in range(2, b.shape[-2], 2):
+            head, tail = out[..., :-k], out[..., k:]
+            head += b[..., k - 1, :-k] * v[..., k:]
+            tail += b[..., k, :-k] * v[..., :-k]
+        return out.T if matrix else out
 
 
 class ParityBlocks:

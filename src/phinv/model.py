@@ -75,25 +75,12 @@ class MetricState:
         return constraint_denominator(self.phi_cap, self.vtheta_zero)
 
 
-@dataclass(frozen=True)
-class HamiltonianCoefficients:
-    """(omega, alpha, beta) at one time."""
-
-    omega: complex
-    alpha: complex
-    beta: complex
-
-
 def hamiltonian_coeffs(omega, alpha, beta) -> np.ndarray:
     """H's coefficients of K0, K- and K+, (2 omega, 2 alpha, 2 beta), on a
-    last axis: shape (3,) at one time, (T, 3) over arrays of T times."""
-    return 2 * np.array([omega, alpha, beta]).T
-
-
-def hamiltonian_op(c: HamiltonianCoefficients, dim: int) -> BandOperator:
-    """H = omega (a_dag a + 1/2) + alpha a^2 + beta a_dag^2
+    last axis: shape (3,) at one time, (T, 3) over arrays of T times.
+    H = omega (a_dag a + 1/2) + alpha a^2 + beta a_dag^2
     = 2 omega K0 + 2 alpha K- + 2 beta K+."""
-    return BandOperator(su11_bands(hamiltonian_coeffs(c.omega, c.alpha, c.beta), dim))
+    return 2 * np.array([omega, alpha, beta]).T
 
 
 def constraint_denominator(phi, vtheta0):
@@ -223,23 +210,17 @@ class MetricTrajectory:
     def n_times(self) -> int:
         return len(self.times)
 
-    def _dense_index(self, t_index: int) -> int:
+    def state_at(self, t_index: int) -> MetricState:
         if not 0 <= t_index < self.n_times:
             raise ShapeError(f"time index {t_index} out of range")
-        return t_index * self.stride
-
-    def state_at(self, t_index: int) -> MetricState:
-        j = self._dense_index(t_index)
+        j = t_index * self.stride
         return MetricState(float(self.phi[j]), float(self.vtheta0[j]))
 
-    def coeffs_at(self, t_index: int) -> HamiltonianCoefficients:
-        j = self._dense_index(t_index)
-        return HamiltonianCoefficients(
-            complex(self.omega[j]), complex(self.alpha[j]), complex(self.beta[j])
-        )
-
-    def w_at(self, t_index: int) -> complex:
-        return complex(self.w[self._dense_index(t_index)])
+    def h_bands(self, t_index, dim: int) -> np.ndarray:
+        """H's su(1,1) bands at one report index, (3, dim), or at an array of
+        them, (T, 3, dim), from omega, alpha and beta on the dense grid."""
+        j = np.asarray(t_index) * self.stride
+        return su11_bands(hamiltonian_coeffs(self.omega[j], self.alpha[j], self.beta[j]), dim)
 
     def half_step_indexer(self) -> Callable[[float], int]:
         """A function from a time to its index on the half-step grid; it

@@ -25,9 +25,10 @@ The Schrödinger and invariant meters, which build no metric, take one report
 index or an array of them. An array is swept in windows of up to WINDOW
 report times: the stencils are slices of a window's stack along time (I's
 bands built from Phi and vtheta0 there, with a 4-point halo), and the band
-products and interior norms run over the window's leading time axis. A
-single index is the one-row case of the same code. The Dyson and
-Hermitian-image meters build eta and rho and stay per report time.
+products, H psi and interior norms run over the window's leading time
+axis. A single index is the one-row case of the same code. The Dyson and
+Hermitian-image meters build eta and rho and stay per report time. All
+three meters that involve H read its bands from MetricTrajectory.h_bands.
 
 propagate steps a diagonal generator (the Hermitian side's -2 W K0) a block
 of steps at a time: a step multiplies level n by RK4's stage formula applied
@@ -46,13 +47,7 @@ import numpy as np
 from .errors import DomainError, InstabilityError, StencilError
 from .fock import BandOperator, ParityBlocks, _band_product, interior_norm, k0_operator, su11_bands
 from .metric import build_eta, build_rho
-from .model import (
-    MetricTrajectory,
-    hamiltonian_coeffs,
-    hamiltonian_op,
-    invariant_coeffs,
-    invariant_op,
-)
+from .model import MetricTrajectory, hamiltonian_coeffs, invariant_coeffs, invariant_op
 
 INSTABILITY_FACTOR = 1e6
 
@@ -266,28 +261,26 @@ def _fd4_richardson(v: np.ndarray, h: float) -> np.ndarray:
 
 
 def schrodinger_residual(
-    states: np.ndarray,
-    times: np.ndarray,
-    h_of_t: Callable[[float], np.ndarray],
-    t_index,
+    traj: MetricTrajectory, states: np.ndarray, t_index, dim: int
 ) -> float | np.ndarray:
     """|i D_t psi - H psi| / max(1, |H psi|) with a 4th-order stencil, at
-    one report index or at each of an array of them.
+    one report index or at each of an array of them, for states holding one
+    state per report time.
 
-    The time derivative is a slice along time over each window; H(t) @ psi
-    is formed one time at a time, so h_of_t may return any operator.
+    The time derivative is a slice along time over each window, and H psi is
+    formed over the window's time axis from H's bands there.
     """
-    dt = _check_uniform(times)
+    if states.shape != (traj.n_times, dim):
+        raise ValueError("states must hold one state per report time")
+    dt = _check_uniform(traj.times)
 
     def window(lo: int, n: int) -> np.ndarray:
         dpsi = _fd4(states[lo - 2 : lo + n + 2], dt)
-        h_psi = np.array([
-            h_of_t(t) @ psi for t, psi in zip(times[lo : lo + n].tolist(), states[lo : lo + n])
-        ])
+        h_psi = BandOperator(traj.h_bands(np.arange(lo, lo + n), dim)) @ states[lo : lo + n]
         num = np.linalg.norm(1j * dpsi - h_psi, axis=-1)
         return num / np.maximum(1.0, np.linalg.norm(h_psi, axis=-1))
 
-    return _per_report_time(t_index, len(times), 2, window)
+    return _per_report_time(t_index, traj.n_times, 2, window)
 
 
 def dyson_residual(traj: MetricTrajectory, t_index: int, dim: int) -> float:
@@ -311,7 +304,7 @@ def dyson_residual(traj: MetricTrajectory, t_index: int, dim: int) -> float:
         stencil[4 + j] = blocks
     eta_dot = ParityBlocks(_fd4_richardson(stencil, traj.dt)[0], dim)
     eta = eta_at(0)
-    h = hamiltonian_op(traj.coeffs_at(t_index), dim).bands
+    h = traj.h_bands(t_index, dim)
     # eta H = x + i y with real x, y. eta is real symmetric, so H_adj eta is
     # x^T - i y^T and the residual is (eta_dot + y + y^T) + i (x^T - x).
     x = eta @ BandOperator(h.real)
@@ -330,7 +323,6 @@ def invariant_residual(traj: MetricTrajectory, t_index, dim: int) -> float | np.
     trajectory's arrays, with a 4-point halo for I's stencil.
     """
     phi, vtheta0 = traj.phi[:: traj.stride], traj.vtheta0[:: traj.stride]
-    omega, alpha, beta = (a[:: traj.stride] for a in (traj.omega, traj.alpha, traj.beta))
 
     def window(lo: int, n: int) -> np.ndarray:
         span = slice(lo - 4, lo + n + 4)
@@ -340,8 +332,7 @@ def invariant_residual(traj: MetricTrajectory, t_index, dim: int) -> float | np.
         # as it rounds the dense matrix.
         di = _fd4_richardson(inv.astype(complex), traj.dt)
         inv = inv[4:-4]
-        at = slice(lo, lo + n)
-        h = su11_bands(hamiltonian_coeffs(omega[at], alpha[at], beta[at]), dim)
+        h = traj.h_bands(np.arange(lo, lo + n), dim)
         comm = 1j * (_band_product(inv, h) - _band_product(h, inv))
         residual = np.zeros_like(comm)
         residual[:, : di.shape[1]] = di

@@ -21,13 +21,12 @@ import numpy as np
 
 from ._version import __version__
 from .errors import DomainError, FormatError, GuardError
-from .fock import BandOperator, tail_support
+from .fock import tail_support
 from .metric import build_eta, build_rho_inverse
 from .model import (
     MetricState,
     assemble_solution,
     constraint_residuals,
-    hamiltonian_op,
     integrate_metric,
     invariant_op,
 )
@@ -154,18 +153,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                 f"top levels (limit {tol['tail_support']:.1e})",
             )
 
-    def h_report(t: float) -> BandOperator:
-        idx = int(round(t / cfg.dt))
-        return hamiltonian_op(traj.coeffs_at(idx), dim)
-
     # The band-only meters run once over the report grid; the meters that
     # build the metric run per report time below.
     margin = {c.name: c.margin for c in CHECKS}
     m = margin["schrodinger"]
     schro = np.full(n_times, math.nan)
-    schro[m : n_times - m] = schrodinger_residual(
-        states, times, h_report, np.arange(m, n_times - m)
-    )
+    schro[m : n_times - m] = schrodinger_residual(traj, states, np.arange(m, n_times - m), dim)
     m = margin["invariant"]
     inv_res = np.full(n_times, math.nan)
     inv_res[m : n_times - m] = invariant_residual(traj, np.arange(m, n_times - m), dim)
@@ -271,7 +264,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
                        "passed": passed, "worst_time": worst_time})
         summary.append(line)
 
-    csv_text = _emit_csv(cfg, traj, eta_norms, schro, inv_res, dys_res, tails)
+    csv_text = _emit_csv(traj, eta_norms, schro, inv_res, dys_res, tails)
     report = {
         "checks": checks,
         "overall_pass": all(c["passed"] for c in checks),
@@ -302,22 +295,21 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     )
 
 
-def _emit_csv(cfg, traj, eta_norms, schro, inv_res, dys_res, tails) -> str:
+def _emit_csv(traj, eta_norms, schro, inv_res, dys_res, tails) -> str:
     gamma_cols = [f"gamma_{n}" for n in traj.quantum_numbers]
     header = FIXED_COLUMNS + gamma_cols + TRAILING_COLUMNS
-    lines = [",".join(header)]
-    for i in range(traj.n_times):
-        s = traj.state_at(i)
-        c = traj.coeffs_at(i)
-        w = traj.w_at(i)
-        row = [
-            traj.times[i], s.phi_cap, s.vtheta_zero, s.chi,
-            c.omega.real, c.omega.imag, c.alpha.real, c.alpha.imag,
-            c.beta.real, c.beta.imag, w.real, w.imag,
-        ]
-        row += [traj.phases[n][i] for n in traj.quantum_numbers]
-        row += [eta_norms[i], schro[i], inv_res[i], dys_res[i], tails[i]]
-        lines.append(",".join(_fmt(float(v)) for v in row))
+    phi, vtheta0, omega, alpha, beta, w = (
+        a[:: traj.stride]
+        for a in (traj.phi, traj.vtheta0, traj.omega, traj.alpha, traj.beta, traj.w)
+    )
+    # chi as MetricState computes it.
+    rows = np.column_stack([
+        traj.times, phi, vtheta0, phi * phi - vtheta0,
+        omega.real, omega.imag, alpha.real, alpha.imag, beta.real, beta.imag, w.real, w.imag,
+        *(traj.phases[n] for n in traj.quantum_numbers),
+        eta_norms, schro, inv_res, dys_res, tails,
+    ]).tolist()
+    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
     return CSV_EOL.join(lines) + CSV_EOL
 
 
@@ -347,6 +339,16 @@ def _parse_csv(csv_text: str) -> dict[str, np.ndarray]:
     return {name: arr[:, j] for j, name in enumerate(header)}
 
 
+def _recorded(check: Check, field: str, value) -> float:
+    """A number a report's check row records, which must be a finite JSON
+    number >= 0 (not a bool), as tolerance_overrides requires."""
+    if type(value) not in (int, float) or not 0 <= value < math.inf:
+        raise FormatError(
+            f"check row '{check.name}' records {field} {value!r}, not a finite number >= 0"
+        )
+    return float(value)
+
+
 def verify_artifacts(
     csv_text: str, report_text: str, overrides: dict[str, float] | None = None
 ) -> tuple[int, list[str]]:
@@ -358,8 +360,9 @@ def verify_artifacts(
     them (run takes its max over the dense grid, the CSV holds W on the
     report grid only). Each row is judged against the effective config's
     tolerance, which its recorded tolerance must equal, or against an
-    override (a finite number >= 0). The pair must belong together (CSV
-    digest, config hash), and its rows must be the ones run emits, each once.
+    override; both must be finite numbers >= 0. The pair must belong
+    together (CSV digest, config hash), and its rows must be the ones run
+    emits, each once.
     """
     try:
         report = json.loads(report_text)
@@ -417,19 +420,15 @@ def verify_artifacts(
                 f"check row '{check.name}' records tolerance {row.get('tolerance')!r}, but "
                 f"effective_config.tolerances gives {tolerance!r}; the report was edited"
             )
+        tolerance = _recorded(check, "tolerance", tolerance)
         if check.column is None:
-            residual = row.get("max_residual")
-            if type(residual) not in (int, float) or not 0 <= residual < math.inf:
-                raise FormatError(
-                    f"check row '{check.name}' records max_residual {residual!r}, "
-                    "not a finite number >= 0"
-                )
+            residual = _recorded(check, "max_residual", row.get("max_residual"))
         else:
             try:
                 residual, _ = _worst(check, cols[check.column], cols["t"])
             except DomainError as e:
                 raise FormatError(f"series.csv column {check.column}: {e}") from e
-        passed, line = _verdict(check.name, residual, float(overrides.get(check.name, tolerance)))
+        passed, line = _verdict(check.name, residual, overrides.get(check.name, tolerance))
         ok = ok and passed
         lines.append(line)
     return (0 if ok else 1), lines

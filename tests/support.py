@@ -16,8 +16,11 @@ generator oracle: a, a_dag, K+-, K0, x and p as full complex matrices from
 a[n-1, n] = sqrt(n) and matrix products, where phinv writes the su(1,1)
 diagonals from their closed form. InvariantCoefficients holds the
 invariant's coefficients delta1, delta2, delta3, which phinv folds into its
-bands. su11_operator is one su(1,1) combination as a BandOperator, from
-phinv's band formula; the package itself builds bands only.
+bands; HamiltonianCoefficients holds H's (omega, alpha, beta) at one time,
+and coeffs_at reads them off a trajectory's dense grid at a report index,
+where phinv reads H's bands through MetricTrajectory.h_bands.
+su11_operator is one su(1,1) combination as a BandOperator, from phinv's
+band formula; the package itself builds bands only.
 
 ensure_operator, commutator, apply, adjoint, frobenius_distance,
 nilpotent_exp and diagonal_power are the small exact matrix toolkit the
@@ -52,6 +55,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -136,6 +140,20 @@ class InvariantCoefficients:
             delta2=-chi * phi / th0,
             delta3=-phi / th0,
         )
+
+
+class HamiltonianCoefficients(NamedTuple):
+    """H's (omega, alpha, beta) at one time."""
+
+    omega: complex
+    alpha: complex
+    beta: complex
+
+
+def coeffs_at(traj, t_index: int) -> HamiltonianCoefficients:
+    """(omega, alpha, beta) at a report index, from the dense grid's arrays."""
+    j = t_index * traj.stride
+    return HamiltonianCoefficients(*(complex(a[j]) for a in (traj.omega, traj.alpha, traj.beta)))
 
 
 def su11_operator(dim: int, zero: complex, minus: complex, plus: complex) -> BandOperator:
@@ -365,10 +383,10 @@ def dense_gemm_eta(g, dim: int) -> np.ndarray:
     return adjoint(rho) @ rho
 
 
-def dense_hamiltonian(c, dim: int) -> np.ndarray:
+def dense_hamiltonian(omega, alpha, beta, dim: int) -> np.ndarray:
     """2 omega K0 + 2 alpha K- + 2 beta K+ summed over the dense generators."""
     ops = cached_operator_set(dim)
-    return 2 * c.omega * ops.k_zero + 2 * c.alpha * ops.k_minus + 2 * c.beta * ops.k_plus
+    return 2 * omega * ops.k_zero + 2 * alpha * ops.k_minus + 2 * beta * ops.k_plus
 
 
 def dense_invariant(s: MetricState, dim: int) -> np.ndarray:
@@ -392,7 +410,7 @@ def dense_dyson_residual(traj, t_index: int, dim: int) -> float:
         lambda j: build_eta(traj.state_at(j), dim).dense(), t_index, traj.dt
     )
     eta = build_eta(traj.state_at(t_index), dim).dense()
-    h_mat = dense_hamiltonian(traj.coeffs_at(t_index), dim)
+    h_mat = dense_hamiltonian(*coeffs_at(traj, t_index), dim)
     residual = eta_dot + 1j * (h_mat.conj().T @ eta - eta @ h_mat)
     return interior_norm(residual) / max(1.0, interior_norm(eta @ h_mat))
 
@@ -404,7 +422,7 @@ def dense_invariant_residual(traj, t_index: int, dim: int) -> float:
         lambda j: dense_invariant(traj.state_at(j), dim), t_index, traj.dt
     )
     inv = dense_invariant(traj.state_at(t_index), dim)
-    h_mat = dense_hamiltonian(traj.coeffs_at(t_index), dim)
+    h_mat = dense_hamiltonian(*coeffs_at(traj, t_index), dim)
     comm = 1j * (inv @ h_mat - h_mat @ inv)
     return interior_norm(di - comm) / max(1.0, interior_norm(comm))
 

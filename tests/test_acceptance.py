@@ -36,16 +36,10 @@ from phinv import (
     run_scenario,
 )
 from phinv.fock import interior_norm
-from phinv.model import (
-    constraint_residuals,
-    hamiltonian_op,
-    integrate_metric,
-    invariant_op,
-)
+from phinv.model import constraint_residuals, integrate_metric, invariant_op
 from phinv.position import GaussianShape, PositionGrid, canonical_agreement
 from phinv.propagator import (
     dyson_residual,
-    hamiltonian_source,
     hermitian_image_check,
     hermitian_side_check,
     invariant_residual,
@@ -59,6 +53,7 @@ from support import (
     HARMONIC_DRIVE,
     basis_state,
     cached_operator_set,
+    coeffs_at,
     conjugate_k,
     frobenius_distance,
     gauss_params,
@@ -138,12 +133,9 @@ def check_value(run, name: str) -> float:
 def window_schrodinger_residual(traj, i: int, dim: int) -> float:
     """Schrodinger residual of the assembled solution at report index i,
     from the five states of its stencil (as run_scenario measures it)."""
-    window = np.array([assemble_solution(traj, j, dim) for j in range(i - 2, i + 3)])
-
-    def h_of_t(t: float) -> np.ndarray:
-        return hamiltonian_op(traj.coeffs_at(int(round(t / traj.dt))), dim).dense()
-
-    return schrodinger_residual(window, traj.times[i - 2 : i + 3], h_of_t, 2)
+    states = np.zeros((traj.n_times, dim), dtype=complex)
+    states[i - 2 : i + 3] = [assemble_solution(traj, j, dim) for j in range(i - 2, i + 3)]
+    return schrodinger_residual(traj, states, i, dim)
 
 
 def test_criterion_01_harmonic_limit(harmonic_run):
@@ -414,10 +406,10 @@ def test_criterion_08_normalization_and_collapse(gentle_traj):
     for i in range(0, gentle_traj.n_times, 50):
         j = i * gentle_traj.stride
         u, v = uv_coefficients(
-            gentle_traj.state_at(i), gentle_traj.coeffs_at(i),
+            gentle_traj.state_at(i), coeffs_at(gentle_traj, i),
             gentle_traj.dphi[j], gentle_traj.dvtheta0[j],
         )
-        worst_uvw = max(worst_uvw, abs(u), abs(v), abs(gentle_traj.w_at(i).imag))
+        worst_uvw = max(worst_uvw, abs(u), abs(v), abs(gentle_traj.w[j].imag))
     assert worst_uvw <= 1e-10
     say(8, True, f"identity within {worst_norm:.1e}, U/V/Im W within {worst_uvw:.1e}")
 
@@ -494,20 +486,20 @@ def test_criterion_10_meter_sensitivity(gentle_traj, gentle_states):
     i = 2500
     traj = gentle_traj
     s = traj.state_at(i)
-    c = traj.coeffs_at(i)
+    c = coeffs_at(traj, i)
     s_bad = MetricState(s.phi_cap, 1.01 * s.vtheta_zero)
-    h_src = hamiltonian_source(traj, dim)
     ratios: dict[str, float] = {}
 
     def record(name: str, clean: float, corrupted: float) -> None:
         ratios[name] = corrupted / max(clean, 1e-15)
 
     scaled = dataclasses.replace(traj, phases={n: 1.01 * g for n, g in traj.phases.items()})
-    window = np.array([assemble_solution(scaled, j, dim) for j in range(i - 2, i + 3)])
+    window = np.zeros((traj.n_times, dim), dtype=complex)
+    window[i - 2 : i + 3] = [assemble_solution(scaled, j, dim) for j in range(i - 2, i + 3)]
     record(
         "schrodinger",
-        schrodinger_residual(gentle_states, traj.times, h_src, i),
-        schrodinger_residual(window, traj.times[i - 2 : i + 3], h_src, 2),
+        schrodinger_residual(traj, gentle_states, i, dim),
+        schrodinger_residual(traj, window, i, dim),
     )
     record(
         "invariant",

@@ -1,6 +1,7 @@
 import copy
 import json
 import math
+import os
 import pathlib
 import shutil
 import subprocess
@@ -12,6 +13,7 @@ import pytest
 from phinv import parse_scenario
 from phinv._version import __version__
 from phinv.cli import main
+from phinv.scenario import canonical_hash
 
 PYPROJECT = pathlib.Path(__file__).resolve().parents[1] / "pyproject.toml"
 
@@ -174,6 +176,26 @@ def test_verify_rejects_a_recorded_max_residual_that_is_not_a_number(
     (tmp_path / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
     assert main(["verify", "--out", str(tmp_path)]) == 2
     assert f"check row 'gram' records max_residual {value!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", None, [1], True, -1.0])
+def test_verify_rejects_a_recorded_tolerance_that_is_not_a_number(
+    failing_td_dir, tmp_path, capsys, value
+):
+    # The row and effective_config.tolerances agree and config_hash is
+    # recomputed, so only the value itself is at fault.
+    report = json.loads((failing_td_dir / "report.json").read_text())
+    report["checks"] = [
+        dict(c, tolerance=value) if c["name"] == "gram" else c for c in report["checks"]
+    ]
+    eff = report["provenance"]["effective_config"]
+    eff["tolerances"]["gram"] = value
+    report["provenance"]["config_hash"] = canonical_hash(eff)
+    shutil.copy(failing_td_dir / "series.csv", tmp_path / "series.csv")
+    (tmp_path / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    assert main(["verify", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"check row 'gram' records tolerance {value!r}, not a finite number >= 0" in err
 
 
 def _nan_at(original, index):
@@ -458,6 +480,32 @@ def test_console_script_smoke(tmp_path):
     )
     assert entry.returncode == 0
     assert __version__ in entry.stdout
+
+
+@pytest.mark.parametrize("dim", [17, 192])
+def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, dim):
+    """demo_td to t_max 0.02 writes the same series.csv and report.json, byte
+    for byte, under one and two OpenBLAS threads: at dim 17, whose odd parity
+    block is padded, and at dim 192, where a gemm is big enough to split."""
+    from phinv import demo_scenarios
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(demo_scenarios()["demo_td"], dim=dim, t_max=0.02)))
+    runs = []
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(
+            os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(PYPROJECT.parent / "src")
+        )
+        proc = subprocess.run(
+            [sys.executable, "-m", "phinv.cli", "run", "--config", str(config),
+             "--out", str(out), "--quiet"],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        runs.append((proc.returncode, (out / "series.csv").read_bytes(),
+                     (out / "report.json").read_bytes()))
+    assert runs[0] == runs[1]
 
 
 def test_import_loads_no_scipy():

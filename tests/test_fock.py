@@ -30,12 +30,7 @@ from phinv import (
     tail_support,
 )
 from phinv.fock import BandOperator, ParityBlocks, basis_column, k0_operator
-from phinv.model import (
-    HamiltonianCoefficients,
-    MetricState,
-    hamiltonian_op,
-    invariant_op,
-)
+from phinv.model import MetricState, hamiltonian_coeffs, invariant_op
 from phinv.propagator import _fd4_richardson
 
 
@@ -283,6 +278,8 @@ def test_band_operator_products_match_dense(dim, seed):
         dense = op.dense()
         assert _relative_gap(op @ v, dense @ v) <= 1e-14
         assert _relative_gap(op @ m, dense @ m) <= 1e-14
+        # A matrix's columns are multiplied as states alone are.
+        assert np.array_equal(op @ m, np.stack([op @ col for col in m.T], axis=1))
         # Products from the right and sums with arrays are not defined: a
         # caller densifies on purpose.
         with pytest.raises(TypeError):
@@ -304,11 +301,11 @@ def test_band_operator_products_match_dense(dim, seed):
 @settings(max_examples=60, deadline=None)
 def test_band_operator_dense_form_is_the_dense_sum(dim, seed):
     rng = np.random.default_rng(seed)
-    c = HamiltonianCoefficients(*(complex(z) for z in _complex_normals(rng, 3)))
+    c = [complex(z) for z in _complex_normals(rng, 3)]
     s = MetricState(float(rng.uniform(-0.5, 0.5)), float(rng.uniform(0.3, 2.0)))
-    h, inv = hamiltonian_op(c, dim).dense(), invariant_op(s, dim).dense()
+    h, inv = su11_operator(dim, *hamiltonian_coeffs(*c)).dense(), invariant_op(s, dim).dense()
     assert h.dtype == inv.dtype == complex
-    assert np.array_equal(h, dense_hamiltonian(c, dim))
+    assert np.array_equal(h, dense_hamiltonian(*c, dim))
     assert np.array_equal(inv, dense_invariant(s, dim))
     k_zero = cached_operator_set(dim).k_zero
     assert np.array_equal(k0_operator(dim, 2.0).dense(), 2 * k_zero)

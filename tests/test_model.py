@@ -6,11 +6,13 @@ from hypothesis import given, settings, strategies as st
 
 from support import (
     HARMONIC_DRIVE,
+    HamiltonianCoefficients,
     InvariantCoefficients,
     basis_state,
     cached_operator_set,
     random_metric_states,
     raw_metric_rates,
+    su11_operator,
     uv_coefficients,
 )
 
@@ -18,7 +20,6 @@ from phinv import (
     ConstraintSingularityError,
     DomainError,
     GuardError,
-    HamiltonianCoefficients,
     MetricState,
     NonRealPhaseError,
     SingularMetricError,
@@ -35,7 +36,7 @@ from phinv import (
     transformed_frequency,
 )
 from phinv.fock import basis_column
-from phinv.model import hamiltonian_op, invariant_op
+from phinv.model import hamiltonian_coeffs, invariant_op
 
 
 def _random_drive(rng):
@@ -268,7 +269,7 @@ def test_formulas_agree_on_floats_and_in_one_array(seed):
 
 def test_hamiltonian_matrix_layout(ops64):
     c = HamiltonianCoefficients(1.0 + 0.2j, 0.3 - 0.1j, -0.25 + 0.05j)
-    h = hamiltonian_op(c, 64).dense()
+    h = su11_operator(64, *hamiltonian_coeffs(*c)).dense()
     expected = 2 * c.omega * ops64.k_zero + 2 * c.alpha * ops64.k_minus + 2 * c.beta * ops64.k_plus
     assert np.array_equal(h, expected)
 
@@ -434,12 +435,12 @@ def test_trajectory_accessors(gentle_traj):
     s = gentle_traj.state_at(i)
     assert s.phi_cap == gentle_traj.phi[j]
     assert s.vtheta_zero == gentle_traj.vtheta0[j]
-    c = gentle_traj.coeffs_at(i)
-    assert c.omega == gentle_traj.omega[j]
-    assert gentle_traj.w_at(i) == gentle_traj.w[j]
     assert gentle_traj.times[i] == pytest.approx(gentle_traj.dense_times[j], abs=1e-12)
     dphi, dth0 = gentle_traj.dphi[j], gentle_traj.dvtheta0[j]
-    ref = metric_rhs(s.phi_cap, s.vtheta_zero, c.omega.imag, c.beta.imag)
+    omega, alpha, beta = gentle_traj.omega[j], gentle_traj.alpha[j], gentle_traj.beta[j]
+    h = su11_operator(16, 2 * omega, 2 * alpha, 2 * beta)
+    assert np.array_equal(gentle_traj.h_bands(i, 16), h.bands)
+    ref = metric_rhs(s.phi_cap, s.vtheta_zero, omega.imag, beta.imag)
     assert dphi == pytest.approx(ref[0], abs=1e-14)
     assert dth0 == pytest.approx(ref[1], abs=1e-14)
 

@@ -10,10 +10,13 @@ from support import (
     HARMONIC_DRIVE,
     basis_state,
     cached_operator_set,
+    coeffs_at,
     dense_dyson_residual,
+    dense_hamiltonian,
     dense_hermitian_image_check,
     dense_invariant_residual,
     propagate_loop,
+    su11_operator,
 )
 
 from phinv import (
@@ -37,8 +40,8 @@ from phinv import (
     tail_support,
 )
 import phinv.propagator
-from phinv.fock import k0_operator
-from phinv.model import HamiltonianCoefficients, hamiltonian_op
+from phinv.fock import BandOperator, k0_operator
+from phinv.model import hamiltonian_coeffs
 from phinv.propagator import hamiltonian_source, transformed_generator_source
 
 
@@ -137,10 +140,9 @@ def test_convergence_probe_fourth_order(gentle_traj):
 
 
 def test_finite_difference_stencil_bounds(gentle_traj, gentle_states):
-    h = hamiltonian_source(gentle_traj, 64)
     for bad in (0, 1, gentle_traj.n_times - 2, gentle_traj.n_times - 1):
         with pytest.raises(StencilError):
-            schrodinger_residual(gentle_states, gentle_traj.times, h, bad)
+            schrodinger_residual(gentle_traj, gentle_states, bad, 64)
     for bad in (3, gentle_traj.n_times - 4):
         with pytest.raises(StencilError):
             dyson_residual(gentle_traj, bad, 64)
@@ -149,18 +151,18 @@ def test_finite_difference_stencil_bounds(gentle_traj, gentle_states):
 
 
 def test_schrodinger_residual_on_assembled_states(gentle_traj, gentle_states):
-    h = hamiltonian_source(gentle_traj, 64)
     for i in (2, 700, 2500, 4200, gentle_traj.n_times - 3):
-        assert schrodinger_residual(gentle_states, gentle_traj.times, h, i) <= 1e-10
+        assert schrodinger_residual(gentle_traj, gentle_states, i, 64) <= 1e-10
 
 
 def test_schrodinger_residual_catches_scaled_phases(gentle_traj, gentle_states):
     scaled = dataclasses.replace(
         gentle_traj, phases={n: 1.1 * g for n, g in gentle_traj.phases.items()}
     )
-    states = np.array([assemble_solution(scaled, i, 64) for i in range(0, 9)])
-    h = hamiltonian_source(gentle_traj, 64)
-    assert schrodinger_residual(states, gentle_traj.times[:9], h, 4) > 1e-2
+    # Only the rows of index 4's stencil are read.
+    states = np.zeros((gentle_traj.n_times, 64), dtype=complex)
+    states[:9] = [assemble_solution(scaled, i, 64) for i in range(0, 9)]
+    assert schrodinger_residual(gentle_traj, states, 4, 64) > 1e-2
 
 
 def test_dyson_residual_static_and_driven(gentle_traj, harmonic_traj):
@@ -266,7 +268,7 @@ def test_hermitian_side_check_names_the_time_of_a_non_finite_mismatch():
 def test_transformed_generator_is_scaled_number_operator(gentle_traj, ops64):
     gen = transformed_generator_source(gentle_traj, 64)
     t = float(gentle_traj.times[700])
-    w_re = gentle_traj.w_at(700).real
+    w_re = gentle_traj.w[700 * gentle_traj.stride].real
     assert np.linalg.norm(gen(t).dense() + 2.0 * w_re * ops64.k_zero) <= 1e-10
 
 
@@ -295,11 +297,11 @@ def test_stacked_meters_match_their_per_index_calls(gentle_traj, dim):
     """An index array spanning several windows, with sparse, unordered and
     repeated entries, gives each index's single-call value."""
     n = 401
-    states = np.array([assemble_solution(gentle_traj, i, dim) for i in range(n)])
-    times = gentle_traj.times[:n]
-    h = hamiltonian_source(gentle_traj, dim)
+    # The Schrödinger cases read rows 0 .. n - 1 only.
+    states = np.zeros((gentle_traj.n_times, dim), dtype=complex)
+    states[:n] = [assemble_solution(gentle_traj, i, dim) for i in range(n)]
     cases = (
-        (lambda i: schrodinger_residual(states, times, h, i),
+        (lambda i: schrodinger_residual(gentle_traj, states, i, dim),
          np.r_[np.arange(2, n - 2), 398, 2, 250, 250]),
         (lambda i: invariant_residual(gentle_traj, i, dim),
          np.r_[np.arange(4, n - 4), 4996, 2500, 1000, 4, 1000]),
@@ -312,7 +314,7 @@ def test_stacked_meters_match_their_per_index_calls(gentle_traj, dim):
         assert isinstance(meter(int(idx[0])), float)
         assert np.array_equal(meter(idx.reshape(1, -1)), got.reshape(1, -1))
     with pytest.raises(StencilError, match="time index 1 "):
-        schrodinger_residual(states, times, h, np.array([5, 1, 0]))
+        schrodinger_residual(gentle_traj, states, np.array([5, 1, 0]), dim)
     with pytest.raises(StencilError, match="time index 4997 "):
         invariant_residual(gentle_traj, np.array([4, 4997]), dim)
 
@@ -343,8 +345,8 @@ def _spline_sources(traj, dim):
     )
 
     def h_of_t(t):
-        c = HamiltonianCoefficients(complex(om(t)), complex(al(t)), complex(be(t)))
-        return hamiltonian_op(c, dim)
+        coeffs = hamiltonian_coeffs(complex(om(t)), complex(al(t)), complex(be(t)))
+        return su11_operator(dim, *coeffs)
 
     return h_of_t, lambda t: k0_operator(dim, -2.0 * float(w_re(t)))
 
@@ -357,14 +359,44 @@ def test_sources_read_the_half_step_grid(traj_name, request):
     for i in (0, 1, 250, traj.n_times - 1):
         t = float(traj.times[i])
         h, g = (src(t).bands for src in sources)
-        assert np.array_equal(h, hamiltonian_op(traj.coeffs_at(i), dim).bands)
-        assert np.array_equal(g, k0_operator(dim, -2.0 * traj.w_at(i).real).bands)
+        assert np.array_equal(h, traj.h_bands(i, dim))
+        w_re = traj.w[i * traj.stride].real
+        assert np.array_equal(g, k0_operator(dim, -2.0 * w_re).bands)
     # Every midpoint of the first report interval, then a sparse sweep.
     mids = traj.half_times[1::2]
     for t in np.concatenate([mids[:8], mids[8::397], mids[-1:]]):
         for src, spline in zip(sources, _spline_sources(traj, dim)):
             got, want = src(float(t)).bands, spline(float(t)).bands
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), t
+
+
+@pytest.mark.parametrize("traj_name", ["gentle_traj", "check_traj"])
+def test_h_bands_are_the_dense_hamiltonian(traj_name, request):
+    """H's bands at a report index, alone or in an index array, hold the
+    entries of 2 omega K0 + 2 alpha K- + 2 beta K+ over the dense generators."""
+    traj = request.getfixturevalue(traj_name)
+    idx = np.array([0, 1, 250, traj.n_times - 1])
+    for dim in (16, 17):
+        stack = traj.h_bands(idx, dim)
+        assert stack.shape == (len(idx), 3, dim)
+        for i, bands in zip(idx.tolist(), stack):
+            want = dense_hamiltonian(*coeffs_at(traj, i), dim)
+            assert np.array_equal(BandOperator(traj.h_bands(i, dim)).dense(), want)
+            assert np.array_equal(BandOperator(bands).dense(), want)
+
+
+@pytest.mark.parametrize("dim", [16, 17, 64])
+def test_stacked_h_psi_is_each_time_alone(gentle_traj, dim):
+    """H psi formed as one stack over a run of report times longer than a
+    meter window equals each time's BandOperator @ state bit for bit."""
+    rng = np.random.default_rng(dim)
+    idx = np.arange(100, 100 + phinv.propagator.WINDOW + 72)
+    shape = (len(idx), dim)
+    states = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    stacked = BandOperator(gentle_traj.h_bands(idx, dim)) @ states
+    assert stacked.shape == states.shape
+    for i, psi, got in zip(idx.tolist(), states, stacked):
+        assert np.array_equal(got, BandOperator(gentle_traj.h_bands(i, dim)) @ psi)
 
 
 def test_sources_reject_times_off_the_half_step_grid(gentle_traj):

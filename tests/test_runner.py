@@ -31,7 +31,6 @@ import phinv.position
 import phinv.propagator
 import phinv.runner
 from phinv._version import __version__
-from phinv.propagator import hamiltonian_source
 from phinv.runner import CSV_EOL, _fmt, _parse_csv
 from phinv.scenario import CHECKS
 
@@ -423,9 +422,8 @@ def test_the_checks_table_is_the_one_list_of_rows():
 
 
 def test_each_check_margin_is_where_its_meter_stops_applying(gentle_traj, gentle_states):
-    h = hamiltonian_source(gentle_traj, 64)
     meters = {
-        "schrodinger": lambda i: schrodinger_residual(gentle_states, gentle_traj.times, h, i),
+        "schrodinger": lambda i: schrodinger_residual(gentle_traj, gentle_states, i, 64),
         "invariant": lambda i: invariant_residual(gentle_traj, i, 64),
         "dyson": lambda i: dyson_residual(gentle_traj, i, 64),
     }

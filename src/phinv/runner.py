@@ -314,28 +314,37 @@ def _emit_csv(traj, eta_norms, schro, inv_res, dys_res, tails) -> str:
 
 
 def _parse_csv(csv_text: str) -> dict[str, np.ndarray]:
-    rows = [r for r in csv_text.split(CSV_EOL) if r != ""]
-    if not rows:
+    """series.csv as named columns. Every line but the empty one after the
+    final CSV_EOL is a row: run writes no blank line, and loadtxt would skip
+    one. comments=None keeps loadtxt from cutting a cell at '#'."""
+    rows = csv_text.split(CSV_EOL)
+    if rows[-1] == "":
+        rows.pop()
+    if not any(rows):
         raise FormatError("empty CSV")
     header = rows[0].split(",")
     needed = set(FIXED_COLUMNS + TRAILING_COLUMNS)
     missing = needed - set(header)
     if missing:
         raise FormatError(f"CSV is missing columns: {sorted(missing)}")
-    data = []
-    for k, line in enumerate(rows[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
+    data = rows[1:]
+    for k, line in enumerate(data, start=2):
+        if line.count(",") != len(header) - 1:
             raise FormatError(
-                f"CSV row {k} has {len(cells)} cells, expected {len(header)}"
+                f"CSV row {k} has {line.count(',') + 1} cells, expected {len(header)}"
             )
-        try:
-            data.append([float(cell) for cell in cells])
-        except ValueError as e:
-            raise FormatError(f"CSV row {k}: {e}") from e
     if not data:
         raise FormatError("CSV has no data rows")
-    arr = np.array(data)
+    try:
+        arr = np.loadtxt(data, delimiter=",", comments=None, ndmin=2)
+    except ValueError as e:
+        for k, line in enumerate(data, start=2):
+            try:
+                np.loadtxt([line], delimiter=",", comments=None)
+            except ValueError as row_error:
+                where = str(row_error).replace(" at row 0, ", " in ")
+                raise FormatError(f"CSV row {k}: {where}") from e
+        raise FormatError(f"CSV: {e}") from e
     return {name: arr[:, j] for j, name in enumerate(header)}
 
 

@@ -46,6 +46,9 @@ reads the factors off the flow state (Phi, vtheta0). gauss_factors gives
 its three numbers, chi computed on its own rather than as Phi^2 - vtheta0,
 and check_gauss_identities the relations between them.
 
+reference_parse_csv reads series.csv with one float() per cell, where
+phinv's reader hands the data lines to numpy's text reader in one call.
+
 HARMONIC_DRIVE is the generator-mode drive of integrate_metric for the
 harmonic oscillator at omega = 1.
 """
@@ -74,8 +77,16 @@ from phinv import (
 )
 from phinv.fock import BandOperator, ensure_state, su11_bands
 from phinv.propagator import INSTABILITY_FACTOR
+from phinv.runner import CSV_EOL
 
 HARMONIC_DRIVE = {"re_omega": lambda t: 1.0, "im_omega": lambda t: 0.0, "im_beta": lambda t: 0.0}
+
+
+def reference_parse_csv(csv_text: str) -> dict[str, np.ndarray]:
+    """A well-formed series.csv as named columns, one float() per cell."""
+    header, *rows = [r for r in csv_text.split(CSV_EOL) if r != ""]
+    data = np.array([[float(cell) for cell in r.split(",")] for r in rows])
+    return {name: data[:, j] for j, name in enumerate(header.split(","))}
 
 
 class StructureError(NumericsError):

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +7,6 @@ from support import (
     HamiltonianCoefficients,
     InvariantCoefficients,
     basis_state,
-    cached_operator_set,
     random_metric_states,
     raw_metric_rates,
     su11_operator,

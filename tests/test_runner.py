@@ -33,6 +33,8 @@ import phinv.runner
 from phinv._version import __version__
 from phinv.runner import CSV_EOL, _fmt, _parse_csv
 from phinv.scenario import CHECKS
+from support import reference_parse_csv
+from test_golden import CHECK_DRIVES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -209,6 +211,80 @@ def test_verify_rejects_malformed_cells(td_run):
 
     csv_text, report_text = tamper(td_run, widen_row)
     with pytest.raises(FormatError, match="row 8"):
+        verify_artifacts(csv_text, report_text)
+
+
+@pytest.fixture(scope="module")
+def short_runs():
+    """Both demos and the two golden check drives, run to t_max = 0.1."""
+    docs = {**demo_scenarios(), **CHECK_DRIVES}
+    return {name: run_scenario(scenario(dict(doc, t_max=0.1))) for name, doc in docs.items()}
+
+
+def assert_same_columns(got: dict, want: dict) -> None:
+    """Equal bit for bit: values, NaN positions and the sign of zero."""
+    assert list(got) == list(want)
+    for name in want:
+        assert got[name].dtype == np.float64
+        assert np.array_equal(got[name].view(np.uint64), want[name].view(np.uint64)), name
+
+
+@pytest.mark.parametrize("name", ["demo_td", "demo_harmonic", *sorted(CHECK_DRIVES)])
+def test_parse_csv_reads_what_float_reads(short_runs, name):
+    csv_text = short_runs[name].csv_text
+    assert_same_columns(_parse_csv(csv_text), reference_parse_csv(csv_text))
+
+    spellings = ["-0.0", "+0", " nan", "-NaN ", "INF", " -Infinity ", "1e-320",
+                 "4.9e-324", "1.7976931348623157e308", "1e309", ".5", "5.", "0.1E1"]
+    rows = csv_text.split(CSV_EOL)
+    cells = rows[3].split(",")
+    cells[: len(spellings)] = spellings
+    rows[3] = ",".join(cells)
+    csv_text = CSV_EOL.join(rows)
+    assert_same_columns(_parse_csv(csv_text), reference_parse_csv(csv_text))
+
+
+def _with_cell(value):
+    def spoil(line):
+        cells = line.split(",")
+        cells[3] = value
+        return ",".join(cells)
+    return spoil
+
+
+@pytest.mark.parametrize(
+    "spoil",
+    [
+        _with_cell("1.0#x"),
+        _with_cell("1_0"),
+        _with_cell("\u0661"),
+        _with_cell(""),
+        lambda line: " \t ",
+        lambda line: line.rsplit(",", 1)[0],
+        lambda line: line + ",0.0",
+    ],
+    ids=["hash", "underscore", "non-ascii-digit", "empty-cell", "blank-line",
+         "short-row", "long-row"],
+)
+def test_a_malformed_line_is_named(short_runs, spoil):
+    rows = short_runs["demo_td"].csv_text.split(CSV_EOL)
+    rows[6] = spoil(rows[6])  # CSV line 7
+    with pytest.raises(FormatError, match=r"^CSV row 7[ :]"):
+        _parse_csv(CSV_EOL.join(rows))
+
+
+@pytest.mark.parametrize("at, blanks", [(50, 1), (50, 2), (1, 1), (-1, 1)],
+                         ids=["one", "two", "after-header", "at-end"])
+def test_verify_rejects_a_blank_line(short_runs, at, blanks):
+    # Only the empty string after the final CSV_EOL is not a line; rows[i]
+    # is CSV line i + 1.
+    line = range(short_runs["demo_td"].csv_text.count(CSV_EOL) + 1)[at] + 1
+
+    def insert_blanks(rows):
+        rows[at:at] = [""] * blanks
+
+    csv_text, report_text = tamper(short_runs["demo_td"], insert_blanks)
+    with pytest.raises(FormatError, match=rf"^CSV row {line} has 1 cells"):
         verify_artifacts(csv_text, report_text)
 
 

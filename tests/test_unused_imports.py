@@ -1,5 +1,5 @@
-"""Every name a phinv module imports is used in that module, and every
-name the package exports is used by the package.
+"""Every name a phinv module, test module or tool imports is used in that
+module, and every name the package exports is used by the package.
 
 No linter ships with the project, so this walks each module's syntax tree:
 a name bound by `import` or `from ... import` must appear as a name
@@ -17,8 +17,10 @@ import pytest
 
 import phinv
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "phinv"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "phinv"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCANNED = MODULES + sorted((ROOT / "tests").glob("*.py")) + sorted((ROOT / "tools").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,7 +35,7 @@ def unused_imports(source: str) -> list[str]:
     return sorted(imported - used)
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: p.name if p.parent == SRC else str(p.relative_to(ROOT)))
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

@@ -5,45 +5,27 @@ brute-force propagation oracles and residual meters for every identity."""
 from ._version import __version__
 from .errors import (
     ConfigError,
-    ConstraintSingularityError,
-    DimensionError,
     DomainError,
     FormatError,
     GuardError,
     InputError,
     InstabilityError,
-    NonRealPhaseError,
     NumericsError,
-    PhinvError,
-    ShapeError,
-    SingularMetricError,
-    StencilError,
     TruncationWarning,
 )
 from .fock import interior_norm, tail_support
-from .metric import (
-    build_eta,
-    build_rho,
-    build_rho_inverse,
-    ladder_exp,
-)
+from .metric import build_eta, build_rho, build_rho_inverse
 from .model import (
     MetricState,
     MetricTrajectory,
     assemble_solution,
     constraint_residuals,
-    derive_constrained_coeffs,
     integrate_metric,
-    metric_rhs,
-    phase,
-    transformed_frequency,
 )
 from .position import (
     GaussianShape,
     PositionGrid,
-    canonical_invariant,
     cross_representation_residual,
-    eigenfunction,
     orthonormality_matrix,
 )
 from .propagator import (
@@ -55,10 +37,9 @@ from .propagator import (
     propagate,
     schrodinger_residual,
 )
-from .runner import RunResult, run_scenario, verify_artifacts
+from .runner import run_scenario, verify_artifacts
 from .scenario import (
     DEFAULT_TOLERANCES,
-    Profile,
     ScenarioConfig,
     demo_scenarios,
     parse_scenario,
@@ -66,40 +47,26 @@ from .scenario import (
 
 __all__ = [
     "ConfigError",
-    "ConstraintSingularityError",
-    "DimensionError",
     "DomainError",
     "FormatError",
     "GuardError",
     "InputError",
     "InstabilityError",
-    "NonRealPhaseError",
     "NumericsError",
-    "PhinvError",
-    "ShapeError",
-    "SingularMetricError",
-    "StencilError",
     "TruncationWarning",
     "interior_norm",
     "tail_support",
     "build_eta",
     "build_rho",
     "build_rho_inverse",
-    "ladder_exp",
     "MetricState",
     "MetricTrajectory",
     "assemble_solution",
     "constraint_residuals",
-    "derive_constrained_coeffs",
     "integrate_metric",
-    "metric_rhs",
-    "phase",
-    "transformed_frequency",
     "GaussianShape",
     "PositionGrid",
-    "canonical_invariant",
     "cross_representation_residual",
-    "eigenfunction",
     "orthonormality_matrix",
     "convergence_probe",
     "dyson_residual",
@@ -108,11 +75,9 @@ __all__ = [
     "invariant_residual",
     "propagate",
     "schrodinger_residual",
-    "RunResult",
     "run_scenario",
     "verify_artifacts",
     "DEFAULT_TOLERANCES",
-    "Profile",
     "ScenarioConfig",
     "demo_scenarios",
     "parse_scenario",

@@ -61,18 +61,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_run(args) -> int:
+def _read_text(path: str, what: str, newline: str | None = None) -> str:
+    """A UTF-8 file's text, or an InputError saying that `what` cannot be
+    read. newline is open()'s: "" keeps the line ends as written."""
     try:
-        with open(args.config, encoding="utf-8") as f:
-            text = f.read()
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as e:
+        raise InputError(f"cannot read {what}: {e}") from e
+
+
+def _make_out_dir(path: str) -> None:
+    try:
+        os.makedirs(path, exist_ok=True)
     except OSError as e:
-        print(f"error: cannot read config: {e}", file=sys.stderr)
-        return 2
-    cfg = parse_scenario(text)
+        raise InputError(f"cannot create output directory: {e}") from e
+
+
+def _cmd_run(args) -> int:
+    cfg = parse_scenario(_read_text(args.config, "config"))
     overrides = tolerance_overrides(args.tolerance)
     cfg = dataclasses.replace(cfg, tolerances={**cfg.tolerances, **overrides})
+    _make_out_dir(args.out)
     result = run_scenario(cfg)
-    os.makedirs(args.out, exist_ok=True)
     csv_path = os.path.join(args.out, "series.csv")
     report_path = os.path.join(args.out, "report.json")
     with open(csv_path, "w", encoding="utf-8", newline="") as f:
@@ -87,14 +98,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    try:
-        with open(os.path.join(args.out, "series.csv"), encoding="utf-8", newline="") as f:
-            csv_text = f.read()
-        with open(os.path.join(args.out, "report.json"), encoding="utf-8") as f:
-            report_text = f.read()
-    except OSError as e:
-        print(f"error: cannot read artifacts: {e}", file=sys.stderr)
-        return 2
+    csv_text = _read_text(os.path.join(args.out, "series.csv"), "artifacts", newline="")
+    report_text = _read_text(os.path.join(args.out, "report.json"), "artifacts")
     code, lines = verify_artifacts(csv_text, report_text, dict(args.tolerance))
     if not args.quiet:
         for line in lines:
@@ -103,7 +108,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_demo(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     for name, doc in demo_scenarios().items():
         path = os.path.join(args.out, f"{name}.json")
         with open(path, "w", encoding="utf-8", newline="") as f:

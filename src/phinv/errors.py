@@ -9,11 +9,7 @@ report status (exit 1).
 from __future__ import annotations
 
 
-class PhinvError(Exception):
-    """Base class for all package errors."""
-
-
-class InputError(PhinvError):
+class InputError(Exception):
     """Bad user input: config, file format, CLI arguments."""
 
 
@@ -29,36 +25,15 @@ class FormatError(InputError):
     """Malformed or inconsistent artifact file (CSV, report JSON)."""
 
 
-class NumericsError(PhinvError):
+class NumericsError(Exception):
     """A numerical guard or domain restriction tripped."""
 
 
-class DimensionError(NumericsError):
-    """Operator dimension outside the supported range."""
-
-
-class ShapeError(NumericsError):
-    """Mismatched operand shapes."""
-
-
 class DomainError(NumericsError):
-    """Scalar argument outside the mathematical domain."""
-
-
-class SingularMetricError(NumericsError):
-    """Factorization denominator vanished or the metric left its domain."""
-
-
-class ConstraintSingularityError(NumericsError):
-    """Coefficient constraints divide by 2*Phi^2 - vtheta0 = 0."""
-
-
-class NonRealPhaseError(NumericsError):
-    """|Im W| exceeded tolerance, so phases would not be real."""
-
-
-class StencilError(NumericsError):
-    """Finite-difference stencil does not fit at the requested time."""
+    """An argument or a computed quantity left its mathematical domain: a
+    dimension, shape or index out of range, a singular metric or constraint
+    denominator, a non-real phase, a stencil that does not fit. The message
+    names which."""
 
 
 class InstabilityError(NumericsError):

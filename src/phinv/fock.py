@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, ShapeError
+from .errors import DomainError
 
 TAIL_LEVELS = 4
 
@@ -37,7 +37,7 @@ TAIL_LEVELS = 4
 def ensure_state(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v)
     if v.ndim != 1:
-        raise ShapeError(f"state must be a vector, got shape {v.shape}")
+        raise DomainError(f"state must be a vector, got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise DomainError("state has non-finite entries")
     return v
@@ -50,7 +50,7 @@ def _su11_diagonals(dim: int) -> np.ndarray:
     two slots of rows 1 and 2 are zero). Each entry is the one the dense
     products a a / 2 and a_dag a_dag / 2 hold, with a[n-1, n] = sqrt(n)."""
     if dim < 4:
-        raise DimensionError(f"dim must be >= 4, got {dim}")
+        raise DomainError(f"dim must be >= 4, got {dim}")
     n = np.arange(dim)
     out = np.zeros((3, dim))
     out[0] = n / 2 + 0.25
@@ -121,9 +121,9 @@ class ParityBlocks:
     odd dim the odd block has m - 1 levels and is zero-padded in its last
     row and column. `op @ v` takes a state or a (dim, k) matrix in natural
     order and returns one; `op @ band` and `band @ op` with a BandOperator,
-    `.T`, and `+` and `-` with another ParityBlocks return a ParityBlocks. Inside a block a band's rows at offsets +-2k are
-    the rows at +-k. `.dense()` returns the dense matrix; there is no
-    other arithmetic with arrays.
+    and `.T` return a ParityBlocks. Inside a block a band's rows at offsets
+    +-2k are the rows at +-k. `.dense()` returns the dense matrix; other
+    arithmetic runs on `.blocks`.
     """
 
     # Makes ndarray @ op and ndarray + op raise instead of converting op.
@@ -161,16 +161,6 @@ class ParityBlocks:
         for p in (0, 1):
             out[p::2, p::2] = self.blocks[p, : (self.dim - p + 1) // 2, : (stop - p + 1) // 2]
         return out
-
-    def __add__(self, other):
-        if isinstance(other, ParityBlocks):
-            return ParityBlocks(self.blocks + other.blocks, self.dim)
-        return NotImplemented
-
-    def __sub__(self, other):
-        if isinstance(other, ParityBlocks):
-            return ParityBlocks(self.blocks - other.blocks, self.dim)
-        return NotImplemented
 
     def __matmul__(self, other):
         if isinstance(other, BandOperator):
@@ -328,7 +318,7 @@ def basis_column(m: ParityBlocks, n: int) -> np.ndarray:
     block of n's parity, on the levels of that parity."""
     dim = m.dim
     if not 0 <= n < dim:
-        raise ShapeError(f"basis index {n} out of range for dim {dim}")
+        raise DomainError(f"basis index {n} out of range for dim {dim}")
     p = n % 2
     out = np.zeros(dim, dtype=complex)
     out[p::2] = m.blocks[p, : (dim - p + 1) // 2, n // 2]

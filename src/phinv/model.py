@@ -13,19 +13,12 @@ flow calls them on its whole half-step grid at once.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import (
-    ConstraintSingularityError,
-    GuardError,
-    NonRealPhaseError,
-    ShapeError,
-    SingularMetricError,
-    TruncationWarning,
-)
+from .errors import DomainError, GuardError, TruncationWarning
 from .fock import BandOperator, basis_column, su11_bands, tail_support
 from .metric import build_rho_inverse
 from .scenario import CHECK_PROFILES, GENERATOR_PROFILES
@@ -53,7 +46,7 @@ class MetricState:
 
     def __post_init__(self):
         if not self.vtheta_zero > 0:
-            raise SingularMetricError(
+            raise DomainError(
                 f"vtheta_zero must be positive, got {self.vtheta_zero}"
             )
 
@@ -94,14 +87,13 @@ def derive_constrained_coeffs(phi, vtheta0, re_omega, im_omega, im_beta):
 
     Re beta = Phi Re omega / (Phi^2 + chi); Re alpha = chi Phi Re omega /
     (Phi^2 + chi); Im alpha = Phi Im omega - chi Im beta (the reality
-    condition on the transformed frequency). Raises
-    ConstraintSingularityError if any denominator is within DENOM_FLOOR of
-    zero.
+    condition on the transformed frequency). Raises DomainError if any
+    denominator is within DENOM_FLOOR of zero.
     """
     chi = phi * phi - vtheta0
     denom = constraint_denominator(phi, vtheta0)
     if np.any(np.abs(denom) <= DENOM_FLOOR):
-        raise ConstraintSingularityError(
+        raise DomainError(
             f"constraint denominator |2 Phi^2 - vtheta0| = "
             f"{np.min(np.abs(denom)):.3e} is singular"
         )
@@ -181,7 +173,9 @@ class MetricTrajectory:
     its substeps, where the flow's step doubling already has the state; it
     holds every RK4 stage time of the propagation oracles, which read H(t)
     and W(t) there by index. The dense-grid arrays (phi, omega, w, ...) are
-    views of the even entries of the half-step arrays.
+    views of the even entries of the half-step arrays. The keys of
+    superposition are the tracked eigenstates, and phases holds gamma_n on
+    the report grid for each of them, in ascending n.
     """
 
     times: np.ndarray
@@ -202,9 +196,8 @@ class MetricTrajectory:
     half_beta: np.ndarray
     half_w: np.ndarray
     mode: str
-    quantum_numbers: tuple[int, ...]
     superposition: dict[int, complex]
-    phases: dict[int, np.ndarray] = field(default_factory=dict)
+    phases: dict[int, np.ndarray]
 
     @property
     def n_times(self) -> int:
@@ -212,7 +205,7 @@ class MetricTrajectory:
 
     def state_at(self, t_index: int) -> MetricState:
         if not 0 <= t_index < self.n_times:
-            raise ShapeError(f"time index {t_index} out of range")
+            raise DomainError(f"time index {t_index} out of range")
         j = t_index * self.stride
         return MetricState(float(self.phi[j]), float(self.vtheta0[j]))
 
@@ -250,7 +243,6 @@ def integrate_metric(
     t_max: float,
     dt: float,
     *,
-    quantum_numbers: Sequence[int] = (0,),
     superposition: Mapping[int, complex] | None = None,
     local_error_tol: float = 1e-8,
     im_w_tol: float = 1e-10,
@@ -263,6 +255,9 @@ def integrate_metric(
     relations hold by construction. Check mode (CHECK_PROFILES): the
     supplied coefficients are recorded as-is and only the flow uses their
     imaginary parts; residuals are the caller's to inspect.
+
+    The keys of superposition are the tracked eigenstates: their phases are
+    computed once, in ascending n, into the trajectory's phases.
 
     Classic RK4 at dt/STRIDE substeps; every substep is re-run as two half
     steps for a local error estimate (abort above local_error_tol). The flow
@@ -388,16 +383,16 @@ def integrate_metric(
         half_beta=beta,
         half_w=w,
         mode="generator" if generator else "check",
-        quantum_numbers=tuple(sorted(set(int(n) for n in quantum_numbers))),
         superposition=dict(superposition or {}),
+        phases={},
     )
     if generator and traj.max_im_w() > im_w_tol:
         j = int(np.argmax(np.abs(traj.w.imag)))
-        raise NonRealPhaseError(
+        raise DomainError(
             f"t={dense_times[j]:.6g}: max |Im W| = {traj.max_im_w():.3e} "
             f"exceeds {im_w_tol:.1e}"
         )
-    for n in traj.quantum_numbers:
+    for n in sorted(traj.superposition):
         traj.phases[n] = phase(n, traj)
     return traj
 
@@ -414,8 +409,6 @@ def _check_flow_guards(vtheta0: float, t: float, denom: float) -> None:
 def phase(n: int, traj: MetricTrajectory) -> np.ndarray:
     """gamma_n on the report grid: cumulative Simpson of 2 k_n W with
     k_n = (n + 1/2)/2, so gamma_n' = (n + 1/2) W."""
-    if n in traj.phases:
-        return traj.phases[n]
     k_n = (n + 0.5) / 2.0
     dense = cumulative_simpson(2 * k_n * traj.w.real, traj.dense_times)
     return dense[:: traj.stride].copy()
@@ -434,7 +427,7 @@ def cumulative_simpson(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     x = np.asarray(x, dtype=float)
     if y.ndim != 1 or y.shape != x.shape or len(y) < 3:
-        raise ShapeError("cumulative_simpson needs 1-D y and x of one length, at least 3")
+        raise DomainError("cumulative_simpson needs 1-D y and x of one length, at least 3")
     dx = np.diff(x)
     forward = _simpson_subintervals(y, dx)
     backward = _simpson_subintervals(y[::-1], dx[::-1])[::-1]
@@ -469,11 +462,7 @@ def assemble_solution(traj: MetricTrajectory, t_index: int, dim: int) -> np.ndar
     out = np.zeros(dim, dtype=complex)
     for n, c_n in traj.superposition.items():
         column = basis_column(rho_inv, n)
-        gamma = traj.phases.get(n)
-        if gamma is None:
-            gamma = phase(n, traj)
-            traj.phases[n] = gamma
-        out += c_n * np.exp(1j * gamma[t_index]) * column
+        out += c_n * np.exp(1j * traj.phases[n][t_index]) * column
     frac = tail_support(out)
     if frac > TAIL_WARN:
         warnings.warn(

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError
 from .fock import basis_column, interior_norm
 from .metric import build_rho_inverse
 from .model import MetricState, invariant_op
@@ -91,12 +91,12 @@ class PositionGrid:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or len(pts) < 3 or len(pts) % 2 == 0:
-            raise ShapeError("grid needs an odd number of points, at least 3")
+            raise DomainError("grid needs an odd number of points, at least 3")
         steps = np.diff(pts)
         if np.any(np.abs(steps - self.spacing) > 1e-9 * max(1.0, self.spacing)):
-            raise ShapeError("grid must be uniform")
+            raise DomainError("grid must be uniform")
         if abs(pts[0] + pts[-1]) > 1e-9 * max(1.0, abs(pts[0])):
-            raise ShapeError("grid must be symmetric about 0")
+            raise DomainError("grid must be symmetric about 0")
 
     @property
     def extent(self) -> float:
@@ -140,7 +140,7 @@ def simpson(y: np.ndarray, x: np.ndarray):
     y = np.asarray(y)
     x = np.asarray(x, dtype=float)
     if y.ndim != 1 or y.shape != x.shape or len(y) < 3 or len(y) % 2 == 0:
-        raise ShapeError("simpson needs 1-D y and x of one odd length, at least 3")
+        raise DomainError("simpson needs 1-D y and x of one odd length, at least 3")
     h = np.diff(x)
     h0 = h[0::2]
     h1 = h[1::2]

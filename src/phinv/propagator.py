@@ -17,7 +17,7 @@ product with eta and read the other term as its transpose.
 
 All operator time derivatives use a 4th-order central difference combined
 with one Richardson extrapolation (stencils at +-h and +-2h), so meters near
-the grid boundary raise a stencil error instead of degrading silently.
+the grid boundary raise a DomainError instead of degrading silently.
 Residual norms are taken on the interior block (the top three levels are
 excluded) and normalized by max(1, scale of the compared term).
 
@@ -44,7 +44,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, InstabilityError, StencilError
+from .errors import DomainError, InstabilityError
 from .fock import BandOperator, ParityBlocks, _band_product, interior_norm, k0_operator, su11_bands
 from .metric import build_eta, build_rho
 from .model import MetricTrajectory, hamiltonian_coeffs, invariant_coeffs, invariant_op
@@ -211,12 +211,12 @@ WINDOW = 128
 
 
 def _require_stencil(t_index, n_times: int, margin: int) -> None:
-    """StencilError, naming the first offending index, unless every index
+    """DomainError, naming the first offending index, unless every index
     has margin grid points on either side."""
     t_index = np.asarray(t_index)
     bad = t_index[(t_index < margin) | (t_index > n_times - 1 - margin)]
     if bad.size:
-        raise StencilError(
+        raise DomainError(
             f"time index {bad.flat[0]} needs +-{margin} grid points inside [0, {n_times - 1}]"
         )
 
@@ -302,15 +302,16 @@ def dyson_residual(traj: MetricTrajectory, t_index: int, dim: int) -> float:
     stencil = np.zeros((9,) + rows[1].shape, dtype=rows[1].dtype)
     for j, blocks in rows.items():
         stencil[4 + j] = blocks
-    eta_dot = ParityBlocks(_fd4_richardson(stencil, traj.dt)[0], dim)
+    eta_dot = _fd4_richardson(stencil, traj.dt)[0]
     eta = eta_at(0)
     h = traj.h_bands(t_index, dim)
     # eta H = x + i y with real x, y. eta is real symmetric, so H_adj eta is
-    # x^T - i y^T and the residual is (eta_dot + y + y^T) + i (x^T - x).
+    # x^T - i y^T and the residual is (eta_dot + y + y^T) + i (x^T - x),
+    # formed on the blocks.
     x = eta @ BandOperator(h.real)
     y = eta @ BandOperator(h.imag)
-    re = eta_dot + (y + y.T)
-    im = x.T - x
+    re = ParityBlocks(eta_dot + (y.blocks + y.T.blocks), dim)
+    im = ParityBlocks(x.T.blocks - x.blocks, dim)
     scale = max(1.0, math.hypot(interior_norm(x), interior_norm(y)))
     return math.hypot(interior_norm(re), interior_norm(im)) / scale
 
@@ -359,10 +360,10 @@ def hermitian_image_check(traj: MetricTrajectory, t_index: int, dim: int) -> flo
 
     # I is real and eta real symmetric, so I_adj eta = (eta I)^T.
     eta_inv = eta @ inv
-    herm = eta_inv - eta_inv.T
+    herm = ParityBlocks(eta_inv.blocks - eta_inv.T.blocks, dim)
     r1 = interior_norm(herm) / max(1.0, interior_norm(eta_inv))
     k0_rho = two_k0 @ rho
-    image = rho @ inv - k0_rho
+    image = ParityBlocks((rho @ inv).blocks - k0_rho.blocks, dim)
     r2 = interior_norm(image) / max(1.0, interior_norm(k0_rho))
     return max(r1, r2)
 

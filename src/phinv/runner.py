@@ -117,7 +117,6 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         cfg.profiles,
         cfg.t_max,
         cfg.dt,
-        quantum_numbers=cfg.quantum_numbers,
         superposition=dict(zip(cfg.quantum_numbers, cfg.superposition)),
         local_error_tol=tol["local_error"],
         im_w_tol=tol["im_w"],
@@ -296,7 +295,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
 
 def _emit_csv(traj, eta_norms, schro, inv_res, dys_res, tails) -> str:
-    gamma_cols = [f"gamma_{n}" for n in traj.quantum_numbers]
+    gamma_cols = [f"gamma_{n}" for n in traj.phases]
     header = FIXED_COLUMNS + gamma_cols + TRAILING_COLUMNS
     phi, vtheta0, omega, alpha, beta, w = (
         a[:: traj.stride]
@@ -306,7 +305,7 @@ def _emit_csv(traj, eta_norms, schro, inv_res, dys_res, tails) -> str:
     rows = np.column_stack([
         traj.times, phi, vtheta0, phi * phi - vtheta0,
         omega.real, omega.imag, alpha.real, alpha.imag, beta.real, beta.imag, w.real, w.imag,
-        *(traj.phases[n] for n in traj.quantum_numbers),
+        *traj.phases.values(),
         eta_norms, schro, inv_res, dys_res, tails,
     ]).tolist()
     lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]

@@ -180,6 +180,17 @@ def _require_number(raw: Any, where: str) -> float:
     return float(raw)
 
 
+def _require_int(raw: Any, where: str, lo: int, hi: float = math.inf) -> int:
+    """raw if it is an integer (a bool is not) in [lo, hi], else a
+    ConfigError naming where."""
+    if not isinstance(raw, int) or isinstance(raw, bool):
+        raise ConfigError(where, "must be an integer")
+    if not lo <= raw <= hi:
+        bound = f"be >= {lo}" if hi == math.inf else f"lie in [{lo}, {hi}]"
+        raise ConfigError(where, f"must {bound}, got {raw}")
+    return raw
+
+
 def tolerance_overrides(pairs: Iterable[tuple[str, Any]]) -> dict[str, float]:
     """(name, value) pairs as a config's `tolerances`, `phinv run --tolerance`
     and `phinv verify --tolerance` accept them: known names, finite numbers
@@ -215,12 +226,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     merged = {**_DEFAULTS, **doc}
 
-    dim_raw = merged["dim"]
-    if not isinstance(dim_raw, int) or isinstance(dim_raw, bool):
-        raise ConfigError("dim", "must be an integer")
-    dim = dim_raw
-    if not 8 <= dim <= 256:
-        raise ConfigError("dim", f"must lie in [8, 256], got {dim}")
+    dim = _require_int(merged["dim"], "dim", 8, 256)
 
     dt = _require_number(merged["dt"], "dt")
     if not dt > 0:
@@ -277,9 +283,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ConfigError("quantum_numbers", "must be a non-empty list of integers")
     qns = []
     for q in qn_raw:
-        if not isinstance(q, int) or isinstance(q, bool) or q < 0:
-            raise ConfigError("quantum_numbers", f"entries must be integers >= 0, got {q!r}")
-        qns.append(q)
+        try:
+            qns.append(_require_int(q, "quantum_numbers", 0))
+        except ConfigError:
+            raise ConfigError(
+                "quantum_numbers", f"entries must be integers >= 0, got {q!r}"
+            ) from None
     if len(set(qns)) != len(qns):
         raise ConfigError("quantum_numbers", "entries must be distinct")
     if max(qns) > dim / 4:
@@ -308,9 +317,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise ConfigError("tolerances", "must be an object")
     tol = {**DEFAULT_TOLERANCES, **tolerance_overrides(tol_raw.items())}
 
-    seed_raw = merged["seed"]
-    if not isinstance(seed_raw, int) or isinstance(seed_raw, bool):
-        raise ConfigError("seed", "must be an integer")
+    seed = _require_int(merged["seed"], "seed", 0)
 
     order = sorted(range(len(qns)), key=lambda i: qns[i])
     return ScenarioConfig(
@@ -324,7 +331,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         quantum_numbers=tuple(qns[i] for i in order),
         superposition=tuple(coeffs[i] for i in order),
         tolerances=tol,
-        seed=seed_raw,
+        seed=seed,
     )
 
 

@@ -40,7 +40,6 @@ def gentle_traj():
         GENTLE_DRIVE,
         5.0,
         1e-3,
-        quantum_numbers=(0, 1),
         superposition={0: 1 / np.sqrt(2), 1: 1 / np.sqrt(2)},
     )
 
@@ -59,7 +58,6 @@ def harmonic_traj():
         HARMONIC_DRIVE,
         5.0,
         1e-3,
-        quantum_numbers=(0, 1, 2, 3, 4, 5, 6),
         superposition={0: 1 / np.sqrt(2), 1: 1 / np.sqrt(2), 2: 0, 3: 0, 4: 0, 5: 0, 6: 0},
     )
 
@@ -73,7 +71,6 @@ def harmonic_pi_traj():
         HARMONIC_DRIVE,
         float(np.pi),
         dt,
-        quantum_numbers=(0,),
         superposition={0: 1.0},
     )
 

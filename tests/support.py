@@ -63,19 +63,16 @@ from typing import NamedTuple
 import numpy as np
 
 from phinv import (
-    DimensionError,
     DomainError,
     InstabilityError,
     MetricState,
     NumericsError,
-    ShapeError,
-    SingularMetricError,
     build_eta,
     build_rho,
     interior_norm,
-    ladder_exp,
 )
 from phinv.fock import BandOperator, ensure_state, su11_bands
+from phinv.metric import ladder_exp
 from phinv.propagator import INSTABILITY_FACTOR
 from phinv.runner import CSV_EOL
 
@@ -114,7 +111,7 @@ def build_operator_set(dim: int) -> OperatorSet:
     K_zero = diag(n/2 + 1/4); x = (a + a_dag)/sqrt(2), p = i(a_dag - a)/sqrt(2).
     """
     if dim < 4:
-        raise DimensionError(f"dim must be >= 4, got {dim}")
+        raise DomainError(f"dim must be >= 4, got {dim}")
     n = np.arange(dim)
     a = np.zeros((dim, dim), dtype=complex)
     a[n[:-1], n[1:]] = np.sqrt(n[1:])
@@ -176,7 +173,7 @@ def su11_operator(dim: int, zero: complex, minus: complex, plus: complex) -> Ban
 def ensure_operator(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"operator must be square, got shape {a.shape}")
+        raise DomainError(f"operator must be square, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DomainError("operator has non-finite entries")
     return a
@@ -259,7 +256,7 @@ def random_metric_states(seed: int, count: int) -> list[MetricState]:
 def basis_state(dim: int, n: int) -> np.ndarray:
     """|n> as a complex dim-vector."""
     if not 0 <= n < dim:
-        raise ShapeError(f"basis index {n} out of range for dim {dim}")
+        raise DomainError(f"basis index {n} out of range for dim {dim}")
     v = np.zeros(dim, dtype=complex)
     v[n] = 1.0
     return v
@@ -304,7 +301,7 @@ def gauss_factors(epsilon: float, mu: float) -> tuple[float, float, float]:
 
     Evaluated through even functions of theta^2 = epsilon^2 - 4 mu^2, so the
     hyperbolic/trigonometric branch change is automatic and continuous.
-    Raises SingularMetricError where the factorization denominator vanishes
+    Raises DomainError where the factorization denominator vanishes
     or overflows.
     """
     theta_sq = epsilon * epsilon - 4 * mu * mu
@@ -312,11 +309,11 @@ def gauss_factors(epsilon: float, mu: float) -> tuple[float, float, float]:
     s = float(_even_sinhc(theta_sq))
     d = float(c - epsilon * s)
     if not math.isfinite(d) or not math.isfinite(d * d):
-        raise SingularMetricError(
+        raise DomainError(
             f"factorization overflows at (epsilon={epsilon}, mu={mu})"
         )
     if abs(d) <= 1e-12 * max(1.0, abs(c), abs(epsilon * s)):
-        raise SingularMetricError(
+        raise DomainError(
             f"factorization denominator vanishes at (epsilon={epsilon}, mu={mu})"
         )
     return 2 * mu * s / d, 1.0 / (d * d), -(c + epsilon * s) / d
@@ -330,7 +327,7 @@ def check_gauss_identities(
     Phi^2 - chi and (Phi^2 + chi)^2 - 4 chi Phi^2 = vtheta_zero^2."""
     th0 = vtheta_zero
     if not th0 > 0:
-        raise SingularMetricError(f"vtheta_zero must be positive, got {th0}")
+        raise DomainError(f"vtheta_zero must be positive, got {th0}")
     if abs(vtheta_plus - vtheta_minus) > 1e-12 * max(1.0, abs(vtheta_plus)):
         raise NumericsError("vtheta_plus != vtheta_minus (non-Hermitian rho)")
     phi = -vtheta_plus
@@ -457,7 +454,7 @@ def commutator(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     a = ensure_operator(a)
     b = ensure_operator(b)
     if a.shape != b.shape:
-        raise ShapeError(f"dim mismatch: {a.shape} vs {b.shape}")
+        raise DomainError(f"dim mismatch: {a.shape} vs {b.shape}")
     return a @ b - b @ a
 
 
@@ -465,7 +462,7 @@ def apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
     a = ensure_operator(a)
     v = ensure_state(v)
     if a.shape[1] != v.shape[0]:
-        raise ShapeError(f"dim mismatch: {a.shape} vs {v.shape}")
+        raise DomainError(f"dim mismatch: {a.shape} vs {v.shape}")
     return a @ v
 
 
@@ -482,9 +479,9 @@ def frobenius_distance(a: np.ndarray, b: np.ndarray, exclude_top: int = 0) -> fl
     a = ensure_operator(a)
     b = ensure_operator(b)
     if a.shape != b.shape:
-        raise ShapeError(f"dim mismatch: {a.shape} vs {b.shape}")
+        raise DomainError(f"dim mismatch: {a.shape} vs {b.shape}")
     if exclude_top < 0 or exclude_top >= a.shape[0]:
-        raise ShapeError(f"exclude_top={exclude_top} out of range for dim {a.shape[0]}")
+        raise DomainError(f"exclude_top={exclude_top} out of range for dim {a.shape[0]}")
     keep = a.shape[0] - exclude_top
     return float(np.linalg.norm(a[:keep, :keep] - b[:keep, :keep]))
 

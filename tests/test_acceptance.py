@@ -29,7 +29,6 @@ from phinv import (
     build_eta,
     build_rho,
     build_rho_inverse,
-    canonical_invariant,
     cross_representation_residual,
     orthonormality_matrix,
     parse_scenario,
@@ -37,7 +36,7 @@ from phinv import (
 )
 from phinv.fock import interior_norm
 from phinv.model import constraint_residuals, integrate_metric, invariant_op
-from phinv.position import GaussianShape, PositionGrid, canonical_agreement
+from phinv.position import GaussianShape, PositionGrid, canonical_agreement, canonical_invariant
 from phinv.propagator import (
     dyson_residual,
     hermitian_image_check,
@@ -94,7 +93,6 @@ def steep_traj():
         },
         1.9,
         1e-3,
-        quantum_numbers=(0, 1),
         superposition={0: 1 / np.sqrt(2), 1: 1 / np.sqrt(2)},
     )
 

@@ -350,6 +350,56 @@ def test_run_missing_config(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_run_non_utf8_config(tmp_path, capsys):
+    bad = tmp_path / "latin1.json"
+    bad.write_bytes(json.dumps(SHORT_GENTLE).encode().replace(b'"dim"', b'"d\xefm"'))
+    assert main(["run", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read config: 'utf-8' codec can't decode byte 0xef")
+
+
+@pytest.fixture
+def no_run(monkeypatch):
+    """Makes `phinv run` fail the test if it reaches run_scenario."""
+    import phinv.cli
+
+    def must_not_run(cfg):
+        raise AssertionError("run_scenario was called")
+
+    monkeypatch.setattr(phinv.cli, "run_scenario", must_not_run)
+
+
+def test_run_negative_seed_is_a_config_error(tmp_path, capsys, no_run):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(SHORT_GENTLE, seed=-1)))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == "error: seed: must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize("command", ["run", "demo"])
+def test_out_naming_a_file_is_an_input_error_before_any_work(tmp_path, capsys, no_run, command):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SHORT_GENTLE))
+    taken = tmp_path / "taken"
+    taken.write_text("a file")
+    args = ["run", "--config", str(config)] if command == "run" else ["demo"]
+    assert main(args + ["--out", str(taken), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory: [Errno 17] File exists")
+    assert taken.read_text() == "a file"
+
+
+@pytest.mark.parametrize("name", ["series.csv", "report.json"])
+def test_verify_non_utf8_artifacts(artifact_dir, tmp_path, capsys, name):
+    for artifact in ("series.csv", "report.json"):
+        shutil.copy(artifact_dir / artifact, tmp_path / artifact)
+    raw = (tmp_path / name).read_bytes()
+    (tmp_path / name).write_bytes(raw[:200] + b"\xff" + raw[201:])
+    assert main(["verify", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read artifacts: 'utf-8' codec can't decode byte 0xff")
+
+
 def test_run_malformed_config(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dim": 64,,}')

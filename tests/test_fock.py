@@ -21,21 +21,19 @@ from support import (
 )
 
 from phinv import (
-    DimensionError,
     DomainError,
-    ShapeError,
     interior_norm,
-    ladder_exp,
     propagate,
     tail_support,
 )
 from phinv.fock import BandOperator, ParityBlocks, basis_column, k0_operator
+from phinv.metric import ladder_exp
 from phinv.model import MetricState, hamiltonian_coeffs, invariant_op
 from phinv.propagator import _fd4_richardson
 
 
 def test_minimum_dimension_enforced():
-    with pytest.raises(DimensionError):
+    with pytest.raises(DomainError, match="dim must be >= 4, got 3"):
         su11_operator(3, 1.0, 1.0, 1.0)
     assert su11_operator(4, 1.0, 1.0, 1.0).dense().shape == (4, 4)
 
@@ -218,9 +216,9 @@ def test_basis_state_and_apply():
     ops = build_operator_set(8)
     w = apply(ops.a_dag, v)
     assert abs(w[4] - 2.0) < 1e-15
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match="basis index 9 out of range for dim 8"):
         basis_state(8, 9)
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match="dim mismatch"):
         apply(ops.a, basis_state(16, 0))
 
 
@@ -232,7 +230,7 @@ def test_basis_column_is_the_matvec_on_a_basis_state():
         assert col.dtype == complex and col.flags.writeable
         assert np.array_equal(col, m.dense() @ basis_state(5, n))
     for n in (-1, 5):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match=f"basis index {n} out of range for dim 5"):
             basis_column(m, n)
 
 

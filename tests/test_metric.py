@@ -25,7 +25,6 @@ from phinv import (
     DomainError,
     MetricState,
     NumericsError,
-    SingularMetricError,
     build_eta,
     build_rho,
     build_rho_inverse,
@@ -72,16 +71,16 @@ def test_singular_denominator_rejected():
         return _even_cosh(tsq) - eps * _even_sinhc(tsq)
 
     eps_root = brentq(denom, 0.5, 0.7, xtol=1e-15)
-    with pytest.raises(SingularMetricError):
+    with pytest.raises(DomainError, match="factorization denominator vanishes"):
         gauss_params(eps_root, mu)
 
 
 def test_invalid_direct_construction_rejected():
-    with pytest.raises(SingularMetricError):
+    with pytest.raises(DomainError, match="vtheta_zero must be positive"):
         check_gauss_identities(vtheta_plus=0.1, vtheta_zero=-1.0, vtheta_minus=0.1, chi=-1.0)
     with pytest.raises(NumericsError):
         check_gauss_identities(vtheta_plus=0.1, vtheta_zero=1.0, vtheta_minus=0.3, chi=-0.99)
-    with pytest.raises(SingularMetricError):
+    with pytest.raises(DomainError, match="vtheta_zero must be positive"):
         MetricState(-0.1, -1.0)
 
 
@@ -93,7 +92,7 @@ def test_invalid_direct_construction_rejected():
 def test_gauss_identities_hold(eps, mu):
     try:
         vtheta_plus, th0, chi = gauss_factors(eps, mu)
-    except SingularMetricError:
+    except DomainError:
         return
     phi = -vtheta_plus
     scale = max(1.0, abs(th0))
@@ -110,7 +109,7 @@ def test_metric_state_factor_parameters():
     assert g.vtheta_plus == -0.3
     assert g.vtheta_minus == -0.3
     assert g.chi == pytest.approx(0.09 - 1.2, abs=1e-15)
-    with pytest.raises(SingularMetricError):
+    with pytest.raises(DomainError, match="vtheta_zero must be positive"):
         MetricState(0.3, 0.0)
 
 

@@ -8,14 +8,18 @@ from phinv import (
     GaussianShape,
     MetricState,
     PositionGrid,
-    ShapeError,
-    canonical_invariant,
     cross_representation_residual,
-    eigenfunction,
     orthonormality_matrix,
 )
 from phinv.model import invariant_op
-from phinv.position import canonical_agreement, fock_to_position, hermite, simpson
+from phinv.position import (
+    canonical_agreement,
+    canonical_invariant,
+    eigenfunction,
+    fock_to_position,
+    hermite,
+    simpson,
+)
 
 from support import basis_state, cached_operator_set, random_metric_states
 
@@ -83,11 +87,11 @@ def test_eigenfunction_decays_at_grid_edge():
 
 
 def test_grid_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match="odd number of points"):
         PositionGrid(points=np.linspace(-1.0, 1.0, 10), spacing=2.0 / 9)
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match="symmetric about 0"):
         PositionGrid(points=np.linspace(-1.0, 1.5, 11), spacing=0.25)
-    with pytest.raises(ShapeError):
+    with pytest.raises(DomainError, match="must be uniform"):
         PositionGrid(points=np.array([-1.0, -0.4, 0.0, 0.4, 1.0]), spacing=0.5)
 
 

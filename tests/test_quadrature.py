@@ -10,18 +10,16 @@ from scipy.integrate import cumulative_simpson as scipy_cumulative_simpson
 from scipy.integrate import simpson as scipy_simpson
 
 from phinv import (
+    DomainError,
     GaussianShape,
     MetricState,
     PositionGrid,
-    ShapeError,
     demo_scenarios,
-    eigenfunction,
     integrate_metric,
     parse_scenario,
-    phase,
 )
-from phinv.model import cumulative_simpson
-from phinv.position import fock_to_position, simpson
+from phinv.model import cumulative_simpson, phase
+from phinv.position import eigenfunction, fock_to_position, simpson
 from phinv.runner import GRAM_MAX_N
 
 
@@ -67,5 +65,5 @@ def test_simpson_needs_an_odd_number_of_points():
     x = np.linspace(-1.0, 1.0, 9)
     assert simpson(x * x, x) == scipy_simpson(x * x, x=x)
     for n in (8, 2, 1):
-        with pytest.raises(ShapeError):
+        with pytest.raises(DomainError, match="simpson needs 1-D y and x of one odd length"):
             simpson(x[:n] * x[:n], x[:n])

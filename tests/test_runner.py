@@ -1,5 +1,6 @@
 import ast
 import hashlib
+import importlib
 import inspect
 import json
 import pathlib
@@ -13,8 +14,10 @@ import pytest
 from phinv import (
     DomainError,
     FormatError,
+    GaussianShape,
     GuardError,
-    StencilError,
+    MetricState,
+    PositionGrid,
     TruncationWarning,
     demo_scenarios,
     dyson_residual,
@@ -497,6 +500,52 @@ def test_the_checks_table_is_the_one_list_of_rows():
     assert {c.column for c in CHECKS if c.column} <= set(phinv.runner.TRAILING_COLUMNS)
 
 
+def _tracer_targets() -> tuple[list[tuple[str, str]], set[str]]:
+    """The (module, function) pairs perfbench/tracer.py patches (SPANS' keys,
+    PROPAGATE and SOURCES) and the argument names its hooks bind, read from
+    the file's syntax tree."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and getattr(node.targets[0], "id", None) in ("SPANS", "PROPAGATE", "SOURCES")
+    }
+    (hook,) = [n for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "_hook"]
+    bound = {
+        n.slice.value for n in ast.walk(hook)
+        if isinstance(n, ast.Subscript) and isinstance(n.slice, ast.Constant)
+        and getattr(n.value, "id", None) != "counts"
+    }
+    return [*tables["SPANS"], tables["PROPAGATE"], *tables["SOURCES"]], bound
+
+
+def test_every_function_the_tracer_patches_exists_with_the_arguments_it_binds():
+    """The benchmark's tracer finds phinv's functions by name and reads their
+    arguments by name; a rename would otherwise show only as a failed traced
+    benchmark repetition."""
+    targets, bound = _tracer_targets()
+    missing = [
+        f"{module}.{name}" for module, name in targets
+        if not callable(getattr(importlib.import_module(module), name, None))
+    ]
+    assert missing == []
+    assert bound == {"g", "dim", "grid", "times", "substeps"}
+    s = MetricState(0.2, 1.0)
+    builders = [name for module, name in targets if module == "phinv.metric" and name.startswith("build_")]
+    assert sorted(builders) == ["build_eta", "build_rho", "build_rho_inverse"]
+    for name in builders:
+        args = inspect.signature(getattr(phinv.metric, name)).bind(s, 8).arguments
+        assert (args["g"].vtheta_plus, args["g"].vtheta_zero, args["g"].vtheta_minus, args["dim"]) == (
+            -0.2, 1.0, -0.2, 8,
+        )
+    grid = PositionGrid.for_shape(GaussianShape.from_state(s))
+    args = inspect.signature(phinv.position.orthonormality_matrix).bind(2, s, grid).arguments
+    assert len(args["grid"].points) == len(grid.points)
+    call = inspect.signature(phinv.propagator.propagate).bind(None, None, np.zeros(3))
+    call.apply_defaults()
+    assert {"times", "substeps"} <= set(call.arguments)
+
+
 def test_each_check_margin_is_where_its_meter_stops_applying(gentle_traj, gentle_states):
     meters = {
         "schrodinger": lambda i: schrodinger_residual(gentle_traj, gentle_states, i, 64),
@@ -512,5 +561,5 @@ def test_each_check_margin_is_where_its_meter_stops_applying(gentle_traj, gentle
         for inside in (m, last - m):
             assert np.isfinite(meters[check.name](inside)), check.name
         for outside in (m - 1, last - m + 1):
-            with pytest.raises(StencilError):
+            with pytest.raises(DomainError, match=rf"time index {outside} needs \+-{m} grid points"):
                 meters[check.name](outside)

@@ -287,6 +287,11 @@ def test_seed_validation():
     with pytest.raises(ConfigError, match="integer"):
         parse(minimal_doc(seed=3.5))
     assert parse(minimal_doc(seed=7)).seed == 7
+    assert parse(minimal_doc(seed=0)).seed == 0
+    # numpy's generator takes no negative seed; parsing must stop it.
+    with pytest.raises(ConfigError, match=r"^seed: must be >= 0, got -1$") as info:
+        parse(minimal_doc(seed=-1))
+    assert info.value.field == "seed"
 
 
 def test_config_hash_is_canonical():

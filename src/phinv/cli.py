@@ -71,6 +71,15 @@ def _read_text(path: str, what: str, newline: str | None = None) -> str:
         raise InputError(f"cannot read {what}: {e}") from e
 
 
+def _write_text(path: str, text: str, what: str) -> None:
+    """Write a UTF-8 file, or an InputError saying `what` cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+    except OSError as e:
+        raise InputError(f"cannot write {what}: {e}") from e
+
+
 def _make_out_dir(path: str) -> None:
     try:
         os.makedirs(path, exist_ok=True)
@@ -86,10 +95,8 @@ def _cmd_run(args) -> int:
     result = run_scenario(cfg)
     csv_path = os.path.join(args.out, "series.csv")
     report_path = os.path.join(args.out, "report.json")
-    with open(csv_path, "w", encoding="utf-8", newline="") as f:
-        f.write(result.csv_text)
-    with open(report_path, "w", encoding="utf-8", newline="") as f:
-        f.write(result.report_text)
+    _write_text(csv_path, result.csv_text, "artifacts")
+    _write_text(report_path, result.report_text, "artifacts")
     if not args.quiet:
         for line in result.summary_lines:
             print(line)
@@ -111,8 +118,7 @@ def _cmd_demo(args) -> int:
     _make_out_dir(args.out)
     for name, doc in demo_scenarios().items():
         path = os.path.join(args.out, f"{name}.json")
-        with open(path, "w", encoding="utf-8", newline="") as f:
-            f.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+        _write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n", "demo config")
         if not args.quiet:
             print(path)
     return 0

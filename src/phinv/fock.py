@@ -9,13 +9,13 @@ so it is stored as those three diagonals, written from their closed form
 O(N) and a matrix in O(N^2). The product of two such operators, a
 commutator term, is again a BandOperator, on the diagonals at offsets 0,
 +-2 and +-4, formed in O(N). Its dense form holds the same entries as the
-sum of the dense generators built from a[n-1, n] = sqrt(n). Band products,
-products with states and interior norms also run over a stack of operators
-along a leading time axis, each time as it would alone.
+sum of the dense generators built from a[n-1, n] = sqrt(n).
 An operator that keeps the parity of n (the metric map rho, its inverse,
 eta) is a ParityBlocks: its even-level and odd-level blocks in one
 (2, m, m) array, m = ceil(N/2), so it stores and multiplies half the
 entries of the dense matrix, none of them the dense matrix's exact zeros.
+Products, transposes and interior norms of both kinds also run over a stack
+of operators along a leading time axis, each time as it would alone.
 Identities involving raising operators are only exact away from the
 truncation edge, so comparisons support an interior block that excludes the
 top few levels; `interior_norm` takes it on a dense array, on the bands or
@@ -24,7 +24,6 @@ on the parity blocks.
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 
 import numpy as np
@@ -70,11 +69,12 @@ class BandOperator:
     (1, dim) array. `op @ v`, `op @ M` and `op @ other_op` skip the
     exact-zero terms of the dense product and add the remaining ones in the
     order `op @ M` does, row by row of the left operand; `op @ other_op` is
-    a BandOperator again, and `op @ blocks` with a ParityBlocks is formed by
-    the ParityBlocks. `.dense()` returns the dense matrix as a complex
+    a BandOperator again (a diagonal op times a ParityBlocks is
+    `(blocks.T @ op).T`). `.dense()` returns the dense matrix as a complex
     array; there is no other arithmetic with arrays. A stack of operators
     over time, bands of shape (T, rows, dim), multiplies a (T, dim) stack of
-    states, one state per time, and is taken by `interior_norm`.
+    states or a (T, dim, k) stack of matrices, and is taken by
+    `interior_norm`.
     """
 
     # Makes ndarray @ op and ndarray + op raise instead of converting op.
@@ -98,18 +98,18 @@ class BandOperator:
             return BandOperator(_band_product(self.bands, other.bands))
         if isinstance(other, ParityBlocks):
             return NotImplemented
-        other = np.asarray(other)
         # Levels run along the last axis of the bands and of the states: a
         # matrix's columns are states, and a stack takes one state per time.
-        b = self.bands
-        matrix = other.ndim == 2 and b.ndim == 2
-        v = other.T if matrix else other
+        b, v = self.bands, np.asarray(other)
+        matrix = v.ndim == b.ndim
+        if matrix:
+            b, v = b[..., None, :, :], v.swapaxes(-1, -2)
         out = b[..., 0, :] * v
         for k in range(2, b.shape[-2], 2):
             head, tail = out[..., :-k], out[..., k:]
             head += b[..., k - 1, :-k] * v[..., k:]
             tail += b[..., k, :-k] * v[..., :-k]
-        return out.T if matrix else out
+        return out.swapaxes(-1, -2) if matrix else out
 
 
 class ParityBlocks:
@@ -120,10 +120,12 @@ class ParityBlocks:
     the entry [2i, 2j] and blocks[1][i, j] the entry [2i + 1, 2j + 1]. For an
     odd dim the odd block has m - 1 levels and is zero-padded in its last
     row and column. `op @ v` takes a state or a (dim, k) matrix in natural
-    order and returns one; `op @ band` and `band @ op` with a BandOperator,
-    and `.T` return a ParityBlocks. Inside a block a band's rows at offsets
-    +-2k are the rows at +-k. `.dense()` returns the dense matrix; other
-    arithmetic runs on `.blocks`.
+    order and returns one; `op @ band` with a BandOperator and `.T` return a
+    ParityBlocks. Inside a block a band's rows at offsets +-2k are the rows
+    at +-k. `.dense()` returns the dense matrix; other arithmetic runs on
+    `.blocks`. Blocks of shape (T, 2, m, m) are a stack over time: `op @ v`
+    takes a (T, dim) or (T, dim, k) stack, `op @ band` bands over the same
+    times, and `.T`, `.columns` and `interior_norm` work per time.
     """
 
     # Makes ndarray @ op and ndarray + op raise instead of converting op.
@@ -153,13 +155,14 @@ class ParityBlocks:
 
     @property
     def T(self) -> "ParityBlocks":
-        return ParityBlocks(self.blocks.transpose(0, 2, 1), self.dim)
+        return ParityBlocks(self.blocks.swapaxes(-1, -2), self.dim)
 
     def columns(self, stop: int) -> np.ndarray:
-        """Columns 0 .. stop - 1 as a (dim, stop) array in natural order."""
-        out = np.zeros((self.dim, stop), dtype=self.blocks.dtype)
+        """Columns 0 .. stop - 1 as a (..., dim, stop) array in natural order."""
+        out = np.zeros(self.blocks.shape[:-3] + (self.dim, stop), dtype=self.blocks.dtype)
         for p in (0, 1):
-            out[p::2, p::2] = self.blocks[p, : (self.dim - p + 1) // 2, : (stop - p + 1) // 2]
+            rows, cols = (self.dim - p + 1) // 2, (stop - p + 1) // 2
+            out[..., p::2, p::2] = self.blocks[..., p, :rows, :cols]
         return out
 
     def __matmul__(self, other):
@@ -167,7 +170,7 @@ class ParityBlocks:
             # Each column j of a block collects the block's columns j -+ k
             # scaled by the band's +-k rows: the diagonal term, then for each
             # k the +k term and the -k term.
-            b = _sector_bands(other.bands, self.dim)[:, :, None, :]
+            b = _sector_bands(other.bands, self.dim)[..., None, :]
             a = self.blocks
             out = a * b[0]
             for k in range(1, (len(b) + 1) // 2):
@@ -179,45 +182,32 @@ class ParityBlocks:
             return NotImplemented
         return self._apply(np.asarray(other))
 
-    def __rmatmul__(self, other):
-        if not isinstance(other, BandOperator):
-            return NotImplemented
-        # Each row i of a block collects the block's rows i +- k scaled by
-        # the band's +-k rows, in BandOperator.__matmul__'s order.
-        b = _sector_bands(other.bands, self.dim)[..., None]
-        a = self.blocks
-        out = b[0] * a
-        for k in range(1, (len(b) + 1) // 2):
-            head, tail = out[:, :-k], out[:, k:]
-            head += b[2 * k - 1, :, :-k] * a[:, k:]
-            tail += b[2 * k, :, :-k] * a[:, :-k]
-        return ParityBlocks(out, self.dim)
-
     def _apply(self, v: np.ndarray) -> np.ndarray:
-        """op @ v for a natural-order (dim,) or (dim, k) array: one batched
-        product over both blocks, read from and written to natural order
-        through strided views. Real blocks take a complex v as its real and
-        imaginary columns, so the blocks are never cast to complex."""
-        dim, m = self.dim, self.blocks.shape[1]
-        cols = np.ascontiguousarray(v.reshape(dim, -1))
+        """op @ v for a natural-order (..., dim) or (..., dim, k) array: one
+        batched product over both blocks (of each time), read from and
+        written to natural order through strided views. Real blocks take a
+        complex v as its real and imaginary columns, so the blocks are never
+        cast to complex."""
+        dim, m, lead = self.dim, self.blocks.shape[-1], self.blocks.shape[:-3]
+        cols = np.ascontiguousarray(v.reshape(lead + (dim, -1)))
         if dim != 2 * m:
-            cols = np.concatenate([cols, np.zeros((1, cols.shape[1]), cols.dtype)])
-        out = np.empty((m, 2, cols.shape[1]), dtype=np.result_type(self.blocks, cols))
-        x, y = cols.reshape(m, 2, -1).transpose(1, 0, 2), out.transpose(1, 0, 2)
+            cols = np.concatenate([cols, np.zeros_like(cols[..., :1, :])], axis=-2)
+        out = np.empty(lead + (m, 2, cols.shape[-1]), dtype=np.result_type(self.blocks, cols))
+        x, y = cols.reshape(out.shape).swapaxes(-3, -2), out.swapaxes(-3, -2)
         if x.dtype.kind == "c" and self.blocks.dtype.kind != "c":
             x, y = x.view(np.float64), y.view(np.float64)
         np.matmul(self.blocks, x, out=y)
-        return out.reshape(2 * m, -1)[:dim].reshape(v.shape)
+        return out.reshape(lead + (2 * m, -1))[..., :dim, :].reshape(v.shape)
 
 
 def _sector_bands(bands: np.ndarray, dim: int) -> np.ndarray:
-    """A band stack's rows split by parity, a (rows, 2, m) array: slot i of
-    sector p is the natural slot 2i + p, zero past the end of an odd dim.
-    Stored rows at offsets 0, +-2, +-4, ... are a sector's 0, +-1, +-2, ..."""
+    """A band stack's rows split by parity, a (rows, ..., 2, m) array: slot
+    i of sector p is the natural slot 2i + p, zero past the end of an odd
+    dim. Stored rows at offsets 0, +-2, +-4, ... are a sector's 0, +-1, ..."""
     m = (dim + 1) // 2
     if dim != 2 * m:
-        bands = np.concatenate([bands, np.zeros((len(bands), 1), bands.dtype)], axis=1)
-    return bands.reshape(len(bands), m, 2).transpose(0, 2, 1)
+        bands = np.concatenate([bands, np.zeros_like(bands[..., :1])], axis=-1)
+    return np.moveaxis(bands.reshape(bands.shape[:-1] + (m, 2)).swapaxes(-1, -2), -3, 0)
 
 
 def _band_offset(row: int) -> int:
@@ -273,8 +263,8 @@ def interior_norm(
 ) -> float | np.ndarray:
     """Frobenius norm of the block that drops the top `exclude_top` levels
     from both rows and columns, of a dense array, a BandOperator or a
-    ParityBlocks. A BandOperator whose bands are a (T, rows, dim) stack over
-    time gives the T norms, each the norm of that time's operator.
+    ParityBlocks. A stack of operators over time gives the T norms, each
+    the norm of that time's operator.
 
     A dense block is summed where it lies (np.linalg.norm would first copy
     the non-contiguous slice); a band row at offset +-k keeps its first
@@ -290,18 +280,16 @@ def interior_norm(
     if isinstance(a, ParityBlocks):
         keep = a.dim - exclude_top
         even, odd = (keep + 1) // 2, keep // 2
-        blocks = (a.blocks[0, :even, :even], a.blocks[1, :odd, :odd])
+        blocks = (a.blocks[..., 0, :even, :even], a.blocks[..., 1, :odd, :odd])
     else:
         keep = a.shape[0] - exclude_top
         blocks = (a[:keep, :keep],)
     total = 0.0
     for b in blocks:
-        if b.dtype.kind == "c":
-            re, im = b.real, b.imag
-            total += float(np.einsum("ij,ij->", re, re)) + float(np.einsum("ij,ij->", im, im))
-        else:
-            total += float(np.einsum("ij,ij->", b, b))
-    return math.sqrt(total)
+        parts = (b.real, b.imag) if b.dtype.kind == "c" else (b,)
+        total = total + sum(np.einsum("...ij,...ij->...", c, c) for c in parts)
+    norms = np.sqrt(total)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def tail_support(v: np.ndarray) -> float:
@@ -311,15 +299,3 @@ def tail_support(v: np.ndarray) -> float:
     if total == 0.0:
         return 0.0
     return float(np.sum(np.abs(v[-TAIL_LEVELS:]) ** 2)) / total
-
-
-def basis_column(m: ParityBlocks, n: int) -> np.ndarray:
-    """Column n of m, m|n>, as a new complex vector: column n // 2 of the
-    block of n's parity, on the levels of that parity."""
-    dim = m.dim
-    if not 0 <= n < dim:
-        raise DomainError(f"basis index {n} out of range for dim {dim}")
-    p = n % 2
-    out = np.zeros(dim, dtype=complex)
-    out[p::2] = m.blocks[p, : (dim - p + 1) // 2, n // 2]
-    return out

@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .errors import DomainError, GuardError, TruncationWarning
-from .fock import BandOperator, basis_column, su11_bands, tail_support
+from .fock import BandOperator, su11_bands, tail_support
 from .metric import build_rho_inverse
 from .scenario import CHECK_PROFILES, GENERATOR_PROFILES
 
@@ -214,6 +214,11 @@ class MetricTrajectory:
         them, (T, 3, dim), from omega, alpha and beta on the dense grid."""
         j = np.asarray(t_index) * self.stride
         return su11_bands(hamiltonian_coeffs(self.omega[j], self.alpha[j], self.beta[j]), dim)
+
+    def i_bands(self, t_index, dim: int) -> np.ndarray:
+        """The invariant's bands at report indices, shaped as h_bands'."""
+        j = np.asarray(t_index) * self.stride
+        return su11_bands(invariant_coeffs(self.phi[j], self.vtheta0[j]), dim)
 
     def half_step_indexer(self) -> Callable[[float], int]:
         """A function from a time to its index on the half-step grid; it
@@ -458,11 +463,12 @@ def assemble_solution(traj: MetricTrajectory, t_index: int, dim: int) -> np.ndar
     report time. Warns when the result leans on the truncation edge."""
     if not traj.superposition:
         raise ValueError("trajectory has no superposition coefficients")
-    rho_inv = build_rho_inverse(traj.state_at(t_index), dim)
+    if not 0 <= min(traj.superposition) <= max(traj.superposition) < dim:
+        raise DomainError(f"levels {sorted(traj.superposition)} out of range for dim {dim}")
+    columns = build_rho_inverse(traj.state_at(t_index), dim).columns(max(traj.superposition) + 1)
     out = np.zeros(dim, dtype=complex)
     for n, c_n in traj.superposition.items():
-        column = basis_column(rho_inv, n)
-        out += c_n * np.exp(1j * traj.phases[n][t_index]) * column
+        out += c_n * np.exp(1j * traj.phases[n][t_index]) * columns[:, n]
     frac = tail_support(out)
     if frac > TAIL_WARN:
         warnings.warn(

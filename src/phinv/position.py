@@ -17,7 +17,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .fock import basis_column, interior_norm
+from .fock import interior_norm
 from .metric import build_rho_inverse
 from .model import MetricState, invariant_op
 
@@ -206,17 +206,17 @@ def orthonormality_matrix(n_max: int, s: MetricState, grid: PositionGrid) -> flo
 
 
 @lru_cache(maxsize=8)
-def _quadratures(dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Dense x = (a + a_dag)/sqrt(2) and p = i(a_dag - a)/sqrt(2), with
-    a[n-1, n] = sqrt(n): the one dense route to the invariant, independent
-    of the su(1,1) bands. Shared; callers must not mutate."""
+def _quadratures(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense p^2, px + xp and x^2 from x = (a + a_dag)/sqrt(2) and p =
+    i(a_dag - a)/sqrt(2), a[n-1, n] = sqrt(n): the one dense route to the
+    invariant, independent of the su(1,1) bands. Callers must not mutate."""
     n = np.arange(dim)
     a = np.zeros((dim, dim), dtype=complex)
     a[n[:-1], n[1:]] = np.sqrt(n[1:])
     a_dag = a.conj().T.copy()
     x = (a + a_dag) / math.sqrt(2)
     p = 1j * (a_dag - a) / math.sqrt(2)
-    return x, p
+    return p @ p, p @ x + x @ p, x @ x
 
 
 def canonical_invariant(s: MetricState, dim: int) -> np.ndarray:
@@ -226,12 +226,12 @@ def canonical_invariant(s: MetricState, dim: int) -> np.ndarray:
                       - (Phi+chi)(1+Phi) x^2 ].
     The px+xp coefficient vanishes exactly when Phi = 0 or chi = 1.
     """
-    x, p = _quadratures(dim)
+    pp, px_xp, xx = _quadratures(dim)
     phi, chi, th0 = s.phi_cap, s.chi, s.vtheta_zero
     quad = (
-        (phi - chi) * (1.0 - phi) * (p @ p)
-        - 1j * phi * (chi - 1.0) * (p @ x + x @ p)
-        - (phi + chi) * (1.0 + phi) * (x @ x)
+        (phi - chi) * (1.0 - phi) * pp
+        - 1j * phi * (chi - 1.0) * px_xp
+        - (phi + chi) * (1.0 + phi) * xx
     )
     return quad / (2.0 * th0)
 
@@ -266,7 +266,7 @@ def cross_representation_residual(s: MetricState, n: int, dim: int) -> float:
     real factor), then aligned by one unit-modulus complex factor. Returns
     max |difference| / max |closed form|.
     """
-    fock_vec = basis_column(build_rho_inverse(s, dim), n)
+    fock_vec = build_rho_inverse(s, dim).columns(n + 1)[:, n]
     grid = PositionGrid.for_shape(GaussianShape.from_state(s), n_max=n)
     synthesized = fock_to_position(fock_vec, grid)
     closed = np.asarray(eigenfunction(n, grid.points, s))

@@ -21,14 +21,12 @@ the grid boundary raise a DomainError instead of degrading silently.
 Residual norms are taken on the interior block (the top three levels are
 excluded) and normalized by max(1, scale of the compared term).
 
-The Schrödinger and invariant meters, which build no metric, take one report
-index or an array of them. An array is swept in windows of up to WINDOW
-report times: the stencils are slices of a window's stack along time (I's
-bands built from Phi and vtheta0 there, with a 4-point halo), and the band
-products, H psi and interior norms run over the window's leading time
-axis. A single index is the one-row case of the same code. The Dyson and
-Hermitian-image meters build eta and rho and stay per report time. All
-three meters that involve H read its bands from MetricTrajectory.h_bands.
+The four meters take one report index or an array of them, swept in
+windows of report times: the stencils are slices of a window's stack along
+time (I's bands, or eta's blocks from the metric builders, with a 4-point
+halo), and the band products, H psi (H's bands from MetricTrajectory.h_bands),
+the products with eta and rho and the interior norms run over the window's
+leading time axis. A single index is the one-row case of the same code.
 
 propagate steps a diagonal generator (the Hermitian side's -2 W K0) a block
 of steps at a time: a step multiplies level n by RK4's stage formula applied
@@ -47,7 +45,7 @@ import numpy as np
 from .errors import DomainError, InstabilityError
 from .fock import BandOperator, ParityBlocks, _band_product, interior_norm, k0_operator, su11_bands
 from .metric import build_eta, build_rho
-from .model import MetricTrajectory, hamiltonian_coeffs, invariant_coeffs, invariant_op
+from .model import MetricTrajectory, hamiltonian_coeffs
 
 INSTABILITY_FACTOR = 1e6
 
@@ -205,38 +203,40 @@ def convergence_probe(
     return ratio, float(np.log2(ratio)) if ratio > 0 else float("-inf")
 
 
-# Report times per window of the stacked meters: a window holds a few
+# Report times per window of the band-only meters: a window holds a few
 # (WINDOW + 8, rows, dim) band stacks, never one over the whole grid.
 WINDOW = 128
 
 
-def _require_stencil(t_index, n_times: int, margin: int) -> None:
-    """DomainError, naming the first offending index, unless every index
-    has margin grid points on either side."""
-    t_index = np.asarray(t_index)
-    bad = t_index[(t_index < margin) | (t_index > n_times - 1 - margin)]
+def metric_window(dim: int) -> int:
+    """Report times per window of the meters that build eta or rho: 256 KB of
+    (2, m, m) float64 blocks per stack (16 at dim 64, 1 at dim 192), at most
+    32, far below the 256 entries of the metric caches that hold its states."""
+    m = (dim + 1) // 2
+    return max(1, min(32, 256 * 1024 // (16 * m * m)))
+
+
+def _per_report_time(t_index, n_times: int, margin: int, window, size: int) -> float | np.ndarray:
+    """A meter at one report index (a float) or at an array of them (an
+    array of that shape), from window(lo, n), the meter's values at report
+    times lo .. lo + n - 1 with n <= size.
+
+    The requested indices, sorted, are cut into windows of at most size
+    report times, so a contiguous run costs one window per size times. Each
+    index needs margin grid points on either side.
+    """
+    idx = np.asarray(t_index)
+    bad = idx[(idx < margin) | (idx > n_times - 1 - margin)]
     if bad.size:
         raise DomainError(
             f"time index {bad.flat[0]} needs +-{margin} grid points inside [0, {n_times - 1}]"
         )
-
-
-def _per_report_time(t_index, n_times: int, margin: int, window) -> float | np.ndarray:
-    """A meter at one report index (a float) or at an array of them (an
-    array of that shape), from window(lo, n), the meter's values at report
-    times lo .. lo + n - 1 with n <= WINDOW.
-
-    The requested indices, sorted, are cut into windows of at most WINDOW
-    report times, so a contiguous run costs one window per WINDOW times.
-    """
-    idx = np.asarray(t_index)
-    _require_stencil(idx, n_times, margin)
     wanted = np.unique(idx)
     values = np.empty(len(wanted))
     start = 0
     while start < len(wanted):
         lo = int(wanted[start])
-        stop = int(np.searchsorted(wanted, lo + WINDOW))
+        stop = int(np.searchsorted(wanted, lo + size))
         values[start:stop] = window(lo, int(wanted[stop - 1]) - lo + 1)[wanted[start:stop] - lo]
         start = stop
     out = values[np.searchsorted(wanted, idx)]
@@ -280,40 +280,45 @@ def schrodinger_residual(
         num = np.linalg.norm(1j * dpsi - h_psi, axis=-1)
         return num / np.maximum(1.0, np.linalg.norm(h_psi, axis=-1))
 
-    return _per_report_time(t_index, traj.n_times, 2, window)
+    return _per_report_time(t_index, traj.n_times, 2, window, WINDOW)
 
 
-def dyson_residual(traj: MetricTrajectory, t_index: int, dim: int) -> float:
-    """Residual of the metric flow relation at one report time.
+# math.hypot over arrays: np.hypot can round differently.
+_hypot = np.vectorize(math.hypot, otypes=[float])
+
+
+def dyson_residual(traj: MetricTrajectory, t_index, dim: int) -> float | np.ndarray:
+    """Residual of the metric flow relation, at one report index or at each
+    of an array of them.
 
     The relation H_adj = eta H eta^{-1} + i (d eta/dt) eta^{-1} is checked
     multiplied through by eta: |d(eta)/dt + i (H_adj eta - eta H)| over the
     interior block, normalized by max(1, |eta H|). The multiplied form keeps
     the meter finite where eta^{-1} is violently ill-conditioned.
     """
-    _require_stencil(t_index, traj.n_times, 4)
 
-    def eta_at(j: int) -> ParityBlocks:
-        return build_eta(traj.state_at(t_index + j), dim)
+    def window(lo: int, n: int) -> np.ndarray:
+        # eta at lo - 4 .. lo + n + 3. Each time builds the rows its stencil
+        # reads, then its own, as a single index does, so the metric caches
+        # see the same calls either way; rows no stencil reads stay unset.
+        stack = np.empty((n + 8, 2, (dim + 1) // 2, (dim + 1) // 2))
+        for i in range(lo, lo + n):
+            for j in (2, 1, -1, -2, 4, -4, 0):
+                stack[i + j - lo + 4] = build_eta(traj.state_at(i + j), dim).blocks
+        eta_dot = _fd4_richardson(stack, traj.dt)
+        eta = ParityBlocks(stack[4:-4], dim)
+        h = traj.h_bands(np.arange(lo, lo + n), dim)
+        # eta H = x + i y with real x, y. eta is real symmetric, so H_adj eta
+        # is x^T - i y^T and the residual is (eta_dot + y + y^T) + i (x^T - x),
+        # formed on the blocks.
+        x = eta @ BandOperator(h.real)
+        y = eta @ BandOperator(h.imag)
+        re = ParityBlocks(eta_dot + (y.blocks + y.T.blocks), dim)
+        im = ParityBlocks(x.T.blocks - x.blocks, dim)
+        scale = np.maximum(1.0, _hypot(interior_norm(x), interior_norm(y)))
+        return _hypot(interior_norm(re), interior_norm(im)) / scale
 
-    # The stencil reads the rows at offsets +-1, +-2 and +-4 only; they are
-    # built in this order, the one the metric caches' hits depend on.
-    rows = {j: eta_at(j).blocks for j in (2, 1, -1, -2, 4, -4)}
-    stencil = np.zeros((9,) + rows[1].shape, dtype=rows[1].dtype)
-    for j, blocks in rows.items():
-        stencil[4 + j] = blocks
-    eta_dot = _fd4_richardson(stencil, traj.dt)[0]
-    eta = eta_at(0)
-    h = traj.h_bands(t_index, dim)
-    # eta H = x + i y with real x, y. eta is real symmetric, so H_adj eta is
-    # x^T - i y^T and the residual is (eta_dot + y + y^T) + i (x^T - x),
-    # formed on the blocks.
-    x = eta @ BandOperator(h.real)
-    y = eta @ BandOperator(h.imag)
-    re = ParityBlocks(eta_dot + (y.blocks + y.T.blocks), dim)
-    im = ParityBlocks(x.T.blocks - x.blocks, dim)
-    scale = max(1.0, math.hypot(interior_norm(x), interior_norm(y)))
-    return math.hypot(interior_norm(re), interior_norm(im)) / scale
+    return _per_report_time(t_index, traj.n_times, 4, window, metric_window(dim))
 
 
 def invariant_residual(traj: MetricTrajectory, t_index, dim: int) -> float | np.ndarray:
@@ -323,11 +328,9 @@ def invariant_residual(traj: MetricTrajectory, t_index, dim: int) -> float | np.
     I's and H's bands are built over a window of report times from the
     trajectory's arrays, with a 4-point halo for I's stencil.
     """
-    phi, vtheta0 = traj.phi[:: traj.stride], traj.vtheta0[:: traj.stride]
 
     def window(lo: int, n: int) -> np.ndarray:
-        span = slice(lo - 4, lo + n + 4)
-        inv = su11_bands(invariant_coeffs(phi[span], vtheta0[span]), dim)
+        inv = traj.i_bands(np.arange(lo - 4, lo + n + 4), dim)
         # Complex, as the dense I: numpy divides a complex array by a real
         # through its reciprocal, so the stencil then rounds dI/dt entrywise
         # as it rounds the dense matrix.
@@ -341,31 +344,35 @@ def invariant_residual(traj: MetricTrajectory, t_index, dim: int) -> float | np.
         scale = np.maximum(1.0, interior_norm(BandOperator(comm)))
         return interior_norm(BandOperator(residual)) / scale
 
-    return _per_report_time(t_index, traj.n_times, 4, window)
+    return _per_report_time(t_index, traj.n_times, 4, window, WINDOW)
 
 
-def hermitian_image_check(traj: MetricTrajectory, t_index: int, dim: int) -> float:
-    """How far rho I rho^{-1} is from being exactly 2 K0.
+def hermitian_image_check(traj: MetricTrajectory, t_index, dim: int) -> float | np.ndarray:
+    """How far rho I rho^{-1} is from being exactly 2 K0, at one report
+    index or at each of an array of them.
 
     Returns the max of two multiplied-through residuals: Hermiticity of the
     conjugated invariant (|eta I - I_adj eta|) and its interior-block
     distance from 2 K0 (|rho I - 2 K0 rho|), each normalized by
     max(1, scale).
     """
-    s = traj.state_at(t_index)
-    inv = invariant_op(s, dim)
-    eta = build_eta(s, dim)
-    rho = build_rho(s, dim)
-    two_k0 = k0_operator(dim, 2.0)
 
-    # I is real and eta real symmetric, so I_adj eta = (eta I)^T.
-    eta_inv = eta @ inv
-    herm = ParityBlocks(eta_inv.blocks - eta_inv.T.blocks, dim)
-    r1 = interior_norm(herm) / max(1.0, interior_norm(eta_inv))
-    k0_rho = two_k0 @ rho
-    image = ParityBlocks((rho @ inv).blocks - k0_rho.blocks, dim)
-    r2 = interior_norm(image) / max(1.0, interior_norm(k0_rho))
-    return max(r1, r2)
+    def window(lo: int, n: int) -> np.ndarray:
+        inv = BandOperator(traj.i_bands(np.arange(lo, lo + n), dim))
+        gs = [traj.state_at(i) for i in range(lo, lo + n)]
+        eta = ParityBlocks(np.stack([build_eta(g, dim).blocks for g in gs]), dim)
+        rho = ParityBlocks(np.stack([build_rho(g, dim).blocks for g in gs]), dim)
+        # I is real and eta real symmetric, so I_adj eta = (eta I)^T.
+        eta_inv = eta @ inv
+        herm = ParityBlocks(eta_inv.blocks - eta_inv.T.blocks, dim)
+        r1 = interior_norm(herm) / np.maximum(1.0, interior_norm(eta_inv))
+        # 2 K0 is diagonal: 2 K0 rho is (rho^T 2 K0)^T, entry by entry.
+        k0_rho = (rho.T @ k0_operator(dim, 2.0)).T
+        image = ParityBlocks((rho @ inv).blocks - k0_rho.blocks, dim)
+        r2 = interior_norm(image) / np.maximum(1.0, interior_norm(k0_rho))
+        return np.maximum(r1, r2)
+
+    return _per_report_time(t_index, traj.n_times, 0, window, metric_window(dim))
 
 
 def hamiltonian_source(traj: MetricTrajectory, dim: int) -> Callable[[float], BandOperator]:

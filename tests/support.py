@@ -69,12 +69,14 @@ from phinv import (
     NumericsError,
     build_eta,
     build_rho,
+    build_rho_inverse,
     interior_norm,
 )
-from phinv.fock import BandOperator, ensure_state, su11_bands
+from phinv.fock import BandOperator, ParityBlocks, ensure_state, k0_operator, su11_bands
 from phinv.metric import ladder_exp
-from phinv.propagator import INSTABILITY_FACTOR
-from phinv.runner import CSV_EOL
+from phinv.model import invariant_op
+from phinv.propagator import INSTABILITY_FACTOR, _fd4_richardson
+from phinv.runner import CSV_EOL, RAYLEIGH_MAX_N
 
 HARMONIC_DRIVE = {"re_omega": lambda t: 1.0, "im_omega": lambda t: 0.0, "im_beta": lambda t: 0.0}
 
@@ -84,6 +86,44 @@ def reference_parse_csv(csv_text: str) -> dict[str, np.ndarray]:
     header, *rows = [r for r in csv_text.split(CSV_EOL) if r != ""]
     data = np.array([[float(cell) for cell in r.split(",")] for r in rows])
     return {name: data[:, j] for j, name in enumerate(header.split(","))}
+
+
+def per_time_metric_meters(traj, states: np.ndarray, dim: int) -> dict[str, np.ndarray]:
+    """The eta-norm, Rayleigh, Dyson and Hermitian-image series the runner
+    reports, one report time at a time on single-time parity blocks, as the
+    runner's loop formed them before the meters took windows of report
+    times. Dyson is nan outside its 4-point margin."""
+    n = traj.n_times
+    levels = np.arange(min(RAYLEIGH_MAX_N, dim // 4) + 1) + 0.5
+    out = {name: np.full(n, math.nan) for name in ("eta_norm", "rayleigh", "dyson", "image")}
+    for i in range(n):
+        s = traj.state_at(i)
+        eta, rho, inv = build_eta(s, dim), build_rho(s, dim), invariant_op(s, dim)
+        out["eta_norm"][i] = float(np.real(np.vdot(states[i], eta @ states[i])))
+        v = build_rho_inverse(s, dim).columns(len(levels))
+        den = np.sum(v * (eta @ v), axis=0)
+        num = np.sum(v * (eta @ (inv @ v)), axis=0)
+        out["rayleigh"][i] = float(np.max(np.abs(num / den - levels)))
+        if 4 <= i < n - 4:
+            stencil = np.zeros((9,) + eta.blocks.shape)
+            for j in (-4, -2, -1, 1, 2, 4):
+                stencil[4 + j] = build_eta(traj.state_at(i + j), dim).blocks
+            eta_dot = _fd4_richardson(stencil, traj.dt)[0]
+            h = traj.h_bands(i, dim)
+            x, y = eta @ BandOperator(h.real), eta @ BandOperator(h.imag)
+            re = ParityBlocks(eta_dot + (y.blocks + y.T.blocks), dim)
+            im = ParityBlocks(x.T.blocks - x.blocks, dim)
+            scale = max(1.0, math.hypot(interior_norm(x), interior_norm(y)))
+            out["dyson"][i] = math.hypot(interior_norm(re), interior_norm(im)) / scale
+        eta_inv = eta @ inv
+        herm = ParityBlocks(eta_inv.blocks - eta_inv.T.blocks, dim)
+        r1 = interior_norm(herm) / max(1.0, interior_norm(eta_inv))
+        # 2 K0 rho, entry [i, j] the product 2 K0[i, i] rho[i, j].
+        k0_rho = ParityBlocks.from_dense(k0_operator(dim, 2.0).bands[0][:, None] * rho.dense())
+        image = ParityBlocks((rho @ inv).blocks - k0_rho.blocks, dim)
+        r2 = interior_norm(image) / max(1.0, interior_norm(k0_rho))
+        out["image"][i] = max(r1, r2)
+    return out
 
 
 class StructureError(NumericsError):

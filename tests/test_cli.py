@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tomllib
 
+import numpy as np
 import pytest
 
 from phinv import parse_scenario
@@ -199,8 +200,11 @@ def test_verify_rejects_a_recorded_tolerance_that_is_not_a_number(
 
 
 def _nan_at(original, index):
+    """original with a nan at report index `index`, for one index or an
+    array of them."""
     def patched(traj, t_index, *args):
-        return math.nan if t_index == index else original(traj, t_index, *args)
+        values = original(traj, t_index, *args)
+        return np.where(np.asarray(t_index) == index, math.nan, values)
     return patched
 
 
@@ -387,6 +391,28 @@ def test_out_naming_a_file_is_an_input_error_before_any_work(tmp_path, capsys, n
     err = capsys.readouterr().err
     assert err.startswith("error: cannot create output directory: [Errno 17] File exists")
     assert taken.read_text() == "a file"
+
+
+@pytest.mark.parametrize(
+    "command, blocked, what",
+    [
+        ("run", "series.csv", "artifacts"),
+        ("run", "report.json", "artifacts"),
+        ("demo", "demo_td.json", "demo config"),
+    ],
+)
+def test_an_unwritable_output_is_an_input_error(tmp_path, capsys, command, blocked, what):
+    from phinv import demo_scenarios
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(demo_scenarios()["demo_td"], dim=16, t_max=0.05)))
+    out = tmp_path / "out"
+    (out / blocked).mkdir(parents=True)
+    args = ["run", "--config", str(config)] if command == "run" else ["demo"]
+    assert main(args + ["--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {what}: [Errno 21] Is a directory: ")
+    assert err.rstrip().endswith(repr(str(out / blocked)))
 
 
 @pytest.mark.parametrize("name", ["series.csv", "report.json"])

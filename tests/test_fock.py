@@ -4,6 +4,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from support import (
     StructureError,
+    random_metric_states,
     adjoint,
     apply,
     basis_state,
@@ -26,8 +27,8 @@ from phinv import (
     propagate,
     tail_support,
 )
-from phinv.fock import BandOperator, ParityBlocks, basis_column, k0_operator
-from phinv.metric import ladder_exp
+from phinv.fock import BandOperator, ParityBlocks, _band_product, k0_operator
+from phinv.metric import build_eta, build_rho, build_rho_inverse, ladder_exp
 from phinv.model import MetricState, hamiltonian_coeffs, invariant_op
 from phinv.propagator import _fd4_richardson
 
@@ -222,16 +223,14 @@ def test_basis_state_and_apply():
         apply(ops.a, basis_state(16, 0))
 
 
-def test_basis_column_is_the_matvec_on_a_basis_state():
+def test_columns_are_the_matvec_on_basis_states():
     m = ParityBlocks.from_dense(np.arange(25.0).reshape(5, 5))
     m.blocks.setflags(write=False)
-    for n in range(5):
-        col = basis_column(m, n)
-        assert col.dtype == complex and col.flags.writeable
-        assert np.array_equal(col, m.dense() @ basis_state(5, n))
-    for n in (-1, 5):
-        with pytest.raises(DomainError, match=f"basis index {n} out of range for dim 5"):
-            basis_column(m, n)
+    for stop in range(1, 6):
+        cols = m.columns(stop)
+        assert cols.shape == (5, stop) and cols.flags.writeable
+        for n in range(stop):
+            assert np.array_equal(cols[:, n], (m.dense() @ basis_state(5, n)).real)
 
 
 @given(
@@ -399,7 +398,12 @@ def test_parity_blocks_match_their_dense_matrix(dim):
             # added in the order of the dense x band and band x dense sums.
             assert np.array_equal((a @ band).dense(), _dense_times_band(ad, band))
             assert _relative_gap((a @ band).dense(), ad @ band.dense()) <= 1e-15
-            assert np.array_equal((band @ a).dense(), band @ ad)
+            with pytest.raises(TypeError):
+                band @ a
+    # A diagonal band times the blocks is the transpose of the blocks'
+    # transpose times it: each entry is the one product the dense form takes.
+    k0 = k0_operator(dim, 2.0)
+    assert np.array_equal((a.T @ k0).T.dense(), k0 @ ad)
     assert np.array_equal(a.T.dense(), ad.T)
     # The Dyson meter's stencil runs over a stack of blocks along time; it
     # rounds each entry as the stencil over the dense matrices does.
@@ -410,6 +414,53 @@ def test_parity_blocks_match_their_dense_matrix(dim):
     for top in (3, 4):
         want = interior_norm(ad, exclude_top=top)
         assert abs(interior_norm(a, exclude_top=top) - want) <= 1e-15 * want
-    for n in range(dim):
-        assert np.array_equal(basis_column(a, n), ad[:, n].astype(complex))
     assert np.array_equal(a.columns(7), ad[:, :7])
+    assert np.array_equal(a.columns(dim), ad)
+
+
+@given(st.integers(min_value=4, max_value=65), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=30, deadline=None)
+@example(dim=16, seed=0)
+@example(dim=17, seed=1)
+@example(dim=64, seed=2)
+@example(dim=65, seed=3)
+def test_stacked_parity_blocks_are_each_time_alone(dim, seed):
+    """A stack of metric operators along time, blocks of shape (T, 2, m, m),
+    multiplies bands, states and matrices, transposes, gives columns and
+    interior norms, and each time is bit for bit that time alone."""
+    rng = np.random.default_rng(seed)
+    states = random_metric_states(seed, 5)
+    t = len(states)
+    inv = np.stack([invariant_op(g, dim).bands for g in states])
+    h = su11_operator(dim, 1.0, 0.3 + 0.1j, -0.2j).bands * rng.normal(size=(t, 1, 1))
+    bands = [inv, h, _band_product(inv, h), np.stack([k0_operator(dim, 2.0).bands] * t)]
+    vectors = [
+        _complex_normals(rng, t, dim),
+        rng.normal(size=(t, dim, 7)),
+        _complex_normals(rng, t, dim, 3),
+    ]
+    for build in (build_rho, build_rho_inverse, build_eta):
+        alone = [build(g, dim) for g in states]
+        stack = ParityBlocks(np.stack([a.blocks for a in alone]), dim)
+        for b in bands:
+            got = stack @ BandOperator(b)
+            assert got.blocks.shape == stack.blocks.shape
+            norms = interior_norm(got)
+            for k, a in enumerate(alone):
+                one = a @ BandOperator(b[k])
+                assert np.array_equal(got.blocks[k], one.blocks)
+                assert norms[k] == interior_norm(one)
+        for v in vectors:
+            got = stack @ v
+            assert got.shape == v.shape
+            for k, a in enumerate(alone):
+                assert np.array_equal(got[k], a @ v[k])
+            if v.ndim == 3:
+                got = BandOperator(inv) @ v
+                for k in range(t):
+                    assert np.array_equal(got[k], BandOperator(inv[k]) @ v[k])
+        columns, norms = stack.T.columns(dim - 1), interior_norm(stack.T)
+        for k, a in enumerate(alone):
+            assert np.array_equal(stack.T.blocks[k], a.T.blocks)
+            assert np.array_equal(columns[k], a.T.columns(dim - 1))
+            assert norms[k] == interior_norm(a.T)

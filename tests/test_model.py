@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,6 @@ from phinv import (
     integrate_metric,
     interior_norm,
 )
-from phinv.fock import basis_column
 from phinv.model import (
     derive_constrained_coeffs,
     hamiltonian_coeffs,
@@ -316,7 +317,7 @@ def test_eigenstate_matches_inverse_map_column(gentle_traj):
     eigenvalue 3/2 away from the truncation edge."""
     s = gentle_traj.state_at(1200)
     ri = build_rho_inverse(s, 64)
-    v = basis_column(ri, 1)
+    v = ri.columns(2)[:, 1]
     assert np.linalg.norm(v - ri @ basis_state(64, 1)) <= 1e-13
     resid = invariant_op(s, 64) @ v - 1.5 * v
     assert np.linalg.norm(resid[:-8]) / np.linalg.norm(v) <= 1e-10
@@ -439,6 +440,17 @@ def test_trajectory_accessors(gentle_traj):
     ref = metric_rhs(s.phi_cap, s.vtheta_zero, omega.imag, beta.imag)
     assert dphi == pytest.approx(ref[0], abs=1e-14)
     assert dth0 == pytest.approx(ref[1], abs=1e-14)
+
+
+@pytest.mark.parametrize("level", [-1, 64])
+def test_assembly_rejects_a_level_outside_the_basis(gentle_traj, level):
+    traj = dataclasses.replace(
+        gentle_traj,
+        superposition={level: 1.0, 1: 1.0},
+        phases={level: gentle_traj.phases[0], 1: gentle_traj.phases[1]},
+    )
+    with pytest.raises(DomainError, match=r"levels \[.*\] out of range for dim 64"):
+        assemble_solution(traj, 0, 64)
 
 
 def test_assembled_solution_copy_is_writable(gentle_traj):

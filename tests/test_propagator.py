@@ -293,7 +293,7 @@ def test_band_meters_match_dense_oracles(demo_td_traj, dim):
 @pytest.mark.parametrize("dim", [16, 17, 64])
 def test_stacked_meters_match_their_per_index_calls(gentle_traj, dim):
     """An index array spanning several windows, with sparse, unordered and
-    repeated entries, gives each index's single-call value."""
+    repeated entries, gives each index's single-call value, bit for bit."""
     n = 401
     # The Schrödinger cases read rows 0 .. n - 1 only.
     states = np.zeros((gentle_traj.n_times, dim), dtype=complex)
@@ -303,18 +303,28 @@ def test_stacked_meters_match_their_per_index_calls(gentle_traj, dim):
          np.r_[np.arange(2, n - 2), 398, 2, 250, 250]),
         (lambda i: invariant_residual(gentle_traj, i, dim),
          np.r_[np.arange(4, n - 4), 4996, 2500, 1000, 4, 1000]),
+        # The metric meters' windows hold 32 report times at dims 16 and 17
+        # and 16 at dim 64.
+        (lambda i: dyson_residual(gentle_traj, i, dim),
+         np.r_[np.arange(4, 75), 4996, 2500, 1000, 4, 1000, 37]),
+        (lambda i: hermitian_image_check(gentle_traj, i, dim),
+         np.r_[np.arange(0, 75), 5000, 2500, 1000, 0, 1000, 37]),
     )
     for meter, idx in cases:
         got = meter(idx)
         assert got.shape == idx.shape
         want = np.array([meter(int(i)) for i in idx])
-        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want)), meter
+        assert np.array_equal(got, want), meter
         assert isinstance(meter(int(idx[0])), float)
         assert np.array_equal(meter(idx.reshape(1, -1)), got.reshape(1, -1))
     with pytest.raises(DomainError, match="time index 1 needs "):
         schrodinger_residual(gentle_traj, states, np.array([5, 1, 0]), dim)
     with pytest.raises(DomainError, match="time index 4997 needs "):
         invariant_residual(gentle_traj, np.array([4, 4997]), dim)
+    with pytest.raises(DomainError, match="time index 3 needs "):
+        dyson_residual(gentle_traj, np.array([10, 3]), dim)
+    with pytest.raises(DomainError, match="time index 5001 needs "):
+        hermitian_image_check(gentle_traj, np.array([0, 5001]), dim)
 
 
 @pytest.fixture(scope="module")

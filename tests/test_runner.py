@@ -19,8 +19,10 @@ from phinv import (
     MetricState,
     PositionGrid,
     TruncationWarning,
+    assemble_solution,
     demo_scenarios,
     dyson_residual,
+    integrate_metric,
     invariant_residual,
     orthonormality_matrix,
     parse_scenario,
@@ -36,7 +38,7 @@ import phinv.runner
 from phinv._version import __version__
 from phinv.runner import CSV_EOL, _fmt, _parse_csv
 from phinv.scenario import CHECKS
-from support import reference_parse_csv
+from support import per_time_metric_meters, reference_parse_csv
 from test_golden import CHECK_DRIVES
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -422,14 +424,12 @@ def _patch_everywhere(monkeypatch, home, name: str, make_wrapper) -> None:
                 monkeypatch.setattr(module, attr, wrapped)
 
 
-@pytest.mark.parametrize("dim", [16, 17])
-def test_short_run_makes_the_pinned_ladder_exp_calls(dim, monkeypatch):
-    """The metric caches miss, and call ladder_exp through the module
-    global, exactly as often as before the parity-sector builders: 404
-    times for demo_td to t_max 0.1 from empty caches. The other counters
-    perfbench checks exactly are pinned with it: metric builder calls, RK4
-    steps over every propagate call, H(t) evaluations of both RK4 sources,
-    and position-grid points over every Gram matrix."""
+def _count_calls(monkeypatch, cfg) -> Counter:
+    """The five call counts perfbench checks exactly, over run_scenario(cfg)
+    from empty metric caches: metric builder calls, ladder_exp calls (the
+    caches' misses call it through the module global), RK4 steps over every
+    propagate call, H(t) evaluations of both RK4 sources, and position-grid
+    points over every Gram matrix."""
     counts = Counter()
 
     def counting(key, bump=lambda args, kwargs: 1):
@@ -467,12 +467,63 @@ def test_short_run_makes_the_pinned_ladder_exp_calls(dim, monkeypatch):
         phinv.metric._rho_cached, phinv.metric._rho_inv_cached, phinv.metric._eta_cached
     ):
         cache.cache_clear()
-    run_scenario(scenario(dict(demo_scenarios()["demo_td"], dim=dim, t_max=0.1)))
-    assert counts == {
+    run_scenario(cfg)
+    return counts
+
+
+@pytest.mark.parametrize("dim", [16, 17])
+def test_short_run_makes_the_pinned_ladder_exp_calls(dim, monkeypatch):
+    """The metric caches miss, and call ladder_exp through the module
+    global, exactly as often as before the parity-sector builders: 404
+    times for demo_td to t_max 0.1 from empty caches. The other counters
+    perfbench checks exactly are pinned with it."""
+    cfg = scenario(dict(demo_scenarios()["demo_td"], dim=dim, t_max=0.1))
+    assert _count_calls(monkeypatch, cfg) == {
         "build_calls": 1426,
         "ladder_exp_calls": 404,
         "rk4_steps": 1656,
         "h_evals": 6624,
+        "grid_points": 22011,
+    }
+
+
+@pytest.mark.parametrize("dim", [17, 64])
+def test_windowed_metric_meters_give_the_per_time_values(dim):
+    """The eta_norm and dyson_residual columns and the rayleigh and
+    hermitian_image rows of a run equal the one-report-time-at-a-time
+    arithmetic, bit for bit, over several windows and a partial last one
+    (101 report times in windows of 32 at dim 17 and of 16 at dim 64)."""
+    cfg = scenario(dict(demo_scenarios()["demo_td"], dim=dim, t_max=0.1))
+    result = run_scenario(cfg)
+    traj = integrate_metric(
+        MetricState(cfg.phi0, cfg.vtheta0), cfg.profiles, cfg.t_max, cfg.dt,
+        superposition=dict(zip(cfg.quantum_numbers, cfg.superposition)),
+    )
+    states = np.array([assemble_solution(traj, i, dim) for i in range(traj.n_times)])
+    want = per_time_metric_meters(traj, states, dim)
+    cols = _parse_csv(result.csv_text)
+    assert np.array_equal(cols["eta_norm"], want["eta_norm"])
+    assert np.array_equal(cols["dyson_residual"], want["dyson"], equal_nan=True)
+    rows = {c["name"]: c for c in result.report["checks"]}
+    for name, series in (("rayleigh", want["rayleigh"]), ("hermitian_image", want["image"])):
+        j = int(np.argmax(series))
+        assert (rows[name]["max_residual"], rows[name]["worst_time"]) == (series[j], traj.times[j])
+
+
+def test_a_run_past_the_cache_size_makes_the_pinned_calls(monkeypatch):
+    """demo_td at dim 16 to t_max 0.3 has 301 report times, more than the
+    256 entries of each metric cache. The meters that build the metric run
+    window by window, so each window's states are built once there, and the
+    later sweeps over the grid (oracle eta norms, Hermitian-side rho) miss
+    as they did with one report time at a time. A runner that swept each
+    meter over the whole grid would rebuild evicted states and make more
+    ladder_exp calls."""
+    cfg = scenario(dict(demo_scenarios()["demo_td"], dim=16, t_max=0.3))
+    assert _count_calls(monkeypatch, cfg) == {
+        "build_calls": 4226,
+        "ladder_exp_calls": 3000,
+        "rk4_steps": 4968,
+        "h_evals": 19872,
         "grid_points": 22011,
     }
 

@@ -10,8 +10,8 @@ O(N) and a matrix in O(N^2). The product of two such operators, a
 commutator term, is again a BandOperator, on the diagonals at offsets 0,
 +-2 and +-4, formed in O(N). Its dense form holds the same entries as the
 sum of the dense generators built from a[n-1, n] = sqrt(n).
-An operator that keeps the parity of n (the metric map rho, its inverse,
-eta) is a ParityBlocks: its even-level and odd-level blocks in one
+An operator that keeps the parity of n (the metric map rho, eta, their
+factors) is a ParityBlocks: its even-level and odd-level blocks in one
 (2, m, m) array, m = ceil(N/2), so it stores and multiplies half the
 entries of the dense matrix, none of them the dense matrix's exact zeros.
 Products, transposes and interior norms of both kinds also run over a stack
@@ -125,7 +125,7 @@ class ParityBlocks:
     at +-k. `.dense()` returns the dense matrix; other arithmetic runs on
     `.blocks`. Blocks of shape (T, 2, m, m) are a stack over time: `op @ v`
     takes a (T, dim) or (T, dim, k) stack, `op @ band` bands over the same
-    times, and `.T`, `.columns` and `interior_norm` work per time.
+    times, and `.T` and `interior_norm` work per time.
     """
 
     # Makes ndarray @ op and ndarray + op raise instead of converting op.
@@ -156,14 +156,6 @@ class ParityBlocks:
     @property
     def T(self) -> "ParityBlocks":
         return ParityBlocks(self.blocks.swapaxes(-1, -2), self.dim)
-
-    def columns(self, stop: int) -> np.ndarray:
-        """Columns 0 .. stop - 1 as a (..., dim, stop) array in natural order."""
-        out = np.zeros(self.blocks.shape[:-3] + (self.dim, stop), dtype=self.blocks.dtype)
-        for p in (0, 1):
-            rows, cols = (self.dim - p + 1) // 2, (stop - p + 1) // 2
-            out[..., p::2, p::2] = self.blocks[..., p, :rows, :cols]
-        return out
 
     def __matmul__(self, other):
         if isinstance(other, BandOperator):

@@ -8,13 +8,18 @@ MetricState: the flow state (Phi, vtheta0) fixes the factors, with
 vtheta_plus = vtheta_minus = -Phi.
 
 K+ and K- shift n by 2 and K0 keeps it, so every factor, and with them rho,
-rho^{-1} and eta, is block-diagonal in the parity of n. The builders return
-a fock.ParityBlocks: the even-level and the odd-level block in one
-(2, m, m) array, m = ceil(dim / 2), the odd block zero-padded in its last
-row and column when dim is odd, and `.dense()` for the dense matrix. Each
-is one batched product of the factors' blocks, half the memory and a
-quarter of the work of the dense product. The three caches, their keys and
-the calls to ladder_exp per miss are those of the dense builders.
+rho^{-1} and eta, is block-diagonal in the parity of n. build_rho and
+build_eta return a fock.ParityBlocks: the even-level and the odd-level block
+in one (2, m, m) array, m = ceil(dim / 2), the odd block zero-padded in its
+last row and column when dim is odd, and `.dense()` for the dense matrix.
+Each is one batched product of the factors' blocks, half the memory and a
+quarter of the work of the dense product. rho^{-1} is read only through its
+columns rho^{-1}|n> for low n, the invariant's eigenstates, so its cache
+keeps only the blocks' columns of the first K = rho_inverse_columns(dim)
+levels, and build_rho_inverse returns them as a (dim, K) array in natural
+level order. The
+three caches, their keys and the calls to ladder_exp per miss are those of
+the dense builders.
 """
 
 from __future__ import annotations
@@ -123,17 +128,43 @@ def _rho_cached(vp: float, vz: float, vm: float, dim: int) -> ParityBlocks:
     return _readonly(np.matmul(e_plus, mid[:, :, None] * e_minus), dim)
 
 
-def build_rho_inverse(g: MetricState, dim: int) -> ParityBlocks:
-    """Analytic inverse: reversed factors with negated/reciprocal parameters."""
-    return _rho_inv_cached(g.vtheta_plus, g.vtheta_zero, g.vtheta_minus, dim)
+def rho_inverse_columns(dim: int) -> int:
+    """K(dim), the number of columns of rho^{-1} that build_rho_inverse keeps.
+
+    A run reads rho^{-1}|n> for its tracked levels, which the scenario caps at
+    dim // 4, and for n <= 6 in the Rayleigh and cross-representation meters;
+    no caller reads further, so the columns past them are not kept.
+    """
+    return min(dim, max(dim // 4, 6) + 1)
+
+
+def build_rho_inverse(g: MetricState, dim: int) -> np.ndarray:
+    """The first rho_inverse_columns(dim) columns of the analytic inverse
+    (reversed factors with negated/reciprocal parameters), a read-only real
+    (dim, K) array in natural level order: column n is rho^{-1}|n>."""
+    blocks = _rho_inv_cached(g.vtheta_plus, g.vtheta_zero, g.vtheta_minus, dim)
+    k = rho_inverse_columns(dim)
+    out = np.zeros((dim, k))
+    for p in (0, 1):
+        out[p::2, p::2] = blocks[p, : (dim - p + 1) // 2, : (k - p + 1) // 2]
+    out.setflags(write=False)
+    return out
 
 
 @lru_cache(maxsize=256)
-def _rho_inv_cached(vp: float, vz: float, vm: float, dim: int) -> ParityBlocks:
+def _rho_inv_cached(vp: float, vz: float, vm: float, dim: int) -> np.ndarray:
+    """The kept columns as (2, m, ceil(K / 2)) parity blocks. The full
+    product is formed, and checked for overflow, before it is cut, so the
+    kept entries are those of the full blocks."""
     e_minus = ladder_exp(-vm, dim, raising=False).blocks
-    mid = _k0_power(1.0 / vz, dim)
     e_plus = ladder_exp(-vp, dim, raising=True).blocks
-    return _readonly(np.matmul(e_minus, mid[:, :, None] * e_plus), dim)
+    # ladder_exp returns a fresh array: scaling it in place spares a miss
+    # one more temporary of the full size.
+    e_plus *= _k0_power(1.0 / vz, dim)[:, :, None]
+    full = _readonly(np.matmul(e_minus, e_plus), dim).blocks
+    cut = full[..., : (rho_inverse_columns(dim) + 1) // 2].copy()
+    cut.setflags(write=False)
+    return cut
 
 
 def build_eta(g: MetricState, dim: int) -> ParityBlocks:

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, GuardError, TruncationWarning
 from .fock import BandOperator, su11_bands, tail_support
-from .metric import build_rho_inverse
+from .metric import build_rho_inverse, rho_inverse_columns
 from .scenario import CHECK_PROFILES, GENERATOR_PROFILES
 
 # Dense flow steps per report interval. The propagation oracles read H(t)
@@ -465,7 +465,10 @@ def assemble_solution(traj: MetricTrajectory, t_index: int, dim: int) -> np.ndar
         raise ValueError("trajectory has no superposition coefficients")
     if not 0 <= min(traj.superposition) <= max(traj.superposition) < dim:
         raise DomainError(f"levels {sorted(traj.superposition)} out of range for dim {dim}")
-    columns = build_rho_inverse(traj.state_at(t_index), dim).columns(max(traj.superposition) + 1)
+    top, kept = max(traj.superposition), rho_inverse_columns(dim)
+    if top >= kept:
+        raise DomainError(f"level {top} is outside the {kept} columns of rho^-1 kept at dim {dim}")
+    columns = build_rho_inverse(traj.state_at(t_index), dim)
     out = np.zeros(dim, dtype=complex)
     for n, c_n in traj.superposition.items():
         out += c_n * np.exp(1j * traj.phases[n][t_index]) * columns[:, n]

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fock import interior_norm
-from .metric import build_rho_inverse
+from .metric import build_rho_inverse, rho_inverse_columns
 from .model import MetricState, invariant_op
 
 HERMITE_CAP = 30
@@ -241,13 +241,13 @@ def fock_to_position(vec: np.ndarray, grid: PositionGrid) -> np.ndarray:
 
     Oscillator eigenfunctions come from the stable two-term recurrence
     psi_{m+1} = sqrt(2/(m+1)) x psi_m - sqrt(m/(m+1)) psi_{m-1}, seeded with
-    the normalized ground Gaussian.
+    the normalized ground Gaussian. A real vector gives a real wavefunction.
     """
-    vec = np.asarray(vec, dtype=complex)
+    vec = np.asarray(vec)
     x = grid.points
     psi_prev = np.zeros_like(x)
     psi = math.pi**-0.25 * np.exp(-0.5 * x * x)
-    out = vec[0] * psi.astype(complex)
+    out = vec[0] * psi
     for m in range(len(vec) - 1):
         psi, psi_prev = (
             math.sqrt(2.0 / (m + 1)) * x * psi - math.sqrt(m / (m + 1.0)) * psi_prev,
@@ -266,16 +266,20 @@ def cross_representation_residual(s: MetricState, n: int, dim: int) -> float:
     real factor), then aligned by one unit-modulus complex factor. Returns
     max |difference| / max |closed form|.
     """
-    fock_vec = build_rho_inverse(s, dim).columns(n + 1)[:, n]
+    kept = rho_inverse_columns(dim)
+    if not 0 <= n < kept:
+        raise DomainError(f"level {n} is outside the {kept} columns of rho^-1 kept at dim {dim}")
+    fock_vec = build_rho_inverse(s, dim)[:, n]
     grid = PositionGrid.for_shape(GaussianShape.from_state(s), n_max=n)
     synthesized = fock_to_position(fock_vec, grid)
     closed = np.asarray(eigenfunction(n, grid.points, s))
 
-    def l2(v: np.ndarray) -> float:
-        return math.sqrt(float(simpson(np.abs(v) ** 2, grid.points)))
+    def normalized(v: np.ndarray) -> np.ndarray:
+        # One rounding rule for the real and the complex route: times the
+        # reciprocal norm, as numpy divides a complex array by a real scalar.
+        return v * (1.0 / math.sqrt(float(simpson(np.abs(v) ** 2, grid.points))))
 
-    synthesized = synthesized / l2(synthesized)
-    closed = closed / l2(closed)
+    synthesized, closed = normalized(synthesized), normalized(closed)
     overlap = complex(simpson(np.conj(synthesized) * closed, grid.points))
     if overlap == 0:
         return float(np.max(np.abs(closed - synthesized)))

@@ -181,8 +181,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         eta_norms[idx] = [np.vdot(v, w).real for v, w in zip(states[idx], eta @ states[idx])]
         inv = BandOperator(traj.i_bands(idx, dim))
         # The columns rho^{-1}|n> are real, as are eta and I.
-        rho_inv = ParityBlocks(np.stack([build_rho_inverse(g, dim).blocks for g in gs]), dim)
-        v = rho_inv.columns(len(levels))
+        v = np.stack([build_rho_inverse(g, dim)[:, : len(levels)] for g in gs])
         den = np.sum(v * (eta @ v), axis=-2)
         num = np.sum(v * (eta @ (inv @ v)), axis=-2)
         rayleigh_dev[idx] = np.max(np.abs(num / den - levels), axis=-1)

@@ -100,7 +100,7 @@ def per_time_metric_meters(traj, states: np.ndarray, dim: int) -> dict[str, np.n
         s = traj.state_at(i)
         eta, rho, inv = build_eta(s, dim), build_rho(s, dim), invariant_op(s, dim)
         out["eta_norm"][i] = float(np.real(np.vdot(states[i], eta @ states[i])))
-        v = build_rho_inverse(s, dim).columns(len(levels))
+        v = build_rho_inverse(s, dim)[:, : len(levels)]
         den = np.sum(v * (eta @ v), axis=0)
         num = np.sum(v * (eta @ (inv @ v)), axis=0)
         out["rayleigh"][i] = float(np.max(np.abs(num / den - levels)))

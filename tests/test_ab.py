@@ -5,10 +5,15 @@ a unit test)."""
 import importlib.util
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
-AB = pathlib.Path(__file__).resolve().parent.parent / "tools" / "ab.py"
+from phinv.scenario import demo_scenarios
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+AB = ROOT / "tools" / "ab.py"
 spec = importlib.util.spec_from_file_location("ab", AB)
 ab = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(ab)
@@ -125,3 +130,41 @@ def test_artifacts_compare_byte_for_byte_and_name_what_differs():
     lf = dict(base, **{"series.csv": base["series.csv"].replace("\r\n", "\n")})
     c = ab.compare_artifacts(base, lf)
     assert not c["artifacts_identical"]
+
+
+# Runs argv[1]'s run_measured on a 64 MB child and a bare one, then its
+# _write_artifacts on the tree argv[2] and the config argv[3] into argv[4].
+RSS_PROBE = """
+import importlib.util, json, pathlib, sys
+spec = importlib.util.spec_from_file_location("ab", sys.argv[1])
+ab = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(ab)
+big = ab.run_measured([sys.executable, "-c", "b = b'x' * (64 << 20)"])
+bare = ab.run_measured([sys.executable, "-c", "pass"])
+scenario = json.loads(pathlib.Path(sys.argv[3]).read_text())
+texts, peak = ab._write_artifacts(pathlib.Path(sys.argv[2]), scenario, pathlib.Path(sys.argv[4]))
+print(json.dumps({"big": big, "bare": bare, "texts": texts, "peak": peak}))
+"""
+
+
+def test_a_measured_run_reads_its_own_peak_rss(tmp_path):
+    """A child's ru_maxrss starts from the peak of the process that started
+    it, so the runs start from a small probe process rather than from this
+    one. A child that touches 64 MB reads at least that; a bare one run after
+    it reads its own smaller peak, not the largest child's so far; the
+    artifacts run records its texts and a peak that holds numpy."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(demo_scenarios()["demo_td"], dim=32, t_max=0.05)))
+    out = subprocess.run(
+        [sys.executable, "-c", RSS_PROBE, str(AB), str(ROOT), str(config), str(tmp_path / "run")],
+        capture_output=True, text=True, check=True,
+    )
+    got = json.loads(out.stdout)
+    (big_code, _, big), (bare_code, _, bare) = got["big"], got["bare"]
+    assert big_code == bare_code == 0
+    assert big >= 64 > bare
+    assert sorted(got["texts"]) == sorted(ab.ARTIFACTS)
+    assert json.loads(got["texts"]["report.json"])["checks"]
+    assert bare < got["peak"]
+    code, stderr, _ = ab.run_measured([sys.executable, "-c", "raise SystemExit('stop')"])
+    assert code == 1 and "stop" in stderr

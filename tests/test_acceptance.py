@@ -54,6 +54,7 @@ from support import (
     cached_operator_set,
     coeffs_at,
     conjugate_k,
+    dense_gemm_rho_inverse,
     frobenius_distance,
     gauss_params,
     random_metric_states,
@@ -319,7 +320,7 @@ def test_criterion_07_metric_algebra_float64(frozen_disentangle_reference):
     rho = build_rho(g, 64).dense()
     disentangle = frobenius_distance(rho, reference_expm(gen), exclude_top=3)
     direct = frobenius_distance(
-        rho @ ops.k_minus @ build_rho_inverse(g, 64).dense(),
+        rho @ ops.k_minus @ dense_gemm_rho_inverse(g, 64),
         conjugate_k(g, "minus", 64),
         exclude_top=3,
     )
@@ -538,8 +539,8 @@ def test_criterion_10_meter_sensitivity(gentle_traj, gentle_states):
         )
     record(
         "rayleigh",
-        rayleigh(build_rho_inverse(s, dim).dense()[:, 3]),
-        rayleigh(build_rho_inverse(s_bad, dim).dense()[:, 3]),
+        rayleigh(build_rho_inverse(s, dim)[:, 3]),
+        rayleigh(build_rho_inverse(s_bad, dim)[:, 3]),
     )
 
     rho = build_rho(s, dim).dense()

@@ -6,6 +6,7 @@ from scipy.optimize import brentq
 from support import (
     _even_cosh,
     _even_sinhc,
+    basis_state,
     cached_operator_set,
     check_gauss_identities,
     conjugate_k,
@@ -30,6 +31,8 @@ from phinv import (
     build_rho_inverse,
     interior_norm,
 )
+from phinv.fock import ParityBlocks
+from phinv.metric import _k0_power, _rho_inv_cached, ladder_exp, rho_inverse_columns
 
 
 def k_matrix(ops, which):
@@ -116,7 +119,8 @@ def test_metric_state_factor_parameters():
 def test_build_rho_identity_params():
     g = gauss_params(0.0, 0.0)
     assert np.allclose(build_rho(g, 16).dense(), np.eye(16), atol=1e-15)
-    assert np.allclose(build_rho_inverse(g, 16).dense(), np.eye(16), atol=1e-15)
+    ri = build_rho_inverse(g, 16)
+    assert np.allclose(ri, np.eye(16)[:, : ri.shape[1]], atol=1e-15)
     assert np.allclose(build_eta(g, 16).dense(), np.eye(16), atol=1e-15)
 
 
@@ -146,7 +150,7 @@ def test_rho_hermitian_absolute_for_tame_factors():
 
 def test_rho_inverse_absolute_small_dim():
     g = gauss_params(0.0, 0.3)
-    r, ri = build_rho(g, 16).dense(), build_rho_inverse(g, 16).dense()
+    r, ri = build_rho(g, 16).dense(), dense_gemm_rho_inverse(g, 16)
     assert np.linalg.norm(r @ ri - np.eye(16)) <= 1e-11
 
 
@@ -154,11 +158,11 @@ def test_rho_inverse_backward_stable_product():
     # at 64 levels the factors reach 1e16 scales for strong squeezing, so
     # the meaningful float statement normalizes by the factor norms
     g = gauss_params(0.0, 0.3)
-    r, ri = build_rho(g, 64).dense(), build_rho_inverse(g, 64).dense()
+    r, ri = build_rho(g, 64).dense(), dense_gemm_rho_inverse(g, 64)
     res = np.linalg.norm(r @ ri - np.eye(64))
     assert res / (np.linalg.norm(r) * np.linalg.norm(ri)) <= 1e-16
     for s in random_metric_states(43, 25):
-        r, ri = build_rho(s, 64).dense(), build_rho_inverse(s, 64).dense()
+        r, ri = build_rho(s, 64).dense(), dense_gemm_rho_inverse(s, 64)
         res = np.linalg.norm(r @ ri - np.eye(64))
         assert res / (np.linalg.norm(r) * np.linalg.norm(ri)) <= 1e-14
 
@@ -166,7 +170,7 @@ def test_rho_inverse_backward_stable_product():
 def test_rho_inverse_matches_dense_elimination():
     for g in random_metric_states(12, 12) + [gauss_params(0.5, 0.2)]:
         want = dense_inverse(build_rho(g, 24).dense())
-        assert interior_norm(build_rho_inverse(g, 24).dense() - want) <= 1e-9
+        assert interior_norm(dense_gemm_rho_inverse(g, 24) - want) <= 1e-9
 
 
 def test_eta_is_rho_squared_and_positive():
@@ -221,7 +225,7 @@ def test_conjugation_direct_deep_interior(ops64):
     # below half depth and the direct comparison is clean
     for eps, mu in ((0.1, 0.02), (0.05, 0.02)):
         g = gauss_params(eps, mu)
-        r, ri = build_rho(g, 64).dense(), build_rho_inverse(g, 64).dense()
+        r, ri = build_rho(g, 64).dense(), dense_gemm_rho_inverse(g, 64)
         for which in ("minus", "zero", "plus"):
             direct = r @ k_matrix(ops64, which) @ ri
             dev = frobenius_distance(direct, conjugate_k(g, which, 64), exclude_top=24)
@@ -297,26 +301,27 @@ def test_eta_rejects_a_non_finite_rho():
 
 @pytest.mark.parametrize(
     "build, g",
-    [(build_rho, MetricState(0.0, 1e7)), (build_rho_inverse, MetricState(0.0, 1e-7))],
+    [
+        (lambda g, dim: build_rho(g, dim).blocks, MetricState(0.0, 1e7)),
+        (build_rho_inverse, MetricState(0.0, 1e-7)),
+    ],
     ids=["rho", "rho_inverse"],
 )
 def test_rho_and_its_inverse_reject_non_finite_blocks(build, g):
-    # vtheta0^{K0} (rho) and vtheta0^{-K0} (rho^-1) overflow at dim 192.
+    # vtheta0^{K0} (rho) and vtheta0^{-K0} (rho^-1) overflow at dim 192. At
+    # Phi = 0 rho^-1 is diagonal and overflows only past the columns it keeps,
+    # so this raises because the check runs on the full product.
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError, match="non-finite"):
             build(g, 192)
-        assert np.all(np.isfinite(build(g, 16).blocks))
+        assert np.all(np.isfinite(build(g, 16)))
 
 
 @pytest.mark.parametrize("dim", [8, 9, 64, 65, 192])
 def test_parity_sector_builders_match_dense_gemm(dim):
     m = (dim + 1) // 2
     for g in random_metric_states(29, 3) + [MetricState(0.45, 0.7)]:
-        for build, oracle in (
-            (build_rho, dense_gemm_rho),
-            (build_rho_inverse, dense_gemm_rho_inverse),
-            (build_eta, dense_gemm_eta),
-        ):
+        for build, oracle in ((build_rho, dense_gemm_rho), (build_eta, dense_gemm_eta)):
             got, want = build(g, dim), oracle(g, dim)
             assert not got.blocks.flags.writeable
             assert got.blocks.shape == (2, m, m)
@@ -325,3 +330,38 @@ def test_parity_sector_builders_match_dense_gemm(dim):
             dense = got.dense()
             assert dense.shape == want.shape and dense.dtype == want.dtype
             assert np.max(np.abs(dense - want)) <= 1e-15 * np.max(np.abs(want))
+        # rho^-1 keeps its first columns, in natural order, with zeros where
+        # an even and an odd level meet.
+        got, want = build_rho_inverse(g, dim), dense_gemm_rho_inverse(g, dim)
+        k = rho_inverse_columns(dim)
+        assert not got.flags.writeable
+        assert got.shape == (dim, k) and got.dtype == want.dtype
+        assert not got[0::2, 1::2].any() and not got[1::2, 0::2].any()
+        assert np.max(np.abs(got - want[:, :k])) <= 1e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("dim", [4, 5, 8, 9, 64, 65, 192])
+def test_rho_inverse_keeps_the_first_columns_of_the_full_product(dim):
+    """Column n of build_rho_inverse is, bit for bit, column n of the full
+    parity-block product of the inverse's factors, and that product applied
+    to |n>."""
+    for g in random_metric_states(31, 3) + [MetricState(0.45, 0.7)]:
+        e_minus = ladder_exp(-g.vtheta_minus, dim, raising=False).blocks
+        e_plus = ladder_exp(-g.vtheta_plus, dim, raising=True).blocks
+        mid = _k0_power(1.0 / g.vtheta_zero, dim)
+        full = ParityBlocks(np.matmul(e_minus, mid[:, :, None] * e_plus), dim)
+        got = build_rho_inverse(g, dim)
+        assert got.shape == (dim, rho_inverse_columns(dim))
+        assert np.array_equal(got, full.dense()[:, : got.shape[1]])
+        for n in range(got.shape[1]):
+            assert np.array_equal(got[:, n], full @ basis_state(dim, n))
+
+
+def test_the_inverse_cache_holds_only_the_kept_columns():
+    # At dim 192 the kept 49 columns are 25 columns of each 96-level parity
+    # block, in an array of their own rather than a view of the full product.
+    g = MetricState(0.2, 1.0)
+    build_rho_inverse(g, 192)
+    entry = _rho_inv_cached(g.vtheta_plus, g.vtheta_zero, g.vtheta_minus, 192)
+    assert isinstance(entry, np.ndarray) and entry.base is None
+    assert entry.size <= 2 * 96 * 25

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from support import (
     HamiltonianCoefficients,
     InvariantCoefficients,
     basis_state,
+    dense_gemm_rho_inverse,
     random_metric_states,
     raw_metric_rates,
     su11_operator,
@@ -16,6 +18,7 @@ from support import (
 )
 
 from phinv import (
+    ConfigError,
     DomainError,
     GuardError,
     MetricState,
@@ -35,6 +38,10 @@ from phinv.model import (
     phase,
     transformed_frequency,
 )
+from phinv.metric import rho_inverse_columns
+from phinv.position import cross_representation_residual
+from phinv.runner import CROSS_REP_MAX_N, RAYLEIGH_MAX_N
+from phinv.scenario import demo_scenarios, parse_scenario
 
 
 def _random_drive(rng):
@@ -176,7 +183,7 @@ def test_invariant_eigencheck_moderate_state(ops64):
     inv = invariant_op(s, 64).dense()
     ri = build_rho_inverse(s, 64)
     eta = build_eta(s, 64)
-    vecs = [ri @ basis_state(64, n) for n in range(7)]
+    vecs = [ri[:, n] for n in range(7)]
     for n, v in enumerate(vecs):
         resid = np.linalg.norm(inv @ v - (n + 0.5) * v) / np.linalg.norm(v)
         assert resid <= 1e-10
@@ -199,7 +206,7 @@ def test_invariant_eigencheck_strong_state_converges_with_dim():
         ri = build_rho_inverse(s, dim)
         worst = 0.0
         for n in range(7):
-            v = ri @ basis_state(dim, n)
+            v = ri[:, n]
             worst = max(worst, float(np.linalg.norm(inv @ v - (n + 0.5) * v) / np.linalg.norm(v)))
         residuals.append(worst)
     assert residuals[0] > 1e-2
@@ -316,9 +323,8 @@ def test_eigenstate_matches_inverse_map_column(gentle_traj):
     """The invariant eigenstate rho^{-1}|1> is column 1 of rho^{-1}, with
     eigenvalue 3/2 away from the truncation edge."""
     s = gentle_traj.state_at(1200)
-    ri = build_rho_inverse(s, 64)
-    v = ri.columns(2)[:, 1]
-    assert np.linalg.norm(v - ri @ basis_state(64, 1)) <= 1e-13
+    v = build_rho_inverse(s, 64)[:, 1]
+    assert np.linalg.norm(v - dense_gemm_rho_inverse(s, 64) @ basis_state(64, 1)) <= 1e-13
     resid = invariant_op(s, 64) @ v - 1.5 * v
     assert np.linalg.norm(resid[:-8]) / np.linalg.norm(v) <= 1e-10
 
@@ -451,6 +457,38 @@ def test_assembly_rejects_a_level_outside_the_basis(gentle_traj, level):
     )
     with pytest.raises(DomainError, match=r"levels \[.*\] out of range for dim 64"):
         assemble_solution(traj, 0, 64)
+
+
+def test_every_level_a_run_reads_is_a_kept_column_of_rho_inverse(gentle_traj):
+    """At every dim a scenario allows, its tracked levels (at most dim/4),
+    the Rayleigh levels and the cross-representation levels are among the
+    columns of rho^-1 that build_rho_inverse keeps; a level outside them is
+    a DomainError that names it."""
+    demo = demo_scenarios()["demo_td"]
+    for dim in (7, 257):
+        with pytest.raises(ConfigError, match="dim"):
+            parse_scenario(json.dumps({**demo, "dim": dim}))
+    for dim in range(8, 257):
+        top = dim // 4
+        parse_scenario(json.dumps({**demo, "dim": dim, "quantum_numbers": [0, top]}))
+        with pytest.raises(ConfigError, match="dim/4"):
+            parse_scenario(json.dumps({**demo, "dim": dim, "quantum_numbers": [0, top + 1]}))
+        assert max(top, RAYLEIGH_MAX_N, CROSS_REP_MAX_N) < rho_inverse_columns(dim) <= dim
+    kept = rho_inverse_columns(64)
+    outside = r"level {} is outside the {} columns of rho\^-1 kept at dim 64"
+    past = outside.format(kept, kept)
+    traj = dataclasses.replace(
+        gentle_traj,
+        superposition={kept: 1.0, 1: 1.0},
+        phases={kept: gentle_traj.phases[0], 1: gentle_traj.phases[1]},
+    )
+    with pytest.raises(DomainError, match=past):
+        assemble_solution(traj, 0, 64)
+    with pytest.raises(DomainError, match=past):
+        cross_representation_residual(gentle_traj.state_at(0), kept, 64)
+    assert cross_representation_residual(gentle_traj.state_at(0), kept - 1, 64) < 1e-6
+    with pytest.raises(DomainError, match=outside.format(-1, kept)):
+        cross_representation_residual(gentle_traj.state_at(0), -1, 64)
 
 
 def test_assembled_solution_copy_is_writable(gentle_traj):

@@ -25,7 +25,10 @@ and whether they are all equal. Last, for each workload, it runs
 workload's seed-0 scenario (perfbench/workloads.make_scenario) and records
 `artifacts_identical`: whether both trees wrote the same series.csv and
 report.json, byte for byte, and where not, the report rows and CSV columns
-that differ.
+that differ; and `peak_rss_mb`, the ru_maxrss that wait4 reports for each
+side's `phinv run` process. A child's ru_maxrss starts from the peak of the
+process that started it: for this reading that is this script, far smaller
+than a phinv run, where perfbench's reading starts from its own harness.
 """
 
 from __future__ import annotations
@@ -137,21 +140,35 @@ def compare_artifacts(base: dict[str, str], change: dict[str, str]) -> dict:
     }
 
 
-def _write_artifacts(tree: Path, scenario: dict, out: Path) -> dict[str, str]:
-    """Run `phinv run` from tree's source on scenario; its artifacts' texts.
-    A run whose checks fail (exit 1) still writes them."""
+def run_measured(cmd: list[str], **popen_kwargs) -> tuple[int, str, float]:
+    """Run cmd to its end: its exit code, its stderr, and its own peak RSS
+    in MB, the ru_maxrss that wait4 reports for that one process (the
+    children's rusage of this process would be the largest of all its
+    children so far)."""
+    with tempfile.TemporaryFile() as err:
+        proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=err, **popen_kwargs)
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        stderr = err.read().decode("utf-8", "replace")
+    return proc.returncode, stderr, usage.ru_maxrss / 1024.0
+
+
+def _write_artifacts(tree: Path, scenario: dict, out: Path) -> tuple[dict[str, str], float]:
+    """Run `phinv run` from tree's source on scenario; its artifacts' texts
+    and the run's peak RSS in MB. A run whose checks fail (exit 1) still
+    writes them."""
     out.mkdir(parents=True)
     config = out / "config.json"
     config.write_text(json.dumps(scenario), encoding="utf-8")
-    proc = subprocess.run(
+    code, stderr, peak_rss_mb = run_measured(
         [sys.executable, "-m", "phinv.cli", "run", "--config", str(config),
          "--out", str(out), "--quiet"],
         cwd=out, env={**os.environ, "PYTHONPATH": str(tree / "src")},
-        capture_output=True, text=True,
     )
-    if proc.returncode not in (0, 1):
-        raise RuntimeError(f"{tree}: phinv run exited {proc.returncode}: {proc.stderr[-2000:]}")
-    return {name: (out / name).read_bytes().decode("utf-8") for name in ARTIFACTS}
+    if code not in (0, 1):
+        raise RuntimeError(f"{tree}: phinv run exited {code}: {stderr[-2000:]}")
+    return {name: (out / name).read_bytes().decode("utf-8") for name in ARTIFACTS}, peak_rss_mb
 
 
 def _make_scenario(root: Path):
@@ -243,7 +260,10 @@ def main(argv: list[str] | None = None) -> int:
                                            Path(out_dir) / workload / side)
                     for side, tree in (("base", base_tree), ("change", root))
                 }
-                artifacts[workload] = compare_artifacts(written["base"], written["change"])
+                artifacts[workload] = {
+                    **compare_artifacts(written["base"][0], written["change"][0]),
+                    "peak_rss_mb": {side: w[1] for side, w in written.items()},
+                }
 
     out = {
         "base": args.base,
@@ -289,7 +309,7 @@ def main(argv: list[str] | None = None) -> int:
         a = entry["artifacts"]
         print(f"{workload:16s} artifacts_identical {a['artifacts_identical']} report_rows "
               f"{a['report_rows']} report_fields {a['report_fields']} "
-              f"csv_columns {a['csv_columns']}")
+              f"csv_columns {a['csv_columns']} peak_rss_mb {a['peak_rss_mb']}")
     return 0
 
 

@@ -3,7 +3,7 @@
 Subcommands: run (execute a scenario, write series.csv + report.json),
 verify (re-judge an existing artifact pair), demo (write the two built-in
 scenario configs). Exit codes: 0 pass, 1 verification failure, 2
-input/format error, 3 numerical guard tripped.
+input/format error or out of memory, 3 numerical guard tripped.
 """
 
 from __future__ import annotations
@@ -134,6 +134,10 @@ def main(argv=None) -> int:
         return _cmd_demo(args)
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        # A grid or basis too large for this machine is an input error too.
+        print("error: out of memory" + (f": {e}" if str(e) else ""), file=sys.stderr)
         return 2
     except NumericsError as e:
         print(f"numerical guard: {e}", file=sys.stderr)

@@ -17,15 +17,22 @@ quarter of the work of the dense product. rho^{-1} is read only through its
 columns rho^{-1}|n> for low n, the invariant's eigenstates, so its cache
 keeps only the blocks' columns of the first K = rho_inverse_columns(dim)
 levels, and build_rho_inverse returns them as a (dim, K) array in natural
-level order. The
-three caches, their keys and the calls to ladder_exp per miss are those of
-the dense builders.
+level order.
+
+The three caches keep the keys and the calls to ladder_exp per miss of the
+dense builders, and differ in what they bound. The rho and rho^{-1} caches
+hold 256 states each, at dim 192 a (2, 96, 96) rho block of 147 KB (37.7 MB
+in all) and a (2, 96, 25) rho^{-1} block of 38 KB (9.8 MB); the order of the
+runner's sweeps over the report grid sets how often they miss. An eta state
+is read again only by the runner's window passes, a few report times later,
+so its cache keeps metric_window(dim) + 12 states per dim (see build_eta):
+13 at dim 192, 1.9 MB. A miss there is one product from the cached rho.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
@@ -167,12 +174,44 @@ def _rho_inv_cached(vp: float, vz: float, vm: float, dim: int) -> np.ndarray:
     return cut
 
 
+def metric_window(dim: int) -> int:
+    """Report times per window of the meters that build eta or rho: 256 KB of
+    (2, m, m) float64 blocks per stack (16 at dim 64, 1 at dim 192), at most
+    32. The eta cache holds the states of one window pass (build_eta)."""
+    m = (dim + 1) // 2
+    return max(1, min(32, 256 * 1024 // (16 * m * m)))
+
+
 def build_eta(g: MetricState, dim: int) -> ParityBlocks:
-    """eta = rho^T rho (rho is real), cached like rho."""
-    return _eta_cached(g.vtheta_plus, g.vtheta_zero, g.vtheta_minus, dim)
+    """eta = rho^T rho (rho is real), from the cached rho, kept in an LRU of
+    metric_window(dim) + 12 states for its dim.
+
+    The size is the runner's reach. A window pass over the report times
+    lo .. lo + W - 1, W = metric_window(dim), reads eta in three sweeps: the
+    Rayleigh and eta-norm pass reads the W states, Dyson's stencils read
+    lo - 4 .. lo + W + 3 (time i reads i+2, i+1, i-1, i-2, i+4, i-4, i), and
+    the Hermitian image reads the W states again; the next pass's stencils
+    read the 4 states below it again. Between two reads of one state the
+    runner reads at most max(W + 3, 10) other states: W + 3 from a window
+    state's last stencil read to the image's read of it, and 10 from the
+    read of i - 2 by one stencil to the read of i - 4 two stencils later,
+    which is the longer gap at W < 7. In any order of the three sweeps it
+    is at most max(W + 5, 10). W + 12 entries exceed both at every W, so
+    every state a pass reads again is a hit. The reads after the passes
+    (the spot times, the oracle's eta norms) rebuild the states they need,
+    with no call to ladder_exp while rho is cached.
+    """
+    return _eta_cached(dim)(g.vtheta_plus, g.vtheta_zero, g.vtheta_minus)
 
 
-@lru_cache(maxsize=256)
-def _eta_cached(vp: float, vz: float, vm: float, dim: int) -> ParityBlocks:
-    rho = _rho_cached(vp, vz, vm, dim).blocks
-    return _readonly(np.matmul(rho.transpose(0, 2, 1), rho), dim)
+@lru_cache(maxsize=8)
+def _eta_cached(dim: int) -> Callable[[float, float, float], ParityBlocks]:
+    """The eta cache of one dim; the caches of the 8 dims used last are kept,
+    and cache_clear() drops them all."""
+
+    @lru_cache(maxsize=metric_window(dim) + 12)
+    def eta(vp: float, vz: float, vm: float) -> ParityBlocks:
+        rho = _rho_cached(vp, vz, vm, dim).blocks
+        return _readonly(np.matmul(rho.transpose(0, 2, 1), rho), dim)
+
+    return eta

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, InstabilityError
 from .fock import BandOperator, ParityBlocks, _band_product, interior_norm, k0_operator, su11_bands
-from .metric import build_eta, build_rho
+from .metric import build_eta, build_rho, metric_window
 from .model import MetricTrajectory, hamiltonian_coeffs
 
 INSTABILITY_FACTOR = 1e6
@@ -206,14 +206,6 @@ def convergence_probe(
 # Report times per window of the band-only meters: a window holds a few
 # (WINDOW + 8, rows, dim) band stacks, never one over the whole grid.
 WINDOW = 128
-
-
-def metric_window(dim: int) -> int:
-    """Report times per window of the meters that build eta or rho: 256 KB of
-    (2, m, m) float64 blocks per stack (16 at dim 64, 1 at dim 192), at most
-    32, far below the 256 entries of the metric caches that hold its states."""
-    m = (dim + 1) // 2
-    return max(1, min(32, 256 * 1024 // (16 * m * m)))
 
 
 def _per_report_time(t_index, n_times: int, margin: int, window, size: int) -> float | np.ndarray:

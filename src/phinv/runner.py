@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._version import __version__
-from .errors import DomainError, FormatError, GuardError
+from .errors import ConfigError, DomainError, FormatError, GuardError
 from .fock import BandOperator, ParityBlocks, tail_support
-from .metric import build_eta, build_rho_inverse
+from .metric import build_eta, build_rho_inverse, metric_window
 from .model import (
     MetricState,
     assemble_solution,
@@ -44,11 +44,12 @@ from .propagator import (
     hermitian_image_check,
     hermitian_side_check,
     invariant_residual,
-    metric_window,
     propagate,
     schrodinger_residual,
 )
-from .scenario import CHECKS, Check, ScenarioConfig, canonical_hash, tolerance_overrides
+from .scenario import (
+    CHECKS, Check, ScenarioConfig, canonical_hash, parse_scenario, tolerance_overrides,
+)
 
 FIXED_COLUMNS = [
     "t", "Phi", "vtheta0", "chi",
@@ -360,6 +361,18 @@ def _recorded(check: Check, field: str, value) -> float:
     return float(value)
 
 
+def _recorded_tolerance(check: Check, row: dict, tolerances: dict) -> None:
+    """A row's recorded tolerance must be the effective config's, and a
+    finite number >= 0."""
+    tolerance = tolerances.get(check.name)
+    if row.get("tolerance") != tolerance:
+        raise FormatError(
+            f"check row '{check.name}' records tolerance {row.get('tolerance')!r}, but "
+            f"effective_config.tolerances gives {tolerance!r}; the report was edited"
+        )
+    _recorded(check, "tolerance", tolerance)
+
+
 def verify_artifacts(
     csv_text: str, report_text: str, overrides: dict[str, float] | None = None
 ) -> tuple[int, list[str]]:
@@ -372,8 +385,9 @@ def verify_artifacts(
     report grid only). Each row is judged against the effective config's
     tolerance, which its recorded tolerance must equal, or against an
     override; both must be finite numbers >= 0. The pair must belong
-    together (CSV digest, config hash), and its rows must be the ones run
-    emits, each once.
+    together (CSV digest, config hash), its rows must be the ones run
+    emits, each once, and its effective config must parse as a scenario,
+    as run parses a config; a FormatError names the field that does not.
     """
     try:
         report = json.loads(report_text)
@@ -402,6 +416,16 @@ def verify_artifacts(
             "the report's effective_config does not hash to its config_hash; "
             "the report was edited"
         )
+    row_of = dict(zip(names, rows))
+    if isinstance(tolerances, dict):
+        # Each row's own tolerance first, so an edited row is named as such;
+        # tolerances that are not an object are named by the parse below.
+        for check in CHECKS:
+            _recorded_tolerance(check, row_of[check.name], tolerances)
+    try:
+        cfg = parse_scenario(json.dumps(eff))
+    except ConfigError as e:
+        raise FormatError(f"the report's effective_config is not a valid scenario: {e}") from e
 
     digest = hashlib.sha256(csv_text.encode()).hexdigest()
     if digest != recorded_digest:
@@ -410,7 +434,7 @@ def verify_artifacts(
             "these artifacts are not a pair"
         )
     cols = _parse_csv(csv_text)
-    expected_rows = round(eff["t_max"] / eff["dt"]) + 1
+    expected_rows = round(cfg.t_max / cfg.dt) + 1
     n_rows = len(cols["t"])
     if n_rows != expected_rows:
         raise FormatError(
@@ -423,15 +447,8 @@ def verify_artifacts(
 
     lines = []
     ok = True
-    row_of = dict(zip(names, rows))
     for check in CHECKS:
-        row, tolerance = row_of[check.name], tolerances.get(check.name)
-        if row.get("tolerance") != tolerance:
-            raise FormatError(
-                f"check row '{check.name}' records tolerance {row.get('tolerance')!r}, but "
-                f"effective_config.tolerances gives {tolerance!r}; the report was edited"
-            )
-        tolerance = _recorded(check, "tolerance", tolerance)
+        row, tolerance = row_of[check.name], cfg.tolerances[check.name]
         if check.column is None:
             residual = _recorded(check, "max_residual", row.get("max_residual"))
         else:

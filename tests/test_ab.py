@@ -132,6 +132,26 @@ def test_artifacts_compare_byte_for_byte_and_name_what_differs():
     assert not c["artifacts_identical"]
 
 
+
+def test_artifacts_are_identical_only_if_they_are_at_every_seed():
+    rows = [("schrodinger", 1e-9), ("dyson", 2e-9)]
+    cells = [["0.0", "0.2", "nan"], ["1.0", "0.3", "4.0e-10"]]
+    same = {"base": _artifacts(rows, cells), "change": _artifacts(rows, cells)}
+    assert ab.compare_seeds({seed: same for seed in ab.ARTIFACT_SEEDS}) == {
+        "artifacts_identical": True,
+        "seeds": {str(seed): ab.compare_artifacts(same["base"], same["change"])
+                  for seed in ab.ARTIFACT_SEEDS},
+    }
+    # Seed 3's dyson row moved in its last digit; seeds 0 and 101 agree.
+    moved = {"base": same["base"],
+             "change": _artifacts([("schrodinger", 1e-9), ("dyson", 2.0000000000000004e-9)],
+                                  cells)}
+    c = ab.compare_seeds({0: same, 3: moved, 101: same})
+    assert not c["artifacts_identical"]
+    assert [s for s, seed in c["seeds"].items() if not seed["artifacts_identical"]] == ["3"]
+    assert c["seeds"]["3"]["report_rows"] == ["dyson"]
+    assert c["seeds"]["3"]["csv_columns"] == [] and c["seeds"]["101"]["report_rows"] == []
+
 # Runs argv[1]'s run_measured on a 64 MB child and a bare one, then its
 # _write_artifacts on the tree argv[2] and the config argv[3] into argv[4].
 RSS_PROBE = """

@@ -102,6 +102,30 @@ def test_verify_rejects_an_edited_effective_config(artifact_dir, tmp_path, capsy
     assert "does not hash to its config_hash" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value, says",
+    [
+        ("t_max", "0.05", "t_max: must be a number"),
+        ("t_max", None, "t_max: must be a number"),
+        ("dt", 0, "dt: must be positive, got 0.0"),
+        ("tolerances", [1], "tolerances: must be an object"),
+    ],
+    ids=["t_max-string", "t_max-null", "dt-zero", "tolerances-list"],
+)
+def test_verify_rejects_an_effective_config_that_is_not_a_scenario(
+    artifact_dir, tmp_path, capsys, field, value, says
+):
+    # config_hash is recomputed, so only the config itself is at fault.
+    shutil.copy(artifact_dir / "series.csv", tmp_path / "series.csv")
+    report = json.loads((artifact_dir / "report.json").read_text())
+    eff = report["provenance"]["effective_config"]
+    eff[field] = value
+    report["provenance"]["config_hash"] = canonical_hash(eff)
+    (tmp_path / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    assert main(["verify", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: the report's effective_config is not a valid scenario: {says}\n"
+
 
 @pytest.fixture(scope="module")
 def failing_td_dir(tmp_path_factory):
@@ -378,6 +402,29 @@ def test_run_negative_seed_is_a_config_error(tmp_path, capsys, no_run):
     config.write_text(json.dumps(dict(SHORT_GENTLE, seed=-1)))
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert capsys.readouterr().err == "error: seed: must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "raised, says",
+    [
+        (MemoryError("Unable to allocate 1.19 GiB for an array"),
+         "error: out of memory: Unable to allocate 1.19 GiB for an array\n"),
+        (MemoryError(), "error: out of memory\n"),
+    ],
+    ids=["with-message", "bare"],
+)
+def test_a_run_out_of_memory_is_an_input_error(tmp_path, capsys, monkeypatch, raised, says):
+    import phinv.cli
+
+    def out_of_memory(cfg):
+        raise raised
+
+    monkeypatch.setattr(phinv.cli, "run_scenario", out_of_memory)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(SHORT_GENTLE))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == says
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("command", ["run", "demo"])

@@ -1,4 +1,5 @@
 import ast
+import gc
 import hashlib
 import importlib
 import inspect
@@ -6,6 +7,7 @@ import json
 import pathlib
 import sys
 import time
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -429,7 +431,8 @@ def _count_calls(monkeypatch, cfg) -> Counter:
     from empty metric caches: metric builder calls, ladder_exp calls (the
     caches' misses call it through the module global), RK4 steps over every
     propagate call, H(t) evaluations of both RK4 sources, and position-grid
-    points over every Gram matrix."""
+    points over every Gram matrix; and the eta products, the eta cache's
+    misses."""
     counts = Counter()
 
     def counting(key, bump=lambda args, kwargs: 1):
@@ -468,6 +471,7 @@ def _count_calls(monkeypatch, cfg) -> Counter:
     ):
         cache.cache_clear()
     run_scenario(cfg)
+    counts["eta_products"] = phinv.metric._eta_cached(cfg.dim).cache_info().misses
     return counts
 
 
@@ -476,7 +480,9 @@ def test_short_run_makes_the_pinned_ladder_exp_calls(dim, monkeypatch):
     """The metric caches miss, and call ladder_exp through the module
     global, exactly as often as before the parity-sector builders: 404
     times for demo_td to t_max 0.1 from empty caches. The other counters
-    perfbench checks exactly are pinned with it."""
+    perfbench checks exactly are pinned with it. The eta cache holds one
+    window pass, so the oracle's sweep over the 101 report times rebuilds
+    eta from the cached rho: 205 products, and no more ladder_exp calls."""
     cfg = scenario(dict(demo_scenarios()["demo_td"], dim=dim, t_max=0.1))
     assert _count_calls(monkeypatch, cfg) == {
         "build_calls": 1426,
@@ -484,6 +490,7 @@ def test_short_run_makes_the_pinned_ladder_exp_calls(dim, monkeypatch):
         "rk4_steps": 1656,
         "h_evals": 6624,
         "grid_points": 22011,
+        "eta_products": 205,
     }
 
 
@@ -512,12 +519,14 @@ def test_windowed_metric_meters_give_the_per_time_values(dim):
 
 def test_a_run_past_the_cache_size_makes_the_pinned_calls(monkeypatch):
     """demo_td at dim 16 to t_max 0.3 has 301 report times, more than the
-    256 entries of each metric cache. The meters that build the metric run
-    window by window, so each window's states are built once there, and the
-    later sweeps over the grid (oracle eta norms, Hermitian-side rho) miss
-    as they did with one report time at a time. A runner that swept each
-    meter over the whole grid would rebuild evicted states and make more
-    ladder_exp calls."""
+    256 entries of the rho and rho^-1 caches, and far more than the 44 of
+    the eta cache at dim 16. The meters that build the metric run window by
+    window, so each window's states are built once there, and the later
+    sweeps over the grid (oracle eta norms, Hermitian-side rho) miss as they
+    did with one report time at a time. A runner that swept each meter over
+    the whole grid would rebuild evicted states and make more ladder_exp
+    calls. eta is built 609 times: once per state in the window passes, and
+    again where the spot times and the oracle's sweep read it."""
     cfg = scenario(dict(demo_scenarios()["demo_td"], dim=16, t_max=0.3))
     assert _count_calls(monkeypatch, cfg) == {
         "build_calls": 4226,
@@ -525,7 +534,45 @@ def test_a_run_past_the_cache_size_makes_the_pinned_calls(monkeypatch):
         "rk4_steps": 4968,
         "h_evals": 19872,
         "grid_points": 22011,
+        "eta_products": 609,
     }
+
+
+@pytest.mark.parametrize("dim", [128, 192])
+def test_the_eta_cache_holds_one_window_pass(dim, monkeypatch):
+    """demo_td to t_max 0.04 builds eta at 41 report times, more than the
+    eta cache's metric_window(dim) + 12 entries (16 at dim 128, 13 at dim
+    192). The window passes still build each state once: every state a pass
+    reads again is a hit. Once the run ends, of all the eta states it was
+    handed, the cache holds no more than its size (the run keeps none)."""
+    cfg = scenario(dict(demo_scenarios()["demo_td"], dim=dim, t_max=0.04))
+    size = phinv.metric.metric_window(dim) + 12
+    handed = []
+    in_passes = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            eta = fn(*args, **kwargs)
+            handed.append(weakref.ref(eta))
+            return eta
+        return wrapper
+
+    def after_the_passes(fn):
+        # The spot checks start with a Gram matrix, after the window passes.
+        def wrapper(*args, **kwargs):
+            if not in_passes:
+                in_passes.append(phinv.metric._eta_cached(dim).cache_info().misses)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    _patch_everywhere(monkeypatch, phinv.metric, "build_eta", recording)
+    _patch_everywhere(monkeypatch, phinv.position, "orthonormality_matrix", after_the_passes)
+    counts = _count_calls(monkeypatch, cfg)
+    gc.collect()
+    held = {id(ref()) for ref in handed if ref() is not None}
+    assert in_passes == [41]
+    assert counts["eta_products"] > size
+    assert 0 < len(held) <= size
 
 
 def _readme_check_table() -> list[tuple[str, float]]:

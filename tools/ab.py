@@ -22,11 +22,12 @@ it runs `--seconds 0 --trace 1` once in each tree and records both sides'
 exact counters (the per-layer metrics of unit `count` in BENCHMARK.json)
 and whether they are all equal. Last, for each workload, it runs
 `python3 -m phinv.cli run` in each tree (PYTHONPATH=<tree>/src) on the
-workload's seed-0 scenario (perfbench/workloads.make_scenario) and records
-`artifacts_identical`: whether both trees wrote the same series.csv and
+workload's scenarios for seeds 0, 3 and 101 (perfbench/workloads.make_scenario)
+and records, per seed, whether both trees wrote the same series.csv and
 report.json, byte for byte, and where not, the report rows and CSV columns
-that differ; and `peak_rss_mb`, the ru_maxrss that wait4 reports for each
-side's `phinv run` process. A child's ru_maxrss starts from the peak of the
+that differ; `artifacts_identical`, whether they did at every seed; and
+`peak_rss_mb`, the ru_maxrss that wait4 reports for each side's seed-0
+`phinv run` process. A child's ru_maxrss starts from the peak of the
 process that started it: for this reading that is this script, far smaller
 than a phinv run, where perfbench's reading starts from its own harness.
 """
@@ -103,6 +104,8 @@ def compare_counters(base: dict, change: dict, names: list[str]) -> dict:
 
 
 ARTIFACTS = ("series.csv", "report.json")
+# The benchmark's own seed and two perturbed drives.
+ARTIFACT_SEEDS = (0, 3, 101)
 
 
 def _csv_columns(text: str) -> dict[str, list[str]]:
@@ -138,6 +141,16 @@ def compare_artifacts(base: dict[str, str], change: dict[str, str]) -> dict:
         "csv_columns": _differing(_csv_columns(base["series.csv"]),
                                   _csv_columns(change["series.csv"])),
     }
+
+
+def compare_seeds(written: dict[int, dict[str, dict[str, str]]]) -> dict:
+    """compare_artifacts at each seed ({seed: {"base": texts, "change":
+    texts}}), keyed by the seed's text as JSON keys are, and whether the
+    artifacts were identical at every seed."""
+    seeds = {str(seed): compare_artifacts(sides["base"], sides["change"])
+             for seed, sides in written.items()}
+    return {"artifacts_identical": all(c["artifacts_identical"] for c in seeds.values()),
+            "seeds": seeds}
 
 
 def run_measured(cmd: list[str], **popen_kwargs) -> tuple[int, str, float]:
@@ -256,13 +269,17 @@ def main(argv: list[str] | None = None) -> int:
         with tempfile.TemporaryDirectory(prefix="ab-artifacts-") as out_dir:
             for workload in workloads:
                 written = {
-                    side: _write_artifacts(tree, make_scenario(workload, 0),
-                                           Path(out_dir) / workload / side)
-                    for side, tree in (("base", base_tree), ("change", root))
+                    seed: {
+                        side: _write_artifacts(tree, make_scenario(workload, seed),
+                                               Path(out_dir) / workload / str(seed) / side)
+                        for side, tree in (("base", base_tree), ("change", root))
+                    }
+                    for seed in ARTIFACT_SEEDS
                 }
                 artifacts[workload] = {
-                    **compare_artifacts(written["base"][0], written["change"][0]),
-                    "peak_rss_mb": {side: w[1] for side, w in written.items()},
+                    **compare_seeds({seed: {side: w[0] for side, w in sides.items()}
+                                     for seed, sides in written.items()}),
+                    "peak_rss_mb": {side: w[1] for side, w in written[0].items()},
                 }
 
     out = {
@@ -307,9 +324,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{workload:16s} counters base {c['base']} change {c['change']} "
               f"counters_equal {c['counters_equal']} traced_failed {c['traced_failed']}")
         a = entry["artifacts"]
-        print(f"{workload:16s} artifacts_identical {a['artifacts_identical']} report_rows "
-              f"{a['report_rows']} report_fields {a['report_fields']} "
-              f"csv_columns {a['csv_columns']} peak_rss_mb {a['peak_rss_mb']}")
+        print(f"{workload:16s} artifacts_identical {a['artifacts_identical']} "
+              f"peak_rss_mb {a['peak_rss_mb']}")
+        for seed, c in a["seeds"].items():
+            print(f"{workload:16s} seed {seed:>4s} artifacts_identical "
+                  f"{c['artifacts_identical']} report_rows {c['report_rows']} report_fields "
+                  f"{c['report_fields']} csv_columns {c['csv_columns']}")
     return 0
 
 

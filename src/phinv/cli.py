@@ -13,9 +13,10 @@ import dataclasses
 import json
 import os
 import sys
+import warnings
 
 from ._version import __version__
-from .errors import InputError, NumericsError
+from .errors import InputError, NumericsError, TruncationWarning
 from .runner import run_scenario, verify_artifacts
 from .scenario import demo_scenarios, parse_scenario, tolerance_overrides
 
@@ -92,7 +93,19 @@ def _cmd_run(args) -> int:
     overrides = tolerance_overrides(args.tolerance)
     cfg = dataclasses.replace(cfg, tolerances={**cfg.tolerances, **overrides})
     _make_out_dir(args.out)
-    result = run_scenario(cfg)
+    show = warnings.showwarning
+
+    def one_line(message, category, *where):
+        # A run's TruncationWarning as one line, without Python's location
+        # and source lines; any other warning as Python shows it.
+        if issubclass(category, TruncationWarning):
+            print(f"warning: {message}", file=sys.stderr)
+        else:
+            show(message, category, *where)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = one_line
+        result = run_scenario(cfg)
     csv_path = os.path.join(args.out, "series.csv")
     report_path = os.path.join(args.out, "report.json")
     _write_text(csv_path, result.csv_text, "artifacts")

@@ -15,14 +15,16 @@ last row and column when dim is odd, and `.dense()` for the dense matrix.
 Each is one batched product of the factors' blocks, half the memory and a
 quarter of the work of the dense product. rho^{-1} is read only through its
 columns rho^{-1}|n> for low n, the invariant's eigenstates, so its cache
-keeps only the blocks' columns of the first K = rho_inverse_columns(dim)
-levels, and build_rho_inverse returns them as a (dim, K) array in natural
-level order.
+keeps only the blocks' columns of the first K = rho_inverse_columns(dim, top)
+levels, where top is the run's highest tracked level, and
+build_rho_inverse returns them as a (dim, K) array in natural level order.
 
 The three caches keep the keys and the calls to ladder_exp per miss of the
-dense builders, and differ in what they bound. The rho and rho^{-1} caches
+dense builders (rho^{-1}'s key adds K, which is the same for every read in a
+run), and differ in what they bound. The rho and rho^{-1} caches
 hold 256 states each, at dim 192 a (2, 96, 96) rho block of 147 KB (37.7 MB
-in all) and a (2, 96, 25) rho^{-1} block of 38 KB (9.8 MB); the order of the
+in all) and, for a run whose top is at most 6, a (2, 96, 4) rho^{-1} block
+of 6 KB (1.6 MB; 9.8 MB when a run tracks level 48); the order of the
 runner's sweeps over the report grid sets how often they miss. An eta state
 is read again only by the runner's window passes, a few report times later,
 so its cache keeps metric_window(dim) + 12 states per dim (see build_eta):
@@ -135,22 +137,25 @@ def _rho_cached(vp: float, vz: float, vm: float, dim: int) -> ParityBlocks:
     return _readonly(np.matmul(e_plus, mid[:, :, None] * e_minus), dim)
 
 
-def rho_inverse_columns(dim: int) -> int:
-    """K(dim), the number of columns of rho^{-1} that build_rho_inverse keeps.
+def rho_inverse_columns(dim: int, top: int = 0) -> int:
+    """K, the number of columns of rho^{-1} that build_rho_inverse keeps for
+    a run whose highest tracked level is top.
 
-    A run reads rho^{-1}|n> for its tracked levels, which the scenario caps at
-    dim // 4, and for n <= 6 in the Rayleigh and cross-representation meters;
-    no caller reads further, so the columns past them are not kept.
+    A run reads rho^{-1}|n> for its tracked levels and for n <= 6 in the
+    Rayleigh and cross-representation meters; no caller reads further, so
+    the columns past them are not kept. Every read in one run asks for the
+    same K, so the cache holds one entry per state.
     """
-    return min(dim, max(dim // 4, 6) + 1)
+    return min(dim, max(top, 6) + 1)
 
 
-def build_rho_inverse(g: MetricState, dim: int) -> np.ndarray:
-    """The first rho_inverse_columns(dim) columns of the analytic inverse
-    (reversed factors with negated/reciprocal parameters), a read-only real
-    (dim, K) array in natural level order: column n is rho^{-1}|n>."""
-    blocks = _rho_inv_cached(g.vtheta_plus, g.vtheta_zero, g.vtheta_minus, dim)
-    k = rho_inverse_columns(dim)
+def build_rho_inverse(g: MetricState, dim: int, top: int = 0) -> np.ndarray:
+    """The first rho_inverse_columns(dim, top) columns of the analytic
+    inverse (reversed factors with negated/reciprocal parameters), a
+    read-only real (dim, K) array in natural level order: column n is
+    rho^{-1}|n>. top is the highest level the caller's run tracks."""
+    k = rho_inverse_columns(dim, top)
+    blocks = _rho_inv_cached(g.vtheta_plus, g.vtheta_zero, g.vtheta_minus, dim, k)
     out = np.zeros((dim, k))
     for p in (0, 1):
         out[p::2, p::2] = blocks[p, : (dim - p + 1) // 2, : (k - p + 1) // 2]
@@ -159,8 +164,8 @@ def build_rho_inverse(g: MetricState, dim: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=256)
-def _rho_inv_cached(vp: float, vz: float, vm: float, dim: int) -> np.ndarray:
-    """The kept columns as (2, m, ceil(K / 2)) parity blocks. The full
+def _rho_inv_cached(vp: float, vz: float, vm: float, dim: int, k: int) -> np.ndarray:
+    """The first k columns as (2, m, ceil(k / 2)) parity blocks. The full
     product is formed, and checked for overflow, before it is cut, so the
     kept entries are those of the full blocks."""
     e_minus = ladder_exp(-vm, dim, raising=False).blocks
@@ -169,7 +174,7 @@ def _rho_inv_cached(vp: float, vz: float, vm: float, dim: int) -> np.ndarray:
     # one more temporary of the full size.
     e_plus *= _k0_power(1.0 / vz, dim)[:, :, None]
     full = _readonly(np.matmul(e_minus, e_plus), dim).blocks
-    cut = full[..., : (rho_inverse_columns(dim) + 1) // 2].copy()
+    cut = full[..., : (k + 1) // 2].copy()
     cut.setflags(write=False)
     return cut
 

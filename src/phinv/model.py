@@ -12,15 +12,14 @@ flow calls them on its whole half-step grid at once.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import DomainError, GuardError, TruncationWarning
-from .fock import BandOperator, su11_bands, tail_support
-from .metric import build_rho_inverse, rho_inverse_columns
+from .errors import DomainError, GuardError
+from .fock import BandOperator, su11_bands
+from .metric import build_rho_inverse
 from .scenario import CHECK_PROFILES, GENERATOR_PROFILES
 
 # Dense flow steps per report interval. The propagation oracles read H(t)
@@ -29,7 +28,6 @@ from .scenario import CHECK_PROFILES, GENERATOR_PROFILES
 STRIDE = 8
 VTHETA_FLOOR = 1e-8
 DENOM_FLOOR = 1e-8
-TAIL_WARN = 1e-8
 
 
 @dataclass(frozen=True)
@@ -460,24 +458,16 @@ def _simpson_subintervals(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
 
 def assemble_solution(traj: MetricTrajectory, t_index: int, dim: int) -> np.ndarray:
     """The exact solution sum_n C_n exp(i gamma_n(t)) rho^{-1}(t)|n> at one
-    report time. Warns when the result leans on the truncation edge."""
+    report time."""
     if not traj.superposition:
         raise ValueError("trajectory has no superposition coefficients")
     if not 0 <= min(traj.superposition) <= max(traj.superposition) < dim:
         raise DomainError(f"levels {sorted(traj.superposition)} out of range for dim {dim}")
-    top, kept = max(traj.superposition), rho_inverse_columns(dim)
-    if top >= kept:
-        raise DomainError(f"level {top} is outside the {kept} columns of rho^-1 kept at dim {dim}")
-    columns = build_rho_inverse(traj.state_at(t_index), dim)
+    # The run's top level sets the columns of rho^-1 kept, so they hold
+    # every level read here.
+    columns = build_rho_inverse(traj.state_at(t_index), dim, max(traj.superposition))
     out = np.zeros(dim, dtype=complex)
     for n, c_n in traj.superposition.items():
         out += c_n * np.exp(1j * traj.phases[n][t_index]) * columns[:, n]
-    frac = tail_support(out)
-    if frac > TAIL_WARN:
-        warnings.warn(
-            f"assembled state holds {frac:.2e} of its weight in the top levels",
-            TruncationWarning,
-            stacklevel=2,
-        )
     return out
 

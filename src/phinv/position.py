@@ -257,19 +257,23 @@ def fock_to_position(vec: np.ndarray, grid: PositionGrid) -> np.ndarray:
     return out
 
 
-def cross_representation_residual(s: MetricState, n: int, dim: int) -> float:
+def cross_representation_residual(s: MetricState, n: int, dim: int, top: int = 0) -> float:
     """Pointwise mismatch between the two routes to the same eigenfunction.
 
     Route one: rho^{-1}|n> in the Fock basis, synthesized on the grid. Route
     two: the closed-form eigenfunction. Both are L2-normalized on the grid
     (the closed form is weight-normalized, so its plain L2 norm differs by a
     real factor), then aligned by one unit-modulus complex factor. Returns
-    max |difference| / max |closed form|.
+    max |difference| / max |closed form|. top is the highest level the
+    caller's run tracks (build_rho_inverse); n must be one of the columns
+    of rho^{-1} kept for it.
     """
-    kept = rho_inverse_columns(dim)
+    kept = rho_inverse_columns(dim, top)
     if not 0 <= n < kept:
-        raise DomainError(f"level {n} is outside the {kept} columns of rho^-1 kept at dim {dim}")
-    fock_vec = build_rho_inverse(s, dim)[:, n]
+        raise DomainError(
+            f"level {n} is outside the {kept} columns of rho^-1 kept at dim {dim}, top {top}"
+        )
+    fock_vec = build_rho_inverse(s, dim, top)[:, n]
     grid = PositionGrid.for_shape(GaussianShape.from_state(s), n_max=n)
     synthesized = fock_to_position(fock_vec, grid)
     closed = np.asarray(eigenfunction(n, grid.points, s))

@@ -13,14 +13,16 @@ tolerances, without recomputing the physics.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._version import __version__
-from .errors import ConfigError, DomainError, FormatError, GuardError
+from .errors import ConfigError, DomainError, FormatError, GuardError, TruncationWarning
 from .fock import BandOperator, ParityBlocks, tail_support
 from .metric import build_eta, build_rho_inverse, metric_window
 from .model import (
@@ -66,6 +68,9 @@ RAYLEIGH_MAX_N = 6
 CROSS_REP_MAX_N = 4
 GRAM_MAX_N = 5
 ORACLE_HORIZON = 0.5
+# Tail weight above which a run warns (TruncationWarning); the tail_support
+# tolerance stops it.
+TAIL_WARN = 1e-8
 
 
 def _fmt(x: float) -> str:
@@ -97,6 +102,22 @@ def _worst(check: Check, values, times) -> tuple[float, float | None]:
     return float(vals[j]), None if times[j] is None else float(times[j])
 
 
+def _warn_truncation(tails: np.ndarray, times: np.ndarray) -> None:
+    """One TruncationWarning for a run whose assembled states hold more than
+    TAIL_WARN of their weight in the top levels: at how many report times,
+    and the largest weight with its time."""
+    over = int(np.count_nonzero(tails > TAIL_WARN))
+    if over:
+        j = int(np.argmax(tails))
+        warnings.warn(
+            f"assembled states hold more than {TAIL_WARN:.0e} of their weight in the "
+            f"top levels at {over} of {len(tails)} report times, at most "
+            f"{tails[j]:.3e} at t={times[j]:.6g}",
+            TruncationWarning,
+            stacklevel=3,
+        )
+
+
 @dataclass
 class RunResult:
     config: ScenarioConfig
@@ -125,6 +146,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
     n_times = traj.n_times
     times = traj.times
+    # Every read of rho^-1 in the run asks for the columns of its top level,
+    # as assembly does (metric.build_rho_inverse).
+    top = max(cfg.quantum_numbers)
 
     # The position spot checks need normalizable eigenfunctions that decay
     # inside their grid. Both are known from the trajectory alone, so a
@@ -147,11 +171,14 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         states[i] = assemble_solution(traj, i, dim)
         tails[i] = tail_support(states[i])
         if tails[i] > tol["tail_support"]:
-            raise GuardError(
-                "tail-support", float(times[i]),
-                f"assembled state holds {tails[i]:.3e} of its weight in the "
-                f"top levels (limit {tol['tail_support']:.1e})",
-            )
+            break
+    _warn_truncation(tails[: i + 1], times)
+    if tails[i] > tol["tail_support"]:
+        raise GuardError(
+            "tail-support", float(times[i]),
+            f"assembled state holds {tails[i]:.3e} of its weight in the "
+            f"top levels (limit {tol['tail_support']:.1e})",
+        )
 
     margin = {c.name: c.margin for c in CHECKS}
     m = margin["schrodinger"]
@@ -182,7 +209,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         eta_norms[idx] = [np.vdot(v, w).real for v, w in zip(states[idx], eta @ states[idx])]
         inv = BandOperator(traj.i_bands(idx, dim))
         # The columns rho^{-1}|n> are real, as are eta and I.
-        v = np.stack([build_rho_inverse(g, dim)[:, : len(levels)] for g in gs])
+        v = np.stack([build_rho_inverse(g, dim, top)[:, : len(levels)] for g in gs])
         den = np.sum(v * (eta @ v), axis=-2)
         num = np.sum(v * (eta @ (inv @ v)), axis=-2)
         rayleigh_dev[idx] = np.max(np.abs(num / den - levels), axis=-1)
@@ -201,7 +228,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         gram_dev.append(orthonormality_matrix(GRAM_MAX_N, s_i, grid))
         canon_dev.append(canonical_agreement(s_i, dim))
         cross_dev.append(float(np.max([
-            cross_representation_residual(s_i, n, dim)
+            cross_representation_residual(s_i, n, dim, top)
             for n in range(min(CROSS_REP_MAX_N, dim - 1) + 1)
         ])))
         eta = build_eta(s_i, dim)
@@ -298,9 +325,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     )
 
 
+def _csv_header(levels) -> list[str]:
+    """The columns of series.csv for the tracked levels, in ascending order."""
+    return FIXED_COLUMNS + [f"gamma_{n}" for n in levels] + TRAILING_COLUMNS
+
+
 def _emit_csv(traj, eta_norms, schro, inv_res, dys_res, tails) -> str:
-    gamma_cols = [f"gamma_{n}" for n in traj.phases]
-    header = FIXED_COLUMNS + gamma_cols + TRAILING_COLUMNS
+    header = _csv_header(traj.phases)
     phi, vtheta0, omega, alpha, beta, w = (
         a[:: traj.stride]
         for a in (traj.phi, traj.vtheta0, traj.omega, traj.alpha, traj.beta, traj.w)
@@ -316,20 +347,27 @@ def _emit_csv(traj, eta_norms, schro, inv_res, dys_res, tails) -> str:
     return CSV_EOL.join(lines) + CSV_EOL
 
 
-def _parse_csv(csv_text: str) -> dict[str, np.ndarray]:
+def _parse_csv(csv_text: str, columns: list[str] | None = None) -> dict[str, np.ndarray]:
     """series.csv as named columns. Every line but the empty one after the
     final CSV_EOL is a row: run writes no blank line, and loadtxt would skip
-    one. comments=None keeps loadtxt from cutting a cell at '#'."""
+    one. comments=None keeps loadtxt from cutting a cell at '#'. Given
+    columns, the header must be exactly those, in order; a FormatError
+    names the ones missing, or else the first that differs."""
     rows = csv_text.split(CSV_EOL)
     if rows[-1] == "":
         rows.pop()
     if not any(rows):
         raise FormatError("empty CSV")
     header = rows[0].split(",")
-    needed = set(FIXED_COLUMNS + TRAILING_COLUMNS)
-    missing = needed - set(header)
+    needed = columns or FIXED_COLUMNS + TRAILING_COLUMNS
+    missing = set(needed) - set(header)
     if missing:
         raise FormatError(f"CSV is missing columns: {sorted(missing)}")
+    if columns is not None and header != columns:
+        j, got, want = next((j, a, b) for j, (a, b) in
+                            enumerate(itertools.zip_longest(header, columns)) if a != b)
+        where = f"column {want!r}" if want is not None else "no column"
+        raise FormatError(f"CSV column {j + 1} is {got!r}, where run writes {where}")
     data = rows[1:]
     for k, line in enumerate(data, start=2):
         if line.count(",") != len(header) - 1:
@@ -386,8 +424,9 @@ def verify_artifacts(
     tolerance, which its recorded tolerance must equal, or against an
     override; both must be finite numbers >= 0. The pair must belong
     together (CSV digest, config hash), its rows must be the ones run
-    emits, each once, and its effective config must parse as a scenario,
-    as run parses a config; a FormatError names the field that does not.
+    emits, each once, its effective config must parse as a scenario, as run
+    parses a config, and its CSV columns must be the ones run writes for
+    that config, in order; a FormatError names the field that does not.
     """
     try:
         report = json.loads(report_text)
@@ -433,7 +472,7 @@ def verify_artifacts(
             "CSV does not match the report (digest mismatch); "
             "these artifacts are not a pair"
         )
-    cols = _parse_csv(csv_text)
+    cols = _parse_csv(csv_text, _csv_header(cfg.quantum_numbers))
     expected_rows = round(cfg.t_max / cfg.dt) + 1
     n_rows = len(cols["t"])
     if n_rows != expected_rows:

@@ -152,6 +152,24 @@ def test_artifacts_are_identical_only_if_they_are_at_every_seed():
     assert c["seeds"]["3"]["report_rows"] == ["dyson"]
     assert c["seeds"]["3"]["csv_columns"] == [] and c["seeds"]["101"]["report_rows"] == []
 
+
+def test_the_artifacts_record_holds_both_peaks_at_every_seed():
+    rows = [("schrodinger", 1e-9), ("dyson", 2e-9)]
+    texts = _artifacts(rows, [["0.0", "0.2", "nan"], ["1.0", "0.3", "4.0e-10"]])
+    peaks = {0: (94.9, 87.2), 3: (95.1, 87.3), 101: (94.6, 86.8)}
+    written = {seed: {"base": (texts, base), "change": (texts, change)}
+               for seed, (base, change) in peaks.items()}
+    entry = ab.artifact_entry(written)
+    assert entry["artifacts_identical"]
+    for seed, (base, change) in peaks.items():
+        seed_entry = entry["seeds"][str(seed)]
+        assert seed_entry["peak_rss_mb"] == {"base": base, "change": change}
+        assert seed_entry["artifacts_identical"] and seed_entry["report_rows"] == []
+    # The workload's own reading stays the benchmark seed's.
+    assert entry["peak_rss_mb"] == {"base": 94.9, "change": 87.2}
+    assert sorted(entry) == ["artifacts_identical", "peak_rss_mb", "seeds"]
+
+
 # Runs argv[1]'s run_measured on a 64 MB child and a bare one, then its
 # _write_artifacts on the tree argv[2] and the config argv[3] into argv[4].
 RSS_PROBE = """

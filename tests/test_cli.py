@@ -631,6 +631,31 @@ def test_artifacts_do_not_depend_on_the_blas_thread_count(tmp_path, dim):
     assert runs[0] == runs[1]
 
 
+def test_a_run_near_the_truncation_edge_prints_one_warning_line(tmp_path):
+    """demo_td at dim 24 tracking level 6 holds more than 1e-8 of its weight
+    in the top levels at each of its 51 report times. `phinv run` says so in
+    one `warning:` line on stderr, with that count and the largest weight
+    and its time, rather than two lines per report time."""
+    from phinv import demo_scenarios
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(
+        demo_scenarios()["demo_td"], dim=24, quantum_numbers=[0, 6],
+        superposition=[[1, 0], [1, 0]], t_max=0.05,
+    )))
+    proc = subprocess.run(
+        [sys.executable, "-m", "phinv.cli", "run", "--config", str(config),
+         "--out", str(tmp_path), "--quiet"],
+        env=dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src")),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "warning: assembled states hold more than 1e-08 of their weight in the top "
+        "levels at 51 of 51 report times, at most 5.359e-07 at t=0"
+    ]
+
+
 def test_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy serves the tests alone.
     probe = "import sys, phinv, phinv.cli; print('scipy' in sys.modules)"

@@ -358,10 +358,12 @@ def test_rho_inverse_keeps_the_first_columns_of_the_full_product(dim):
 
 
 def test_the_inverse_cache_holds_only_the_kept_columns():
-    # At dim 192 the kept 49 columns are 25 columns of each 96-level parity
-    # block, in an array of their own rather than a view of the full product.
+    # At dim 192 a run whose top level is at most 6 keeps 7 columns, 4
+    # columns of each 96-level parity block, in an array of their own rather
+    # than a view of the full product.
     g = MetricState(0.2, 1.0)
     build_rho_inverse(g, 192)
-    entry = _rho_inv_cached(g.vtheta_plus, g.vtheta_zero, g.vtheta_minus, 192)
+    k = rho_inverse_columns(192, 6)
+    entry = _rho_inv_cached(g.vtheta_plus, g.vtheta_zero, g.vtheta_minus, 192, k)
     assert isinstance(entry, np.ndarray) and entry.base is None
-    assert entry.size <= 2 * 96 * 25
+    assert entry.size <= 2 * 96 * 4

@@ -460,35 +460,41 @@ def test_assembly_rejects_a_level_outside_the_basis(gentle_traj, level):
 
 
 def test_every_level_a_run_reads_is_a_kept_column_of_rho_inverse(gentle_traj):
-    """At every dim a scenario allows, its tracked levels (at most dim/4),
-    the Rayleigh levels and the cross-representation levels are among the
-    columns of rho^-1 that build_rho_inverse keeps; a level outside them is
-    a DomainError that names it."""
+    """At every dim a scenario allows and for every top tracked level it
+    allows there (at most dim/4), the columns of rho^-1 kept for the run
+    hold its tracked levels, the Rayleigh levels and the cross-representation
+    levels; level K, the first one past them, is a DomainError that names
+    it. Assembly keeps the columns of the levels it assembles."""
     demo = demo_scenarios()["demo_td"]
     for dim in (7, 257):
         with pytest.raises(ConfigError, match="dim"):
             parse_scenario(json.dumps({**demo, "dim": dim}))
     for dim in range(8, 257):
-        top = dim // 4
-        parse_scenario(json.dumps({**demo, "dim": dim, "quantum_numbers": [0, top]}))
+        parse_scenario(json.dumps({**demo, "dim": dim, "quantum_numbers": [0, dim // 4]}))
         with pytest.raises(ConfigError, match="dim/4"):
-            parse_scenario(json.dumps({**demo, "dim": dim, "quantum_numbers": [0, top + 1]}))
-        assert max(top, RAYLEIGH_MAX_N, CROSS_REP_MAX_N) < rho_inverse_columns(dim) <= dim
-    kept = rho_inverse_columns(64)
-    outside = r"level {} is outside the {} columns of rho\^-1 kept at dim 64"
-    past = outside.format(kept, kept)
+            parse_scenario(json.dumps({**demo, "dim": dim, "quantum_numbers": [0, dim // 4 + 1]}))
+        read = (min(RAYLEIGH_MAX_N, dim // 4), min(CROSS_REP_MAX_N, dim - 1))
+        for top in range(dim // 4 + 1):
+            assert max(top, *read) < rho_inverse_columns(dim, top) <= dim
+    s = gentle_traj.state_at(0)
+    for top in (0, 1, 16):
+        kept = rho_inverse_columns(64, top)
+        assert kept == max(top, 6) + 1
+        outside = r"level {} is outside the {} columns of rho\^-1 kept at dim 64, top {}"
+        with pytest.raises(DomainError, match=outside.format(kept, kept, top)):
+            cross_representation_residual(s, kept, 64, top)
+        with pytest.raises(DomainError, match=outside.format(-1, kept, top)):
+            cross_representation_residual(s, -1, 64, top)
+    assert cross_representation_residual(s, 16, 64, 16) < 1e-6
     traj = dataclasses.replace(
         gentle_traj,
-        superposition={kept: 1.0, 1: 1.0},
-        phases={kept: gentle_traj.phases[0], 1: gentle_traj.phases[1]},
+        superposition={16: 1.0, 1: 1.0},
+        phases={16: gentle_traj.phases[0], 1: gentle_traj.phases[1]},
     )
-    with pytest.raises(DomainError, match=past):
-        assemble_solution(traj, 0, 64)
-    with pytest.raises(DomainError, match=past):
-        cross_representation_residual(gentle_traj.state_at(0), kept, 64)
-    assert cross_representation_residual(gentle_traj.state_at(0), kept - 1, 64) < 1e-6
-    with pytest.raises(DomainError, match=outside.format(-1, kept)):
-        cross_representation_residual(gentle_traj.state_at(0), -1, 64)
+    columns = build_rho_inverse(s, 64, 16)
+    want = columns[:, 16] * np.exp(1j * gentle_traj.phases[0][0])
+    want = want + columns[:, 1] * np.exp(1j * gentle_traj.phases[1][0])
+    assert np.array_equal(assemble_solution(traj, 0, 64), want)
 
 
 def test_assembled_solution_copy_is_writable(gentle_traj):

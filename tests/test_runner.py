@@ -5,6 +5,7 @@ import importlib
 import inspect
 import json
 import pathlib
+import re
 import sys
 import time
 import weakref
@@ -218,6 +219,41 @@ def test_verify_rejects_malformed_cells(td_run):
 
     csv_text, report_text = tamper(td_run, widen_row)
     with pytest.raises(FormatError, match="row 8"):
+        verify_artifacts(csv_text, report_text)
+
+
+def _swap_gamma_names(rows):
+    rows[0] = rows[0].replace("gamma_0", "gamma_x").replace("gamma_1", "gamma_0")
+    rows[0] = rows[0].replace("gamma_x", "gamma_1")
+
+
+def _append_a_column(rows):
+    rows[:-1] = [rows[0] + ",bogus"] + [row + ",0.0" for row in rows[1:-1]]
+
+
+def _swap_phi_and_vtheta0(rows):
+    for k, row in enumerate(rows[:-1]):
+        cells = row.split(",")
+        cells[1], cells[2] = cells[2], cells[1]
+        rows[k] = ",".join(cells)
+
+
+@pytest.mark.parametrize(
+    "mutate, says",
+    [
+        (_swap_gamma_names, "CSV column 13 is 'gamma_1', where run writes column 'gamma_0'"),
+        (_append_a_column, "CSV column 20 is 'bogus', where run writes no column"),
+        (_swap_phi_and_vtheta0, "CSV column 2 is 'vtheta0', where run writes column 'Phi'"),
+    ],
+    ids=["swapped-names", "extra-column", "reordered"],
+)
+def test_verify_requires_the_columns_run_writes(td_run, mutate, says):
+    """The CSV header must be the fixed columns, one gamma_n per tracked
+    level in ascending order, then the trailing columns, as run writes it
+    for the report's effective config; the first column that differs is
+    named, even where every column verify recomputes is still in place."""
+    csv_text, report_text = tamper(td_run, mutate)
+    with pytest.raises(FormatError, match=f"^{re.escape(says)}$"):
         verify_artifacts(csv_text, report_text)
 
 
@@ -573,6 +609,55 @@ def test_the_eta_cache_holds_one_window_pass(dim, monkeypatch):
     assert in_passes == [41]
     assert counts["eta_products"] > size
     assert 0 < len(held) <= size
+
+
+@pytest.mark.parametrize(
+    "levels, superposition, columns",
+    [([0, 1], None, 4), ([0, 48], [[1.0, 0.0], [1.0, 0.0]], 25)],
+    ids=["top-1", "top-48"],
+)
+def test_a_run_keeps_the_rho_inverse_columns_it_reads(levels, superposition, columns,
+                                                      monkeypatch):
+    """The rho^-1 cache keeps the columns of the run's top tracked level
+    and of the meters' levels n <= 6: demo_td at dim 192 to t_max 0.02
+    (top 1) keeps 7 columns, 4 of each 96-level parity block, and a run that
+    tracks level dim/4 = 48 keeps 49, 25 of each block. Every read in a run
+    asks for the same columns, so the cache holds one entry per state (21
+    report times). Column top is, bit for bit, that column of the full
+    product of the inverse's factors."""
+    doc = dict(demo_scenarios()["demo_td"], dim=192, t_max=0.02, quantum_numbers=levels)
+    if superposition:
+        doc["superposition"] = superposition
+    cfg = scenario(doc)
+    cached = phinv.metric._rho_inv_cached
+    cached.cache_clear()
+    handed = []
+
+    def recording(*args):
+        entry = cached(*args)
+        handed.append(weakref.ref(entry))
+        return entry
+
+    monkeypatch.setattr(phinv.metric, "_rho_inv_cached", recording)
+    run_scenario(cfg)
+    gc.collect()
+    held = {id(e): e for e in (ref() for ref in handed) if e is not None}
+    assert len(held) == cached.cache_info().currsize == 21
+    assert {e.shape for e in held.values()} == {(2, 96, columns)}
+
+    top = max(levels)
+    g = integrate_metric(
+        MetricState(cfg.phi0, cfg.vtheta0), cfg.profiles, cfg.t_max, cfg.dt,
+        superposition=dict(zip(cfg.quantum_numbers, cfg.superposition)),
+    ).state_at(20)
+    e_minus = phinv.metric.ladder_exp(-g.vtheta_minus, 192, raising=False).blocks
+    e_plus = phinv.metric.ladder_exp(-g.vtheta_plus, 192, raising=True).blocks
+    mid = phinv.metric._k0_power(1.0 / g.vtheta_zero, 192)
+    full = np.matmul(e_minus, mid[:, :, None] * e_plus)
+    got = phinv.metric.build_rho_inverse(g, 192, top)
+    assert got.shape == (192, 2 * columns - 1)
+    assert np.array_equal(got[top % 2 :: 2, top], full[top % 2, :, top // 2])
+    assert not got[1 - top % 2 :: 2, top].any()
 
 
 def _readme_check_table() -> list[tuple[str, float]]:

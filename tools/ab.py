@@ -25,11 +25,14 @@ and whether they are all equal. Last, for each workload, it runs
 workload's scenarios for seeds 0, 3 and 101 (perfbench/workloads.make_scenario)
 and records, per seed, whether both trees wrote the same series.csv and
 report.json, byte for byte, and where not, the report rows and CSV columns
-that differ; `artifacts_identical`, whether they did at every seed; and
-`peak_rss_mb`, the ru_maxrss that wait4 reports for each side's seed-0
-`phinv run` process. A child's ru_maxrss starts from the peak of the
-process that started it: for this reading that is this script, far smaller
-than a phinv run, where perfbench's reading starts from its own harness.
+that differ, and `peak_rss_mb`, the ru_maxrss that wait4 reports for each
+side's `phinv run` process at that seed; `artifacts_identical`, whether the
+artifacts were identical at every seed; and `peak_rss_mb`, the seed-0
+reading again. perfbench measures seed 0 only, so the other seeds show
+whether a memory change holds on drives it was not written against. A
+child's ru_maxrss starts from the peak of the process that started it: for
+this reading that is this script, far smaller than a phinv run, where
+perfbench's reading starts from its own harness.
 """
 
 from __future__ import annotations
@@ -151,6 +154,19 @@ def compare_seeds(written: dict[int, dict[str, dict[str, str]]]) -> dict:
              for seed, sides in written.items()}
     return {"artifacts_identical": all(c["artifacts_identical"] for c in seeds.values()),
             "seeds": seeds}
+
+
+def artifact_entry(written: dict[int, dict[str, tuple[dict[str, str], float]]]) -> dict:
+    """A workload's artifacts record from both sides' runs at each seed
+    ({seed: {"base": (texts, peak_rss_mb), "change": ...}}): compare_seeds
+    with both sides' peak_rss_mb added to each seed's entry, and
+    `peak_rss_mb`, the first seed's (ARTIFACT_SEEDS[0], the benchmark's own)."""
+    entry = compare_seeds({seed: {side: run[0] for side, run in sides.items()}
+                           for seed, sides in written.items()})
+    for seed, sides in written.items():
+        entry["seeds"][str(seed)]["peak_rss_mb"] = {side: run[1] for side, run in sides.items()}
+    entry["peak_rss_mb"] = entry["seeds"][str(ARTIFACT_SEEDS[0])]["peak_rss_mb"]
+    return entry
 
 
 def run_measured(cmd: list[str], **popen_kwargs) -> tuple[int, str, float]:
@@ -276,11 +292,7 @@ def main(argv: list[str] | None = None) -> int:
                     }
                     for seed in ARTIFACT_SEEDS
                 }
-                artifacts[workload] = {
-                    **compare_seeds({seed: {side: w[0] for side, w in sides.items()}
-                                     for seed, sides in written.items()}),
-                    "peak_rss_mb": {side: w[1] for side, w in written[0].items()},
-                }
+                artifacts[workload] = artifact_entry(written)
 
     out = {
         "base": args.base,
@@ -328,8 +340,9 @@ def main(argv: list[str] | None = None) -> int:
               f"peak_rss_mb {a['peak_rss_mb']}")
         for seed, c in a["seeds"].items():
             print(f"{workload:16s} seed {seed:>4s} artifacts_identical "
-                  f"{c['artifacts_identical']} report_rows {c['report_rows']} report_fields "
-                  f"{c['report_fields']} csv_columns {c['csv_columns']}")
+                  f"{c['artifacts_identical']} peak_rss_mb {c['peak_rss_mb']} report_rows "
+                  f"{c['report_rows']} report_fields {c['report_fields']} csv_columns "
+                  f"{c['csv_columns']}")
     return 0
 
 

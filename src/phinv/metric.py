@@ -153,7 +153,8 @@ def build_rho_inverse(g: MetricState, dim: int, top: int = 0) -> np.ndarray:
     """The first rho_inverse_columns(dim, top) columns of the analytic
     inverse (reversed factors with negated/reciprocal parameters), a
     read-only real (dim, K) array in natural level order: column n is
-    rho^{-1}|n>. top is the highest level the caller's run tracks."""
+    rho^{-1}|n>. top is the highest level the caller's run tracks; a caller
+    that reads a level above 6 passes it, or a higher one, as top."""
     k = rho_inverse_columns(dim, top)
     blocks = _rho_inv_cached(g.vtheta_plus, g.vtheta_zero, g.vtheta_minus, dim, k)
     out = np.zeros((dim, k))

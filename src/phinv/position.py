@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DomainError
 from .fock import interior_norm
-from .metric import build_rho_inverse, rho_inverse_columns
+from .metric import build_rho_inverse
 from .model import MetricState, invariant_op
 
 HERMITE_CAP = 30
@@ -265,15 +265,12 @@ def cross_representation_residual(s: MetricState, n: int, dim: int, top: int = 0
     (the closed form is weight-normalized, so its plain L2 norm differs by a
     real factor), then aligned by one unit-modulus complex factor. Returns
     max |difference| / max |closed form|. top is the highest level the
-    caller's run tracks (build_rho_inverse); n must be one of the columns
-    of rho^{-1} kept for it.
+    caller's run tracks, so that its reads of rho^{-1} keep the columns its
+    other reads keep (build_rho_inverse); a level n above top widens them.
     """
-    kept = rho_inverse_columns(dim, top)
-    if not 0 <= n < kept:
-        raise DomainError(
-            f"level {n} is outside the {kept} columns of rho^-1 kept at dim {dim}, top {top}"
-        )
-    fock_vec = build_rho_inverse(s, dim, top)[:, n]
+    if not 0 <= n < dim:
+        raise DomainError(f"level {n} out of range for dim {dim}")
+    fock_vec = build_rho_inverse(s, dim, max(top, n))[:, n]
     grid = PositionGrid.for_shape(GaussianShape.from_state(s), n_max=n)
     synthesized = fock_to_position(fock_vec, grid)
     closed = np.asarray(eigenfunction(n, grid.points, s))

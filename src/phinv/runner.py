@@ -102,16 +102,18 @@ def _worst(check: Check, values, times) -> tuple[float, float | None]:
     return float(vals[j]), None if times[j] is None else float(times[j])
 
 
-def _warn_truncation(tails: np.ndarray, times: np.ndarray) -> None:
-    """One TruncationWarning for a run whose assembled states hold more than
-    TAIL_WARN of their weight in the top levels: at how many report times,
-    and the largest weight with its time."""
+def _warn_truncation(tails: np.ndarray, times: np.ndarray, n_times: int) -> None:
+    """One TruncationWarning for a run whose assembled states, the first
+    len(tails) of its n_times, hold more than TAIL_WARN of their weight in
+    the top levels: at how many report times, and the largest weight with
+    its time."""
     over = int(np.count_nonzero(tails > TAIL_WARN))
     if over:
         j = int(np.argmax(tails))
+        of = len(tails) if len(tails) == n_times else f"the first {len(tails)}"
         warnings.warn(
             f"assembled states hold more than {TAIL_WARN:.0e} of their weight in the "
-            f"top levels at {over} of {len(tails)} report times, at most "
+            f"top levels at {over} of {of} report times, at most "
             f"{tails[j]:.3e} at t={times[j]:.6g}",
             TruncationWarning,
             stacklevel=3,
@@ -147,8 +149,8 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     n_times = traj.n_times
     times = traj.times
     # Every read of rho^-1 in the run asks for the columns of its top level,
-    # as assembly does (metric.build_rho_inverse).
-    top = max(cfg.quantum_numbers)
+    # the one assembly reads (metric.build_rho_inverse).
+    top = max(traj.superposition)
 
     # The position spot checks need normalizable eigenfunctions that decay
     # inside their grid. Both are known from the trajectory alone, so a
@@ -171,14 +173,13 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         states[i] = assemble_solution(traj, i, dim)
         tails[i] = tail_support(states[i])
         if tails[i] > tol["tail_support"]:
-            break
-    _warn_truncation(tails[: i + 1], times)
-    if tails[i] > tol["tail_support"]:
-        raise GuardError(
-            "tail-support", float(times[i]),
-            f"assembled state holds {tails[i]:.3e} of its weight in the "
-            f"top levels (limit {tol['tail_support']:.1e})",
-        )
+            _warn_truncation(tails[: i + 1], times, n_times)
+            raise GuardError(
+                "tail-support", float(times[i]),
+                f"assembled state holds {tails[i]:.3e} of its weight in the "
+                f"top levels (limit {tol['tail_support']:.1e})",
+            )
+    _warn_truncation(tails, times, n_times)
 
     margin = {c.name: c.margin for c in CHECKS}
     m = margin["schrodinger"]
@@ -347,27 +348,20 @@ def _emit_csv(traj, eta_norms, schro, inv_res, dys_res, tails) -> str:
     return CSV_EOL.join(lines) + CSV_EOL
 
 
-def _parse_csv(csv_text: str, columns: list[str] | None = None) -> dict[str, np.ndarray]:
+def _parse_csv(csv_text: str) -> dict[str, np.ndarray]:
     """series.csv as named columns. Every line but the empty one after the
     final CSV_EOL is a row: run writes no blank line, and loadtxt would skip
-    one. comments=None keeps loadtxt from cutting a cell at '#'. Given
-    columns, the header must be exactly those, in order; a FormatError
-    names the ones missing, or else the first that differs."""
+    one. comments=None keeps loadtxt from cutting a cell at '#'."""
     rows = csv_text.split(CSV_EOL)
     if rows[-1] == "":
         rows.pop()
     if not any(rows):
         raise FormatError("empty CSV")
     header = rows[0].split(",")
-    needed = columns or FIXED_COLUMNS + TRAILING_COLUMNS
-    missing = set(needed) - set(header)
+    needed = set(FIXED_COLUMNS + TRAILING_COLUMNS)
+    missing = needed - set(header)
     if missing:
         raise FormatError(f"CSV is missing columns: {sorted(missing)}")
-    if columns is not None and header != columns:
-        j, got, want = next((j, a, b) for j, (a, b) in
-                            enumerate(itertools.zip_longest(header, columns)) if a != b)
-        where = f"column {want!r}" if want is not None else "no column"
-        raise FormatError(f"CSV column {j + 1} is {got!r}, where run writes {where}")
     data = rows[1:]
     for k, line in enumerate(data, start=2):
         if line.count(",") != len(header) - 1:
@@ -472,7 +466,16 @@ def verify_artifacts(
             "CSV does not match the report (digest mismatch); "
             "these artifacts are not a pair"
         )
-    cols = _parse_csv(csv_text, _csv_header(cfg.quantum_numbers))
+    cols = _parse_csv(csv_text)
+    header, columns = csv_text.split(CSV_EOL, 1)[0].split(","), _csv_header(cfg.quantum_numbers)
+    missing = set(columns) - set(header)
+    if missing:
+        raise FormatError(f"CSV is missing columns: {sorted(missing)}")
+    if header != columns:
+        j, got, want = next((j, a, b) for j, (a, b) in
+                            enumerate(itertools.zip_longest(header, columns)) if a != b)
+        where = f"column {want!r}" if want is not None else "no column"
+        raise FormatError(f"CSV column {j + 1} is {got!r}, where run writes {where}")
     expected_rows = round(cfg.t_max / cfg.dt) + 1
     n_rows = len(cols["t"])
     if n_rows != expected_rows:

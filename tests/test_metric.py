@@ -331,30 +331,33 @@ def test_parity_sector_builders_match_dense_gemm(dim):
             assert dense.shape == want.shape and dense.dtype == want.dtype
             assert np.max(np.abs(dense - want)) <= 1e-15 * np.max(np.abs(want))
         # rho^-1 keeps its first columns, in natural order, with zeros where
-        # an even and an odd level meet.
-        got, want = build_rho_inverse(g, dim), dense_gemm_rho_inverse(g, dim)
-        k = rho_inverse_columns(dim)
-        assert not got.flags.writeable
-        assert got.shape == (dim, k) and got.dtype == want.dtype
-        assert not got[0::2, 1::2].any() and not got[1::2, 0::2].any()
-        assert np.max(np.abs(got - want[:, :k])) <= 1e-15 * np.max(np.abs(want))
+        # an even and an odd level meet: those of levels up to 6, and up to
+        # dim // 4, the highest level a run may track.
+        want = dense_gemm_rho_inverse(g, dim)
+        for top in (0, dim // 4):
+            got, k = build_rho_inverse(g, dim, top), rho_inverse_columns(dim, top)
+            assert not got.flags.writeable
+            assert got.shape == (dim, k) and got.dtype == want.dtype
+            assert not got[0::2, 1::2].any() and not got[1::2, 0::2].any()
+            assert np.max(np.abs(got - want[:, :k])) <= 1e-15 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("dim", [4, 5, 8, 9, 64, 65, 192])
 def test_rho_inverse_keeps_the_first_columns_of_the_full_product(dim):
     """Column n of build_rho_inverse is, bit for bit, column n of the full
     parity-block product of the inverse's factors, and that product applied
-    to |n>."""
+    to |n>, for the columns of levels up to 6 and up to dim // 4."""
     for g in random_metric_states(31, 3) + [MetricState(0.45, 0.7)]:
         e_minus = ladder_exp(-g.vtheta_minus, dim, raising=False).blocks
         e_plus = ladder_exp(-g.vtheta_plus, dim, raising=True).blocks
         mid = _k0_power(1.0 / g.vtheta_zero, dim)
         full = ParityBlocks(np.matmul(e_minus, mid[:, :, None] * e_plus), dim)
-        got = build_rho_inverse(g, dim)
-        assert got.shape == (dim, rho_inverse_columns(dim))
-        assert np.array_equal(got, full.dense()[:, : got.shape[1]])
-        for n in range(got.shape[1]):
-            assert np.array_equal(got[:, n], full @ basis_state(dim, n))
+        for top in (0, dim // 4):
+            got = build_rho_inverse(g, dim, top)
+            assert got.shape == (dim, rho_inverse_columns(dim, top))
+            assert np.array_equal(got, full.dense()[:, : got.shape[1]])
+            for n in range(got.shape[1]):
+                assert np.array_equal(got[:, n], full @ basis_state(dim, n))
 
 
 def test_the_inverse_cache_holds_only_the_kept_columns():

@@ -408,6 +408,23 @@ def test_guard_aborts_on_tail_support():
     assert info.value.guard == "tail-support"
 
 
+def test_a_run_the_tail_guard_stops_counts_the_states_it_assembled(monkeypatch):
+    """Tail weights of 0, 1e-7, 2e-7, ... trip the 1e-6 tail-support guard
+    at the twelfth of demo_td's 101 report times. The one warning counts
+    the report times over 1e-8 among the twelve states assembled, not among
+    all 101."""
+    weights = iter(np.arange(101) * 1e-7)
+    monkeypatch.setattr(phinv.runner, "tail_support", lambda state: next(weights))
+    cfg = scenario(dict(demo_scenarios()["demo_td"], dim=16, t_max=0.1))
+    says = ("assembled states hold more than 1e-08 of their weight in the top levels "
+            "at 11 of the first 12 report times, at most 1.100e-06 at t=0.011")
+    with pytest.warns(TruncationWarning, match=f"^{re.escape(says)}$") as caught:
+        with pytest.raises(GuardError) as info:
+            run_scenario(cfg)
+    assert len(caught) == 1
+    assert info.value.guard == "tail-support" and info.value.time == pytest.approx(0.011)
+
+
 def test_collapsed_falloff_stops_before_the_meters(monkeypatch):
     """The steep drive's eigenfunction falloff collapses near t=1.19, so no
     Gram grid covers t=1.05 and later sample times. The run stops right after

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -205,11 +204,12 @@ def orthonormality_matrix(n_max: int, s: MetricState, grid: PositionGrid) -> flo
     return float(np.max(np.abs(gram - np.eye(n_max + 1))))
 
 
-@lru_cache(maxsize=8)
 def _quadratures(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Dense p^2, px + xp and x^2 from x = (a + a_dag)/sqrt(2) and p =
     i(a_dag - a)/sqrt(2), a[n-1, n] = sqrt(n): the one dense route to the
-    invariant, independent of the su(1,1) bands. Callers must not mutate."""
+    invariant, independent of the su(1,1) bands. Nothing caches them: a
+    caller that needs them for several states builds them once and passes
+    them on, as canonical_agreement does."""
     n = np.arange(dim)
     a = np.zeros((dim, dim), dtype=complex)
     a[n[:-1], n[1:]] = np.sqrt(n[1:])
@@ -226,7 +226,11 @@ def canonical_invariant(s: MetricState, dim: int) -> np.ndarray:
                       - (Phi+chi)(1+Phi) x^2 ].
     The px+xp coefficient vanishes exactly when Phi = 0 or chi = 1.
     """
-    pp, px_xp, xx = _quadratures(dim)
+    return _canonical_form(s, *_quadratures(dim))
+
+
+def _canonical_form(s: MetricState, pp, px_xp, xx) -> np.ndarray:
+    """canonical_invariant from the quadratures of its dim."""
     phi, chi, th0 = s.phi_cap, s.chi, s.vtheta_zero
     quad = (
         (phi - chi) * (1.0 - phi) * pp
@@ -289,8 +293,16 @@ def cross_representation_residual(s: MetricState, n: int, dim: int, top: int = 0
     return float(resid / np.max(np.abs(closed)))
 
 
-def canonical_agreement(s: MetricState, dim: int) -> float:
+def canonical_agreement(states, dim: int):
     """Interior-block Frobenius distance between the canonical (x, p) form
-    and the ladder-coefficient form of the invariant."""
-    diff = canonical_invariant(s, dim) - invariant_op(s, dim).dense()
-    return interior_norm(diff)
+    and the ladder-coefficient form of the invariant: a float for one
+    MetricState, a list of floats for a sequence of them, which builds the
+    dense quadratures once for all of them. Each value is the one-state
+    call's, bit for bit."""
+    quadratures = _quadratures(dim)
+    one = isinstance(states, MetricState)
+    values = [
+        interior_norm(_canonical_form(s, *quadratures) - invariant_op(s, dim).dense())
+        for s in ([states] if one else states)
+    ]
+    return values[0] if one else values

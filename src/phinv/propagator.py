@@ -208,6 +208,15 @@ def convergence_probe(
 WINDOW = 128
 
 
+def sorted_distinct(values) -> np.ndarray:
+    """The distinct entries of an array (or of a scalar, as one entry), in
+    ascending order: np.unique's values, without its import of numpy.ma."""
+    values = np.sort(np.asarray(values), axis=None)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def _per_report_time(t_index, n_times: int, margin: int, window, size: int) -> float | np.ndarray:
     """A meter at one report index (a float) or at an array of them (an
     array of that shape), from window(lo, n), the meter's values at report
@@ -223,7 +232,7 @@ def _per_report_time(t_index, n_times: int, margin: int, window, size: int) -> f
         raise DomainError(
             f"time index {bad.flat[0]} needs +-{margin} grid points inside [0, {n_times - 1}]"
         )
-    wanted = np.unique(idx)
+    wanted = sorted_distinct(idx)
     values = np.empty(len(wanted))
     start = 0
     while start < len(wanted):

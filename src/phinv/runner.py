@@ -48,6 +48,7 @@ from .propagator import (
     invariant_residual,
     propagate,
     schrodinger_residual,
+    sorted_distinct,
 )
 from .scenario import (
     CHECKS, Check, ScenarioConfig, canonical_hash, parse_scenario, tolerance_overrides,
@@ -120,6 +121,37 @@ def _warn_truncation(tails: np.ndarray, times: np.ndarray, n_times: int) -> None
         )
 
 
+def _direct_oracle(traj, states: np.ndarray, n_short: int, dim: int) -> tuple[float, ...]:
+    """The short-horizon direct oracle and its convergence probe, from the
+    assembled states over report times 0 .. n_short: the overlap deficit and
+    the vector mismatch with the assembled state at n_short, the drift of
+    the oracle's eta-norm, and the probe's RK4 halving ratio and order.
+    Only these scalars outlive the call, so the oracle's states are freed
+    before the Hermitian-side oracle runs."""
+    short_times = traj.times[: n_short + 1]
+    h_src = hamiltonian_source(traj, dim)
+    oracle = propagate(h_src, states[0], short_times, substeps=8)
+    oracle_norms = np.array([
+        float(np.real(np.vdot(v, build_eta(traj.state_at(i), dim) @ v)))
+        for i, v in enumerate(oracle)
+    ])
+    psi, phi_lr = oracle[-1], states[n_short]
+    eta_end = build_eta(traj.state_at(n_short), dim)
+    cross = abs(complex(np.vdot(psi, eta_end @ phi_lr)))
+    norm_prod = math.sqrt(
+        float(np.real(np.vdot(psi, eta_end @ psi)))
+        * float(np.real(np.vdot(phi_lr, eta_end @ phi_lr)))
+    )
+    overlap_deficit = abs(1.0 - cross / norm_prod)
+    vector_diff = float(np.linalg.norm(psi - phi_lr)) / max(
+        1.0, float(np.linalg.norm(phi_lr))
+    )
+    oracle_drift = float(np.max(np.abs(oracle_norms - oracle_norms[0])))
+    probe_times = short_times[::25] if len(short_times) > 50 else short_times
+    ratio, order = convergence_probe(h_src, states[0], probe_times, substeps=2)
+    return overlap_deficit, vector_diff, oracle_drift, ratio, order
+
+
 @dataclass
 class RunResult:
     config: ScenarioConfig
@@ -154,8 +186,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
     # The position spot checks need normalizable eigenfunctions that decay
     # inside their grid. Both are known from the trajectory alone, so a
-    # failure stops the run here, with its time, before any meter runs.
-    sample_idx = np.unique(np.round(np.linspace(0, n_times - 1, N_SAMPLE_TIMES)).astype(int))
+    # failure stops the run here, with its time, before any meter runs. The
+    # canonical check reads no metric cache, so it runs here too, before the
+    # window passes fill them.
+    sample_idx = sorted_distinct(np.round(np.linspace(0, n_times - 1, N_SAMPLE_TIMES)).astype(int))
     spots = []
     for i in sample_idx:
         s_i = traj.state_at(int(i))
@@ -166,6 +200,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         except DomainError as e:
             raise DomainError(f"t={times[i]:.6g}: {e}") from e
         spots.append((int(i), s_i, shape, grid))
+    canon_dev = canonical_agreement([s_i for _, s_i, _, _ in spots], dim)
 
     states = np.empty((n_times, dim), dtype=complex)
     tails = np.empty(n_times)
@@ -220,14 +255,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
 
     rng = np.random.default_rng(cfg.seed)
     gram_dev = []
-    canon_dev = []
     cross_dev = []
     positivity = []
     width_vals = []
     for i, s_i, shape, grid in spots:
         width_vals.append(shape.width_coeff)
         gram_dev.append(orthonormality_matrix(GRAM_MAX_N, s_i, grid))
-        canon_dev.append(canonical_agreement(s_i, dim))
         cross_dev.append(float(np.max([
             cross_representation_residual(s_i, n, dim, top)
             for n in range(min(CROSS_REP_MAX_N, dim - 1) + 1)
@@ -238,27 +271,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             positivity.append(float(np.real(np.vdot(z, eta @ z)) / np.real(np.vdot(z, z))))
 
     n_short = min(n_times - 1, int(round(ORACLE_HORIZON / cfg.dt)))
-    short_times = times[: n_short + 1]
-    h_src = hamiltonian_source(traj, dim)
-    oracle = propagate(h_src, states[0], short_times, substeps=8)
-    oracle_norms = np.array([
-        float(np.real(np.vdot(v, build_eta(traj.state_at(i), dim) @ v)))
-        for i, v in enumerate(oracle)
-    ])
-    psi, phi_lr = oracle[-1], states[n_short]
-    eta_end = build_eta(traj.state_at(n_short), dim)
-    cross = abs(complex(np.vdot(psi, eta_end @ phi_lr)))
-    norm_prod = math.sqrt(
-        float(np.real(np.vdot(psi, eta_end @ psi)))
-        * float(np.real(np.vdot(phi_lr, eta_end @ phi_lr)))
+    overlap_deficit, vector_diff, oracle_drift, ratio, order = _direct_oracle(
+        traj, states, n_short, dim
     )
-    overlap_deficit = abs(1.0 - cross / norm_prod)
-    vector_diff = float(np.linalg.norm(psi - phi_lr)) / max(
-        1.0, float(np.linalg.norm(phi_lr))
-    )
-    oracle_drift = float(np.max(np.abs(oracle_norms - oracle_norms[0])))
-    probe_times = short_times[::25] if len(short_times) > 50 else short_times
-    ratio, order = convergence_probe(h_src, states[0], probe_times, substeps=2)
 
     herm_side = hermitian_side_check(traj, states, dim)
 

@@ -35,6 +35,10 @@ U and V of the transformed generator. The tests check the first against
 phinv's metric, the second against its reduced flow, and that the last two
 vanish along its constrained trajectories.
 
+whole_horizon_flow is the metric flow's step loop as integrate_metric ran
+it before it converted its stage samples a block at a time: every
+substep's samples are turned into Python floats before the first step.
+
 propagate_loop is the RK4 integrator as a plain loop, one step and one
 state at a time with a norm check after each step: the reference for
 propagate, which takes a diagonal generator's steps a block at a time as a
@@ -74,7 +78,7 @@ from phinv import (
 )
 from phinv.fock import BandOperator, ParityBlocks, ensure_state, k0_operator, su11_bands
 from phinv.metric import ladder_exp
-from phinv.model import invariant_op
+from phinv.model import STRIDE, invariant_op, metric_rhs
 from phinv.propagator import INSTABILITY_FACTOR, _fd4_richardson
 from phinv.runner import CSV_EOL, RAYLEIGH_MAX_N
 
@@ -638,3 +642,48 @@ def propagate_loop(h_of_t, psi0: np.ndarray, times: np.ndarray, *, substeps: int
                 )
         states[i + 1] = psi
     return states
+
+
+def whole_horizon_flow(initial: MetricState, drive, t_max: float,
+                       dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """(Phi, vtheta0) on integrate_metric's half-step grid, by its two RK4
+    half steps per substep, with every stage sample of the horizon held as
+    (Im omega, Im beta) tuples at once. It checks no guard: the drives it
+    is called on stay inside them."""
+    steps = round(t_max / dt)
+    h = dt / STRIDE
+    n_dense = steps * STRIDE
+    dense_times = np.linspace(0.0, t_max, n_dense + 1)
+
+    def sample(name, times):
+        return np.broadcast_to(np.asarray(drive[name](times), dtype=float), times.shape)
+
+    def rk4(p, q, h, d0, d_mid, d_end):
+        a1, b1 = metric_rhs(p, q, *d0)
+        a2, b2 = metric_rhs(p + 0.5 * h * a1, q + 0.5 * h * b1, *d_mid)
+        a3, b3 = metric_rhs(p + 0.5 * h * a2, q + 0.5 * h * b2, *d_mid)
+        a4, b4 = metric_rhs(p + h * a3, q + h * b3, *d_end)
+        return (
+            p + (h / 6.0) * (a1 + 2 * a2 + 2 * a3 + a4),
+            q + (h / 6.0) * (b1 + 2 * b2 + 2 * b3 + b4),
+        )
+
+    h2 = h / 2
+    t = dense_times[:-1]
+    t_mid = t + 0.5 * h
+    stage_times = np.stack([t, t_mid, t + h, t + 0.5 * h2, t_mid + 0.5 * h2, t_mid + h2])
+    d0, d_mid, _, d_q1, d_q3, d_end2 = (
+        list(zip(io, ib)) for io, ib in zip(
+            sample("im_omega", stage_times).tolist(), sample("im_beta", stage_times).tolist()
+        )
+    )
+    p, q = initial.phi_cap, initial.vtheta_zero
+    phi = np.empty(2 * n_dense + 1)
+    th0 = np.empty(2 * n_dense + 1)
+    phi[0], th0[0] = p, q
+    for i in range(n_dense):
+        mid = rk4(p, q, h2, d0[i], d_q1[i], d_mid[i])
+        p, q = rk4(*mid, h2, d_mid[i], d_q3[i], d_end2[i])
+        phi[2 * i + 1], th0[2 * i + 1] = mid
+        phi[2 * i + 2], th0[2 * i + 2] = p, q
+    return phi, th0

@@ -206,3 +206,24 @@ def test_a_measured_run_reads_its_own_peak_rss(tmp_path):
     assert bare < got["peak"]
     code, stderr, _ = ab.run_measured([sys.executable, "-c", "raise SystemExit('stop')"])
     assert code == 1 and "stop" in stderr
+
+
+def test_the_demos_record_holds_both_runs_of_every_job():
+    runs = {
+        job: {"base": {"exit_code": 0, "wall_s": 4.0, "peak_rss_mb": 95.0},
+              "change": {"exit_code": 0, "wall_s": 3.0, "peak_rss_mb": 80.0}}
+        for job in ab.DEMO_JOBS
+    }
+    runs["tier1"]["change"] = {"exit_code": 1, "wall_s": 50.0, "peak_rss_mb": 300.0}
+    entry = ab.demos_entry(runs)
+    assert sorted(entry) == ["demo_harmonic", "demo_td", "tier1"]
+    for job, sides in entry.items():
+        assert sorted(sides) == ["base", "change", "wall_ratio"]
+        assert sides["base"] == runs[job]["base"] and sides["change"] == runs[job]["change"]
+    assert entry["demo_td"]["wall_ratio"] == pytest.approx(0.75)
+    assert entry["tier1"]["wall_ratio"] == pytest.approx(12.5)
+    # A failing run is recorded as it is, not dropped.
+    assert entry["tier1"]["change"]["exit_code"] == 1
+    del runs["tier1"]
+    with pytest.raises(ValueError, match="tier1"):
+        ab.demos_entry(runs)

@@ -236,7 +236,7 @@ def _nan_at(original, index):
     "meter, patch, says",
     [
         ("dyson_residual", lambda f: _nan_at(f, 20), "t=0.02: check 'dyson' residual is nan"),
-        ("canonical_agreement", lambda f: lambda *a: math.nan,
+        ("canonical_agreement", lambda f: lambda states, dim: [math.nan] * len(states),
          "t=0: check 'canonical' residual is nan"),
     ],
     ids=["dyson", "canonical"],
@@ -664,6 +664,27 @@ def test_import_loads_no_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_a_run_loads_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, about 0.8 MB; the run finds distinct
+    # indices without it.
+    from phinv import demo_scenarios
+
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(demo_scenarios()["demo_td"], dim=32, t_max=0.05)))
+    probe = (
+        "import sys; from phinv.cli import main; "
+        f"code = main(['run', '--config', {str(config)!r}, '--out', {str(tmp_path)!r}, "
+        "'--quiet']); print(code, 'numpy.ma' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src")),
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
 
 
 @pytest.mark.skipif(

@@ -147,6 +147,16 @@ def test_canonical_matches_ladder_form():
     assert worst <= 1e-9
 
 
+@pytest.mark.parametrize("dim", [16, 65])
+def test_canonical_agreement_on_a_sequence_is_each_state_alone(dim):
+    states = random_metric_states(seed=7, count=11)
+    values = canonical_agreement(states, dim)
+    assert values == [canonical_agreement(s, dim) for s in states]
+    assert all(type(v) is float for v in values)
+    assert canonical_agreement(tuple(states[:1]), dim) == [canonical_agreement(states[0], dim)]
+    assert canonical_agreement([], dim) == []
+
+
 def test_canonical_cross_term_vanishes_at_zero_phi():
     ops = cached_operator_set(32)
     mat = canonical_invariant(MetricState(0.0, 0.7), 32)

@@ -41,7 +41,12 @@ from phinv import (
 import phinv.propagator
 from phinv.fock import BandOperator, k0_operator
 from phinv.model import hamiltonian_coeffs
-from phinv.propagator import hamiltonian_source, transformed_generator_source
+from phinv.propagator import (
+    _per_report_time,
+    hamiltonian_source,
+    sorted_distinct,
+    transformed_generator_source,
+)
 
 
 def test_zero_hamiltonian_keeps_state():
@@ -417,3 +422,42 @@ def test_sources_reject_times_off_the_half_step_grid(gentle_traj):
         ):
             with pytest.raises(ValueError, match=re.escape(f"t={t!r}")):
                 src(t)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], 5, [7, 3, 3, 9, 0, 7], [[4, 1], [4, 2]], [2.5, -1.0, 2.5], np.arange(300)[::-1] % 17],
+    ids=["empty", "scalar", "repeated", "2-d", "float", "many"],
+)
+def test_sorted_distinct_is_np_unique(values):
+    got, want = sorted_distinct(values), np.unique(values)
+    assert got.dtype == want.dtype
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize(
+    "t_index",
+    [7, np.int64(7), [9, 4, 30, 4, 12, 9], np.array([[13, 5], [5, 40]]), []],
+    ids=["scalar", "numpy-scalar", "unsorted-repeated", "2-d", "empty"],
+)
+def test_per_report_time_reads_each_index_once_in_sorted_windows(t_index):
+    """A meter's values at unsorted and repeated indices, and at a scalar,
+    are its window's values at each index; each distinct index is read once,
+    in ascending windows of at most size report times."""
+    windows = []
+
+    def window(lo, n):
+        windows.append((lo, n))
+        return 0.5 * np.arange(lo, lo + n) ** 2
+
+    out = _per_report_time(t_index, 50, 2, window, size=8)
+    idx = np.asarray(t_index)
+    if idx.ndim == 0:
+        assert type(out) is float and out == 0.5 * float(idx) ** 2
+    else:
+        assert out.shape == idx.shape
+        np.testing.assert_array_equal(out, 0.5 * idx.astype(float) ** 2)
+    starts = [lo for lo, _ in windows]
+    assert starts == sorted(starts) and all(n <= 8 for _, n in windows)
+    read = [i for lo, n in windows for i in range(lo, lo + n) if i in np.unique(idx)]
+    assert read == sorted(set(np.unique(idx).tolist()))

@@ -466,6 +466,32 @@ def test_collapsed_falloff_stops_before_the_meters(monkeypatch):
         run_scenario(cfg)
 
 
+def test_the_canonical_check_runs_once_before_any_metric_is_built(monkeypatch):
+    """canonical_agreement reads no metric cache, so the run calls it once,
+    on the eleven spot states, before the window passes fill the caches."""
+    events = []
+
+    def recording(name):
+        def make(fn):
+            def wrapper(*args, **kwargs):
+                events.append((name, args))
+                return fn(*args, **kwargs)
+            return wrapper
+        return make
+
+    for builder in ("build_rho", "build_rho_inverse", "build_eta"):
+        _patch_everywhere(monkeypatch, phinv.metric, builder, recording("build"))
+    _patch_everywhere(monkeypatch, phinv.position, "canonical_agreement", recording("canonical"))
+    cfg = scenario(dict(demo_scenarios()["demo_td"], dim=32, t_max=0.05))
+    run_scenario(cfg)
+    names = [name for name, _ in events]
+    assert names.count("canonical") == 1 and "build" in names
+    assert names.index("canonical") < names.index("build")
+    (states, dim), = [args for name, args in events if name == "canonical"]
+    traj = integrate_metric(MetricState(cfg.phi0, cfg.vtheta0), cfg.profiles, cfg.t_max, cfg.dt)
+    assert dim == 32 and states == [traj.state_at(i) for i in range(0, 51, 5)]
+
+
 def _patch_everywhere(monkeypatch, home, name: str, make_wrapper) -> None:
     """Replace home.name in every phinv namespace that holds it, since
     modules bind the names they import when they load."""

@@ -33,6 +33,15 @@ whether a memory change holds on drives it was not written against. A
 child's ru_maxrss starts from the peak of the process that started it: for
 this reading that is this script, far smaller than a phinv run, where
 perfbench's reading starts from its own harness.
+
+With --demos it also takes the end-to-end numbers perfbench does not: in
+each tree, `phinv run` on both full-horizon demos (perfbench/workloads.py's
+DEMO_HARMONIC and DEMO_TD) and the tier-1 suite (`python3 -m pytest -q
+--continue-on-collection-errors` from the tree's root, PYTHONPATH=<tree>/src),
+each run once per side, the side that goes first alternating from job to
+job. `demos` records, per job, each side's exit code, wall time and
+ru_maxrss (read as for the artifacts runs, from this script's own small
+process), and the change's wall time over the base's.
 """
 
 from __future__ import annotations
@@ -49,6 +58,7 @@ import subprocess
 import sys
 import tarfile
 import tempfile
+import time
 from pathlib import Path
 
 # A gain needs the change to win at least 9 of every 10 pairs.
@@ -200,11 +210,61 @@ def _write_artifacts(tree: Path, scenario: dict, out: Path) -> tuple[dict[str, s
     return {name: (out / name).read_bytes().decode("utf-8") for name in ARTIFACTS}, peak_rss_mb
 
 
-def _make_scenario(root: Path):
+def _workloads(root: Path):
     spec = importlib.util.spec_from_file_location("workloads", root / "perfbench" / "workloads.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.make_scenario
+    return module
+
+
+DEMO_JOBS = ("demo_harmonic", "demo_td", "tier1")
+
+
+def demos_entry(runs: dict[str, dict[str, dict]]) -> dict:
+    """The --demos record from each job's runs ({job: {"base": run,
+    "change": run}}, a run being {"exit_code", "wall_s", "peak_rss_mb"}):
+    both runs per job of DEMO_JOBS and the change's wall time over the
+    base's."""
+    if sorted(runs) != sorted(DEMO_JOBS):
+        raise ValueError(f"need runs of {list(DEMO_JOBS)}, got {sorted(runs)}")
+    return {
+        job: {**sides, "wall_ratio": sides["change"]["wall_s"] / sides["base"]["wall_s"]}
+        for job, sides in runs.items()
+    }
+
+
+def _timed(cmd: list[str], tree: Path, cwd: Path) -> dict:
+    """cmd run to its end from tree's source: its exit code, wall time and
+    peak RSS in MB."""
+    start = time.perf_counter()
+    code, _, peak_rss_mb = run_measured(
+        cmd, cwd=cwd, env={**os.environ, "PYTHONPATH": str(tree / "src")}
+    )
+    return {"exit_code": code, "wall_s": time.perf_counter() - start, "peak_rss_mb": peak_rss_mb}
+
+
+def _run_demos(trees: dict[str, Path], workloads, out_dir: Path) -> dict:
+    """demos_entry over one run per side of each job, from trees ({"base":
+    path, "change": path})."""
+    configs = {"demo_harmonic": workloads.DEMO_HARMONIC, "demo_td": workloads.DEMO_TD}
+    runs = {}
+    for k, job in enumerate(DEMO_JOBS):
+        order = ("base", "change") if k % 2 == 0 else ("change", "base")
+        runs[job] = {}
+        for side in order:
+            tree = trees[side]
+            if job == "tier1":
+                cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+                cwd = tree
+            else:
+                cwd = out_dir / job / side
+                cwd.mkdir(parents=True)
+                (cwd / "config.json").write_text(json.dumps(configs[job]), encoding="utf-8")
+                cmd = [sys.executable, "-m", "phinv.cli", "run", "--config", "config.json",
+                       "--out", ".", "--quiet"]
+            runs[job][side] = _timed(cmd, tree, cwd)
+            print(f"{job} {side}: {runs[job][side]}", flush=True)
+    return demos_entry(runs)
 
 
 def _export(rev: str, dest: Path) -> None:
@@ -252,6 +312,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--workload", action="append",
                         help="a workload to run (repeatable; default: every workload)")
+    parser.add_argument("--demos", action="store_true",
+                        help="also time both full-horizon demos and the tier-1 suite")
     args = parser.parse_args(argv)
 
     root = Path.cwd()
@@ -280,7 +342,8 @@ def main(argv: list[str] | None = None) -> int:
                           f"{result['attempted']} {values}", flush=True)
             traced[workload] = {side: _run(tree, workload, args.seed, 0, trace=1)
                                 for side, tree in (("base", base_tree), ("change", root))}
-        make_scenario = _make_scenario(root)
+        workloads_module = _workloads(root)
+        make_scenario = workloads_module.make_scenario
         artifacts = {}
         with tempfile.TemporaryDirectory(prefix="ab-artifacts-") as out_dir:
             for workload in workloads:
@@ -293,6 +356,9 @@ def main(argv: list[str] | None = None) -> int:
                     for seed in ARTIFACT_SEEDS
                 }
                 artifacts[workload] = artifact_entry(written)
+            if args.demos:
+                demos = _run_demos({"base": base_tree, "change": root}, workloads_module,
+                                   Path(out_dir) / "demos")
 
     out = {
         "base": args.base,
@@ -303,6 +369,8 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "workloads": {},
     }
+    if args.demos:
+        out["demos"] = demos
     for workload, sides in runs.items():
         entry = {
             "failed": {s: sum(r["failed"] for r in rs) for s, rs in sides.items()},
@@ -343,6 +411,11 @@ def main(argv: list[str] | None = None) -> int:
                   f"{c['artifacts_identical']} peak_rss_mb {c['peak_rss_mb']} report_rows "
                   f"{c['report_rows']} report_fields {c['report_fields']} csv_columns "
                   f"{c['csv_columns']}")
+    for job, entry in out.get("demos", {}).items():
+        print(f"{job:16s} " + " ".join(
+            f"{side} exit {entry[side]['exit_code']} {entry[side]['wall_s']:.2f} s "
+            f"{entry[side]['peak_rss_mb']:.1f} MB" for side in ("base", "change")
+        ) + f" wall_ratio {entry['wall_ratio']:.3f}")
     return 0
 
 

@@ -12,7 +12,7 @@ flow calls them on its whole half-step grid at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -177,7 +177,8 @@ class MetricTrajectory:
     and W(t) there by index. The dense-grid arrays (phi, omega, w, ...) are
     views of the even entries of the half-step arrays. The keys of
     superposition are the tracked eigenstates, and phases holds gamma_n on
-    the report grid for each of them, in ascending n.
+    the report grid for each of them, in ascending n. state_at builds each
+    report index's MetricState once and hands out that object after.
     """
 
     times: np.ndarray
@@ -200,16 +201,22 @@ class MetricTrajectory:
     mode: str
     superposition: dict[int, complex]
     phases: dict[int, np.ndarray]
+    _states: dict[int, MetricState] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @property
     def n_times(self) -> int:
         return len(self.times)
 
     def state_at(self, t_index: int) -> MetricState:
-        if not 0 <= t_index < self.n_times:
-            raise DomainError(f"time index {t_index} out of range")
-        j = t_index * self.stride
-        return MetricState(float(self.phi[j]), float(self.vtheta0[j]))
+        state = self._states.get(t_index)
+        if state is None:
+            if not 0 <= t_index < self.n_times:
+                raise DomainError(f"time index {t_index} out of range")
+            j = t_index * self.stride
+            state = self._states[t_index] = MetricState(float(self.phi[j]), float(self.vtheta0[j]))
+        return state
 
     def h_bands(self, t_index, dim: int) -> np.ndarray:
         """H's su(1,1) bands at one report index, (3, dim), or at an array of
@@ -228,10 +235,11 @@ class MetricTrajectory:
         rounding. It reads the grid as a Python list, built once here."""
         spacing = self.dt / (2 * self.stride)
         half = self.half_times.tolist()
+        n, slack = len(half), 1e-6 * spacing
 
         def index(t: float) -> int:
             j = round(t / spacing)
-            if not (0 <= j < len(half) and abs(half[j] - t) <= 1e-6 * spacing):
+            if not (0 <= j < n and abs(half[j] - t) <= slack):
                 raise ValueError(
                     f"t={t!r} is not on the half-step grid (dense nodes and substep "
                     f"midpoints, spacing {spacing:.6g})"
@@ -301,11 +309,12 @@ def integrate_metric(
             raise GuardError("vtheta-zero-floor", t, f"vtheta0={q:.3e}")
         return metric_rhs(p, q, *d)
 
-    def rk4(p, q, t, h, d0, d_mid, d_end):
-        """One classic RK4 step on floats, given (Im omega, Im beta) at t,
-        t + h/2 and t + h, so a time shared by several stages is read once."""
+    def rk4(p, q, t, h, first, d_mid, d_end):
+        """One classic RK4 step on floats from first, the rates at (p, q, t),
+        given (Im omega, Im beta) at t + h/2 and t + h, so a time or a stage
+        shared by several steps is read or taken once."""
         t_mid, t_end = t + 0.5 * h, t + h
-        a1, b1 = rates(p, q, t, d0)
+        a1, b1 = first
         a2, b2 = rates(p + 0.5 * h * a1, q + 0.5 * h * b1, t_mid, d_mid)
         a3, b3 = rates(p + 0.5 * h * a2, q + 0.5 * h * b2, t_mid, d_mid)
         a4, b4 = rates(p + h * a3, q + h * b3, t_end, d_end)
@@ -343,9 +352,11 @@ def integrate_metric(
         )
         starts, mids = stage_times[:2, block].tolist()
         for k, t in enumerate(starts):
-            full = rk4(p, q, t, h, d0[k], d_mid[k], d_end[k])
-            mid = rk4(p, q, t, h2, d0[k], d_q1[k], d_mid[k])
-            half = rk4(*mid, mids[k], h2, d_mid[k], d_q3[k], d_end2[k])
+            # The full step and the first half step share their first stage.
+            first = rates(p, q, t, d0[k])
+            full = rk4(p, q, t, h, first, d_mid[k], d_end[k])
+            mid = rk4(p, q, t, h2, first, d_q1[k], d_mid[k])
+            half = rk4(*mid, mids[k], h2, rates(*mid, mids[k], d_mid[k]), d_q3[k], d_end2[k])
             err = max(abs(full[0] - half[0]), abs(full[1] - half[1])) / 15.0
             if err > local_error_tol:
                 raise GuardError("local-error", t, f"estimate {err:.3e} > {local_error_tol:.1e}")
@@ -465,18 +476,24 @@ def _simpson_subintervals(y: np.ndarray, dx: np.ndarray) -> np.ndarray:
     return x21 / 6 * (coeff1 * y[:-2] + coeff2 * y[1:-1] + coeff3 * y[2:])
 
 
-def assemble_solution(traj: MetricTrajectory, t_index: int, dim: int) -> np.ndarray:
+def assemble_solution(traj: MetricTrajectory, t_index, dim: int) -> np.ndarray:
     """The exact solution sum_n C_n exp(i gamma_n(t)) rho^{-1}(t)|n> at one
-    report time."""
+    report index, a (dim,) state, or at each of an array of them, a
+    (..., dim) stack; each state is the one its index alone gives, bit for
+    bit. The weights C_n exp(i gamma_n) are taken one time at a time, as
+    numpy scalars: an array product of complex numbers can round apart."""
     if not traj.superposition:
         raise ValueError("trajectory has no superposition coefficients")
     if not 0 <= min(traj.superposition) <= max(traj.superposition) < dim:
         raise DomainError(f"levels {sorted(traj.superposition)} out of range for dim {dim}")
+    idx = np.asarray(t_index)
+    flat = idx.reshape(-1)
     # The run's top level sets the columns of rho^-1 kept, so they hold
     # every level read here.
-    columns = build_rho_inverse(traj.state_at(t_index), dim, max(traj.superposition))
-    out = np.zeros(dim, dtype=complex)
+    top = max(traj.superposition)
+    columns = np.stack([build_rho_inverse(traj.state_at(int(i)), dim, top) for i in flat])
+    out = np.zeros((len(flat), dim), dtype=complex)
     for n, c_n in traj.superposition.items():
-        out += c_n * np.exp(1j * traj.phases[n][t_index]) * columns[:, n]
-    return out
-
+        weights = np.array([c_n * z for z in np.exp(1j * traj.phases[n][flat])])
+        out += weights[:, None] * columns[:, :, n]
+    return out.reshape(idx.shape + (dim,))

@@ -28,11 +28,15 @@ halo), and the band products, H psi (H's bands from MetricTrajectory.h_bands),
 the products with eta and rho and the interior norms run over the window's
 leading time axis. A single index is the one-row case of the same code.
 
-propagate steps a diagonal generator (the Hermitian side's -2 W K0) a block
-of steps at a time: a step multiplies level n by RK4's stage formula applied
-to 1, so the states are a running product of those per-level factors,
-which agrees with the step-by-step loop to rounding. Any other generator is
-stepped one step at a time. Both call H(t) at every RK4 stage time.
+propagate takes its RK4 steps STEP_BLOCK at a time into a block of states
+and checks their norms once per block. A diagonal generator (the Hermitian
+side's -2 W K0) multiplies level n by RK4's stage formula applied to 1, so a
+block is a running product of those per-level factors, which agrees with the
+step-by-step loop to rounding. Any other generator, three bands or a dense
+matrix, is applied to the state step after step, bit for bit the loop. Both
+call H(t) at every RK4 stage time. The two sources of H(t) build the bands
+of a run of half-step indices at once and hand out read-only rows of that
+table, so the two stage times at t + h/2 read one row.
 """
 
 from __future__ import annotations
@@ -72,15 +76,20 @@ def propagate(
 
     Each report interval is split into `substeps` RK4 steps, and h_of_t is
     called at the four stage times of every step. The run aborts with an
-    instability error, carrying the offending time, as soon as the state
-    stops being finite or its norm exceeds 1e6 times the initial norm
-    (truncated non-normal generators can blow up; silence would poison every
-    downstream meter).
+    instability error, carrying the offending time, at the first step whose
+    state stops being finite or whose norm exceeds 1e6 times the initial
+    norm (truncated non-normal generators can blow up; silence would poison
+    every downstream meter).
 
-    When H(t) is a diagonal BandOperator (one row, as -2 W(t) K0 is), each
-    step multiplies level n by the same RK4 stage formula applied to 1, so
-    the steps are taken a block at a time as a running product of those
-    factors; it agrees with the step-by-step loop to rounding.
+    The steps are taken STEP_BLOCK at a time into a block of states, and
+    the norms checked once per block; an unstable step raises at its own
+    time and with the message a check after every step gives, although the
+    block's later steps were taken. When H(t) is a diagonal BandOperator
+    (one row, as -2 W(t) K0 is), each step multiplies level n by the same
+    RK4 stage formula applied to 1, so a block is a running product of
+    those factors; it agrees with the step-by-step loop to rounding. Any
+    other H(t), three bands or a dense matrix, is applied to the state step
+    after step, bit for bit the loop.
     """
     _check_uniform(times)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -97,21 +106,19 @@ def propagate(
         sizes += [h] * substeps
 
     states = np.empty((len(times), len(psi0)), dtype=complex)
-    states[0] = psi0
+    states[0] = psi = psi0
     h_first = h_of_t(starts[0])
-    if isinstance(h_first, BandOperator) and h_first.bands.shape[0] == 1:
-        _propagate_diagonal(h_of_t, h_first, starts, sizes, substeps, cap, states)
-        return states
-
-    psi = psi0.copy()
-    for k, (t, h) in enumerate(zip(starts, sizes)):
-        ops = _stage_operators(h_of_t, t, h, h_first if k == 0 else None)
-        psi = _rk4_step(lambda stage, v: ops[stage] @ v, psi, h)
-        norm = float(np.linalg.norm(psi))
-        if not np.isfinite(norm) or norm > cap:
-            raise InstabilityError(t + h, _instability_message(norm, t + h, cap))
-        if (k + 1) % substeps == 0:
-            states[(k + 1) // substeps] = psi
+    diagonal = isinstance(h_first, BandOperator) and h_first.bands.shape[0] == 1
+    take_steps = _diagonal_steps if diagonal else _steps
+    block = np.empty((min(STEP_BLOCK, len(starts)), len(psi0)), dtype=complex)
+    for b in range(0, len(starts), STEP_BLOCK):
+        t, h = starts[b : b + STEP_BLOCK], sizes[b : b + STEP_BLOCK]
+        out = block[: len(t)]
+        take_steps(h_of_t, h_first if b == 0 else None, t, h, psi, out, cap)
+        ends = np.arange(b + 1, b + 1 + len(t))
+        at_report = ends % substeps == 0
+        states[ends[at_report] // substeps] = out[at_report]
+        psi = out[-1].copy()
     return states
 
 
@@ -140,43 +147,68 @@ def _rk4_step(apply, psi, h):
     return psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-# Steps per block of the diagonal path: the block's arrays are a few
-# (DIAGONAL_BLOCK, dim) stacks, so memory stays flat at any horizon.
-DIAGONAL_BLOCK = 32
+def _apply(op, v: np.ndarray) -> np.ndarray:
+    """op @ v. For one three-row BandOperator, as H(t) is, these are the
+    ufuncs BandOperator.__matmul__ applies to a state, in its order, without
+    its dispatch."""
+    if type(op) is not BandOperator or op.bands.shape[:-1] != (3,):
+        return op @ v
+    b = op.bands
+    out = b[0] * v
+    out[:-2] += b[1, :-2] * v[2:]
+    out[2:] += b[2, :-2] * v[:-2]
+    return out
 
 
-def _propagate_diagonal(h_of_t, h_first, starts, sizes, substeps, cap, states) -> None:
-    """propagate's steps under a diagonal H(t), DIAGONAL_BLOCK at a time.
+# Steps per block of propagate: a block's arrays are a few (STEP_BLOCK, dim)
+# stacks, so memory stays flat at any horizon.
+STEP_BLOCK = 32
 
-    Each step's per-level factor is _rk4_step on a state of ones, with H
-    acting as its diagonal, and the states are the running product of the
-    factors from the state carried into the block. h_of_t is called at every
-    stage time, as the step-by-step loop calls it.
-    """
-    psi = states[0]
-    for b in range(0, len(starts), DIAGONAL_BLOCK):
-        t = starts[b : b + DIAGONAL_BLOCK]
-        h = sizes[b : b + DIAGONAL_BLOCK]
-        # (steps, stages, dim); every operator must hold one row.
-        g = np.array([
-            [op.bands for op in _stage_operators(h_of_t, tk, hk, h_first if b + k == 0 else None)]
-            for k, (tk, hk) in enumerate(zip(t, h))
-        ])[:, :, 0]
+
+def _check_steps(out, t, h, cap) -> None:
+    """Raise InstabilityError at the first row of out, the state after the
+    step from t[k] of size h[k], that is not finite or whose norm exceeds
+    cap. Each row one batched norm puts above cap / 2 is judged by its own
+    norm, the one a check after every step takes."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in np.flatnonzero(~(np.linalg.norm(out, axis=1) <= 0.5 * cap)):
+            norm = float(np.linalg.norm(out[k]))
+            if not np.isfinite(norm) or norm > cap:
+                raise InstabilityError(t[k] + h[k], _instability_message(norm, t[k] + h[k], cap))
+
+
+def _steps(h_of_t, h_t, t, h, psi, out, cap) -> None:
+    """propagate's steps from psi at the start times t and sizes h, one
+    after the other, into the rows of out; h_t, when given, is H(t[0]).
+    When h_of_t raises (a time off its grid), the steps taken before are
+    checked first, as a check after every step would have."""
+    done = 0
+    try:
         with np.errstate(over="ignore", invalid="ignore"):
-            ones = np.ones((len(t), g.shape[2]))
-            factors = _rk4_step(lambda stage, v: g[:, stage] * v, ones, np.array(h)[:, None])
-            block = np.multiply.accumulate(np.concatenate([psi[None], factors]), axis=0)[1:]
-            norms = np.linalg.norm(block, axis=1)
-        bad = np.flatnonzero(~np.isfinite(norms) | (norms > cap))
-        if len(bad):
-            k = int(bad[0])
-            raise InstabilityError(
-                t[k] + h[k], _instability_message(float(norms[k]), t[k] + h[k], cap)
-            )
-        ends = np.arange(b + 1, b + 1 + len(t))
-        at_report = ends % substeps == 0
-        states[ends[at_report] // substeps] = block[at_report]
-        psi = block[-1]
+            for k, (tk, hk) in enumerate(zip(t, h)):
+                ops = _stage_operators(h_of_t, tk, hk, h_t if k == 0 else None)
+                psi = out[k] = _rk4_step(lambda stage, v: _apply(ops[stage], v), psi, hk)
+                done = k + 1
+    finally:
+        _check_steps(out[:done], t, h, cap)
+
+
+def _diagonal_steps(h_of_t, h_t, t, h, psi, out, cap) -> None:
+    """_steps under a diagonal H(t): each step's per-level factor is
+    _rk4_step on a state of ones, with H acting as its diagonal, and the
+    states are the running product of the factors from psi. h_of_t is
+    called at every stage time, as the step-by-step loop calls it."""
+    # (steps, stages, dim); every operator must hold one row.
+    g = np.concatenate([
+        op.bands
+        for k, (tk, hk) in enumerate(zip(t, h))
+        for op in _stage_operators(h_of_t, tk, hk, h_t if k == 0 else None)
+    ]).reshape(len(t), 4, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ones = np.ones((len(t), g.shape[2]))
+        factors = _rk4_step(lambda stage, v: g[:, stage] * v, ones, np.array(h)[:, None])
+        out[:] = np.multiply.accumulate(np.concatenate([psi[None], factors]), axis=0)[1:]
+    _check_steps(out, t, h, cap)
 
 
 def convergence_probe(
@@ -284,6 +316,22 @@ def schrodinger_residual(
     return _per_report_time(t_index, traj.n_times, 2, window, WINDOW)
 
 
+# Bytes of one (times, 2, m, m) float64 stack in the meters that build the
+# metric: Dyson takes windows of report times this size, and the Hermitian
+# image runs its products and norms over sub-blocks this size. Arrays past
+# glibc's dynamic mmap threshold (about 393 KB at that point of a run) are
+# given back to the system when freed and faulted in again, window after
+# window.
+SUB_BLOCK_BYTES = 64 * 1024
+
+
+def _sub_block(dim: int) -> int:
+    """Report times per sub-block: as many as keep a (times, 2, m, m)
+    float64 stack, m = ceil(dim / 2), within SUB_BLOCK_BYTES, one at least."""
+    m = (dim + 1) // 2
+    return max(1, SUB_BLOCK_BYTES // (16 * m * m))
+
+
 # math.hypot over arrays: np.hypot can round differently.
 _hypot = np.vectorize(math.hypot, otypes=[float])
 
@@ -301,7 +349,8 @@ def dyson_residual(traj: MetricTrajectory, t_index, dim: int) -> float | np.ndar
     def window(lo: int, n: int) -> np.ndarray:
         # eta at lo - 4 .. lo + n + 3. Each time builds the rows its stencil
         # reads, then its own, as a single index does, so the metric caches
-        # see the same calls either way; rows no stencil reads stay unset.
+        # see the same calls whatever the window; rows no stencil reads stay
+        # unset.
         stack = np.empty((n + 8, 2, (dim + 1) // 2, (dim + 1) // 2))
         for i in range(lo, lo + n):
             for j in (2, 1, -1, -2, 4, -4, 0):
@@ -319,7 +368,7 @@ def dyson_residual(traj: MetricTrajectory, t_index, dim: int) -> float | np.ndar
         scale = np.maximum(1.0, _hypot(interior_norm(x), interior_norm(y)))
         return _hypot(interior_norm(re), interior_norm(im)) / scale
 
-    return _per_report_time(t_index, traj.n_times, 4, window, metric_window(dim))
+    return _per_report_time(t_index, traj.n_times, 4, window, _sub_block(dim))
 
 
 def invariant_residual(traj: MetricTrajectory, t_index, dim: int) -> float | np.ndarray:
@@ -359,21 +408,53 @@ def hermitian_image_check(traj: MetricTrajectory, t_index, dim: int) -> float | 
     """
 
     def window(lo: int, n: int) -> np.ndarray:
-        inv = BandOperator(traj.i_bands(np.arange(lo, lo + n), dim))
+        inv = traj.i_bands(np.arange(lo, lo + n), dim)
         gs = [traj.state_at(i) for i in range(lo, lo + n)]
-        eta = ParityBlocks(np.stack([build_eta(g, dim).blocks for g in gs]), dim)
-        rho = ParityBlocks(np.stack([build_rho(g, dim).blocks for g in gs]), dim)
-        # I is real and eta real symmetric, so I_adj eta = (eta I)^T.
-        eta_inv = eta @ inv
-        herm = ParityBlocks(eta_inv.blocks - eta_inv.T.blocks, dim)
-        r1 = interior_norm(herm) / np.maximum(1.0, interior_norm(eta_inv))
-        # 2 K0 is diagonal: 2 K0 rho is (rho^T 2 K0)^T, entry by entry.
-        k0_rho = (rho.T @ k0_operator(dim, 2.0)).T
-        image = ParityBlocks((rho @ inv).blocks - k0_rho.blocks, dim)
-        r2 = interior_norm(image) / np.maximum(1.0, interior_norm(k0_rho))
-        return np.maximum(r1, r2)
+        etas = np.stack([build_eta(g, dim).blocks for g in gs])
+        rhos = np.stack([build_rho(g, dim).blocks for g in gs])
+        out = np.empty(n)
+        for a in range(0, n, _sub_block(dim)):
+            s = slice(a, a + _sub_block(dim))
+            inv_s = BandOperator(inv[s])
+            eta, rho = ParityBlocks(etas[s], dim), ParityBlocks(rhos[s], dim)
+            # I is real and eta real symmetric, so I_adj eta = (eta I)^T.
+            eta_inv = eta @ inv_s
+            herm = ParityBlocks(eta_inv.blocks - eta_inv.T.blocks, dim)
+            r1 = interior_norm(herm) / np.maximum(1.0, interior_norm(eta_inv))
+            # 2 K0 is diagonal: 2 K0 rho is (rho^T 2 K0)^T, entry by entry.
+            k0_rho = (rho.T @ k0_operator(dim, 2.0)).T
+            image = ParityBlocks((rho @ inv_s).blocks - k0_rho.blocks, dim)
+            r2 = interior_norm(image) / np.maximum(1.0, interior_norm(k0_rho))
+            out[s] = np.maximum(r1, r2)
+        return out
 
     return _per_report_time(t_index, traj.n_times, 0, window, metric_window(dim))
+
+
+# Bytes of a source's table of H(t) bands (one half-step index at least).
+TABLE_BYTES = 32 * 1024
+
+
+def _tabled(index: Callable[[float], int], rows: Callable[[int, int], np.ndarray]):
+    """h_of_t(t), the BandOperator of row index(t) of a table of bands along
+    the half-step grid. rows(lo, hi) builds the rows of indices lo .. hi - 1;
+    a t whose index is not in the table replaces it with the TABLE_BYTES of
+    rows from that index on. The rows are read-only views, and a time read
+    twice, as an RK4 step reads t + h/2, gets the same operator."""
+    size = max(1, TABLE_BYTES // rows(0, 1).nbytes)
+    ops, lo = [], 0
+
+    def h_of_t(t: float) -> BandOperator:
+        nonlocal ops, lo
+        k = index(t) - lo
+        if not 0 <= k < len(ops):
+            lo, k = lo + k, 0
+            table = rows(lo, lo + size)
+            table.setflags(write=False)
+            ops = [BandOperator(row) for row in table]
+        return ops[k]
+
+    return h_of_t
 
 
 def hamiltonian_source(traj: MetricTrajectory, dim: int) -> Callable[[float], BandOperator]:
@@ -381,15 +462,12 @@ def hamiltonian_source(traj: MetricTrajectory, dim: int) -> Callable[[float], Ba
 
     That grid holds every RK4 stage time of substeps 1, 2, 4 and 8 per
     report interval (at the flow's STRIDE of 8); any other t raises a
-    ValueError naming it.
+    ValueError naming it. The bands of a run of consecutive half-step
+    indices are built at once, each row bit for bit su11_bands at its
+    index alone.
     """
     coeffs = hamiltonian_coeffs(traj.half_omega, traj.half_alpha, traj.half_beta)
-    index = traj.half_step_indexer()
-
-    def h_of_t(t: float) -> BandOperator:
-        return BandOperator(su11_bands(coeffs[index(t)], dim))
-
-    return h_of_t
+    return _tabled(traj.half_step_indexer(), lambda lo, hi: su11_bands(coeffs[lo:hi], dim))
 
 
 def transformed_generator_source(
@@ -399,15 +477,14 @@ def transformed_generator_source(
 
     The sign is fixed by the harmonic limit: W = -1 there, and the mapped
     states must evolve under the ordinary oscillator +2 K0. W is read from
-    the half-step grid, like H in hamiltonian_source.
+    the half-step grid, and tabled, like H in hamiltonian_source; each row
+    is k0_operator(dim, -2 W) at its index alone.
     """
-    w_re = traj.half_w.real.tolist()
-    index = traj.half_step_indexer()
-
-    def h_of_t(t: float) -> BandOperator:
-        return k0_operator(dim, -2.0 * w_re[index(t)])
-
-    return h_of_t
+    w_re = traj.half_w.real
+    return _tabled(
+        traj.half_step_indexer(),
+        lambda lo, hi: k0_operator(dim, -2.0 * w_re[lo:hi, None, None]).bands,
+    )
 
 
 def hermitian_side_check(traj: MetricTrajectory, assembled: np.ndarray, dim: int) -> float:

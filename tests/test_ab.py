@@ -157,13 +157,18 @@ def test_the_artifacts_record_holds_both_peaks_at_every_seed():
     rows = [("schrodinger", 1e-9), ("dyson", 2e-9)]
     texts = _artifacts(rows, [["0.0", "0.2", "nan"], ["1.0", "0.3", "4.0e-10"]])
     peaks = {0: (94.9, 87.2), 3: (95.1, 87.3), 101: (94.6, 86.8)}
-    written = {seed: {"base": (texts, base), "change": (texts, change)}
-               for seed, (base, change) in peaks.items()}
+    faults = {0: (59700, 12200), 3: (59800, 12300), 101: (59600, 12100)}
+    written = {
+        seed: {side: (texts, {"peak_rss_mb": peaks[seed][k], "minor_faults": faults[seed][k]})
+               for k, side in enumerate(("base", "change"))}
+        for seed in peaks
+    }
     entry = ab.artifact_entry(written)
     assert entry["artifacts_identical"]
     for seed, (base, change) in peaks.items():
         seed_entry = entry["seeds"][str(seed)]
         assert seed_entry["peak_rss_mb"] == {"base": base, "change": change}
+        assert seed_entry["minor_faults"] == dict(zip(("base", "change"), faults[seed]))
         assert seed_entry["artifacts_identical"] and seed_entry["report_rows"] == []
     # The workload's own reading stays the benchmark seed's.
     assert entry["peak_rss_mb"] == {"base": 94.9, "change": 87.2}
@@ -188,9 +193,10 @@ print(json.dumps({"big": big, "bare": bare, "texts": texts, "peak": peak}))
 def test_a_measured_run_reads_its_own_peak_rss(tmp_path):
     """A child's ru_maxrss starts from the peak of the process that started
     it, so the runs start from a small probe process rather than from this
-    one. A child that touches 64 MB reads at least that; a bare one run after
-    it reads its own smaller peak, not the largest child's so far; the
-    artifacts run records its texts and a peak that holds numpy."""
+    one. A child that touches 64 MB reads at least that, and at least the
+    16,384 minor faults of its 4 KB pages; a bare one run after it reads its
+    own smaller peak and fault count, not the largest child's or the sum so
+    far; the artifacts run records its texts and a peak that holds numpy."""
     config = tmp_path / "config.json"
     config.write_text(json.dumps(dict(demo_scenarios()["demo_td"], dim=32, t_max=0.05)))
     out = subprocess.run(
@@ -200,21 +206,25 @@ def test_a_measured_run_reads_its_own_peak_rss(tmp_path):
     got = json.loads(out.stdout)
     (big_code, _, big), (bare_code, _, bare) = got["big"], got["bare"]
     assert big_code == bare_code == 0
-    assert big >= 64 > bare
+    assert sorted(big) == sorted(bare) == sorted(ab.USAGE_FIELDS)
+    assert big["peak_rss_mb"] >= 64 > bare["peak_rss_mb"]
+    assert big["minor_faults"] >= (64 << 20) // 4096 > bare["minor_faults"] > 0
     assert sorted(got["texts"]) == sorted(ab.ARTIFACTS)
     assert json.loads(got["texts"]["report.json"])["checks"]
-    assert bare < got["peak"]
+    assert bare["peak_rss_mb"] < got["peak"]["peak_rss_mb"]
+    assert bare["minor_faults"] < got["peak"]["minor_faults"]
     code, stderr, _ = ab.run_measured([sys.executable, "-c", "raise SystemExit('stop')"])
     assert code == 1 and "stop" in stderr
 
 
 def test_the_demos_record_holds_both_runs_of_every_job():
     runs = {
-        job: {"base": {"exit_code": 0, "wall_s": 4.0, "peak_rss_mb": 95.0},
-              "change": {"exit_code": 0, "wall_s": 3.0, "peak_rss_mb": 80.0}}
+        job: {"base": {"exit_code": 0, "wall_s": 4.0, "peak_rss_mb": 95.0, "minor_faults": 9e4},
+              "change": {"exit_code": 0, "wall_s": 3.0, "peak_rss_mb": 80.0, "minor_faults": 3e4}}
         for job in ab.DEMO_JOBS
     }
-    runs["tier1"]["change"] = {"exit_code": 1, "wall_s": 50.0, "peak_rss_mb": 300.0}
+    runs["tier1"]["change"] = {"exit_code": 1, "wall_s": 50.0, "peak_rss_mb": 300.0,
+                               "minor_faults": 8e5}
     entry = ab.demos_entry(runs)
     assert sorted(entry) == ["demo_harmonic", "demo_td", "tier1"]
     for job, sides in entry.items():

@@ -547,3 +547,57 @@ def test_the_flow_holds_one_block_of_samples_as_floats():
     finally:
         tracemalloc.stop()
     assert peak <= 24 * 2**20
+
+
+def test_each_report_state_is_built_once(gentle_traj):
+    """state_at hands out one MetricState per report index, for an int and
+    a numpy integer alike; an index out of range is still a DomainError,
+    and a trajectory copied with another metric builds its own states."""
+    traj = dataclasses.replace(gentle_traj)
+    s = traj.state_at(700)
+    assert traj.state_at(700) is s and traj.state_at(np.int64(700)) is s
+    assert (s.phi_cap, s.vtheta_zero) == (traj.phi[700 * STRIDE], traj.vtheta0[700 * STRIDE])
+    for bad in (-1, traj.n_times, np.int64(traj.n_times)):
+        with pytest.raises(DomainError, match=f"time index {bad} out of range"):
+            traj.state_at(bad)
+    scaled = dataclasses.replace(traj, phi=1.01 * traj.phi)
+    assert scaled.state_at(700).phi_cap == 1.01 * traj.phi[700 * STRIDE]
+    assert traj.state_at(700) is s
+
+
+def test_assembly_over_an_index_array_is_each_index_alone(gentle_traj):
+    """assemble_solution at an array of report indices, unsorted, repeated
+    or 2-d, gives each index's state bit for bit, with complex weights on
+    three levels."""
+    traj = dataclasses.replace(
+        gentle_traj,
+        superposition={1: 0.6 - 0.2j, 0: 1 / np.sqrt(2), 3: -0.3j},
+        phases={1: gentle_traj.phases[1], 0: gentle_traj.phases[0],
+                3: 1.7 * gentle_traj.phases[1]},
+    )
+    idx = np.array([17, 0, 4999, 17, 2500, 5000, 3])
+    got = assemble_solution(traj, idx, 64)
+    assert got.shape == (len(idx), 64) and got.dtype == complex
+    for i, row in zip(idx.tolist(), got):
+        assert np.array_equal(row, assemble_solution(traj, i, 64)), i
+    assert np.array_equal(assemble_solution(traj, idx.reshape(7, 1), 64), got.reshape(7, 1, 64))
+    assert assemble_solution(traj, np.int64(3), 64).shape == (64,)
+    with pytest.raises(DomainError, match="time index 5001 out of range"):
+        assemble_solution(traj, np.array([0, 5001]), 64)
+
+
+def test_the_full_step_and_the_first_half_step_share_their_first_rates(monkeypatch):
+    """Each substep takes eleven flow rates, not twelve: the full step and
+    the first half step start from the same (Phi, vtheta0, t). One more
+    call takes the rates on the whole half-step grid."""
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return metric_rhs(*args)
+
+    monkeypatch.setattr(phinv.model, "metric_rhs", counting)
+    initial, drive, t_max, dt = _demo_td_flow(0.05)
+    integrate_metric(initial, drive, t_max, dt)
+    substeps = round(t_max / dt) * STRIDE
+    assert len(calls) == 11 * substeps + 1

@@ -39,7 +39,7 @@ from phinv import (
     tail_support,
 )
 import phinv.propagator
-from phinv.fock import BandOperator, k0_operator
+from phinv.fock import BandOperator, k0_operator, su11_bands
 from phinv.model import hamiltonian_coeffs
 from phinv.propagator import (
     _per_report_time,
@@ -101,15 +101,24 @@ def test_instability_detected():
     ops = cached_operator_set(64)
     h = lambda t: 2j * ops.k_zero  # pure gain, norm grows as exp((n+1/2)t)
     psi0 = basis_state(64, 63).astype(complex)
+    times = np.linspace(0.0, 1.0, 101)
     with pytest.raises(InstabilityError) as info:
-        propagate(h, psi0, np.linspace(0.0, 1.0, 101))
+        propagate(h, psi0, times)
     assert 0.1 <= info.value.time <= 0.35
-    # The same gain as a diagonal BandOperator takes the block path, and
-    # stops at the same step with the same message.
-    with pytest.raises(InstabilityError) as banded:
-        propagate(lambda t: k0_operator(64, 2j), psi0, np.linspace(0.0, 1.0, 101))
-    assert banded.value.time == info.value.time
-    assert str(banded.value) == str(info.value)
+    with pytest.raises(InstabilityError) as loop:
+        propagate_loop(h, psi0, times)
+    assert (info.value.time, str(info.value)) == (loop.value.time, str(loop.value))
+    # The step is inside a block, whose later steps propagate takes first.
+    step = round(info.value.time / (0.01 / 8)) - 1
+    assert step % phinv.propagator.STEP_BLOCK not in (0, phinv.propagator.STEP_BLOCK - 1)
+    # The same gain as a diagonal BandOperator, and as three bands with
+    # empty +-2 rows, stops at the same step with the same message.
+    gain = k0_operator(64, 2j)
+    three = BandOperator(np.concatenate([gain.bands, np.zeros((2, 64))]))
+    for banded in (gain, three):
+        with pytest.raises(InstabilityError) as got:
+            propagate(lambda t: banded, psi0, times)
+        assert (got.value.time, str(got.value)) == (info.value.time, str(info.value))
 
 
 def test_banded_path_is_the_step_by_step_loop(gentle_traj):
@@ -415,6 +424,8 @@ def test_stacked_h_psi_is_each_time_alone(gentle_traj, dim):
 def test_sources_reject_times_off_the_half_step_grid(gentle_traj):
     spacing = gentle_traj.dt / (2 * gentle_traj.stride)
     for src in (hamiltonian_source(gentle_traj, 16), transformed_generator_source(gentle_traj, 16)):
+        # A time between two rows of the table the first read builds.
+        src(float(gentle_traj.times[3]))
         for t in (
             float(gentle_traj.times[3]) + spacing / 3,
             -spacing,
@@ -461,3 +472,82 @@ def test_per_report_time_reads_each_index_once_in_sorted_windows(t_index):
     assert starts == sorted(starts) and all(n <= 8 for _, n in windows)
     read = [i for lo, n in windows for i in range(lo, lo + n) if i in np.unique(idx)]
     assert read == sorted(set(np.unique(idx).tolist()))
+
+
+@pytest.mark.parametrize("dim", [16, 64, 192])
+def test_tabled_sources_give_each_half_step_row_bit_for_bit(gentle_traj, dim):
+    """Every half-step row the two sources hand out, read forwards across
+    several tables and then with jumps back and ahead, is su11_bands or
+    k0_operator at that index alone, bit for bit, and read-only; an RK4
+    step's two reads of t + h/2 get the same operator."""
+    traj = gentle_traj
+    coeffs = hamiltonian_coeffs(traj.half_omega, traj.half_alpha, traj.half_beta)
+    w_re = traj.half_w.real
+    sources = (
+        (hamiltonian_source(traj, dim), lambda j: su11_bands(coeffs[j], dim), 3 * dim * 16),
+        (transformed_generator_source(traj, dim),
+         lambda j: k0_operator(dim, -2.0 * w_re[j]).bands, dim * 8),
+    )
+    for src, want, row_bytes in sources:
+        rows = max(1, phinv.propagator.TABLE_BYTES // row_bytes)
+        order = list(range(3 * rows + 2)) + [0, len(traj.half_times) - 1, rows - 1, rows, 5]
+        for j in order:
+            t = float(traj.half_times[j])
+            got = src(t)
+            assert np.array_equal(got.bands, want(j)), j
+            assert got.bands.dtype == want(j).dtype
+            assert not got.bands.flags.writeable
+            with pytest.raises(ValueError):
+                got.bands[0, 0] = 0.0
+            assert src(t) is got
+
+
+def _time_dependent_bands(dim: int, seed: int):
+    """H(t) as three complex bands that vary in time, with the +-2 rows'
+    last two slots zero as BandOperator stores them."""
+    rng = np.random.default_rng(seed)
+    bands = 0.3 * (rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim)))
+    bands[1:, -2:] = 0.0
+    return lambda t: bands * (1.0 + 0.5 * np.sin(3.0 * t))
+
+
+@pytest.mark.parametrize("substeps", [8, 3])
+def test_propagate_is_the_step_by_step_loop_for_band_and_dense_generators(substeps):
+    """Over a run of steps that is not a whole number of blocks, a
+    three-row BandOperator and the same operator as a dense matrix are
+    stepped bit for bit as the loop steps them."""
+    bands_at = _time_dependent_bands(12, substeps)
+    times = np.linspace(0.0, 0.7, 15)
+    assert (len(times) - 1) * substeps % phinv.propagator.STEP_BLOCK
+    rng = np.random.default_rng(1)
+    psi0 = rng.standard_normal(12) + 1j * rng.standard_normal(12)
+    for h_of_t in (lambda t: BandOperator(bands_at(t)), lambda t: BandOperator(bands_at(t)).dense()):
+        got = propagate(h_of_t, psi0, times, substeps=substeps)
+        want = propagate_loop(h_of_t, psi0, times, substeps=substeps)
+        assert np.array_equal(got, want)
+
+
+def test_meter_sub_blocks_hold_at_most_64_kb():
+    """The metric meters' sub-blocks of report times hold (times, 2, m, m)
+    float64 stacks of at most 64 KB, one report time where one alone holds
+    more, and no fewer report times than fit."""
+    for dim in range(8, 257):
+        m = (dim + 1) // 2
+        per_time = 2 * m * m * 8
+        size = phinv.propagator._sub_block(dim)
+        assert size * per_time <= 64 * 1024 or size == 1
+        assert (size + 1) * per_time > 64 * 1024
+    assert [phinv.propagator._sub_block(d) for d in (16, 64, 65, 128, 192)] == [64, 4, 3, 1, 1]
+
+
+@pytest.mark.parametrize("dim", [16, 64])
+def test_metric_meters_do_not_depend_on_their_sub_blocks(gentle_traj, dim, monkeypatch):
+    """Dyson and the Hermitian image read the same values, bit for bit,
+    whether they run a report time at a time, in 64 KB sub-blocks, or over
+    whole windows at once."""
+    idx = np.arange(4, 60)
+    got = [dyson_residual(gentle_traj, idx, dim), hermitian_image_check(gentle_traj, idx, dim)]
+    for size in (1, 1 << 30):
+        monkeypatch.setattr(phinv.propagator, "SUB_BLOCK_BYTES", size)
+        assert np.array_equal(dyson_residual(gentle_traj, idx, dim), got[0])
+        assert np.array_equal(hermitian_image_check(gentle_traj, idx, dim), got[1])

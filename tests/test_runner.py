@@ -492,6 +492,25 @@ def test_the_canonical_check_runs_once_before_any_metric_is_built(monkeypatch):
     assert dim == 32 and states == [traj.state_at(i) for i in range(0, 51, 5)]
 
 
+@pytest.mark.parametrize("dim", [16, 64])
+def test_the_run_assembles_a_window_of_report_times_per_call(dim, monkeypatch):
+    """run_scenario calls assemble_solution once per window of
+    metric_window(dim) report times, in order over the whole grid."""
+    calls = []
+
+    def recording(traj, t_index, d):
+        calls.append(np.array(t_index))
+        return assemble_solution(traj, t_index, d)
+
+    monkeypatch.setattr(phinv.runner, "assemble_solution", recording)
+    cfg = scenario(dict(demo_scenarios()["demo_td"], dim=dim, t_max=0.05))
+    run_scenario(cfg)
+    size = phinv.metric.metric_window(dim)
+    assert [c.tolist() for c in calls] == [
+        list(range(lo, min(lo + size, 51))) for lo in range(0, 51, size)
+    ]
+
+
 def _patch_everywhere(monkeypatch, home, name: str, make_wrapper) -> None:
     """Replace home.name in every phinv namespace that holds it, since
     modules bind the names they import when they load."""

@@ -25,11 +25,12 @@ and whether they are all equal. Last, for each workload, it runs
 workload's scenarios for seeds 0, 3 and 101 (perfbench/workloads.make_scenario)
 and records, per seed, whether both trees wrote the same series.csv and
 report.json, byte for byte, and where not, the report rows and CSV columns
-that differ, and `peak_rss_mb`, the ru_maxrss that wait4 reports for each
-side's `phinv run` process at that seed; `artifacts_identical`, whether the
-artifacts were identical at every seed; and `peak_rss_mb`, the seed-0
-reading again. perfbench measures seed 0 only, so the other seeds show
-whether a memory change holds on drives it was not written against. A
+that differ, and `peak_rss_mb` and `minor_faults`, the ru_maxrss and
+ru_minflt that wait4 reports for each side's `phinv run` process at that
+seed; `artifacts_identical`, whether the artifacts were identical at every
+seed; and `peak_rss_mb`, the seed-0 reading again. perfbench measures seed
+0 only, so the other seeds show whether a memory change holds on drives it
+was not written against. A
 child's ru_maxrss starts from the peak of the process that started it: for
 this reading that is this script, far smaller than a phinv run, where
 perfbench's reading starts from its own harness.
@@ -39,8 +40,8 @@ each tree, `phinv run` on both full-horizon demos (perfbench/workloads.py's
 DEMO_HARMONIC and DEMO_TD) and the tier-1 suite (`python3 -m pytest -q
 --continue-on-collection-errors` from the tree's root, PYTHONPATH=<tree>/src),
 each run once per side, the side that goes first alternating from job to
-job. `demos` records, per job, each side's exit code, wall time and
-ru_maxrss (read as for the artifacts runs, from this script's own small
+job. `demos` records, per job, each side's exit code, wall time, ru_maxrss
+and ru_minflt (read as for the artifacts runs, from this script's own small
 process), and the change's wall time over the base's.
 """
 
@@ -166,48 +167,55 @@ def compare_seeds(written: dict[int, dict[str, dict[str, str]]]) -> dict:
             "seeds": seeds}
 
 
-def artifact_entry(written: dict[int, dict[str, tuple[dict[str, str], float]]]) -> dict:
+def artifact_entry(written: dict[int, dict[str, tuple[dict[str, str], dict]]]) -> dict:
     """A workload's artifacts record from both sides' runs at each seed
-    ({seed: {"base": (texts, peak_rss_mb), "change": ...}}): compare_seeds
-    with both sides' peak_rss_mb added to each seed's entry, and
-    `peak_rss_mb`, the first seed's (ARTIFACT_SEEDS[0], the benchmark's own)."""
+    ({seed: {"base": (texts, usage), "change": ...}}, usage holding
+    peak_rss_mb and minor_faults): compare_seeds with both sides' readings
+    of each usage field added to each seed's entry, and `peak_rss_mb`, the
+    first seed's (ARTIFACT_SEEDS[0], the benchmark's own)."""
     entry = compare_seeds({seed: {side: run[0] for side, run in sides.items()}
                            for seed, sides in written.items()})
     for seed, sides in written.items():
-        entry["seeds"][str(seed)]["peak_rss_mb"] = {side: run[1] for side, run in sides.items()}
+        for field in USAGE_FIELDS:
+            entry["seeds"][str(seed)][field] = {side: run[1][field] for side, run in sides.items()}
     entry["peak_rss_mb"] = entry["seeds"][str(ARTIFACT_SEEDS[0])]["peak_rss_mb"]
     return entry
 
 
-def run_measured(cmd: list[str], **popen_kwargs) -> tuple[int, str, float]:
-    """Run cmd to its end: its exit code, its stderr, and its own peak RSS
-    in MB, the ru_maxrss that wait4 reports for that one process (the
-    children's rusage of this process would be the largest of all its
-    children so far)."""
+# What run_measured reads of a finished process from wait4.
+USAGE_FIELDS = ("peak_rss_mb", "minor_faults")
+
+
+def run_measured(cmd: list[str], **popen_kwargs) -> tuple[int, str, dict]:
+    """Run cmd to its end: its exit code, its stderr, and its own usage as
+    wait4 reports it for that one process (the children's rusage of this
+    process would sum or take the largest over all its children so far):
+    `peak_rss_mb`, ru_maxrss in MB, and `minor_faults`, ru_minflt."""
     with tempfile.TemporaryFile() as err:
         proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, stderr=err, **popen_kwargs)
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
         err.seek(0)
         stderr = err.read().decode("utf-8", "replace")
-    return proc.returncode, stderr, usage.ru_maxrss / 1024.0
+    return proc.returncode, stderr, {"peak_rss_mb": usage.ru_maxrss / 1024.0,
+                                     "minor_faults": usage.ru_minflt}
 
 
-def _write_artifacts(tree: Path, scenario: dict, out: Path) -> tuple[dict[str, str], float]:
+def _write_artifacts(tree: Path, scenario: dict, out: Path) -> tuple[dict[str, str], dict]:
     """Run `phinv run` from tree's source on scenario; its artifacts' texts
-    and the run's peak RSS in MB. A run whose checks fail (exit 1) still
-    writes them."""
+    and the run's usage (run_measured). A run whose checks fail (exit 1)
+    still writes them."""
     out.mkdir(parents=True)
     config = out / "config.json"
     config.write_text(json.dumps(scenario), encoding="utf-8")
-    code, stderr, peak_rss_mb = run_measured(
+    code, stderr, usage = run_measured(
         [sys.executable, "-m", "phinv.cli", "run", "--config", str(config),
          "--out", str(out), "--quiet"],
         cwd=out, env={**os.environ, "PYTHONPATH": str(tree / "src")},
     )
     if code not in (0, 1):
         raise RuntimeError(f"{tree}: phinv run exited {code}: {stderr[-2000:]}")
-    return {name: (out / name).read_bytes().decode("utf-8") for name in ARTIFACTS}, peak_rss_mb
+    return {name: (out / name).read_bytes().decode("utf-8") for name in ARTIFACTS}, usage
 
 
 def _workloads(root: Path):
@@ -222,7 +230,8 @@ DEMO_JOBS = ("demo_harmonic", "demo_td", "tier1")
 
 def demos_entry(runs: dict[str, dict[str, dict]]) -> dict:
     """The --demos record from each job's runs ({job: {"base": run,
-    "change": run}}, a run being {"exit_code", "wall_s", "peak_rss_mb"}):
+    "change": run}}, a run being {"exit_code", "wall_s", "peak_rss_mb",
+    "minor_faults"}):
     both runs per job of DEMO_JOBS and the change's wall time over the
     base's."""
     if sorted(runs) != sorted(DEMO_JOBS):
@@ -235,12 +244,12 @@ def demos_entry(runs: dict[str, dict[str, dict]]) -> dict:
 
 def _timed(cmd: list[str], tree: Path, cwd: Path) -> dict:
     """cmd run to its end from tree's source: its exit code, wall time and
-    peak RSS in MB."""
+    usage (run_measured)."""
     start = time.perf_counter()
-    code, _, peak_rss_mb = run_measured(
+    code, _, usage = run_measured(
         cmd, cwd=cwd, env={**os.environ, "PYTHONPATH": str(tree / "src")}
     )
-    return {"exit_code": code, "wall_s": time.perf_counter() - start, "peak_rss_mb": peak_rss_mb}
+    return {"exit_code": code, "wall_s": time.perf_counter() - start, **usage}
 
 
 def _run_demos(trees: dict[str, Path], workloads, out_dir: Path) -> dict:
@@ -408,13 +417,15 @@ def main(argv: list[str] | None = None) -> int:
               f"peak_rss_mb {a['peak_rss_mb']}")
         for seed, c in a["seeds"].items():
             print(f"{workload:16s} seed {seed:>4s} artifacts_identical "
-                  f"{c['artifacts_identical']} peak_rss_mb {c['peak_rss_mb']} report_rows "
+                  f"{c['artifacts_identical']} peak_rss_mb {c['peak_rss_mb']} minor_faults "
+                  f"{c['minor_faults']} report_rows "
                   f"{c['report_rows']} report_fields {c['report_fields']} csv_columns "
                   f"{c['csv_columns']}")
     for job, entry in out.get("demos", {}).items():
         print(f"{job:16s} " + " ".join(
             f"{side} exit {entry[side]['exit_code']} {entry[side]['wall_s']:.2f} s "
-            f"{entry[side]['peak_rss_mb']:.1f} MB" for side in ("base", "change")
+            f"{entry[side]['peak_rss_mb']:.1f} MB {entry[side]['minor_faults']} faults"
+            for side in ("base", "change")
         ) + f" wall_ratio {entry['wall_ratio']:.3f}")
     return 0
 

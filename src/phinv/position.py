@@ -219,18 +219,13 @@ def _quadratures(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return p @ p, p @ x + x @ p, x @ x
 
 
-def canonical_invariant(s: MetricState, dim: int) -> np.ndarray:
-    """The invariant as a quadratic form in x and p:
+def _canonical_form(s: MetricState, pp, px_xp, xx) -> np.ndarray:
+    """The invariant as a quadratic form in the quadratures pp, px_xp, xx:
 
     (1/(2 vtheta0)) [ (Phi-chi)(1-Phi) p^2 - i Phi (chi-1)(px+xp)
                       - (Phi+chi)(1+Phi) x^2 ].
     The px+xp coefficient vanishes exactly when Phi = 0 or chi = 1.
     """
-    return _canonical_form(s, *_quadratures(dim))
-
-
-def _canonical_form(s: MetricState, pp, px_xp, xx) -> np.ndarray:
-    """canonical_invariant from the quadratures of its dim."""
     phi, chi, th0 = s.phi_cap, s.chi, s.vtheta_zero
     quad = (
         (phi - chi) * (1.0 - phi) * pp

@@ -2,7 +2,7 @@
 
 This module is the independent check on the closed-form construction: a
 plain RK4 integrator for i d/dt psi = H(t) psi, finite-difference residuals
-for the Schrödinger equation, the metric flow relation, and the invariant
+for the Schrödinger equation, the Dyson map's transport, and the invariant
 equation, and a conjugation check that the invariant maps to 2 K0.
 
 H(t), the invariant and 2 K0 enter every product as BandOperators (three
@@ -10,10 +10,9 @@ diagonals), and rho and eta as their two parity blocks (fock.ParityBlocks),
 so the RK4 oracles cost O(N) per stage and the meters O(N^2) per report time
 outside the metric builders. The invariant meter works on
 bands alone: its time derivative is taken over I's three diagonals, the only
-entries it has, and the commutator [I, H] is a band product with five. eta is
-real symmetric and I is real, so H^dag eta = (eta H)^dag and
-I^dag eta = (eta I)^T: the Dyson and Hermitian-image meters form one band
-product with eta and read the other term as its transpose.
+entries it has, and the commutator [I, H] is a band product with five. The
+Dyson meter reads rho. The Hermitian image is the one reader of eta: eta is
+real symmetric and I real, so I^dag eta = (eta I)^T, one band product.
 
 All operator time derivatives use a 4th-order central difference combined
 with one Richardson extrapolation (stencils at +-h and +-2h), so meters near
@@ -23,9 +22,9 @@ excluded) and normalized by max(1, scale of the compared term).
 
 The four meters take one report index or an array of them, swept in
 windows of report times: the stencils are slices of a window's stack along
-time (I's bands, or eta's blocks from the metric builders, with a 4-point
+time (I's bands, or rho's blocks from the metric builders, with a 4-point
 halo), and the band products, H psi (H's bands from MetricTrajectory.h_bands),
-the products with eta and rho and the interior norms run over the window's
+the products with rho and eta and the interior norms run over the window's
 leading time axis. A single index is the one-row case of the same code.
 
 propagate takes its RK4 steps STEP_BLOCK at a time into a block of states
@@ -337,34 +336,37 @@ _hypot = np.vectorize(math.hypot, otypes=[float])
 
 
 def dyson_residual(traj: MetricTrajectory, t_index, dim: int) -> float | np.ndarray:
-    """Residual of the metric flow relation, at one report index or at each
+    """Residual of the Dyson map's transport, at one report index or at each
     of an array of them.
 
-    The relation H_adj = eta H eta^{-1} + i (d eta/dt) eta^{-1} is checked
-    multiplied through by eta: |d(eta)/dt + i (H_adj eta - eta H)| over the
-    interior block, normalized by max(1, |eta H|). The multiplied form keeps
-    the meter finite where eta^{-1} is violently ill-conditioned.
+    rho carries H to the Hermitian side's generator h = -2 W K0, W read from
+    the trajectory: h = rho H rho^{-1} + i (d rho/dt) rho^{-1}, checked
+    multiplied through by rho, where rho^{-1} is violently ill-conditioned:
+    |i d(rho)/dt - (h rho - rho H)| over the interior block, normalized by
+    max(1, |rho H|).
     """
 
     def window(lo: int, n: int) -> np.ndarray:
-        # eta at lo - 4 .. lo + n + 3. Each time builds the rows its stencil
+        # rho at lo - 4 .. lo + n + 3. Each time builds the rows its stencil
         # reads, then its own, as a single index does, so the metric caches
         # see the same calls whatever the window; rows no stencil reads stay
         # unset.
         stack = np.empty((n + 8, 2, (dim + 1) // 2, (dim + 1) // 2))
         for i in range(lo, lo + n):
             for j in (2, 1, -1, -2, 4, -4, 0):
-                stack[i + j - lo + 4] = build_eta(traj.state_at(i + j), dim).blocks
-        eta_dot = _fd4_richardson(stack, traj.dt)
-        eta = ParityBlocks(stack[4:-4], dim)
-        h = traj.h_bands(np.arange(lo, lo + n), dim)
-        # eta H = x + i y with real x, y. eta is real symmetric, so H_adj eta
-        # is x^T - i y^T and the residual is (eta_dot + y + y^T) + i (x^T - x),
-        # formed on the blocks.
-        x = eta @ BandOperator(h.real)
-        y = eta @ BandOperator(h.imag)
-        re = ParityBlocks(eta_dot + (y.blocks + y.T.blocks), dim)
-        im = ParityBlocks(x.T.blocks - x.blocks, dim)
+                stack[i + j - lo + 4] = build_rho(traj.state_at(i + j), dim).blocks
+        rho_dot = _fd4_richardson(stack, traj.dt)
+        rho = ParityBlocks(stack[4:-4], dim)
+        idx = np.arange(lo, lo + n)
+        h = traj.h_bands(idx, dim)
+        # rho H = x + i y and h rho = W k with real x, y and k = -2 K0 rho,
+        # so the residual is (x - Re W k) + i (rho_dot + y - Im W k).
+        x = rho @ BandOperator(h.real)
+        y = rho @ BandOperator(h.imag)
+        k = (rho.T @ k0_operator(dim, -2.0)).T.blocks
+        w = traj.w[idx * traj.stride][:, None, None, None]
+        re = ParityBlocks(x.blocks - w.real * k, dim)
+        im = ParityBlocks(rho_dot + y.blocks - w.imag * k, dim)
         scale = np.maximum(1.0, _hypot(interior_norm(x), interior_norm(y)))
         return _hypot(interior_norm(re), interior_norm(im)) / scale
 

@@ -24,7 +24,7 @@ import numpy as np
 from ._version import __version__
 from .errors import ConfigError, DomainError, FormatError, GuardError, TruncationWarning
 from .fock import BandOperator, ParityBlocks, tail_support
-from .metric import build_eta, build_rho_inverse, metric_window
+from .metric import build_rho, build_rho_inverse, metric_window
 from .model import (
     MetricState,
     assemble_solution,
@@ -121,6 +121,11 @@ def _warn_truncation(tails: np.ndarray, times: np.ndarray, n_times: int) -> None
         )
 
 
+def _norm_sq(v: np.ndarray) -> float:
+    """|v|^2 of one state: the eta-norm of u when v = rho u."""
+    return float(np.vdot(v, v).real)
+
+
 def _direct_oracle(traj, states: np.ndarray, n_short: int, dim: int) -> tuple[float, ...]:
     """The short-horizon direct oracle and its convergence probe, from the
     assembled states over report times 0 .. n_short: the overlap deficit and
@@ -131,17 +136,15 @@ def _direct_oracle(traj, states: np.ndarray, n_short: int, dim: int) -> tuple[fl
     short_times = traj.times[: n_short + 1]
     h_src = hamiltonian_source(traj, dim)
     oracle = propagate(h_src, states[0], short_times, substeps=8)
+    # Every eta-norm and overlap is taken through rho: <u, eta v> = (rho u, rho v).
     oracle_norms = np.array([
-        float(np.real(np.vdot(v, build_eta(traj.state_at(i), dim) @ v)))
-        for i, v in enumerate(oracle)
+        _norm_sq(build_rho(traj.state_at(i), dim) @ v) for i, v in enumerate(oracle)
     ])
+    rho_end = build_rho(traj.state_at(n_short), dim)
     psi, phi_lr = oracle[-1], states[n_short]
-    eta_end = build_eta(traj.state_at(n_short), dim)
-    cross = abs(complex(np.vdot(psi, eta_end @ phi_lr)))
-    norm_prod = math.sqrt(
-        float(np.real(np.vdot(psi, eta_end @ psi)))
-        * float(np.real(np.vdot(phi_lr, eta_end @ phi_lr)))
-    )
+    r_psi, r_phi = rho_end @ psi, rho_end @ phi_lr
+    cross = abs(complex(np.vdot(r_psi, r_phi)))
+    norm_prod = math.sqrt(_norm_sq(r_psi) * _norm_sq(r_phi))
     overlap_deficit = abs(1.0 - cross / norm_prod)
     vector_diff = float(np.linalg.norm(psi - phi_lr)) / max(
         1.0, float(np.linalg.norm(phi_lr))
@@ -245,13 +248,15 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     for lo in range(0, n_times, size):
         idx = np.arange(lo, min(lo + size, n_times))
         gs = [traj.state_at(i) for i in idx]
-        eta = ParityBlocks(np.stack([build_eta(g, dim).blocks for g in gs]), dim)
-        eta_norms[idx] = [np.vdot(v, w).real for v, w in zip(states[idx], eta @ states[idx])]
+        rho = ParityBlocks(np.stack([build_rho(g, dim).blocks for g in gs]), dim)
+        eta_norms[idx] = [_norm_sq(w) for w in rho @ states[idx]]
         inv = BandOperator(traj.i_bands(idx, dim))
-        # The columns rho^{-1}|n> are real, as are eta and I.
+        # The columns rho^{-1}|n> are real, as are rho and I: the quotient
+        # <v, eta I v> / <v, eta v> is (rho v)^T (rho I v) / |rho v|^2.
         v = np.stack([build_rho_inverse(g, dim, top)[:, : len(levels)] for g in gs])
-        den = np.sum(v * (eta @ v), axis=-2)
-        num = np.sum(v * (eta @ (inv @ v)), axis=-2)
+        rho_v = rho @ v
+        den = np.sum(rho_v * rho_v, axis=-2)
+        num = np.sum(rho_v * (rho @ (inv @ v)), axis=-2)
         rayleigh_dev[idx] = np.max(np.abs(num / den - levels), axis=-1)
         inner = idx[(idx >= margin["dyson"]) & (idx < n_times - margin["dyson"])]
         dys_res[inner] = dyson_residual(traj, inner, dim)
@@ -269,10 +274,10 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
             cross_representation_residual(s_i, n, dim, top)
             for n in range(min(CROSS_REP_MAX_N, dim - 1) + 1)
         ])))
-        eta = build_eta(s_i, dim)
+        rho = build_rho(s_i, dim)
         for _ in range(4):
             z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            positivity.append(float(np.real(np.vdot(z, eta @ z)) / np.real(np.vdot(z, z))))
+            positivity.append(_norm_sq(rho @ z) / _norm_sq(z))
 
     n_short = min(n_times - 1, int(round(ORACLE_HORIZON / cfg.dt)))
     overlap_deficit, vector_diff, oracle_drift, ratio, order = _direct_oracle(

@@ -52,6 +52,12 @@ and check_gauss_identities the relations between them.
 
 reference_parse_csv reads series.csv with one float() per cell, where
 phinv's reader hands the data lines to numpy's text reader in one call.
+per_time_metric_meters is the runner's metric meters one report time at a
+time, where the runner takes windows of report times.
+
+canonical_invariant is the invariant as a quadratic form in x and p from
+the dense quadratures, which only the tests evaluate at one state;
+phinv's canonical_agreement compares the same form with its bands.
 
 HARMONIC_DRIVE is the generator-mode drive of integrate_metric for the
 harmonic oscillator at omega = 1.
@@ -79,6 +85,7 @@ from phinv import (
 from phinv.fock import BandOperator, ParityBlocks, ensure_state, k0_operator, su11_bands
 from phinv.metric import ladder_exp
 from phinv.model import STRIDE, invariant_op, metric_rhs
+from phinv.position import _canonical_form, _quadratures
 from phinv.propagator import INSTABILITY_FACTOR, _fd4_richardson
 from phinv.runner import CSV_EOL, RAYLEIGH_MAX_N
 
@@ -94,36 +101,40 @@ def reference_parse_csv(csv_text: str) -> dict[str, np.ndarray]:
 
 def per_time_metric_meters(traj, states: np.ndarray, dim: int) -> dict[str, np.ndarray]:
     """The eta-norm, Rayleigh, Dyson and Hermitian-image series the runner
-    reports, one report time at a time on single-time parity blocks, as the
-    runner's loop formed them before the meters took windows of report
-    times. Dyson is nan outside its 4-point margin."""
+    reports, one report time at a time on single-time parity blocks, each
+    metric read but the image's eta half taken through rho. Dyson is nan
+    outside its 4-point margin."""
     n = traj.n_times
     levels = np.arange(min(RAYLEIGH_MAX_N, dim // 4) + 1) + 0.5
     out = {name: np.full(n, math.nan) for name in ("eta_norm", "rayleigh", "dyson", "image")}
     for i in range(n):
         s = traj.state_at(i)
         eta, rho, inv = build_eta(s, dim), build_rho(s, dim), invariant_op(s, dim)
-        out["eta_norm"][i] = float(np.real(np.vdot(states[i], eta @ states[i])))
+        r_psi = rho @ states[i]
+        out["eta_norm"][i] = float(np.vdot(r_psi, r_psi).real)
         v = build_rho_inverse(s, dim)[:, : len(levels)]
-        den = np.sum(v * (eta @ v), axis=0)
-        num = np.sum(v * (eta @ (inv @ v)), axis=0)
+        rho_v = rho @ v
+        den = np.sum(rho_v * rho_v, axis=0)
+        num = np.sum(rho_v * (rho @ (inv @ v)), axis=0)
         out["rayleigh"][i] = float(np.max(np.abs(num / den - levels)))
+        # 2 K0 rho, entry [i, j] the product 2 K0[i, i] rho[i, j].
+        k0_rho = ParityBlocks.from_dense(k0_operator(dim, 2.0).bands[0][:, None] * rho.dense())
         if 4 <= i < n - 4:
-            stencil = np.zeros((9,) + eta.blocks.shape)
+            stencil = np.zeros((9,) + rho.blocks.shape)
             for j in (-4, -2, -1, 1, 2, 4):
-                stencil[4 + j] = build_eta(traj.state_at(i + j), dim).blocks
-            eta_dot = _fd4_richardson(stencil, traj.dt)[0]
+                stencil[4 + j] = build_rho(traj.state_at(i + j), dim).blocks
+            rho_dot = _fd4_richardson(stencil, traj.dt)[0]
             h = traj.h_bands(i, dim)
-            x, y = eta @ BandOperator(h.real), eta @ BandOperator(h.imag)
-            re = ParityBlocks(eta_dot + (y.blocks + y.T.blocks), dim)
-            im = ParityBlocks(x.T.blocks - x.blocks, dim)
+            x, y = rho @ BandOperator(h.real), rho @ BandOperator(h.imag)
+            # h rho = -2 W K0 rho = -W (2 K0 rho).
+            w = traj.w[i * traj.stride]
+            re = ParityBlocks(x.blocks + w.real * k0_rho.blocks, dim)
+            im = ParityBlocks(rho_dot + y.blocks + w.imag * k0_rho.blocks, dim)
             scale = max(1.0, math.hypot(interior_norm(x), interior_norm(y)))
             out["dyson"][i] = math.hypot(interior_norm(re), interior_norm(im)) / scale
         eta_inv = eta @ inv
         herm = ParityBlocks(eta_inv.blocks - eta_inv.T.blocks, dim)
         r1 = interior_norm(herm) / max(1.0, interior_norm(eta_inv))
-        # 2 K0 rho, entry [i, j] the product 2 K0[i, i] rho[i, j].
-        k0_rho = ParityBlocks.from_dense(k0_operator(dim, 2.0).bands[0][:, None] * rho.dense())
         image = ParityBlocks((rho @ inv).blocks - k0_rho.blocks, dim)
         r2 = interior_norm(image) / max(1.0, interior_norm(k0_rho))
         out["image"][i] = max(r1, r2)
@@ -448,6 +459,12 @@ def dense_invariant(s: MetricState, dim: int) -> np.ndarray:
     return 2 * d.delta1 * ops.k_zero + 2 * d.delta2 * ops.k_minus + 2 * d.delta3 * ops.k_plus
 
 
+def canonical_invariant(s: MetricState, dim: int) -> np.ndarray:
+    """The invariant as a quadratic form in x and p, from the dense
+    quadratures of dim (phinv.position._canonical_form)."""
+    return _canonical_form(s, *_quadratures(dim))
+
+
 def _dense_fd4_richardson(value_at, i: int, h: float) -> np.ndarray:
     v = {j: value_at(j) for j in (i - 4, i - 2, i - 1, i + 1, i + 2, i + 4)}
     d_h = (-v[i + 2] + 8 * v[i + 1] - 8 * v[i - 1] + v[i - 2]) / (12 * h)
@@ -456,15 +473,16 @@ def _dense_fd4_richardson(value_at, i: int, h: float) -> np.ndarray:
 
 
 def dense_dyson_residual(traj, t_index: int, dim: int) -> float:
-    """|d(eta)/dt + i (H_adj eta - eta H)| / max(1, |eta H|) on the interior
-    block, with every product a dense matmul."""
-    eta_dot = _dense_fd4_richardson(
-        lambda j: build_eta(traj.state_at(j), dim).dense(), t_index, traj.dt
+    """|i d(rho)/dt - (h rho - rho H)| / max(1, |rho H|) on the interior
+    block, h = -2 W K0 with W at t_index, with every product a dense matmul."""
+    rho_dot = _dense_fd4_richardson(
+        lambda j: build_rho(traj.state_at(j), dim).dense(), t_index, traj.dt
     )
-    eta = build_eta(traj.state_at(t_index), dim).dense()
+    rho = build_rho(traj.state_at(t_index), dim).dense()
     h_mat = dense_hamiltonian(*coeffs_at(traj, t_index), dim)
-    residual = eta_dot + 1j * (h_mat.conj().T @ eta - eta @ h_mat)
-    return interior_norm(residual) / max(1.0, interior_norm(eta @ h_mat))
+    h_herm = -2 * traj.w[t_index * traj.stride] * cached_operator_set(dim).k_zero
+    residual = 1j * rho_dot - (h_herm @ rho - rho @ h_mat)
+    return interior_norm(residual) / max(1.0, interior_norm(rho @ h_mat))
 
 
 def dense_invariant_residual(traj, t_index: int, dim: int) -> float:

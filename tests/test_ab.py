@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+import phinv
 from phinv.scenario import demo_scenarios
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
@@ -237,3 +238,19 @@ def test_the_demos_record_holds_both_runs_of_every_job():
     del runs["tier1"]
     with pytest.raises(ValueError, match="tier1"):
         ab.demos_entry(runs)
+
+
+def test_the_source_record_counts_package_lines_and_exports(tmp_path):
+    package = tmp_path / "src" / "phinv"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        '"""Doc."""\n\nfrom .a import f\n\n__all__ = [\n    "f",\n    "g",\n]\n', encoding="utf-8"
+    )
+    (package / "a.py").write_text("def f():\n    return 1\n", encoding="utf-8")
+    (tmp_path / "src" / "other.py").write_text("x = 1\n" * 50, encoding="utf-8")
+    assert ab.source_size(tmp_path) == {"lines": 10, "exports": 2}
+    own = ab.source_size(ROOT)
+    assert own["exports"] == len(phinv.__all__)
+    assert own["lines"] == sum(
+        p.read_text(encoding="utf-8").count("\n") for p in (ROOT / "src" / "phinv").glob("*.py")
+    )

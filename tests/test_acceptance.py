@@ -26,7 +26,6 @@ from phinv import (
     GuardError,
     MetricState,
     assemble_solution,
-    build_eta,
     build_rho,
     build_rho_inverse,
     cross_representation_residual,
@@ -36,7 +35,7 @@ from phinv import (
 )
 from phinv.fock import interior_norm
 from phinv.model import constraint_residuals, integrate_metric, invariant_op
-from phinv.position import GaussianShape, PositionGrid, canonical_agreement, canonical_invariant
+from phinv.position import GaussianShape, PositionGrid, canonical_agreement
 from phinv.propagator import (
     dyson_residual,
     hermitian_image_check,
@@ -52,6 +51,7 @@ from support import (
     HARMONIC_DRIVE,
     basis_state,
     cached_operator_set,
+    canonical_invariant,
     coeffs_at,
     conjugate_k,
     dense_gemm_rho_inverse,
@@ -518,10 +518,11 @@ def test_criterion_10_meter_sensitivity(gentle_traj, gentle_states):
         ).values()),
     )
 
+    # The eta-norms and the Rayleigh quotient through rho, as the run takes them.
     idx = range(0, 2001, 100)
-    etas = {j: build_eta(traj.state_at(j), dim) for j in idx}
+    rhos = {j: build_rho(traj.state_at(j), dim) for j in idx}
     def drift(states_of):
-        norms = [float(np.vdot(states_of(j), etas[j] @ states_of(j)).real) for j in idx]
+        norms = [float(np.linalg.norm(rhos[j] @ states_of(j)) ** 2) for j in idx]
         return max(abs(v - norms[0]) for v in norms)
     record(
         "eta_norm_drift",
@@ -529,12 +530,13 @@ def test_criterion_10_meter_sensitivity(gentle_traj, gentle_states):
         drift(lambda j: 1.01 * gentle_states[j] if j >= 1000 else gentle_states[j]),
     )
 
-    eta = build_eta(traj.state_at(i), dim)
+    rho_i = build_rho(traj.state_at(i), dim)
     inv = invariant_op(s, dim).dense()
     def rayleigh(vec):
+        rho_vec = rho_i @ vec
         return abs(
-            float(np.vdot(vec, eta @ (inv @ vec)).real)
-            / float(np.vdot(vec, eta @ vec).real)
+            float(np.vdot(rho_vec, rho_i @ (inv @ vec)).real)
+            / float(np.linalg.norm(rho_vec) ** 2)
             - 3.5
         )
     record(

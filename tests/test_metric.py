@@ -283,9 +283,8 @@ def test_rho_caching_returns_readonly():
     assert r1 is r2
     with pytest.raises(ValueError):
         r1.blocks[0, 0, 0] = 99.0
-    # A dim-192 cache entry holds the two 96 x 96 blocks, half the dense matrix.
+    # eta holds the two 96 x 96 blocks at dim 192, half the dense matrix.
     eta = build_eta(g, 192)
-    assert eta is build_eta(g, 192)
     assert eta.blocks.nbytes == 2 * 96 * 96 * 8 == eta.dense().nbytes // 2
     with pytest.raises(ValueError):
         eta.blocks[1, 5, 5] = 1.0

@@ -14,14 +14,13 @@ from phinv import (
 from phinv.model import invariant_op
 from phinv.position import (
     canonical_agreement,
-    canonical_invariant,
     eigenfunction,
     fock_to_position,
     hermite,
     simpson,
 )
 
-from support import basis_state, cached_operator_set, random_metric_states
+from support import basis_state, cached_operator_set, canonical_invariant, random_metric_states
 
 
 def test_hermite_values():

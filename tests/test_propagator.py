@@ -20,6 +20,7 @@ from support import (
 )
 
 from phinv import (
+    DEFAULT_TOLERANCES,
     DomainError,
     InstabilityError,
     MetricState,
@@ -192,6 +193,21 @@ def test_dyson_residual_catches_corrupted_metric(gentle_traj):
     clean = dyson_residual(gentle_traj, 2500, 64)
     corrupted = dataclasses.replace(gentle_traj, phi=1.01 * gentle_traj.phi)
     assert dyson_residual(corrupted, 2500, 64) >= 1e3 * max(clean, 1e-12)
+
+
+def test_dyson_residual_reads_the_hermitian_generator(gentle_traj):
+    """The Dyson meter checks i rho' = h rho - rho H with h = -2 W K0 read
+    from the trajectory, so a W off by 1e-5 fails it at the default
+    tolerance, reading that error, and h with its sign flipped reads about
+    2. The metric flow relation for eta alone never reads W."""
+    idx = np.arange(4, gentle_traj.n_times - 4, 97)
+    tol = DEFAULT_TOLERANCES["dyson"]
+    assert np.max(dyson_residual(gentle_traj, idx, 64)) <= 1e-12
+    scaled = dataclasses.replace(gentle_traj, w=(1 + 1e-5) * gentle_traj.w)
+    worst = np.max(dyson_residual(scaled, idx, 64))
+    assert tol < worst <= 1.01e-5
+    flipped = dataclasses.replace(gentle_traj, w=-gentle_traj.w)
+    assert np.min(dyson_residual(flipped, idx, 64)) >= 1.9
 
 
 def test_invariant_residual_static_and_driven(gentle_traj, harmonic_traj):

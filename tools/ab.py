@@ -35,6 +35,10 @@ child's ru_maxrss starts from the peak of the process that started it: for
 this reading that is this script, far smaller than a phinv run, where
 perfbench's reading starts from its own harness.
 
+`source` holds each side's package size (source_size): the lines of
+src/phinv and the number of names in phinv.__all__, so a change that means
+to shrink the package reads its own result.
+
 With --demos it also takes the end-to-end numbers perfbench does not: in
 each tree, `phinv run` on both full-horizon demos (perfbench/workloads.py's
 DEMO_HARMONIC and DEMO_TD) and the tier-1 suite (`python3 -m pytest -q
@@ -48,6 +52,7 @@ process), and the change's wall time over the base's.
 from __future__ import annotations
 
 import argparse
+import ast
 import filecmp
 import importlib.util
 import io
@@ -180,6 +185,21 @@ def artifact_entry(written: dict[int, dict[str, tuple[dict[str, str], dict]]]) -
             entry["seeds"][str(seed)][field] = {side: run[1][field] for side, run in sides.items()}
     entry["peak_rss_mb"] = entry["seeds"][str(ARTIFACT_SEEDS[0])]["peak_rss_mb"]
     return entry
+
+
+def source_size(tree: Path) -> dict:
+    """The size of tree's package: `lines`, the lines of its .py files under
+    src/phinv, and `exports`, the names in phinv.__all__, read from the
+    literal list in src/phinv/__init__.py without importing the package."""
+    package = tree / "src" / "phinv"
+    lines = sum(len(p.read_text(encoding="utf-8").splitlines()) for p in package.rglob("*.py"))
+    init = ast.parse((package / "__init__.py").read_text(encoding="utf-8"))
+    exports = next(
+        ast.literal_eval(node.value) for node in init.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    return {"lines": lines, "exports": len(exports)}
 
 
 # What run_measured reads of a finished process from wait4.
@@ -337,6 +357,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"perfbench/ differs between {args.base} and the working tree; "
                   "an A/B needs the same benchmark on both sides", file=sys.stderr)
             return 2
+        source = {side: source_size(tree) for side, tree in (("base", base_tree), ("change", root))}
         runs = {w: {"base": [], "change": []} for w in workloads}
         traced = {}
         for workload in workloads:
@@ -376,6 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         "seed": args.seed,
         "seconds": seconds,
         "pairs": args.pairs,
+        "source": source,
         "workloads": {},
     }
     if args.demos:
@@ -401,6 +423,8 @@ def main(argv: list[str] | None = None) -> int:
             )
         out["workloads"][workload] = entry
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"source lines base {source['base']['lines']} change {source['change']['lines']}, "
+          f"exports base {source['base']['exports']} change {source['change']['exports']}")
     for workload, entry in out["workloads"].items():
         for name, s in entry["metrics"].items():
             print(f"{workload:16s} {name:12s} base {s['base']['median']:.4g} "

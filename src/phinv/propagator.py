@@ -27,15 +27,15 @@ halo), and the band products, H psi (H's bands from MetricTrajectory.h_bands),
 the products with rho and eta and the interior norms run over the window's
 leading time axis. A single index is the one-row case of the same code.
 
-propagate takes its RK4 steps STEP_BLOCK at a time into a block of states
-and checks their norms once per block. A diagonal generator (the Hermitian
-side's -2 W K0) multiplies level n by RK4's stage formula applied to 1, so a
-block is a running product of those per-level factors, which agrees with the
-step-by-step loop to rounding. Any other generator, three bands or a dense
-matrix, is applied to the state step after step, bit for bit the loop. Both
-call H(t) at every RK4 stage time. The two sources of H(t) build the bands
-of a run of half-step indices at once and hand out read-only rows of that
-table, so the two stage times at t + h/2 read one row.
+propagate takes its RK4 steps STEP_BLOCK at a time: it reads H(t) at every
+stage time of a block, hands the kernels those band arrays and checks the
+block's norms at once. A diagonal generator (one row, the Hermitian side's
+-2 W K0) multiplies level n by RK4's stage formula applied to 1, so a block
+is a running product of those per-level factors, which agrees with the
+step-by-step loop to rounding. Three bands (H itself) are applied to the
+state step after step, bit for bit the loop. The two sources of H(t) build
+the bands of a run of half-step indices at once and hand out read-only
+rows of that table, so the two stage times at t + h/2 read one row.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ def _check_uniform(times: np.ndarray) -> float:
 
 
 def propagate(
-    h_of_t: Callable[[float], np.ndarray],
+    h_of_t: Callable[[float], BandOperator],
     psi0: np.ndarray,
     times: np.ndarray,
     *,
@@ -74,21 +74,21 @@ def propagate(
     states at the given times, an (n_times, dim) complex array.
 
     Each report interval is split into `substeps` RK4 steps, and h_of_t is
-    called at the four stage times of every step. The run aborts with an
-    instability error, carrying the offending time, at the first step whose
-    state stops being finite or whose norm exceeds 1e6 times the initial
-    norm (truncated non-normal generators can blow up; silence would poison
-    every downstream meter).
+    called at the four stage times of every step: t, t + h/2 twice (once
+    for each stage there) and t + h. H(t) must be a BandOperator of one
+    band row (diagonal, as -2 W(t) K0 is) or three (as H(t) is), the same
+    at every call; anything else raises a TypeError naming it. The run
+    aborts with an instability error, carrying the offending time, at the
+    first step whose state stops being finite or whose norm exceeds 1e6
+    times the initial norm (truncated non-normal generators can blow up;
+    silence would poison every downstream meter).
 
-    The steps are taken STEP_BLOCK at a time into a block of states, and
-    the norms checked once per block; an unstable step raises at its own
+    The steps are taken STEP_BLOCK at a time: H is read at every stage time
+    of a block first, the block's states are stepped from those bands, and
+    their norms are checked at once; an unstable step raises at its own
     time and with the message a check after every step gives, although the
-    block's later steps were taken. When H(t) is a diagonal BandOperator
-    (one row, as -2 W(t) K0 is), each step multiplies level n by the same
-    RK4 stage formula applied to 1, so a block is a running product of
-    those factors; it agrees with the step-by-step loop to rounding. Any
-    other H(t), three bands or a dense matrix, is applied to the state step
-    after step, bit for bit the loop.
+    block's later steps were taken. One row is stepped by _diagonal_steps,
+    three by _steps.
     """
     _check_uniform(times)
     psi0 = np.asarray(psi0, dtype=complex)
@@ -106,14 +106,16 @@ def propagate(
 
     states = np.empty((len(times), len(psi0)), dtype=complex)
     states[0] = psi = psi0
-    h_first = h_of_t(starts[0])
-    diagonal = isinstance(h_first, BandOperator) and h_first.bands.shape[0] == 1
-    take_steps = _diagonal_steps if diagonal else _steps
+    rows = None
     block = np.empty((min(STEP_BLOCK, len(starts)), len(psi0)), dtype=complex)
     for b in range(0, len(starts), STEP_BLOCK):
         t, h = starts[b : b + STEP_BLOCK], sizes[b : b + STEP_BLOCK]
+        ops = [h_of_t(s) for tk, hk in zip(t, h)
+               for s in (tk, tk + 0.5 * hk, tk + 0.5 * hk, tk + hk)]
+        bands, rows = _stage_bands(ops, rows)
         out = block[: len(t)]
-        take_steps(h_of_t, h_first if b == 0 else None, t, h, psi, out, cap)
+        (_diagonal_steps if rows == 1 else _steps)(bands, h, psi, out)
+        _check_steps(out, t, h, cap)
         ends = np.arange(b + 1, b + 1 + len(t))
         at_report = ends % substeps == 0
         states[ends[at_report] // substeps] = out[at_report]
@@ -121,24 +123,31 @@ def propagate(
     return states
 
 
+def _stage_bands(ops: list, rows: int | None) -> tuple[list, int]:
+    """The bands of H at a block's stage times, and their row count: 1 or 3,
+    and rows when given, the count of the blocks before. Anything else
+    raises a TypeError naming what H(t) gave."""
+    kinds = set(map(type, ops))
+    if kinds == {BandOperator}:
+        bands = [op.bands for op in ops]
+        kinds = set(map(len, bands))
+        if kinds == {rows} or (rows is None and kinds in ({1}, {3})):
+            return bands, kinds.pop()
+    got = sorted(f"{k}-row BandOperator" if isinstance(k, int) else k.__name__
+                 for k in kinds | ({rows} if rows else set()))
+    raise TypeError(
+        "propagate steps H(t) given as BandOperators of 1 or 3 band rows, the same at every"
+        f" call; got {', '.join(got)}"
+    )
+
+
 def _instability_message(norm: float, t: float, cap: float) -> str:
     return f"state norm {norm:.3e} at t={t:.4f} (cap {cap:.1e})"
 
 
-def _stage_operators(h_of_t, t: float, h: float, h_t=None) -> tuple:
-    """H at the stage times of the RK4 step from t: t, t + h/2 (once for
-    each of the two stages there) and t + h; h_t, when given, is H(t)."""
-    return (
-        h_of_t(t) if h_t is None else h_t,
-        h_of_t(t + 0.5 * h),
-        h_of_t(t + 0.5 * h),
-        h_of_t(t + h),
-    )
-
-
 def _rk4_step(apply, psi, h):
     """One classic RK4 step of i d/dt psi = H psi, where apply(stage, v) is
-    H at that stage's time (0 .. 3, as _stage_operators orders them) times v."""
+    H at that stage's time (0 .. 3: t, t + h/2 twice, t + h) times v."""
     k1 = -1j * apply(0, psi)
     k2 = -1j * apply(1, psi + 0.5 * h * k1)
     k3 = -1j * apply(2, psi + 0.5 * h * k2)
@@ -146,13 +155,9 @@ def _rk4_step(apply, psi, h):
     return psi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _apply(op, v: np.ndarray) -> np.ndarray:
-    """op @ v. For one three-row BandOperator, as H(t) is, these are the
-    ufuncs BandOperator.__matmul__ applies to a state, in its order, without
-    its dispatch."""
-    if type(op) is not BandOperator or op.bands.shape[:-1] != (3,):
-        return op @ v
-    b = op.bands
+def _apply(b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The three-row BandOperator with bands b times v: the ufuncs
+    BandOperator.__matmul__ applies to a state, in its order."""
     out = b[0] * v
     out[:-2] += b[1, :-2] * v[2:]
     out[2:] += b[2, :-2] * v[:-2]
@@ -176,42 +181,29 @@ def _check_steps(out, t, h, cap) -> None:
                 raise InstabilityError(t[k] + h[k], _instability_message(norm, t[k] + h[k], cap))
 
 
-def _steps(h_of_t, h_t, t, h, psi, out, cap) -> None:
-    """propagate's steps from psi at the start times t and sizes h, one
-    after the other, into the rows of out; h_t, when given, is H(t[0]).
-    When h_of_t raises (a time off its grid), the steps taken before are
-    checked first, as a check after every step would have."""
-    done = 0
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k, (tk, hk) in enumerate(zip(t, h)):
-                ops = _stage_operators(h_of_t, tk, hk, h_t if k == 0 else None)
-                psi = out[k] = _rk4_step(lambda stage, v: _apply(ops[stage], v), psi, hk)
-                done = k + 1
-    finally:
-        _check_steps(out[:done], t, h, cap)
-
-
-def _diagonal_steps(h_of_t, h_t, t, h, psi, out, cap) -> None:
-    """_steps under a diagonal H(t): each step's per-level factor is
-    _rk4_step on a state of ones, with H acting as its diagonal, and the
-    states are the running product of the factors from psi. h_of_t is
-    called at every stage time, as the step-by-step loop calls it."""
-    # (steps, stages, dim); every operator must hold one row.
-    g = np.concatenate([
-        op.bands
-        for k, (tk, hk) in enumerate(zip(t, h))
-        for op in _stage_operators(h_of_t, tk, hk, h_t if k == 0 else None)
-    ]).reshape(len(t), 4, -1)
+def _steps(bands, h, psi, out) -> None:
+    """RK4 steps of sizes h from psi, one after the other, into the rows of
+    out, under a three-row H: bands[4 k + s] is H's (3, dim) bands at stage
+    s of step k. Bit for bit the step-by-step loop."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ones = np.ones((len(t), g.shape[2]))
-        factors = _rk4_step(lambda stage, v: g[:, stage] * v, ones, np.array(h)[:, None])
+        for k, hk in enumerate(h):
+            psi = out[k] = _rk4_step(lambda s, v: _apply(bands[4 * k + s], v), psi, hk)
+
+
+def _diagonal_steps(bands, h, psi, out) -> None:
+    """_steps under a diagonal H, bands[4 k + s] its (1, dim) bands: each
+    step's per-level factor is _rk4_step on a state of ones, with H acting
+    as its diagonal, and the states are the running product of the factors
+    from psi, which agrees with the step-by-step loop to rounding."""
+    g = np.concatenate(bands).reshape(len(h), 4, -1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ones = np.ones((len(h), g.shape[2]))
+        factors = _rk4_step(lambda s, v: g[:, s] * v, ones, np.array(h)[:, None])
         out[:] = np.multiply.accumulate(np.concatenate([psi[None], factors]), axis=0)[1:]
-    _check_steps(out, t, h, cap)
 
 
 def convergence_probe(
-    h_of_t: Callable[[float], np.ndarray],
+    h_of_t: Callable[[float], BandOperator],
     psi0: np.ndarray,
     times: np.ndarray,
     *,
@@ -440,9 +432,13 @@ TABLE_BYTES = 32 * 1024
 def _tabled(index: Callable[[float], int], rows: Callable[[int, int], np.ndarray]):
     """h_of_t(t), the BandOperator of row index(t) of a table of bands along
     the half-step grid. rows(lo, hi) builds the rows of indices lo .. hi - 1;
-    a t whose index is not in the table replaces it with the TABLE_BYTES of
-    rows from that index on. The rows are read-only views, and a time read
-    twice, as an RK4 step reads t + h/2, gets the same operator."""
+    a t whose index is not in the table replaces it: with the TABLE_BYTES of
+    rows from that index on when the index follows the table's last row,
+    with that row alone when it skips rows, as the convergence probe's
+    coarse steps do. propagate holds a block's operators, and with them
+    their tables, so a skipped row would be held for nothing. The rows are
+    read-only views, and a time read twice, as an RK4 step reads t + h/2,
+    gets the same operator."""
     size = max(1, TABLE_BYTES // rows(0, 1).nbytes)
     ops, lo = [], 0
 
@@ -450,8 +446,8 @@ def _tabled(index: Callable[[float], int], rows: Callable[[int, int], np.ndarray
         nonlocal ops, lo
         k = index(t) - lo
         if not 0 <= k < len(ops):
-            lo, k = lo + k, 0
-            table = rows(lo, lo + size)
+            lo, k, n = lo + k, 0, size if k == len(ops) else 1
+            table = rows(lo, lo + n)
             table.setflags(write=False)
             ops = [BandOperator(row) for row in table]
         return ops[k]

@@ -74,10 +74,6 @@ ORACLE_HORIZON = 0.5
 TAIL_WARN = 1e-8
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.16e}"
-
-
 def _verdict(name: str, residual: float, tolerance: float) -> tuple[bool, str]:
     """Whether a row passes, and its PASS/FAIL line as run and verify print it."""
     passed = residual <= tolerance
@@ -368,7 +364,8 @@ def _emit_csv(traj, eta_norms, schro, inv_res, dys_res, tails) -> str:
         *traj.phases.values(),
         eta_norms, schro, inv_res, dys_res, tails,
     ]).tolist()
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    row_format = ",".join(["%.16e"] * len(header))
+    lines = [",".join(header)] + [row_format % tuple(row) for row in rows]
     return CSV_EOL.join(lines) + CSV_EOL
 
 

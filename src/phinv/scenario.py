@@ -45,7 +45,7 @@ class Check(NamedTuple):
 CHECKS = (
     Check("schrodinger", 1e-6, "schrodinger_residual", 2),
     Check("invariant", 5e-6, "invariant_residual", 4),
-    Check("dyson", 5e-6, "dyson_residual", 4),
+    Check("dyson", 1e-10, "dyson_residual", 4),
     Check("eta_norm_drift", 1e-7, "eta_norm", 0, drift=True),
     Check("im_w", 1e-10),
     Check("rayleigh", 1e-8),

@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from phinv import (
+    DEFAULT_TOLERANCES,
     DomainError,
     GuardError,
     MetricState,
@@ -33,7 +34,7 @@ from phinv import (
     parse_scenario,
     run_scenario,
 )
-from phinv.fock import interior_norm
+from phinv.fock import interior_norm, k0_operator
 from phinv.model import constraint_residuals, integrate_metric, invariant_op
 from phinv.position import GaussianShape, PositionGrid, canonical_agreement
 from phinv.propagator import (
@@ -145,10 +146,9 @@ def test_criterion_01_harmonic_limit(harmonic_run):
     )
     assert worst_gamma <= 1e-9
 
-    ops = cached_operator_set(64)
     mix = sum(basis_state(64, n) for n in range(7)).astype(complex) / np.sqrt(7)
     times = np.linspace(0.0, 5.0, 5001)
-    out = propagate(lambda t: 2.0 * ops.k_zero, mix, times, substeps=8)
+    out = propagate(lambda t: k0_operator(64, 2.0), mix, times, substeps=8)
     worst_state = 0.0
     for i in (1000, 2500, 5000):
         analytic = sum(
@@ -266,14 +266,14 @@ def test_criterion_05_steep_td_quasi_hermiticity(steep_traj, static_traj):
     """Same drive, same t=1.92175 constraint-denominator abort as criterion
     2. The static half of the claim holds as stated (residual ~4e-16 <= 1e-9
     at the diagonal metric point). The driven half holds before the abort,
-    near 1e-13 against 5e-6 on t = 0.1 .. 1.8, and on the completable drive
+    near 1e-13 against 1e-10 on t = 0.1 .. 1.8, and on the completable drive
     over the full horizon (see test_criterion_05_demonstration).
     """
     err = assert_steep_abort()
     static_res = dyson_residual(static_traj, 500, 64)
     assert static_res <= 1e-9
     worst = max(dyson_residual(steep_traj, i, 64) for i in STEEP_INDICES)
-    assert worst <= 5e-6
+    assert worst <= DEFAULT_TOLERANCES["dyson"]
     say(
         5, True,
         f"abort at t={err.time:.5f}; driven before it {worst:.1e}, static {static_res:.1e}",
@@ -282,7 +282,7 @@ def test_criterion_05_steep_td_quasi_hermiticity(steep_traj, static_traj):
 
 def test_criterion_05_demonstration(td_run, static_traj):
     worst = check_value(td_run, "dyson")
-    assert worst <= 5e-6
+    assert worst <= DEFAULT_TOLERANCES["dyson"]
 
     static_res = dyson_residual(static_traj, 500, 64)
     assert static_res <= 1e-9

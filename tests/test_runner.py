@@ -35,11 +35,12 @@ from phinv import (
     verify_artifacts,
 )
 import phinv.metric
+import phinv.model
 import phinv.position
 import phinv.propagator
 import phinv.runner
 from phinv._version import __version__
-from phinv.runner import CSV_EOL, _fmt, _parse_csv
+from phinv.runner import CSV_EOL, _parse_csv
 from phinv.scenario import CHECKS
 from support import per_time_metric_meters, reference_parse_csv
 from test_golden import CHECK_DRIVES
@@ -155,7 +156,7 @@ def test_verify_recomputes_from_csv(td_run):
 
     def inflate_tail(rows):
         cells = rows[100].split(",")
-        cells[j] = _fmt(1.0)
+        cells[j] = "%.16e" % 1.0
         rows[100] = ",".join(cells)
 
     csv_text, report_text = tamper(td_run, inflate_tail)
@@ -638,6 +639,24 @@ def test_a_run_tracking_the_highest_accepted_level_passes_every_row():
     assert [c["name"] for c in result.report["checks"] if not c["passed"]] == []
     rows = {c["name"]: c["max_residual"] for c in result.report["checks"]}
     assert rows["eta_norm_drift"] <= 1e-7 and rows["oracle_eta_drift"] <= 1e-7
+
+
+def test_a_w_off_by_one_part_in_a_million_fails_only_the_dyson_row(monkeypatch):
+    """demo_td to t_max 0.2 with W scaled by 1 + 1e-6 where the flow forms
+    it: the dyson meter reads that error, about 1e-6, against its default
+    tolerance of 1e-10, 100 times the row's measured floors (at most
+    8.1e-13), and every other row passes, as on the clean run."""
+    doc = dict(demo_scenarios()["demo_td"], t_max=0.2)
+    clean = run_scenario(scenario(doc))
+    assert clean.passed
+    exact = phinv.model.transformed_frequency
+    monkeypatch.setattr(phinv.model, "transformed_frequency",
+                        lambda *args: (1 + 1e-6) * exact(*args))
+    result = run_scenario(scenario(doc))
+    assert [c["name"] for c in result.report["checks"] if not c["passed"]] == ["dyson"]
+    (row,) = [c for c in result.report["checks"] if c["name"] == "dyson"]
+    assert row["tolerance"] == 1e-10
+    assert 0.9e-6 <= row["max_residual"] <= 1.1e-6
 
 
 @pytest.mark.parametrize(

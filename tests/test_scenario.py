@@ -39,7 +39,7 @@ def test_minimal_scenario_defaults():
     assert cfg.quantum_numbers == (0,)
     assert cfg.superposition == (1.0 + 0.0j,)
     assert cfg.tolerances == DEFAULT_TOLERANCES
-    assert cfg.tolerances["dyson"] == 5e-6
+    assert cfg.tolerances["dyson"] == 1e-10
 
 
 def test_malformed_json_reports_position():

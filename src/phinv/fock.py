@@ -12,8 +12,10 @@ commutator term, is again a BandOperator, on the diagonals at offsets 0,
 sum of the dense generators built from a[n-1, n] = sqrt(n).
 An operator that keeps the parity of n (the metric map rho, eta, their
 factors) is a ParityBlocks: its even-level and odd-level blocks in one
-(2, m, m) array, m = ceil(N/2), so it stores and multiplies half the
-entries of the dense matrix, none of them the dense matrix's exact zeros.
+(2, m, m) array, m = ceil(N/2), so it stores half the entries of the
+dense matrix, none of them the dense matrix's exact zeros, and multiplies
+a band of three rows or more as one BLAS product with the band's dense
+sector matrices.
 Products, transposes and interior norms of both kinds also run over a stack
 of operators along a leading time axis, each time as it would alone.
 Identities involving raising operators are only exact away from the
@@ -69,8 +71,7 @@ class BandOperator:
     (1, dim) array. `op @ v`, `op @ M` and `op @ other_op` skip the
     exact-zero terms of the dense product and add the remaining ones in the
     order `op @ M` does, row by row of the left operand; `op @ other_op` is
-    a BandOperator again (a diagonal op times a ParityBlocks is
-    `(blocks.T @ op).T`). `.dense()` returns the dense matrix as a complex
+    a BandOperator again. `.dense()` returns the dense matrix as a complex
     array; there is no other arithmetic with arrays. A stack of operators
     over time, bands of shape (T, rows, dim), multiplies a (T, dim) stack of
     states or a (T, dim, k) stack of matrices, and is taken by
@@ -122,7 +123,10 @@ class ParityBlocks:
     row and column. `op @ v` takes a state or a (dim, k) matrix in natural
     order and returns one; `op @ band` with a BandOperator and `.T` return a
     ParityBlocks. Inside a block a band's rows at offsets +-2k are the rows
-    at +-k. `.dense()` returns the dense matrix; other arithmetic runs on
+    at +-k: a band of three rows or more is written out as its dense
+    sector matrices and taken in one batched matmul, on BLAS, which rounds
+    as BLAS sums; a diagonal band scales the columns, one product per
+    entry. `.dense()` returns the dense matrix; other arithmetic runs on
     `.blocks`. Blocks of shape (T, 2, m, m) are a stack over time: `op @ v`
     takes a (T, dim) or (T, dim, k) stack, `op @ band` bands over the same
     times, and `.T` and `interior_norm` work per time.
@@ -159,17 +163,21 @@ class ParityBlocks:
 
     def __matmul__(self, other):
         if isinstance(other, BandOperator):
-            # Each column j of a block collects the block's columns j -+ k
-            # scaled by the band's +-k rows: the diagonal term, then for each
-            # k the +k term and the -k term.
-            b = _sector_bands(other.bands, self.dim)[..., None, :]
-            a = self.blocks
-            out = a * b[0]
-            for k in range(1, (len(b) + 1) // 2):
-                left, right = out[..., :-k], out[..., k:]
-                right += a[..., :-k] * b[2 * k - 1, ..., :-k]
-                left += a[..., k:] * b[2 * k, ..., :-k]
-            return ParityBlocks(out, self.dim)
+            b = _sector_bands(other.bands, self.dim)
+            rows, m = b.shape[-3], b.shape[-1]
+            if rows == 1:
+                # A diagonal band scales the blocks' columns.
+                return ParityBlocks(self.blocks * b[..., 0, :, None, :], self.dim)
+            # Entry [i, i + k] of a dense sector matrix holds the +k row's
+            # slot i and [i + k, i] the -k row's. The metric builders keep every
+            # operator finite, so the dense form's zeros add only zeros.
+            dense = np.zeros(b.shape[:-3] + (2, m, m), dtype=b.dtype)
+            flat = dense.reshape(b.shape[:-3] + (2, m * m))
+            flat[..., :: m + 1] = b[..., 0, :, :]
+            for k in range(1, (rows + 1) // 2):
+                flat[..., k :: m + 1][..., : m - k] = b[..., 2 * k - 1, :, : m - k]
+                flat[..., k * m :: m + 1][..., : m - k] = b[..., 2 * k, :, : m - k]
+            return ParityBlocks(np.matmul(self.blocks, dense), self.dim)
         if isinstance(other, ParityBlocks):
             return NotImplemented
         return self._apply(np.asarray(other))
@@ -193,13 +201,13 @@ class ParityBlocks:
 
 
 def _sector_bands(bands: np.ndarray, dim: int) -> np.ndarray:
-    """A band stack's rows split by parity, a (rows, ..., 2, m) array: slot
+    """A band stack's rows split by parity, a (..., rows, 2, m) array: slot
     i of sector p is the natural slot 2i + p, zero past the end of an odd
     dim. Stored rows at offsets 0, +-2, +-4, ... are a sector's 0, +-1, ..."""
     m = (dim + 1) // 2
     if dim != 2 * m:
         bands = np.concatenate([bands, np.zeros_like(bands[..., :1])], axis=-1)
-    return np.moveaxis(bands.reshape(bands.shape[:-1] + (m, 2)).swapaxes(-1, -2), -3, 0)
+    return bands.reshape(bands.shape[:-1] + (m, 2)).swapaxes(-1, -2)
 
 
 def _band_offset(row: int) -> int:

@@ -18,6 +18,8 @@ columns rho^{-1}|n> for low n, the invariant's eigenstates, so its cache
 keeps only the blocks' columns of the first K = rho_inverse_columns(dim, top)
 levels, where top is the run's highest tracked level, and
 build_rho_inverse returns them as a (dim, K) array in natural level order.
+A miss multiplies only those columns of the inner factors, and the overflow
+guard judges only them: a map that overflows past them is still built.
 
 The two caches keep the keys and the calls to ladder_exp per miss of the
 dense builders (rho^{-1}'s key adds K, which is the same for every read in a
@@ -89,12 +91,16 @@ def ladder_exp(tau: float, dim: int, raising: bool) -> ParityBlocks:
     truncated generator, just without the chain of matrix products.
     """
     c, k_of, c_t, k_of_t = _ladder_table(dim)
+    if not raising:
+        c, k_of = c_t, k_of_t
     powers = np.full((dim - 1) // 2 + 1, float(tau))
     powers[0] = 1.0
     np.cumprod(powers, out=powers)
-    if raising:
-        return ParityBlocks(c * powers[k_of], dim)
-    return ParityBlocks(c_t * powers[k_of_t], dim)
+    # The gather is a fresh array: scaling it in place spares a temporary
+    # of the full size, as the fresh factor does in _rho_cached.
+    out = powers[k_of]
+    out *= c
+    return ParityBlocks(out, dim)
 
 
 def _k0_power(base: float, dim: int) -> np.ndarray:
@@ -132,7 +138,8 @@ def _rho_cached(vp: float, vz: float, vm: float, dim: int) -> ParityBlocks:
     e_plus = ladder_exp(vp, dim, raising=True).blocks
     mid = _k0_power(vz, dim)
     e_minus = ladder_exp(vm, dim, raising=False).blocks
-    return _readonly(np.matmul(e_plus, mid[:, :, None] * e_minus), dim)
+    e_minus *= mid[:, :, None]
+    return _readonly(np.matmul(e_plus, e_minus), dim)
 
 
 def rho_inverse_columns(dim: int, top: int = 0) -> int:
@@ -164,18 +171,12 @@ def build_rho_inverse(g: MetricState, dim: int, top: int = 0) -> np.ndarray:
 
 @lru_cache(maxsize=256)
 def _rho_inv_cached(vp: float, vz: float, vm: float, dim: int, k: int) -> np.ndarray:
-    """The first k columns as (2, m, ceil(k / 2)) parity blocks. The full
-    product is formed, and checked for overflow, before it is cut, so the
-    kept entries are those of the full blocks."""
+    """The first k columns as (2, m, ceil(k / 2)) parity blocks, formed and
+    checked for overflow from those columns of the inner factors alone."""
     e_minus = ladder_exp(-vm, dim, raising=False).blocks
-    e_plus = ladder_exp(-vp, dim, raising=True).blocks
-    # ladder_exp returns a fresh array: scaling it in place spares a miss
-    # one more temporary of the full size.
-    e_plus *= _k0_power(1.0 / vz, dim)[:, :, None]
-    full = _readonly(np.matmul(e_minus, e_plus), dim).blocks
-    cut = full[..., : (k + 1) // 2].copy()
-    cut.setflags(write=False)
-    return cut
+    e_plus = ladder_exp(-vp, dim, raising=True).blocks[..., : (k + 1) // 2]
+    mid = _k0_power(1.0 / vz, dim)
+    return _readonly(np.matmul(e_minus, mid[:, :, None] * e_plus), dim).blocks
 
 
 def metric_window(dim: int) -> int:

@@ -236,13 +236,15 @@ def _canonical_form(s: MetricState, pp, px_xp, xx) -> np.ndarray:
 
 
 def fock_to_position(vec: np.ndarray, grid: PositionGrid) -> np.ndarray:
-    """Synthesize a Fock-basis vector as a position wavefunction.
+    """Synthesize a Fock-basis vector as a position wavefunction, or the
+    columns of a (dim, k) matrix as a (k, points) array of them, each row
+    bit for bit its column alone.
 
     Oscillator eigenfunctions come from the stable two-term recurrence
     psi_{m+1} = sqrt(2/(m+1)) x psi_m - sqrt(m/(m+1)) psi_{m-1}, seeded with
     the normalized ground Gaussian. A real vector gives a real wavefunction.
     """
-    vec = np.asarray(vec)
+    vec = np.asarray(vec)[..., None]
     x = grid.points
     psi_prev = np.zeros_like(x)
     psi = math.pi**-0.25 * np.exp(-0.5 * x * x)
@@ -256,8 +258,9 @@ def fock_to_position(vec: np.ndarray, grid: PositionGrid) -> np.ndarray:
     return out
 
 
-def cross_representation_residual(s: MetricState, n: int, dim: int, top: int = 0) -> float:
-    """Pointwise mismatch between the two routes to the same eigenfunction.
+def cross_representation_residual(s: MetricState, n, dim: int, top: int = 0):
+    """Pointwise mismatch between the two routes to the same eigenfunction:
+    a float for one level n, a list of floats for a sequence of levels.
 
     Route one: rho^{-1}|n> in the Fock basis, synthesized on the grid. Route
     two: the closed-form eigenfunction. Both are L2-normalized on the grid
@@ -266,26 +269,43 @@ def cross_representation_residual(s: MetricState, n: int, dim: int, top: int = 0
     max |difference| / max |closed form|. top is the highest level the
     caller's run tracks, so that its reads of rho^{-1} keep the columns its
     other reads keep (build_rho_inverse); a level n above top widens them.
+    Levels whose grids coincide are synthesized together; each value is the
+    one-level call's, bit for bit.
     """
-    if not 0 <= n < dim:
-        raise DomainError(f"level {n} out of range for dim {dim}")
-    fock_vec = build_rho_inverse(s, dim, max(top, n))[:, n]
-    grid = PositionGrid.for_shape(GaussianShape.from_state(s), n_max=n)
-    synthesized = fock_to_position(fock_vec, grid)
-    closed = np.asarray(eigenfunction(n, grid.points, s))
+    one = np.ndim(n) == 0
+    levels = [n] if one else list(n)
+    for level in levels:
+        if not 0 <= level < dim:
+            raise DomainError(f"level {level} out of range for dim {dim}")
+    columns = [build_rho_inverse(s, dim, max(top, level))[:, level] for level in levels]
+    shape = GaussianShape.from_state(s)
+    grids = [PositionGrid.for_shape(shape, n_max=level) for level in levels]
+    # linspace(-extent, extent, points) fixes a grid.
+    keys = [(len(g.points), g.extent) for g in grids]
+    synthesized = {}
+    for j, key in enumerate(keys):
+        if j not in synthesized:
+            same = [i for i in range(j, len(keys)) if keys[i] == key]
+            rows = fock_to_position(np.stack([columns[i] for i in same], axis=1), grids[j])
+            synthesized.update(zip(same, rows))
 
-    def normalized(v: np.ndarray) -> np.ndarray:
+    def normalized(v: np.ndarray, x: np.ndarray) -> np.ndarray:
         # One rounding rule for the real and the complex route: times the
         # reciprocal norm, as numpy divides a complex array by a real scalar.
-        return v * (1.0 / math.sqrt(float(simpson(np.abs(v) ** 2, grid.points))))
+        return v * (1.0 / math.sqrt(float(simpson(np.abs(v) ** 2, x))))
 
-    synthesized, closed = normalized(synthesized), normalized(closed)
-    overlap = complex(simpson(np.conj(synthesized) * closed, grid.points))
-    if overlap == 0:
-        return float(np.max(np.abs(closed - synthesized)))
-    factor = overlap / abs(overlap)
-    resid = np.max(np.abs(closed - factor * synthesized))
-    return float(resid / np.max(np.abs(closed)))
+    values = []
+    for j, level in enumerate(levels):
+        x = grids[j].points
+        synth = normalized(synthesized[j], x)
+        closed = normalized(np.asarray(eigenfunction(level, x, s)), x)
+        overlap = complex(simpson(np.conj(synth) * closed, x))
+        if overlap == 0:
+            values.append(float(np.max(np.abs(closed - synth))))
+        else:
+            resid = np.max(np.abs(closed - overlap / abs(overlap) * synth))
+            values.append(float(resid / np.max(np.abs(closed))))
+    return values[0] if one else values
 
 
 def canonical_agreement(states, dim: int):

@@ -24,7 +24,7 @@ import numpy as np
 from ._version import __version__
 from .errors import ConfigError, DomainError, FormatError, GuardError, TruncationWarning
 from .fock import BandOperator, ParityBlocks, tail_support
-from .metric import build_rho, build_rho_inverse, metric_window
+from .metric import build_rho, build_rho_inverse, metric_window, rho_inverse_columns
 from .model import (
     MetricState,
     assemble_solution,
@@ -40,6 +40,7 @@ from .position import (
     PositionGrid,
 )
 from .propagator import (
+    SUB_BLOCK_BYTES,
     convergence_probe,
     dyson_residual,
     hamiltonian_source,
@@ -201,11 +202,12 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
         spots.append((int(i), s_i, shape, grid))
     canon_dev = canonical_agreement([s_i for _, s_i, _, _ in spots], dim)
 
-    # One assembly call per window of report times; the tail-support guard
-    # still judges the states one by one, in order.
+    # One assembly call per window of report times, as many as keep their
+    # float64 rho^-1 columns, dim x K per time, within SUB_BLOCK_BYTES; the
+    # tail-support guard still judges the states one by one, in order.
     states = np.empty((n_times, dim), dtype=complex)
     tails = np.empty(n_times)
-    size = metric_window(dim)
+    size = max(1, SUB_BLOCK_BYTES // (8 * dim * rho_inverse_columns(dim, top)))
     for lo in range(0, n_times, size):
         idx = np.arange(lo, min(lo + size, n_times))
         states[idx] = assemble_solution(traj, idx, dim)
@@ -241,6 +243,7 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     rayleigh_dev = np.empty(n_times)
     image_dev = np.empty(n_times)
     levels = np.arange(min(RAYLEIGH_MAX_N, dim // 4) + 1) + 0.5
+    size = metric_window(dim)
     for lo in range(0, n_times, size):
         idx = np.arange(lo, min(lo + size, n_times))
         gs = [traj.state_at(i) for i in idx]
@@ -266,10 +269,9 @@ def run_scenario(cfg: ScenarioConfig) -> RunResult:
     for i, s_i, shape, grid in spots:
         width_vals.append(shape.width_coeff)
         gram_dev.append(orthonormality_matrix(GRAM_MAX_N, s_i, grid))
-        cross_dev.append(float(np.max([
-            cross_representation_residual(s_i, n, dim, top)
-            for n in range(min(CROSS_REP_MAX_N, dim - 1) + 1)
-        ])))
+        cross_dev.append(float(np.max(cross_representation_residual(
+            s_i, range(min(CROSS_REP_MAX_N, dim - 1) + 1), dim, top
+        ))))
         rho = build_rho(s_i, dim)
         for _ in range(4):
             z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)

@@ -86,7 +86,7 @@ from phinv.fock import BandOperator, ParityBlocks, ensure_state, k0_operator, su
 from phinv.metric import ladder_exp
 from phinv.model import STRIDE, invariant_op, metric_rhs
 from phinv.position import _canonical_form, _quadratures
-from phinv.propagator import INSTABILITY_FACTOR, _fd4_richardson
+from phinv.propagator import INSTABILITY_FACTOR, _richardson
 from phinv.runner import CSV_EOL, RAYLEIGH_MAX_N
 
 HARMONIC_DRIVE = {"re_omega": lambda t: 1.0, "im_omega": lambda t: 0.0, "im_beta": lambda t: 0.0}
@@ -123,7 +123,7 @@ def per_time_metric_meters(traj, states: np.ndarray, dim: int) -> dict[str, np.n
             stencil = np.zeros((9,) + rho.blocks.shape)
             for j in (-4, -2, -1, 1, 2, 4):
                 stencil[4 + j] = build_rho(traj.state_at(i + j), dim).blocks
-            rho_dot = _fd4_richardson(stencil, traj.dt)[0]
+            rho_dot = _richardson(stencil, traj.dt)[0]
             h = traj.h_bands(i, dim)
             x, y = rho @ BandOperator(h.real), rho @ BandOperator(h.imag)
             # h rho = -2 W K0 rho = -W (2 K0 rho).

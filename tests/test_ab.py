@@ -77,6 +77,25 @@ def test_counters_compare_by_name_and_a_missing_one_is_unequal():
     assert not ab.compare_counters(change, change, names)["counters_equal"]
 
 
+def test_layers_pair_both_sides_times_with_their_ratio():
+    names = ["propagator.dyson_s", "position.cross_representation_s", "runner.self_s"]
+    base = {
+        "propagator.dyson_s": {"value": 0.25, "unit": "s"},
+        "position.cross_representation_s": {"value": 0.0, "unit": "s"},
+        "runner.self_s": {"value": 0.5, "unit": "s"},
+        "metric.build_calls": {"value": 13526, "unit": "count"},
+    }
+    change = {k: dict(v) for k, v in base.items()}
+    change["propagator.dyson_s"]["value"] = 0.2
+    del change["runner.self_s"]
+    layers = ab.compare_layers(base, change, names)
+    assert list(layers) == names
+    assert layers["propagator.dyson_s"] == {"base": 0.25, "change": 0.2, "ratio": 0.8}
+    # A base of 0 or a side without the metric gives no ratio.
+    assert layers["position.cross_representation_s"]["ratio"] is None
+    assert layers["runner.self_s"] == {"base": 0.5, "change": None, "ratio": None}
+
+
 def test_a_base_spread_wider_than_the_bound_is_unresolved():
     # Base quartiles 1.625 and 2.375 around a median of 2.0: a relative
     # spread of 0.375.

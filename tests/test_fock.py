@@ -32,7 +32,7 @@ from phinv import (
 from phinv.fock import BandOperator, ParityBlocks, _band_product, k0_operator
 from phinv.metric import build_eta, build_rho, ladder_exp
 from phinv.model import MetricState, hamiltonian_coeffs, invariant_op
-from phinv.propagator import _fd4_richardson
+from phinv.propagator import _richardson
 
 
 def test_minimum_dimension_enforced():
@@ -324,10 +324,11 @@ def test_propagate_band_and_dense_generators_agree(dim, seed):
 
 
 def _random_bands(rng, dim: int, rows: int, is_complex: bool) -> BandOperator:
-    """Random diagonals at offsets 0, +-2 (rows 3) with the slots past each
-    diagonal's end zero, as the band layout requires."""
+    """Random diagonals at offsets 0, +-2 (rows 3) and +-4 (rows 5) with the
+    slots past each diagonal's end zero, as the band layout requires."""
     bands = _complex_normals(rng, rows, dim) if is_complex else rng.normal(size=(rows, dim))
-    bands[1:, dim - 2 :] = 0
+    for r in range(1, rows):
+        bands[r, dim - 2 * ((r + 1) // 2) :] = 0
     return BandOperator(bands)
 
 
@@ -357,9 +358,9 @@ def test_band_product_and_band_interior_norm_match_dense(dim, seed):
 
 
 def _dense_times_band(m: np.ndarray, band: BandOperator) -> np.ndarray:
-    """m @ band.dense() with each entry's nonzero terms added in the order
-    ParityBlocks @ band adds them: the diagonal term, then for each offset k
-    the term through the +k row and the one through the -k row."""
+    """m @ band.dense() from the band's rows alone, each entry's nonzero terms
+    added stage by stage: the diagonal term, then for each offset k the term
+    through the +k row and the one through the -k row."""
     b = band.bands
     out = m * b[0]
     for k in range(2, len(b), 2):
@@ -386,9 +387,15 @@ def test_parity_blocks_match_their_dense_matrix(dim):
     for rows in (1, 3):
         for is_complex in (False, True):
             band = _random_bands(rng, dim, rows, is_complex)
-            # Inside a block the band's +-2 rows are +-1 rows; the terms are
-            # added in the order of the dense x band and band x dense sums.
-            assert np.array_equal((a @ band).dense(), _dense_times_band(ad, band))
+            if rows == 1:
+                # A diagonal band scales the columns, one product per entry.
+                assert np.array_equal((a @ band).dense(), _dense_times_band(ad, band))
+            else:
+                # A wider band is one batched product with its dense parity
+                # blocks (real for a real band).
+                dense = band.dense() if is_complex else band.dense().real
+                want = np.matmul(a.blocks, ParityBlocks.from_dense(dense).blocks)
+                assert np.array_equal((a @ band).blocks, want)
             assert _relative_gap((a @ band).dense(), ad @ band.dense()) <= 1e-15
             with pytest.raises(TypeError):
                 band @ a
@@ -400,12 +407,32 @@ def test_parity_blocks_match_their_dense_matrix(dim):
     # The Dyson meter's stencil runs over a stack of blocks along time; it
     # rounds each entry as the stencil over the dense matrices does.
     rows = [a, b, c, d, a.T, b.T, c.T, d.T, a]
-    got = _fd4_richardson(np.stack([r.blocks for r in rows]), 0.01)[0]
-    want = _fd4_richardson(np.stack([r.dense() for r in rows]), 0.01)[0]
+    got = _richardson(np.stack([r.blocks for r in rows]), 0.01)[0]
+    want = _richardson(np.stack([r.dense() for r in rows]), 0.01)[0]
     assert np.array_equal(ParityBlocks(got, dim).dense(), want)
     for top in (3, 4):
         want = interior_norm(ad, exclude_top=top)
         assert abs(interior_norm(a, exclude_top=top) - want) <= 1e-15 * want
+
+
+@pytest.mark.parametrize("dim", [8, 9, 64, 65, 192, 193])
+def test_the_blas_band_product_is_the_stagewise_one_to_rounding(dim):
+    """ParityBlocks @ band, taken on BLAS for 3 rows or more, is the
+    stagewise sum of each entry's nonzero terms to within 4 ulps of the
+    entry's summed term magnitudes, for real and complex bands of 1, 3 and 5
+    rows; a 1-row band gives that sum bit for bit."""
+    rng = np.random.default_rng(dim)
+    a = ParityBlocks.from_dense(rng.normal(size=(dim, dim)))
+    ad = a.dense()
+    for rows in (1, 3, 5):
+        for is_complex in (False, True):
+            band = _random_bands(rng, dim, rows, is_complex)
+            got, want = (a @ band).dense(), _dense_times_band(ad, band)
+            assert got.dtype == want.dtype
+            if rows == 1:
+                assert np.array_equal(got, want)
+            terms = np.abs(ad) @ np.abs(band.dense())
+            assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * terms)
 
 
 @given(st.integers(min_value=4, max_value=65), st.integers(min_value=0, max_value=2**32 - 1))

@@ -309,7 +309,8 @@ def test_eta_rejects_a_non_finite_rho():
 def test_rho_and_its_inverse_reject_non_finite_blocks(build, g):
     # vtheta0^{K0} (rho) and vtheta0^{-K0} (rho^-1) overflow at dim 192. At
     # Phi = 0 rho^-1 is diagonal and overflows only past the columns it keeps,
-    # so this raises because the check runs on the full product.
+    # yet this raises: the kept columns of the scaled inner factor meet its
+    # overflowed rows in their zeros, and inf times 0 is nan.
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(DomainError, match="non-finite"):
             build(g, 192)
@@ -343,9 +344,11 @@ def test_parity_sector_builders_match_dense_gemm(dim):
 
 @pytest.mark.parametrize("dim", [4, 5, 8, 9, 64, 65, 192])
 def test_rho_inverse_keeps_the_first_columns_of_the_full_product(dim):
-    """Column n of build_rho_inverse is, bit for bit, column n of the full
-    parity-block product of the inverse's factors, and that product applied
-    to |n>, for the columns of levels up to 6 and up to dim // 4."""
+    """Column n of build_rho_inverse is, bit for bit, column n of the
+    product of the inverse's outer factor with the kept columns of the
+    inner ones, and to rounding that column of the full parity-block product
+    and that product applied to |n>, for the columns of levels up to 6 and
+    up to dim // 4."""
     for g in random_metric_states(31, 3) + [MetricState(0.45, 0.7)]:
         e_minus = ladder_exp(-g.vtheta_minus, dim, raising=False).blocks
         e_plus = ladder_exp(-g.vtheta_plus, dim, raising=True).blocks
@@ -353,10 +356,31 @@ def test_rho_inverse_keeps_the_first_columns_of_the_full_product(dim):
         full = ParityBlocks(np.matmul(e_minus, mid[:, :, None] * e_plus), dim)
         for top in (0, dim // 4):
             got = build_rho_inverse(g, dim, top)
-            assert got.shape == (dim, rho_inverse_columns(dim, top))
-            assert np.array_equal(got, full.dense()[:, : got.shape[1]])
-            for n in range(got.shape[1]):
-                assert np.array_equal(got[:, n], full @ basis_state(dim, n))
+            k = rho_inverse_columns(dim, top)
+            assert got.shape == (dim, k)
+            kept = np.matmul(e_minus, mid[:, :, None] * e_plus[..., : (k + 1) // 2])
+            for p in (0, 1):
+                block = kept[p, : (dim - p + 1) // 2, : (k - p + 1) // 2]
+                assert np.array_equal(got[p::2, p::2], block)
+            for n in range(k):
+                want = full @ basis_state(dim, n)
+                assert np.max(np.abs(got[:, n] - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+def test_the_inverse_judges_overflow_on_the_columns_it_keeps():
+    """At dim 192 rho^-1 keeps 7 columns. At Phi = 0.7, vtheta0 = 6.31e-4 its
+    factors are finite and those columns overflow, which raises. At Phi =
+    0.5, vtheta0 = 1e-3 the full product overflows only from level 62 on,
+    past the kept columns: that map is built, and its columns are the dense
+    product's to rounding."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="non-finite"):
+            build_rho_inverse(MetricState(0.7, 6.31e-4), 192)
+        g = MetricState(0.5, 1e-3)
+        want = dense_gemm_rho_inverse(g, 192)
+    got = build_rho_inverse(g, 192)
+    assert not np.all(np.isfinite(want)) and np.all(np.isfinite(want[:, :7]))
+    assert np.max(np.abs(got - want[:, :7])) <= 1e-15 * np.max(np.abs(want[:, :7]))
 
 
 def test_the_inverse_cache_holds_only_the_kept_columns():

@@ -182,6 +182,31 @@ def test_cross_representation_agreement():
     assert worst <= 1e-6
 
 
+def test_batched_cross_representation_is_each_level_alone():
+    """Levels passed together give each level's own call, bit for bit: the
+    levels whose grids coincide are synthesized together, here levels whose
+    grids differ in extent (Phi = 0.3) and in their number of points
+    (Phi = 0.45, levels 10 and 12), in any order and repeated."""
+    for s, levels in ((MetricState(0.3, 0.8), [9, 0, 4, 2, 6, 2]),
+                      (MetricState(0.45, 0.7), [12, 3, 10, 0])):
+        got = cross_representation_residual(s, levels, 64, 12)
+        assert got == [cross_representation_residual(s, n, 64, 12) for n in levels]
+    one = cross_representation_residual(MetricState(0.3, 0.8), 4, 64)
+    assert isinstance(one, float) and cross_representation_residual(
+        MetricState(0.3, 0.8), range(4, 5), 64) == [one]
+    with pytest.raises(DomainError, match="level 64 out of range"):
+        cross_representation_residual(MetricState(0.3, 0.8), [0, 64], 64)
+
+
+def test_fock_to_position_takes_the_columns_of_a_matrix():
+    grid = PositionGrid(points=np.linspace(-6.0, 6.0, 241), spacing=0.05)
+    m = np.random.default_rng(2).normal(size=(8, 3)) * (1 - 0.5j)
+    rows = fock_to_position(m, grid)
+    assert rows.shape == (3, 241)
+    for j in range(3):
+        assert np.array_equal(rows[j], fock_to_position(m[:, j], grid))
+
+
 def test_cross_representation_on_invariant_eigenvector():
     s = MetricState(0.3, 1.1)
     assert cross_representation_residual(s, 2, 64) <= 1e-6

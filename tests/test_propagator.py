@@ -43,7 +43,9 @@ import phinv.propagator
 from phinv.fock import BandOperator, k0_operator, su11_bands
 from phinv.model import hamiltonian_coeffs
 from phinv.propagator import (
+    _fd4_richardson,
     _per_report_time,
+    _richardson,
     hamiltonian_source,
     sorted_distinct,
     transformed_generator_source,
@@ -190,6 +192,24 @@ def test_dyson_residual_catches_corrupted_metric(gentle_traj):
     clean = dyson_residual(gentle_traj, 2500, 64)
     corrupted = dataclasses.replace(gentle_traj, phi=1.01 * gentle_traj.phi)
     assert dyson_residual(corrupted, 2500, 64) >= 1e3 * max(clean, 1e-12)
+
+
+def test_the_one_pass_stencil_is_the_richardson_combination_to_rounding():
+    """The Dyson meter's time derivative, one weighted sum of differences,
+    is the two-stencil Richardson combination on a smooth stack up to a few
+    rounding units of the stack's entries over h, both are the derivative
+    to the stencils' order, and rows equal in time give exactly 0."""
+    h = 1e-3
+    t = 0.3 + h * np.arange(24)
+    a, b = np.random.default_rng(5).normal(size=(2, 2, 7, 7))
+    t = t[:, None, None, None]
+    v = np.sin(3 * t) * a + np.exp(-t) * b
+    got, want = _richardson(v, h), _fd4_richardson(v, h)
+    assert got.shape == want.shape == (16, 2, 7, 7)
+    assert np.max(np.abs(got - want)) <= 8 * np.finfo(float).eps * np.max(np.abs(v)) / h
+    exact = (3 * np.cos(3 * t) * a - np.exp(-t) * b)[4:-4]
+    assert np.max(np.abs(got - exact)) <= 1e-11
+    assert not _richardson(np.full((9, 3), 0.7), h).any()
 
 
 def test_dyson_residual_reads_the_hermitian_generator(gentle_traj):

@@ -493,10 +493,11 @@ def test_the_canonical_check_runs_once_before_any_metric_is_built(monkeypatch):
     assert dim == 32 and states == [traj.state_at(i) for i in range(0, 51, 5)]
 
 
-@pytest.mark.parametrize("dim", [16, 64])
-def test_the_run_assembles_a_window_of_report_times_per_call(dim, monkeypatch):
-    """run_scenario calls assemble_solution once per window of
-    metric_window(dim) report times, in order over the whole grid."""
+@pytest.mark.parametrize("dim, size", [(16, 73), (64, 18), (192, 6)], ids=["16", "64", "192"])
+def test_the_run_assembles_a_window_of_report_times_per_call(dim, size, monkeypatch):
+    """run_scenario calls assemble_solution once per window of report times,
+    in order over the whole grid, each window as many times as keep their
+    rho^-1 columns (dim x 7 float64 for a top level of 1) within 64 KB."""
     calls = []
 
     def recording(traj, t_index, d):
@@ -506,7 +507,6 @@ def test_the_run_assembles_a_window_of_report_times_per_call(dim, monkeypatch):
     monkeypatch.setattr(phinv.runner, "assemble_solution", recording)
     cfg = scenario(dict(demo_scenarios()["demo_td"], dim=dim, t_max=0.05))
     run_scenario(cfg)
-    size = phinv.metric.metric_window(dim)
     assert [c.tolist() for c in calls] == [
         list(range(lo, min(lo + size, 51))) for lo in range(0, 51, size)
     ]
@@ -642,21 +642,25 @@ def test_a_run_tracking_the_highest_accepted_level_passes_every_row():
 
 
 def test_a_w_off_by_one_part_in_a_million_fails_only_the_dyson_row(monkeypatch):
-    """demo_td to t_max 0.2 with W scaled by 1 + 1e-6 where the flow forms
-    it: the dyson meter reads that error, about 1e-6, against its default
-    tolerance of 1e-10, 100 times the row's measured floors (at most
-    8.1e-13), and every other row passes, as on the clean run."""
-    doc = dict(demo_scenarios()["demo_td"], t_max=0.2)
-    clean = run_scenario(scenario(doc))
-    assert clean.passed
+    """demo_td to t_max 0.2, and at dim 192 (where the metric meters take
+    one report time per window) to 0.05, with W scaled by 1 + 1e-6 where
+    the flow forms it: the dyson meter reads that error, about 1e-6,
+    against its default tolerance of 1e-10, 100 times the row's measured
+    floors (at most 8.1e-13), and every other row passes, as on the clean
+    run."""
     exact = phinv.model.transformed_frequency
-    monkeypatch.setattr(phinv.model, "transformed_frequency",
-                        lambda *args: (1 + 1e-6) * exact(*args))
-    result = run_scenario(scenario(doc))
-    assert [c["name"] for c in result.report["checks"] if not c["passed"]] == ["dyson"]
-    (row,) = [c for c in result.report["checks"] if c["name"] == "dyson"]
-    assert row["tolerance"] == 1e-10
-    assert 0.9e-6 <= row["max_residual"] <= 1.1e-6
+    for doc in (dict(demo_scenarios()["demo_td"], t_max=0.2),
+                dict(demo_scenarios()["demo_td"], dim=192, t_max=0.05)):
+        monkeypatch.setattr(phinv.model, "transformed_frequency", exact)
+        clean = run_scenario(scenario(doc))
+        assert clean.passed
+        monkeypatch.setattr(phinv.model, "transformed_frequency",
+                            lambda *args: (1 + 1e-6) * exact(*args))
+        result = run_scenario(scenario(doc))
+        assert [c["name"] for c in result.report["checks"] if not c["passed"]] == ["dyson"]
+        (row,) = [c for c in result.report["checks"] if c["name"] == "dyson"]
+        assert row["tolerance"] == 1e-10
+        assert 0.9e-6 <= row["max_residual"] <= 1.1e-6
 
 
 @pytest.mark.parametrize(
@@ -671,8 +675,8 @@ def test_a_run_keeps_the_rho_inverse_columns_it_reads(levels, superposition, col
     (top 1) keeps 7 columns, 4 of each 96-level parity block, and a run that
     tracks level dim/4 = 48 keeps 49, 25 of each block. Every read in a run
     asks for the same columns, so the cache holds one entry per state (21
-    report times). Column top is, bit for bit, that column of the full
-    product of the inverse's factors."""
+    report times). Column top is, bit for bit, that column of the product
+    of the inverse's outer factor with the kept columns of the inner ones."""
     doc = dict(demo_scenarios()["demo_td"], dim=192, t_max=0.02, quantum_numbers=levels)
     if superposition:
         doc["superposition"] = superposition
@@ -701,10 +705,10 @@ def test_a_run_keeps_the_rho_inverse_columns_it_reads(levels, superposition, col
     e_minus = phinv.metric.ladder_exp(-g.vtheta_minus, 192, raising=False).blocks
     e_plus = phinv.metric.ladder_exp(-g.vtheta_plus, 192, raising=True).blocks
     mid = phinv.metric._k0_power(1.0 / g.vtheta_zero, 192)
-    full = np.matmul(e_minus, mid[:, :, None] * e_plus)
+    kept = np.matmul(e_minus, mid[:, :, None] * e_plus[..., :columns])
     got = phinv.metric.build_rho_inverse(g, 192, top)
     assert got.shape == (192, 2 * columns - 1)
-    assert np.array_equal(got[top % 2 :: 2, top], full[top % 2, :, top // 2])
+    assert np.array_equal(got[top % 2 :: 2, top], kept[top % 2, :, top // 2])
     assert not got[1 - top % 2 :: 2, top].any()
 
 

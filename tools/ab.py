@@ -20,7 +20,10 @@ median, than the metric's bound, so `within_bound` cannot tell a change
 from noise, and not every change run beats every base run. After the pairs
 it runs `--seconds 0 --trace 1` once in each tree and records both sides'
 exact counters (the per-layer metrics of unit `count` in BENCHMARK.json)
-and whether they are all equal. Last, for each workload, it runs
+and whether they are all equal, and, as `layers`, both sides' per-layer
+times from those runs (the per-layer metrics of unit `s`) with the change's
+over the base's, which show where a change of the end-to-end time sits.
+Last, for each workload, it runs
 `python3 -m phinv.cli run` in each tree (PYTHONPATH=<tree>/src) on the
 workload's scenarios for seeds 0, 3 and 101 (perfbench/workloads.make_scenario)
 and records, per seed, whether both trees wrote the same series.csv and
@@ -120,6 +123,19 @@ def compare_counters(base: dict, change: dict, names: list[str]) -> dict:
     }
     equal = sides["base"] == sides["change"] and None not in sides["base"].values()
     return {**sides, "counters_equal": equal}
+
+
+def compare_layers(base: dict, change: dict, names: list[str]) -> dict:
+    """Each named per-layer time from both sides' traced runs (perfbench's
+    printed metrics, as for compare_counters): {name: {"base", "change",
+    "ratio"}}, ratio the change's value over the base's. A side that lacks
+    the metric reads None, and so does the ratio then or when the base
+    reads 0."""
+    out = {}
+    for name in names:
+        b, c = (m[name]["value"] if name in m else None for m in (base, change))
+        out[name] = {"base": b, "change": c, "ratio": c / b if b and c is not None else None}
+    return out
 
 
 ARTIFACTS = ("series.csv", "report.json")
@@ -350,6 +366,7 @@ def main(argv: list[str] | None = None) -> int:
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
     seconds = bench["run_seconds"]
     counter_names = [m["name"] for m in bench["per_layer"] if m["unit"] == "count"]
+    layer_names = [m["name"] for m in bench["per_layer"] if m["unit"] == "s"]
     with tempfile.TemporaryDirectory(prefix="ab-base-") as tmp:
         base_tree = Path(tmp)
         _export(args.base, base_tree)
@@ -412,6 +429,8 @@ def main(argv: list[str] | None = None) -> int:
                                    traced[workload]["change"]["metrics"], counter_names),
                 "traced_failed": {s: r["failed"] for s, r in traced[workload].items()},
             },
+            "layers": compare_layers(traced[workload]["base"]["metrics"],
+                                     traced[workload]["change"]["metrics"], layer_names),
             "artifacts": artifacts[workload],
         }
         for metric in bench["end_to_end"]:
@@ -433,6 +452,10 @@ def main(argv: list[str] | None = None) -> int:
                   f"{s['change']['q3']:.4g}] wins {s['change_wins']}/{s['pairs']} "
                   f"gain {s['gain']} within_bound {s['within_bound']} "
                   f"unresolved {s['unresolved']}")
+        for name, layer in entry["layers"].items():
+            if layer["ratio"] is not None:
+                print(f"{workload:16s} {name:34s} base {layer['base']:.4g} change "
+                      f"{layer['change']:.4g} ratio {layer['ratio']:.3f}")
         c = entry["counters"]
         print(f"{workload:16s} counters base {c['base']} change {c['change']} "
               f"counters_equal {c['counters_equal']} traced_failed {c['traced_failed']}")
